@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -68,6 +69,26 @@ def parse_label(family: GroupFamily, token: str) -> ktypes.KTypeLabel:
         return ktypes.KTypeLabel(family, coords)
     except ValueError as exc:
         raise UsageError(f"bad label {token!r} for {family}: {exc}") from None
+
+
+def _seed(token: str) -> int:
+    try:
+        value = int(token)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {token!r}")
+
+
+def _tolerance(token: str) -> float:
+    try:
+        value = float(token)
+        if math.isfinite(value) and value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"tolerance must be a finite nonnegative number, got {token!r}")
 
 
 def parse_rational(token: str) -> Fraction:
@@ -251,7 +272,7 @@ def _labels(fam, bound):
     return _so_labels(fam, bound) if fam.variant == "SO" else _pair_labels(fam, bound)
 
 
-def _tensor_families(depth):
+def _tensor_families():
     fams = [groups.so(n) for n in range(3, 9)] + [groups.su(n) for n in range(2, 6)]
     fams += [groups.sp(n) for n in range(2, 5)] + [groups.f4()]
     return fams
@@ -278,7 +299,7 @@ def verify_groups(rep: Report, depth: int):
 
 
 def verify_tensor(rep: Report, depth: int):
-    for fam in _tensor_families(depth):
+    for fam in _tensor_families():
         ok_closed = ok_dim = ok_free = ok_sym = True
         decs = {}
         for lab in _labels(fam, depth):
@@ -306,7 +327,7 @@ def verify_tensor(rep: Report, depth: int):
 
 
 def verify_spherical(rep: Report, depth: int):
-    for fam in _tensor_families(depth):
+    for fam in _tensor_families():
         ok_identity = ok_sum = ok_rec = ok_adj = True
         for lab in _labels(fam, depth):
             row = spherical.omega_h_expand(fam, lab)
@@ -329,7 +350,7 @@ def verify_spherical(rep: Report, depth: int):
 
 
 def verify_scalars(rep: Report, depth: int):
-    for fam in _tensor_families(depth):
+    for fam in _tensor_families():
         rep.check("scalar-vanishing-table", scalars.vanishing_table_check(fam, depth), str(fam))
         triv = ktypes.label(fam, *((0,) if fam.variant == "SO" else (0, 0)))
         ok_root = all(scalars.t_root(fam, y, triv) == groups.rho_H(fam)
@@ -406,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", help="write the report to this file instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="sampling seed (so-model)")
-    common.add_argument("--tolerance", type=float, default=1e-5,
+    common.add_argument("--seed", type=_seed, default=0, help="sampling seed (so-model)")
+    common.add_argument("--tolerance", type=_tolerance, default=1e-5,
                         help="numerical tolerance (so-model)")
 
     parser = argparse.ArgumentParser(

@@ -372,7 +372,8 @@ def exceptional_vanishing_residual(n: int, ell: int, step_h: float = 1e-4,
     """
     fam = so(n)
     mu = SpectralParam(-rho_H(fam) - ell)
-    assert t_scalar(fam, label(fam, ell), label(fam, ell + 1), mu) == 0
+    if t_scalar(fam, label(fam, ell), label(fam, ell + 1), mu) != 0:
+        raise AssertionError(f"T(Y_{ell}, Y_{ell + 1}) must vanish at mu(H) = {mu.mu_H}")
     points = sphere_points(n, num_points, seed)
     combined, _ = _gradient_sum(n, ell, mu, points, step_h)
     coeffs = _fit_zonal(n, (ell - 1, ell, ell + 1), points, combined)

@@ -4,6 +4,11 @@ Two independent routes are provided: the signed-reflection algorithm on the
 shifted highest weight (racah_speiser) and a brute-force character oracle
 (Freudenthal weight multiplicities, convolution with the weights of p, greedy
 peeling of dominant characters).  p and p* are identified as K-modules.
+
+Weights in the public API (Decomposition, Summand) are Fraction tuples.  The
+oracle's Freudenthal, orbit and peeling kernels work on doubled-integer
+weights (weyl.double) and convert back only when they build Summands;
+Racah-Speiser stays on Fractions and does not use those kernels.
 """
 from __future__ import annotations
 
@@ -16,7 +21,8 @@ from typing import Optional
 
 from .groups import GroupFamily, UnsupportedFamilyError, structural_data
 from .ktypes import KTypeLabel, highest_weight, label_from_weight, weyl_dim
-from .weyl import RootSystem, Weight, k_root_system, w_add, w_dot, w_sub, wt
+from .weyl import (Weight, Weight2, double, halve, k_root_system, pair, shift, w_add, w_dot,
+                   w_sub, wt)
 
 
 class AlgorithmViolation(RuntimeError):
@@ -122,123 +128,73 @@ def racah_speiser(family: GroupFamily, lab: KTypeLabel) -> Decomposition:
 
 
 # -- character oracle ---------------------------------------------------------
-
-
-def _simple_decompose(rs: RootSystem, v: Weight) -> Optional[tuple[int, ...]]:
-    """Coordinates of v in the simple-root basis, if nonnegative integers."""
-    mat = [list(s) for s in rs.simple_roots]
-    # Solve sum_i c_i simple_i = v by Gaussian elimination over Q.
-    rows = len(rs.simple_roots)
-    aug = [[mat[i][j] for i in range(rows)] for j in range(rs.dim)]
-    rhs = list(v)
-    coeffs = _solve_exact(aug, rhs)
-    if coeffs is None:
-        return None
-    if any(c.denominator != 1 or c < 0 for c in coeffs):
-        return None
-    return tuple(int(c) for c in coeffs)
-
-
-def _solve_exact(a, b):
-    """Least-structure exact solver for the (possibly tall) system a x = b."""
-    rows, cols = len(a), len(a[0]) if a else 0
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][-1]
-    for i in range(r, rows):
-        if m[i][-1] != 0:
-            return None
-    # verify (handles rank-deficient corner cases exactly)
-    for i in range(rows):
-        if sum(a[i][j] * x[j] for j in range(cols)) != b[i]:
-            return None
-    return x
+#
+# The oracle runs on doubled-integer weights (weyl.double): the Freudenthal
+# ratio and the (rho-pairing, lex) peel order are both invariant under the
+# scaling, so every check below is made exactly, in ints.
 
 
 @lru_cache(maxsize=None)
-def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight) -> tuple[tuple[Weight, int], ...]:
+def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tuple[tuple[Weight2, int], ...]:
     """Multiplicities of the dominant weights of V_lam via Freudenthal's formula.
 
-    Candidates are enumerated in the box lam - sum c_i alpha_i bounded by the
-    simple-root coordinates of lam - w0(lam); multiplicities of non-dominant
-    weights are looked up through their dominant orbit representative.
+    lam and the result are doubled.  The dominant weights of V_lam are the
+    dominant mu with lam - mu a sum of positive roots; each is reached from lam
+    through dominant weights by subtracting one positive root at a time
+    (Stembridge, "The partial order of dominant weights", 1998).  Multiplicities
+    of non-dominant weights are looked up through their dominant orbit
+    representative.
     """
     rs = k_root_system(variant, n)
-    lowest = tuple(-x for x in rs.dominant_rep(tuple(-c for c in lam)))
-    bounds = _simple_decompose(rs, w_sub(lam, lowest))
-    if bounds is None:
-        raise AssertionError("lam - w0(lam) must lie in the positive root cone")
-    candidates: list[Weight] = []
-
-    def _walk(i: int, current: Weight):
-        if i == len(bounds):
-            if rs.is_dominant(current) and w_dot(current, current) <= w_dot(lam, lam):
-                candidates.append(current)
-            return
-        step = rs.simple_roots[i]
-        for c in range(bounds[i] + 1):
-            _walk(i + 1, current)
-            current = w_sub(current, step)
-
-    _walk(0, lam)
-    lam_rho = w_add(lam, rs.rho)
+    top_norm = w_dot(lam, lam)
+    candidates = {lam}
+    frontier = [lam]
+    while frontier:
+        mu = frontier.pop()
+        for alpha in rs.positive_roots:
+            nu = shift(mu, alpha, -2)
+            if nu not in candidates and rs.is_dominant(nu):
+                if w_dot(nu, nu) > top_norm:
+                    raise AssertionError("dominant weights below lam must lie in the ||lam|| ball")
+                candidates.add(nu)
+                frontier.append(nu)
+    lam_rho = w_add(lam, rs.two_rho)
     c_top = w_dot(lam_rho, lam_rho)
-    candidates.sort(key=lambda w: w_dot(w, rs.rho), reverse=True)
-    mult: dict[Weight, Fraction] = {lam: Fraction(1)}
-    for w in candidates:
+    mult: dict[Weight2, int] = {lam: 1}
+    for w in sorted(candidates, key=lambda w: w_dot(w, rs.two_rho), reverse=True):
         if w == lam:
             continue
-        w_rho = w_add(w, rs.rho)
+        w_rho = w_add(w, rs.two_rho)
         denom = c_top - w_dot(w_rho, w_rho)
         if denom <= 0:
             raise AssertionError("Freudenthal denominator must be positive below lam")
-        total = Fraction(0)
-        top_norm = w_dot(lam, lam)
+        total = 0
         for alpha in rs.positive_roots:
-            k = 1
-            while True:
-                up = w_add(w, tuple(k * a for a in alpha))
-                if w_dot(up, up) > top_norm:
-                    break  # every weight lies in the ||lam|| ball
-                m_up = mult.get(rs.dominant_rep(up), Fraction(0))
+            up = shift(w, alpha, 2)
+            while w_dot(up, up) <= top_norm:  # every weight lies in the ||lam|| ball
+                m_up = mult.get(rs.dominant_rep(up))
                 if m_up:
-                    total += m_up * w_dot(up, alpha)
-                k += 1
-        m = 2 * total / denom
-        if m.denominator != 1 or m < 0:
-            raise AssertionError(f"non-integral Freudenthal multiplicity {m} at {w}")
+                    total += m_up * 2 * pair(up, alpha)  # <up, 2 alpha> in doubled units
+                up = shift(up, alpha, 2)
+        m, rem = divmod(2 * total, denom)
+        if rem or m < 0:
+            raise AssertionError(f"non-integral Freudenthal multiplicity "
+                                 f"{Fraction(2 * total, denom)} at {halve(w)}")
         if m:
             mult[w] = m
-    return tuple(sorted((w, int(m)) for w, m in mult.items() if m > 0))
+    return tuple(sorted(mult.items()))
 
 
 @lru_cache(maxsize=None)
-def _weight_multiplicities(variant: str, n: Optional[int], lam: Weight) -> tuple[tuple[Weight, int], ...]:
-    """Full weight multiset of V_lam: Weyl orbits of the dominant multiplicities."""
+def _weight_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tuple[tuple[Weight2, int], ...]:
+    """Full doubled weight multiset of V_lam: Weyl orbits of the dominant multiplicities."""
     rs = k_root_system(variant, n)
-    out: dict[Weight, int] = {}
+    out: dict[Weight2, int] = {}
     for w, m in _dominant_multiplicities(variant, n, lam):
         for v in rs.orbit(w):
             out[v] = m
     result = tuple(sorted(out.items()))
-    if sum(m for _, m in result) != rs.weyl_dim(lam):
+    if sum(m for _, m in result) != rs.weyl_dim(halve(lam)):
         raise AssertionError("weight multiplicities do not sum to the Weyl dimension")
     return result
 
@@ -248,9 +204,10 @@ def character_oracle(family: GroupFamily, lab: KTypeLabel, max_peel: int = 512) 
     _check_supported(family)
     rs = k_root_system(family.variant, family.n)
     lam = highest_weight(lab)
+    betas = [double(b) for b in _p_weights(family.variant, family.n)]
     char: Counter = Counter()
-    for w, m in _weight_multiplicities(family.variant, family.n, lam):
-        for beta in _p_weights(family.variant, family.n):
+    for w, m in _weight_multiplicities(family.variant, family.n, double(lam)):
+        for beta in betas:
             char[w_add(w, beta)] += m
     acc: Counter = Counter()
     # rho pairs strictly positively with any nonzero sum of positive roots, so
@@ -259,9 +216,9 @@ def character_oracle(family: GroupFamily, lab: KTypeLabel, max_peel: int = 512) 
         support = +char
         if not support:
             break
-        top = max(support, key=lambda w: (w_dot(w, rs.rho), w))
+        top = max(support, key=lambda w: (w_dot(w, rs.two_rho), w))
         if not rs.is_dominant(top):
-            raise AlgorithmViolation(f"maximal residual weight {top} is not dominant")
+            raise AlgorithmViolation(f"maximal residual weight {halve(top)} is not dominant")
         m = support[top]
         if m < 0:
             raise AlgorithmViolation("negative residual multiplicity while peeling")
@@ -272,7 +229,7 @@ def character_oracle(family: GroupFamily, lab: KTypeLabel, max_peel: int = 512) 
         raise AlgorithmViolation("character peeling did not terminate")
     if any(v != 0 for v in char.values()):
         raise AlgorithmViolation("character did not peel to zero")
-    summands = tuple(sorted((_tag(family, w, m) for w, m in acc.items() if m > 0),
+    summands = tuple(sorted((_tag(family, halve(w), m) for w, m in acc.items() if m > 0),
                             key=lambda s: s.weight, reverse=True))
     return Decomposition(family, lam, summands)
 

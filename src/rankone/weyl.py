@@ -1,19 +1,28 @@
 """Root systems and Weyl group combinatorics for the maximal compact subgroups.
 
-Weights are tuples of Fractions in the e_i coordinates fixed by the classical
-conventions: K = SO(2m+1) or SO(2m) for SO(n,1); K = U(n) (coordinates
-e_1..e_n plus the central e_{n+1}) for SU(n,1); K = Sp(n) x Sp(1) (e_1..e_n
-plus e_{n+1} for the Sp(1) factor) for Sp(n,1); K = Spin(9) for F4.
+Public weights are tuples of Fractions in the e_i coordinates fixed by the
+classical conventions: K = SO(2m+1) or SO(2m) for SO(n,1); K = U(n)
+(coordinates e_1..e_n plus the central e_{n+1}) for SU(n,1); K = Sp(n) x Sp(1)
+(e_1..e_n plus e_{n+1} for the Sp(1) factor) for Sp(n,1); K = Spin(9) for F4.
+
+Every weight the library builds has coordinates in (1/2)Z, so the orbit,
+Freudenthal and peeling kernels work on doubled weights: `double` maps a public
+weight to its int tuple 2w, `halve` maps back.  Roots are stored sparsely as
+((index, coefficient), ...) with int coefficients, and 2 rho as an int tuple.
+The Weyl groups are all signed-permutation groups, so orbits are enumerated
+directly rather than closed under reflections.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import prod
+from itertools import combinations, product
+from math import lcm
 
 Weight = tuple[Fraction, ...]
+Weight2 = tuple[int, ...]  # doubled-integer weight 2w
+Root = tuple[tuple[int, int], ...]  # sparse: ((index, coefficient), ...)
 
 
 def wt(*coords) -> Weight:
@@ -21,21 +30,41 @@ def wt(*coords) -> Weight:
     return tuple(Fraction(c) for c in coords)
 
 
-def w_add(a: Weight, b: Weight) -> Weight:
+def w_add(a, b):
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def w_sub(a: Weight, b: Weight) -> Weight:
+def w_sub(a, b):
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def w_dot(a: Weight, b: Weight) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+def w_dot(a, b):
+    return sum(x * y for x, y in zip(a, b, strict=True))
 
 
-def _e(i: int, dim: int, c=1) -> Weight:
-    v = [Fraction(0)] * dim
-    v[i] = Fraction(c)
+def double(w: Weight) -> Weight2:
+    """The doubled-integer form 2w of a weight with coordinates in (1/2)Z."""
+    out = tuple(int(2 * x) for x in w)
+    if any(2 * x != y for x, y in zip(w, out)):
+        raise ValueError(f"weight {w} has a coordinate outside (1/2)Z")
+    return out
+
+
+def halve(w2: Weight2) -> Weight:
+    """The public Fraction weight of a doubled-integer weight."""
+    return tuple(Fraction(x, 2) for x in w2)
+
+
+def pair(w, alpha: Root):
+    """<w, alpha> for a sparse root."""
+    return sum(c * w[i] for i, c in alpha)
+
+
+def shift(w, alpha: Root, k: int):
+    """w + k alpha for a sparse root."""
+    v = list(w)
+    for i, c in alpha:
+        v[i] += k * c
     return tuple(v)
 
 
@@ -55,13 +84,13 @@ class RootSystem:
     kind: str
     rank: int  # number of permuted coordinates
     dim: int  # total coordinate length
-    positive_roots: tuple[Weight, ...]
-    simple_roots: tuple[Weight, ...]
+    positive_roots: tuple[Root, ...]
+    two_rho: Weight2
     rho: Weight
 
     # -- chamber tests ------------------------------------------------------
 
-    def is_dominant(self, w: Weight, strict: bool = False) -> bool:
+    def is_dominant(self, w, strict: bool = False) -> bool:
         head = w[: self.rank]
         pairs = zip(head, head[1:])
         if self.kind == "A":
@@ -119,7 +148,7 @@ class RootSystem:
             out[-1] = -out[-1]
         return tuple(out) + tuple(tail), _sort_sign(absd)
 
-    def dominant_rep(self, w: Weight) -> Weight:
+    def dominant_rep(self, w):
         """The dominant element of the Weyl orbit of w (no sign tracking)."""
         head = list(w[: self.rank])
         tail = list(w[self.rank:])
@@ -135,37 +164,57 @@ class RootSystem:
             out[-1] = -out[-1]
         return tuple(out) + tuple(tail)
 
-    def reflect(self, w: Weight, alpha: Weight) -> Weight:
-        c = 2 * w_dot(w, alpha) / w_dot(alpha, alpha)
-        return tuple(x - c * a for x, a in zip(w, alpha))
-
-    def orbit(self, w: Weight) -> set[Weight]:
-        """Full Weyl orbit, generated by the simple reflections."""
-        seen = {w}
-        frontier = [w]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for s in self.simple_roots:
-                    r = self.reflect(v, s)
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
-            frontier = nxt
-        return seen
+    def orbit(self, w) -> set:
+        """Full Weyl orbit of w, enumerated as signed permutations of the head."""
+        head, tail = w[: self.rank], tuple(w[self.rank:])
+        if self.kind == "A":
+            return {p + tail for p in _distinct_perms(head)}
+        signed = [v for p in _distinct_perms([abs(x) for x in head])
+                  for v in product(*((x, -x) if x else (x,) for x in p))]
+        if self.kind == "D" and all(head):
+            parity = sum(x < 0 for x in head) % 2
+            signed = [v for v in signed if sum(x < 0 for x in v) % 2 == parity]
+        if self.kind == "CC":
+            return {v + (t,) for v in signed for t in {tail[0], -tail[0]}}
+        return {v + tail for v in signed}
 
     # -- Weyl dimension formula ---------------------------------------------
 
-    def weyl_dim(self, lam: Weight) -> int:
+    def weyl_dim(self, lam) -> int:
+        """prod <lam + rho, a> / <rho, a> over positive roots a, computed in scaled integers."""
         if not self.is_dominant(lam):
             raise ValueError(f"weight {lam} is not dominant")
-        lam_rho = w_add(lam, self.rho)
-        num = prod(w_dot(lam_rho, a) for a in self.positive_roots)
-        den = prod(w_dot(self.rho, a) for a in self.positive_roots)
-        d = Fraction(num, den)
-        if d.denominator != 1:
+        scale = lcm(2, *(x.denominator for x in lam))
+        half = scale // 2
+        scaled = [x.numerator * (scale // x.denominator) for x in lam]
+        num = den = 1
+        for a in self.positive_roots:
+            lam_a = pair(scaled, a)
+            if lam_a:  # roots orthogonal to lam contribute the factor 1
+                rho_a = half * pair(self.two_rho, a)
+                num *= lam_a + rho_a
+                den *= rho_a
+        d, rem = divmod(num, den)
+        if rem:
             raise ValueError(f"Weyl dimension of {lam} is not integral")
-        return int(d)
+        return d
+
+
+def _distinct_perms(values):
+    """Each distinct permutation of `values` once, in increasing lex order."""
+    a = sorted(values)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
 
 
 def _sort_sign(values) -> int:
@@ -187,54 +236,42 @@ def _sort_sign(values) -> int:
     return sign
 
 
-def _half_sum(roots) -> Weight:
-    dim = len(roots[0])
-    acc = [Fraction(0)] * dim
-    for r in roots:
-        for i, c in enumerate(r):
-            acc[i] += c
-    return tuple(c / 2 for c in acc)
+def _root_system(kind: str, rank: int, dim: int, pos: list[Root]) -> RootSystem:
+    two_rho = [0] * dim
+    for root in pos:
+        for i, c in root:
+            two_rho[i] += c
+    return RootSystem(kind, rank, dim, tuple(pos), tuple(two_rho), halve(two_rho))
+
+
+def _pm_roots(m: int) -> list[Root]:
+    """e_i - e_j and e_i + e_j for i < j < m."""
+    pairs = list(combinations(range(m), 2))
+    return [((i, 1), (j, -1)) for i, j in pairs] + [((i, 1), (j, 1)) for i, j in pairs]
 
 
 @lru_cache(maxsize=None)
 def type_b(m: int) -> RootSystem:
-    pos = [w_sub(_e(i, m), _e(j, m)) for i, j in combinations(range(m), 2)]
-    pos += [w_add(_e(i, m), _e(j, m)) for i, j in combinations(range(m), 2)]
-    pos += [_e(i, m) for i in range(m)]
-    simple = [w_sub(_e(i, m), _e(i + 1, m)) for i in range(m - 1)] + [_e(m - 1, m)]
-    return RootSystem("B", m, m, tuple(pos), tuple(simple), _half_sum(pos))
+    return _root_system("B", m, m, _pm_roots(m) + [((i, 1),) for i in range(m)])
 
 
 @lru_cache(maxsize=None)
 def type_d(m: int) -> RootSystem:
-    pos = [w_sub(_e(i, m), _e(j, m)) for i, j in combinations(range(m), 2)]
-    pos += [w_add(_e(i, m), _e(j, m)) for i, j in combinations(range(m), 2)]
-    simple = [w_sub(_e(i, m), _e(i + 1, m)) for i in range(m - 1)]
-    simple.append(w_add(_e(m - 2, m), _e(m - 1, m)))
-    return RootSystem("D", m, m, tuple(pos), tuple(simple), _half_sum(pos))
+    return _root_system("D", m, m, _pm_roots(m))
 
 
 @lru_cache(maxsize=None)
 def type_a_u(n: int) -> RootSystem:
     """U(n): type A_{n-1} on e_1..e_n with the inert central coordinate e_{n+1}."""
-    dim = n + 1
-    pos = [w_sub(_e(i, dim), _e(j, dim)) for i, j in combinations(range(n), 2)]
-    simple = [w_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n - 1)]
-    return RootSystem("A", n, dim, tuple(pos), tuple(simple), _half_sum(pos))
+    pos = [((i, 1), (j, -1)) for i, j in combinations(range(n), 2)]
+    return _root_system("A", n, n + 1, pos)
 
 
 @lru_cache(maxsize=None)
 def type_c_c1(n: int) -> RootSystem:
     """Sp(n) x Sp(1): type C_n on e_1..e_n, type C_1 on e_{n+1}."""
-    dim = n + 1
-    pos = [w_sub(_e(i, dim), _e(j, dim)) for i, j in combinations(range(n), 2)]
-    pos += [w_add(_e(i, dim), _e(j, dim)) for i, j in combinations(range(n), 2)]
-    pos += [_e(i, dim, 2) for i in range(n)]
-    pos.append(_e(n, dim, 2))
-    simple = [w_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n - 1)]
-    simple.append(_e(n - 1, dim, 2))
-    simple.append(_e(n, dim, 2))
-    return RootSystem("CC", n, dim, tuple(pos), tuple(simple), _half_sum(pos))
+    pos = _pm_roots(n) + [((i, 2),) for i in range(n)] + [((n, 2),)]
+    return _root_system("CC", n, n + 1, pos)
 
 
 def k_root_system(variant: str, n: int | None) -> RootSystem:

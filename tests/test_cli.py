@@ -133,3 +133,27 @@ def test_verify_small_suite(capsys):
     doc = json.loads(out)
     assert doc["status"] == "pass"
     assert doc["results"]["checks_failed"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "so-model", "--seed", "-5"],
+    ["verify", "so-model", "--seed", "x"],
+    ["verify", "so-model", "--seed", "9" * 5000],
+    ["verify", "so-model", "--tolerance", "nan"],
+    ["verify", "so-model", "--tolerance", "inf"],
+    ["verify", "so-model", "--tolerance", "-1"],
+    ["verify", "so-model", "--tolerance", "abc"],
+    ["structure", "SO", "5", "--seed", "-1"],
+])
+def test_bad_seed_or_tolerance_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "seed must be" in err or "tolerance must be" in err
+
+
+def test_zero_tolerance_and_seed_are_accepted(capsys):
+    code, out = run(capsys, ["structure", "SO", "5", "--seed", "0", "--tolerance", "0"])
+    assert code == 0 and json.loads(out)["status"] == "pass"

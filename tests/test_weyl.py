@@ -1,0 +1,162 @@
+"""Signed-permutation orbits and the integer Weyl dimension against Fraction references.
+
+The references are the straightforward constructions: orbits closed under the
+simple reflections s_a(w) = w - 2<w,a>/<a,a> a in exact Fractions, and the Weyl
+dimension formula as a quotient of Fraction products.
+"""
+import random
+from fractions import Fraction as Q
+from math import factorial, prod
+
+import pytest
+
+from rankone.weyl import (double, halve, k_root_system, type_a_u, type_b, type_c_c1, type_d,
+                          w_add, w_dot, wt)
+
+
+def _unit(i, dim, c=1):
+    v = [Q(0)] * dim
+    v[i] = Q(c)
+    return tuple(v)
+
+
+def _dense(rs, root):
+    v = [Q(0)] * rs.dim
+    for i, c in root:
+        v[i] += c
+    return tuple(v)
+
+
+def simple_roots(rs):
+    """Dense simple roots of each kind, written out independently of the library."""
+    r, dim = rs.rank, rs.dim
+    chain = [w_add(_unit(i, dim), _unit(i + 1, dim, -1)) for i in range(r - 1)]
+    if rs.kind == "A":
+        return chain
+    if rs.kind == "B":
+        return chain + [_unit(r - 1, dim)]
+    if rs.kind == "D":
+        return chain + [w_add(_unit(r - 2, dim), _unit(r - 1, dim))]
+    return chain + [_unit(r - 1, dim, 2), _unit(r, dim, 2)]
+
+
+def reflect(w, alpha):
+    c = 2 * w_dot(w, alpha) / w_dot(alpha, alpha)
+    return tuple(x - c * a for x, a in zip(w, alpha))
+
+
+def reference_orbit(rs, w):
+    """Full Weyl orbit, generated by the simple reflections."""
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for s in simple_roots(rs):
+                r = reflect(v, s)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return seen
+
+
+def reference_weyl_dim(rs, lam):
+    if not rs.is_dominant(lam):
+        raise ValueError(f"weight {lam} is not dominant")
+    roots = [_dense(rs, a) for a in rs.positive_roots]
+    lam_rho = w_add(lam, rs.rho)
+    d = Q(prod(w_dot(lam_rho, a) for a in roots), prod(w_dot(rs.rho, a) for a in roots))
+    if d.denominator != 1:
+        raise ValueError(f"Weyl dimension of {lam} is not integral")
+    return int(d)
+
+
+def weyl_order(rs):
+    r = rs.rank
+    return {"A": factorial(r), "B": 2 ** r * factorial(r),
+            "D": 2 ** (r - 1) * factorial(r), "CC": 2 ** (r + 1) * factorial(r)}[rs.kind]
+
+
+SYSTEMS = ([type_b(m) for m in range(1, 5)] + [type_d(m) for m in range(2, 5)]
+           + [type_a_u(n) for n in range(2, 5)] + [type_c_c1(2), type_c_c1(3)])
+IDS = [f"{rs.kind}{rs.rank}" for rs in SYSTEMS]
+
+# Few values, so that repeated and zero coordinates (walls) are common.
+HALF_INTEGERS = [Q(k, 2) for k in range(-4, 5)]
+
+
+def random_weights(rs, seed, count=25):
+    rng = random.Random(seed)
+    return [tuple(rng.choice(HALF_INTEGERS) for _ in range(rs.dim)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
+def test_orbit_matches_reflection_closure(rs):
+    weights = random_weights(rs, seed=rs.dim * 31 + rs.rank)
+    weights += [wt(*([0] * rs.dim)), wt(*([Q(1, 2)] * rs.dim)), wt(*([-1] * rs.dim))]
+    for w in weights:
+        expected = reference_orbit(rs, w)
+        assert rs.orbit(w) == expected
+        assert rs.orbit(double(w)) == {double(v) for v in expected}
+
+
+@pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
+def test_regular_orbit_has_weyl_group_order(rs):
+    # a strictly dominant weight has a trivial stabiliser, so |orbit| = |W| / 1
+    head = [Q(2 * (rs.rank - i) + 1, 2) for i in range(rs.rank)]
+    w = wt(*(head + [Q(3, 2)] * (rs.dim - rs.rank)))
+    assert rs.is_dominant(w, strict=True)
+    assert len(rs.orbit(w)) == weyl_order(rs)
+    assert len(reference_orbit(rs, w)) == weyl_order(rs)
+
+
+@pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
+def test_weyl_dim_matches_fraction_formula(rs):
+    rng = random.Random(rs.dim * 17 + rs.rank)
+    checked = 0
+    for _ in range(200):
+        lam = rs.dominant_rep(tuple(rng.choice(HALF_INTEGERS) for _ in range(rs.dim)))
+        try:
+            expected = reference_weyl_dim(rs, lam)
+        except ValueError:
+            with pytest.raises(ValueError):
+                rs.weyl_dim(lam)
+            continue
+        assert rs.weyl_dim(lam) == expected
+        checked += 1
+    assert checked > 0
+
+
+def test_weyl_dim_every_family():
+    for variant, n in [("SO", 3), ("SO", 6), ("SO", 9), ("SU", 5), ("Sp", 4), ("F4", None)]:
+        rs = k_root_system(variant, n)
+        rng = random.Random(n or 0)
+        for _ in range(30):
+            lam = rs.dominant_rep(tuple(Q(rng.randrange(-6, 7)) for _ in range(rs.dim)))
+            assert rs.weyl_dim(lam) == reference_weyl_dim(rs, lam)
+
+
+def test_weyl_dim_central_third_is_one():
+    rs = type_a_u(3)
+    lam = wt(0, 0, 0, Q(1, 3))
+    assert rs.weyl_dim(lam) == reference_weyl_dim(rs, lam) == 1
+    assert rs.weyl_dim(wt(1, 0, -1, Q(1, 3))) == 8
+
+
+def test_weyl_dim_rejects_non_dominant_and_non_integral():
+    with pytest.raises(ValueError, match="not dominant"):
+        type_b(2).weyl_dim(wt(1, 2))
+    with pytest.raises(ValueError, match="not dominant"):
+        type_a_u(2).weyl_dim(wt(0, 1, 0))
+    # (1/2, 0) is dominant for D2 but outside the weight lattice of Spin(4)
+    with pytest.raises(ValueError, match="not integral"):
+        type_d(2).weyl_dim(wt(Q(1, 2), 0))
+
+
+def test_double_halve_round_trip():
+    w = wt(Q(3, 2), -1, 0, Q(-1, 2))
+    assert double(w) == (3, -2, 0, -1)
+    assert halve(double(w)) == w
+    with pytest.raises(ValueError):
+        double(wt(Q(1, 3)))
