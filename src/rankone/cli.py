@@ -93,7 +93,9 @@ def _tolerance(token: str) -> float:
 
 def parse_rational(token: str) -> Fraction:
     try:
-        return Fraction(token)
+        value = Fraction(token)
+        str(value)  # reports render it; too many digits raises ValueError here
+        return value
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"bad rational {token!r}") from None
 
@@ -153,7 +155,8 @@ def cmd_structure(family: GroupFamily) -> Report:
     rep.result("rho_H", sd.rho_H)
     rep.result("dim_p", sd.dim_p)
     rep.result("sphere_dim", sd.sphere_dim)
-    shift = {"SO": "ell", "SU": "2 ell", "Sp": "2 ell - 2", "F4": "2 ell - 6"}[family.variant]
+    c, d = groups.FAMILY_SPECS[family.variant].shift
+    shift = ("ell" if c == 1 else f"{c} ell") + (f" - {-d}" if d else "")
     rep.result("exceptional_closed_form", f"mu_ell(H) = -rho(H) - ({shift})")
     rep.result("first_exceptional", [m.mu_H for m in groups.exceptional_params(family, 4)])
     rep.check("structure-consistency",
@@ -197,8 +200,7 @@ def cmd_socle(family: GroupFamily, ell: int) -> Report:
         rep.result("note", "two discrete-series constituents; labels come in +- pairs")
     searched = ktypes.minimal_ktype(family, ell)
     rep.result("minimal_ktype_search", searched)
-    rep.result("minimal_ktype_dim", ktypes.weyl_dim(family, searched)
-               if not (family.variant == "SO" and family.n == 2) else 1)
+    rep.result("minimal_ktype_dim", ktypes.weyl_dim(family, searched))
     rep.check("minimal-ktype-agreement", searched == closed, f"{family} ell={ell}")
     rec = ktypes.langlands(family, ell)
     rep.result("langlands", {
@@ -256,29 +258,13 @@ def cmd_scalars(family: GroupFamily, v: ktypes.KTypeLabel, y: ktypes.KTypeLabel,
 # -- verification sweeps ---------------------------------------------------------
 
 
-def _so_labels(fam, bound):
-    return [ktypes.label(fam, k) for k in range(bound + 1)]
-
-
-def _pair_labels(fam, bound):
-    if fam.variant == "SU":
-        return [ktypes.label(fam, p, q) for p in range(bound + 1) for q in range(bound + 1)]
-    if fam.variant == "Sp":
-        return [ktypes.label(fam, a, b) for a in range(bound + 1) for b in range(a + 1)]
-    return [ktypes.label(fam, m, k) for m in range(bound + 1) for k in range(m % 2, m + 1, 2)]
-
-
-def _labels(fam, bound):
-    return _so_labels(fam, bound) if fam.variant == "SO" else _pair_labels(fam, bound)
-
-
 def _tensor_families():
     fams = [groups.so(n) for n in range(3, 9)] + [groups.su(n) for n in range(2, 6)]
     fams += [groups.sp(n) for n in range(2, 5)] + [groups.f4()]
     return fams
 
 
-def verify_groups(rep: Report, depth: int):
+def verify_groups(rep: Report, depth: int, tolerance: float, seed: int):
     bound = 10 * depth
     fams = ([groups.so(n) for n in range(2, 11)] + [groups.su(n) for n in range(2, 9)]
             + [groups.sp(n) for n in range(2, 7)] + [groups.f4()])
@@ -298,11 +284,11 @@ def verify_groups(rep: Report, depth: int):
         rep.check("rho-bookkeeping", 2 * sd.rho_H == sd.m_alpha + 2 * sd.m_2alpha, str(fam))
 
 
-def verify_tensor(rep: Report, depth: int):
+def verify_tensor(rep: Report, depth: int, tolerance: float, seed: int):
     for fam in _tensor_families():
         ok_closed = ok_dim = ok_free = ok_sym = True
         decs = {}
-        for lab in _labels(fam, depth):
+        for lab in ktypes.labels(fam, depth):
             dec = tensor.racah_speiser(fam, lab)
             decs[lab] = dec
             ok_closed &= dec.weights() == tensor.expected_summand_labels(fam, lab)
@@ -320,23 +306,23 @@ def verify_tensor(rep: Report, depth: int):
         rank = {"SO": (fam.n or 0) // 2, "SU": fam.n, "Sp": (fam.n or 0) + 1, "F4": 4}[fam.variant]
         if rank <= 4:
             ok_oracle = True
-            for lab in _labels(fam, min(depth, 4)):
+            for lab in ktypes.labels(fam, min(depth, 4)):
                 ok_oracle &= (tensor.character_oracle(fam, lab).weights()
                               == decs.get(lab, tensor.racah_speiser(fam, lab)).weights())
             rep.check("tensor-character-oracle", ok_oracle, str(fam))
 
 
-def verify_spherical(rep: Report, depth: int):
+def verify_spherical(rep: Report, depth: int, tolerance: float, seed: int):
     for fam in _tensor_families():
         ok_identity = ok_sum = ok_rec = ok_adj = True
-        for lab in _labels(fam, depth):
+        for lab in ktypes.labels(fam, depth):
             row = spherical.omega_h_expand(fam, lab)
             ok_sum &= sum(c for _, c in row.terms) == 1 and all(c >= 0 for _, c in row.terms)
             ok_identity &= spherical.verify_omega_identity(fam, lab)
             for tgt, lam in row.terms:
                 ok_rec &= (lam * ktypes.weyl_dim(fam, lab)
                            == spherical.lambda_scalar(fam, tgt, lab) * ktypes.weyl_dim(fam, tgt))
-        for lab in _labels(fam, min(depth, 8)):
+        for lab in ktypes.labels(fam, min(depth, 8)):
             dec = tensor.racah_speiser(fam, lab)
             neighbours = {t for t, _ in spherical.omega_h_expand(fam, lab).terms}
             spherical_summands = dec.spherical_labels()
@@ -349,10 +335,10 @@ def verify_spherical(rep: Report, depth: int):
         rep.check("omega-vs-tensor-adjacency", ok_adj, str(fam))
 
 
-def verify_scalars(rep: Report, depth: int):
+def verify_scalars(rep: Report, depth: int, tolerance: float, seed: int):
     for fam in _tensor_families():
         rep.check("scalar-vanishing-table", scalars.vanishing_table_check(fam, depth), str(fam))
-        triv = ktypes.label(fam, *((0,) if fam.variant == "SO" else (0, 0)))
+        (triv,) = ktypes.labels(fam, 0)
         ok_root = all(scalars.t_root(fam, y, triv) == groups.rho_H(fam)
                       for y, _ in spherical.omega_h_expand(fam, triv).terms)
         rep.check("trivial-route-root-at-rho", ok_root, str(fam))
@@ -397,12 +383,13 @@ def verify_so_model(rep: Report, depth: int, tolerance: float, seed: int):
     rep.check("bracket-half-sum", all(so_model.check_2rho(n) for n in range(2, 7)), "n=2..6")
 
 
+# every suite takes (report, depth, tolerance, seed)
 SUITES = {
     "groups": verify_groups,
     "tensor": verify_tensor,
     "spherical": verify_spherical,
     "scalars": verify_scalars,
-    "so-model": None,  # needs tolerance and seed
+    "so-model": verify_so_model,
 }
 
 
@@ -411,10 +398,7 @@ def cmd_verify(suite: str, depth: int, tolerance: float, seed: int) -> Report:
                             "tolerance": tolerance, "seed": seed})
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
-        if name == "so-model":
-            verify_so_model(rep, depth, tolerance, seed)
-        else:
-            SUITES[name](rep, depth)
+        SUITES[name](rep, depth, tolerance, seed)
     rep.result("checks_total", len(rep.checks))
     rep.result("checks_failed", sum(1 for c in rep.checks if c["status"] == "fail"))
     return rep

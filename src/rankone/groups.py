@@ -73,6 +73,24 @@ class StructuralData:
 
 
 @dataclass(frozen=True)
+class FamilySpec:
+    """Per-variant constants: m_alpha = a n + b, m_2alpha, and the shift c ell + d
+    of the exceptional parameters mu_ell(H) = -rho(H) - (c ell + d)."""
+
+    m_alpha: tuple[int, int]  # (a, b)
+    m_2alpha: int
+    shift: tuple[int, int]  # (c, d)
+
+
+FAMILY_SPECS = {
+    "SO": FamilySpec((1, -1), 0, (1, 0)),
+    "SU": FamilySpec((2, -2), 1, (2, 0)),
+    "Sp": FamilySpec((4, -4), 3, (2, -2)),
+    "F4": FamilySpec((0, 8), 7, (2, -6)),
+}
+
+
+@dataclass(frozen=True)
 class SpectralParam:
     """mu in a*, stored as the exact rational mu(H)."""
 
@@ -84,15 +102,9 @@ class SpectralParam:
 
 def structural_data(family: GroupFamily) -> StructuralData:
     """Root multiplicities and derived constants for one family instance."""
-    n = family.n
-    if family.variant == "SO":
-        m_alpha, m_2alpha = n - 1, 0
-    elif family.variant == "SU":
-        m_alpha, m_2alpha = 2 * n - 2, 1
-    elif family.variant == "Sp":
-        m_alpha, m_2alpha = 4 * n - 4, 3
-    else:  # F4
-        m_alpha, m_2alpha = 8, 7
+    spec = FAMILY_SPECS[family.variant]
+    a, b = spec.m_alpha
+    m_alpha, m_2alpha = a * (family.n or 0) + b, spec.m_2alpha
     rho = Fraction(m_alpha, 2) + m_2alpha
     dim_p = m_alpha + m_2alpha + 1
     return StructuralData(m_alpha, m_2alpha, rho, dim_p, dim_p - 1)
@@ -127,23 +139,14 @@ def is_exceptional(family: GroupFamily, mu: SpectralParam) -> bool:
 
 
 def exceptional_mu(family: GroupFamily, ell: int) -> SpectralParam:
-    """The ell-th exceptional parameter mu_ell, from the closed forms.
+    """The ell-th exceptional parameter mu_ell(H) = -rho(H) - (c ell + d), from the closed form.
 
-    SO: -rho - ell*alpha, SU: -rho - 2*ell*alpha, Sp: -rho - (2*ell-2)*alpha,
-    F4: -rho - (2*ell-6)*alpha, all evaluated at H.
+    (c, d) is the family's `FamilySpec.shift`.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    rho = rho_H(family)
-    if family.variant == "SO":
-        shift = ell
-    elif family.variant == "SU":
-        shift = 2 * ell
-    elif family.variant == "Sp":
-        shift = 2 * ell - 2
-    else:
-        shift = 2 * ell - 6
-    return SpectralParam(-rho - shift)
+    c, d = FAMILY_SPECS[family.variant].shift
+    return SpectralParam(-rho_H(family) - (c * ell + d))
 
 
 def exceptional_params(family: GroupFamily, count: int) -> list[SpectralParam]:

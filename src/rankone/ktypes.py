@@ -4,11 +4,14 @@ The label lattices parametrize the K-types of L^2(K/M) per family:
 SO(n,1): spherical harmonics Y_k; SU(n,1): bigraded harmonics Y_{p,q};
 Sp(n,1): V_{a,b} with a >= b >= 0; F4: V_{m,k} with m >= k >= 0, m = k mod 2.
 For SO(2,1) the label is a signed integer (two one-dimensional types Y_{+-k}).
+KTypeLabel's validation is the one statement of each lattice; `labels`
+enumerates a bounded box of it and `label_from_weight` inverts `highest_weight`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from .groups import GroupFamily, SpectralParam, exceptional_mu, rho_H
@@ -68,44 +71,44 @@ def highest_weight(lab: KTypeLabel) -> Weight:
 
 
 def label_from_weight(family: GroupFamily, w: Weight) -> Optional[KTypeLabel]:
-    """The M-spherical label with highest weight w, or None if w is not M-spherical."""
+    """The M-spherical label with highest weight w, or None if w is not M-spherical.
+
+    The label coordinates are read off w and accepted iff `highest_weight`
+    maps them back to w.
+    """
     v = family.variant
     if v == "SO":
-        if family.n == 2:
-            return label(family, int(w[0])) if w[0].denominator == 1 else None
-        k = w[0]
-        if k.denominator != 1 or k < 0 or any(x != 0 for x in w[1:]):
-            return None
-        return label(family, int(k))
-    if v == "SU":
-        n = family.n
-        q, p = w[0], -w[n - 1]
-        if any(x != 0 for x in w[1:n - 1]):
-            return None
-        if p.denominator != 1 or q.denominator != 1 or p < 0 or q < 0:
-            return None
-        if w[n] != p - q:
-            return None
-        return label(family, int(p), int(q))
-    if v == "Sp":
-        n = family.n
-        a, b = w[0], w[1]
-        if any(x != 0 for x in w[2:n]):
-            return None
-        if a.denominator != 1 or b.denominator != 1 or a < b or b < 0:
-            return None
-        if w[n] != a - b:
-            return None
-        return label(family, int(a), int(b))
-    if not (w[1] == w[2] == w[3]):
+        coords = (w[0],)
+    elif v == "SU":
+        coords = (-w[family.n - 1], w[0])
+    elif v == "Sp":
+        coords = (w[0], w[1])
+    else:
+        coords = (2 * w[0], 2 * w[1])
+    if any(c.denominator != 1 for c in coords):
         return None
-    m2, k2 = 2 * w[0], 2 * w[1]
-    if m2.denominator != 1 or k2.denominator != 1:
+    try:
+        lab = KTypeLabel(family, tuple(int(c) for c in coords))
+    except ValueError:
         return None
-    m, k = int(m2), int(k2)
-    if m < k or k < 0 or (m - k) % 2 != 0:
-        return None
-    return label(family, m, k)
+    return lab if highest_weight(lab) == w else None
+
+
+def labels(family: GroupFamily, bound: int) -> list[KTypeLabel]:
+    """Every label with coordinates in [0, bound] ([-bound, bound] for SO(2,1)), in lex order.
+
+    The coordinate box is filtered through KTypeLabel's own validation, so the
+    lattice is stated once, there.
+    """
+    lo = -bound if family.variant == "SO" and family.n == 2 else 0
+    rank = 1 if family.variant == "SO" else 2
+    out = []
+    for coords in product(range(lo, bound + 1), repeat=rank):
+        try:
+            out.append(KTypeLabel(family, coords))
+        except ValueError:
+            pass
+    return out
 
 
 def rho_c(family: GroupFamily) -> Weight:
@@ -152,28 +155,6 @@ def socle_contains(family: GroupFamily, ell: int, lab: KTypeLabel) -> bool:
     return c[0] - c[1] >= 2 * ell + 2
 
 
-def _socle_labels(family: GroupFamily, ell: int, bound: int):
-    v = family.variant
-    if v == "SO":
-        lo = ell + 1
-        if family.n == 2:
-            for k in range(lo, bound + 1):
-                yield label(family, k)
-                yield label(family, -k)
-        else:
-            for k in range(lo, bound + 1):
-                yield label(family, k)
-    elif v in ("SU", "Sp"):
-        lo = ell + 1
-        for a in range(lo, bound + 1):
-            for b in range(lo, a + 1 if v == "Sp" else bound + 1):
-                yield label(family, a, b)
-    else:
-        for m in range(2 * ell + 2, bound + 1):
-            for k in range(m - 2 * ell - 2, -1, -2):
-                yield label(family, m, k)
-
-
 class InconclusiveTruncationError(RuntimeError):
     """The lattice truncation cannot be certified to contain the norm argmin."""
 
@@ -193,7 +174,9 @@ def minimal_ktype(family: GroupFamily, ell: int, search_bound: int | None = None
 
     best = None
     shell_min = None
-    for lab in _socle_labels(family, ell, search_bound):
+    for lab in labels(family, search_bound):
+        if not socle_contains(family, ell, lab):
+            continue
         nrm = mintype_norm(family, lab)
         on_shell = max(abs(c) for c in lab.coords) >= search_bound - 1
         if on_shell:
@@ -275,7 +258,7 @@ def casimir_scalar(family: GroupFamily, mu: SpectralParam) -> Fraction:
 
 __all__ = [
     "KTypeLabel", "LanglandsRecord", "InconclusiveTruncationError",
-    "label", "label_from_weight", "highest_weight", "rho_c", "weyl_dim",
+    "label", "labels", "label_from_weight", "highest_weight", "rho_c", "weyl_dim",
     "mintype_norm", "socle_contains", "minimal_ktype", "minimal_ktype_closed",
     "langlands", "casimir_scalar",
 ]

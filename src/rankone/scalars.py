@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import GroupFamily, SpectralParam, UnsupportedFamilyError, rho_H
-from .ktypes import KTypeLabel, label, weyl_dim
+from .ktypes import KTypeLabel, label, labels, weyl_dim
 from .spherical import lambda_scalar, omega_h_expand
 
 
@@ -133,26 +133,13 @@ def vanishing_mu(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
 
 def vanishing_table_check(family: GroupFamily, bound: int) -> bool:
     """T(V, Y, mu_row) = 0 exactly for every direction and label within bound."""
-    for v in _all_labels(family, bound):
+    for v in labels(family, bound):
         for y, _ in omega_h_expand(family, v).terms:
             if t_scalar(family, v, y, SpectralParam(vanishing_mu(family, v, y))) != 0:
                 return False
             if t_root(family, v, y) != vanishing_mu(family, v, y):
                 return False
     return True
-
-
-def _all_labels(family: GroupFamily, bound: int):
-    v = family.variant
-    if v == "SO":
-        if family.n == 2:
-            raise UnsupportedFamilyError("no scalar table for SO(2,1)")
-        return [label(family, k) for k in range(bound + 1)]
-    if v == "SU":
-        return [label(family, p, q) for p in range(bound + 1) for q in range(bound + 1)]
-    if v == "Sp":
-        return [label(family, a, b) for a in range(bound + 1) for b in range(a + 1)]
-    return [label(family, m, k) for m in range(bound + 1) for k in range(m % 2, m + 1, 2)]
 
 
 # -- norm-recursion growth products -------------------------------------------
@@ -196,6 +183,11 @@ def _ffrac(num_from: int, num_to: int) -> Fraction:
     return out
 
 
+def _sp_factorial_part(n: int, ell: int, m: int) -> Fraction:
+    """The factorial factor of the Sp closed form, without its dimension ratio."""
+    return _ffrac(1, 2 * n - 1 + 2 * ell + m) / (_ffrac(1, m) * _ffrac(1, 2 * n + 2 * ell))
+
+
 def growth_step_ratio(family: GroupFamily, ell: int, r: int, fixed: int) -> Fraction:
     """One multiplicative step of the norm recursion, at step index r >= 2.
 
@@ -235,7 +227,7 @@ def growth_closed_form(family: GroupFamily, ell: int, steps: int, fixed: int) ->
         return num / den
     if family.variant == "Sp":
         b = fixed
-        fact = _ffrac(1, 2 * n - 1 + 2 * ell + m) / (_ffrac(1, m) * _ffrac(1, 2 * n + 2 * ell))
+        fact = _sp_factorial_part(n, ell, m)
         dims = Fraction(weyl_dim(family, label(family, ell + m, b)),
                         weyl_dim(family, label(family, ell + 1, b)))
         return fact * dims
@@ -271,18 +263,13 @@ def growth_order_estimate(family: GroupFamily, ell: int, max_steps: int = 512) -
     """
     if max_steps < 64:
         raise ValueError("max_steps must be at least 64")
-    n = family.n
     ys = []
     xs = []
     for m in range(max_steps // 2, max_steps + 1):
-        if family.variant == "SU":
-            val = growth_closed_form(family, ell, m - 1, ell + 1)
-        elif family.variant == "Sp":
-            val = _ffrac(1, 2 * n - 1 + 2 * ell + m) / (_ffrac(1, m) * _ffrac(1, 2 * n + 2 * ell))
-        elif family.variant == "F4":
-            val = 6 * _ffrac(1, 7 + 2 * ell + m) / (_ffrac(1, 8 + 2 * ell) * _ffrac(1, 2 + m))
+        if family.variant == "Sp":
+            val = _sp_factorial_part(family.n, ell, m)
         else:
-            raise UnsupportedFamilyError("growth products exist for SU, Sp and F4 only")
+            val = growth_closed_form(family, ell, m - 1, ell + 1)
         xs.append(math.log(m))
         # factorial numerators overflow float: take logs of the integer parts
         ys.append(math.log(val.numerator) - math.log(val.denominator))

@@ -2,9 +2,10 @@
 
 Matrices are (n+1) x (n+1) floats preserving J = diag(1,...,1,-1); K is the
 block SO(n), A the boost group exp(s H) in the (1, n+1) plane with alpha(H)=1,
-and N the upper horospherical subgroup.  Exact rational arithmetic is used for
-everything that can be exact: sphere moments, zonal polynomial coefficients,
-L^2 norms, and the Lie-bracket identity Sum_j [X~_j, (X_j)_k] = 2 rho(H) H.
+and N the upper horospherical subgroup.  Exact arithmetic is used for
+everything that can be exact: sphere moments, zonal polynomial coefficients
+and L^2 norms in rationals, and the Lie-bracket identity
+Sum_j [X~_j, (X_j)_k] = 2 rho(H) H in integer matrices.
 """
 from __future__ import annotations
 
@@ -383,55 +384,6 @@ def exceptional_vanishing_residual(n: int, ell: int, step_h: float = 1e-4,
 # -- exact bracket identity for the half-sum of roots --------------------------
 
 
-def _zeros(n: int):
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def _mat(n: int, entries: dict[tuple[int, int], Fraction]):
-    m = _zeros(n)
-    for (i, j), v in entries.items():
-        m[i][j] = Fraction(v)
-    return m
-
-
-def _mmul(a, b):
-    n = len(a)
-    out = _zeros(n)
-    for i in range(n):
-        for k_ in range(n):
-            if a[i][k_]:
-                for j in range(n):
-                    if b[k_][j]:
-                        out[i][j] += a[i][k_] * b[k_][j]
-    return out
-
-
-def _msub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _madd(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mscale(a, c):
-    return [[Fraction(c) * x for x in row] for row in a]
-
-
-def _bracket(a, b):
-    return _msub(_mmul(a, b), _mmul(b, a))
-
-
-def _trace_form(a, b) -> Fraction:
-    n = len(a)
-    return sum((a[i][j] * b[j][i] for i in range(n) for j in range(n)), Fraction(0)) / 2
-
-
-def _theta(n: int, x):
-    j = _mat(n + 1, {(i, i): Fraction(1) for i in range(n)} | {(n, n): Fraction(-1)})
-    return _mmul(_mmul(j, x), j)
-
-
 def check_2rho(n: int) -> bool:
     """Exact verification of the bracket form of the half-sum of restricted roots.
 
@@ -439,44 +391,43 @@ def check_2rho(n: int) -> bool:
     B(Y_j, theta Y_j) = -1/2 with B = Tr/2, forms X_j = Y_j - theta Y_j, and
     checks: the X_j are orthonormal, S = Sum [X_j, (X_j)_k] lies on the H line
     with B(S, H) = 2 rho(H) = n - 1, and the reversed brackets sum to
-    -2 rho(H) H.
+    -2 rho(H) H.  Y_j, X_j and (X_j)_k are scaled by 2 so that every entry is
+    an integer and the checks run exactly on int64 arrays: Tr(Y theta Y) = -4,
+    Tr(X X) = 8, 2 S = Tr(S H) H with Tr(S H) = 8 (n - 1), and the reversed
+    sum is -4 (n - 1) H.
     """
     if n < 2:
         raise ValueError("needs n >= 2")
     dim = n + 1
-    h = _mat(dim, {(0, n): Fraction(1), (n, 0): Fraction(1)})
-    two_rho = Fraction(n - 1)
-    total = _zeros(dim)
+    h = np.zeros((dim, dim), dtype=np.int64)
+    h[0, n] = h[n, 0] = 1
+    j = np.diag([1] * n + [-1]).astype(np.int64)
+    total = np.zeros_like(h)
+    reversed_total = np.zeros_like(h)
     for i in range(1, n):
-        n_i = _mat(dim, {(0, i): Fraction(1), (i, 0): Fraction(-1),
-                         (i, n): Fraction(1), (n, i): Fraction(1)})
-        y = _mscale(n_i, Fraction(1, 2))
-        if _bracket(h, y) != y:
+        y = np.zeros_like(h)
+        y[0, i], y[i, 0], y[i, n], y[n, i] = 1, -1, 1, 1
+        theta_y = j @ y @ j
+        if not np.array_equal(h @ y - y @ h, y):
             return False  # not in the alpha-root space
-        if _trace_form(y, _theta(n, y)) != Fraction(-1, 2):
+        if np.trace(y @ theta_y) != -4:
             return False
-        x = _msub(y, _theta(n, y))
-        if _theta(n, x) != _mscale(x, -1):
+        x = y - theta_y
+        if not np.array_equal(j @ x @ j, -x):
             return False  # X_j must lie in p
-        if _trace_form(x, x) != 1:
+        if np.trace(x @ x) != 8:
             return False  # orthonormal, so self-dual
-        x_k = _mscale(_madd(y, _theta(n, y)), -1)
-        if _msub(x, _madd(x_k, _mscale(y, 2))) != _zeros(dim):
+        x_k = -(y + theta_y)
+        if not np.array_equal(x, x_k + 2 * y):
             return False  # k + n decomposition of X_j
-        total = _madd(total, _bracket(x, x_k))
-    if _msub(total, _mscale(h, _trace_form(total, h))) != _zeros(dim):
+        total += x @ x_k - x_k @ x
+        reversed_total += x_k @ x - x @ x_k
+    tr_sh = np.trace(total @ h)
+    if not np.array_equal(2 * total, tr_sh * h):
         return False  # the sum must lie in the split torus line
-    if _trace_form(total, h) != two_rho:
+    if tr_sh != 8 * (n - 1):
         return False
-    reversed_total = _zeros(dim)
-    for i in range(1, n):
-        n_i = _mat(dim, {(0, i): Fraction(1), (i, 0): Fraction(-1),
-                         (i, n): Fraction(1), (n, i): Fraction(1)})
-        y = _mscale(n_i, Fraction(1, 2))
-        x = _msub(y, _theta(n, y))
-        x_k = _mscale(_madd(y, _theta(n, y)), -1)
-        reversed_total = _madd(reversed_total, _bracket(x_k, x))
-    return reversed_total == _mscale(h, -two_rho)
+    return np.array_equal(reversed_total, -4 * (n - 1) * h)
 
 
 __all__ = [

@@ -60,17 +60,27 @@ class PhiSpec:
 def radial_factor(family: GroupFamily, lab: KTypeLabel) -> RadialFactor:
     """The xi-dependent hypergeometric factor of the spherical function."""
     _check_supported(family)
+    return _radial(family, lab.coords)
+
+
+def _radial(family: GroupFamily, coords: tuple[int, ...]) -> RadialFactor:
+    """radial_factor as a formula in the label coordinates.
+
+    The ingredient identities also evaluate it just outside the lattice, at
+    Sp (a, a+1) and (a-1, a) and at F4 (m+-1, -1), so it takes coordinates
+    rather than a label.
+    """
     n = family.n
     if family.variant == "SO":
-        k = lab.coords[0]
+        (k,) = coords
         return RadialFactor(k, f21(Fraction(-k, 2), Fraction(1 - k, 2), Fraction(n - 1, 2)))
     if family.variant == "SU":
-        p, q = lab.coords
+        p, q = coords
         return RadialFactor(p + q, f21(-p, -q, n - 1))
     if family.variant == "Sp":
-        a, b = lab.coords
+        a, b = coords
         return RadialFactor(a + b, f21(-b, -(a + 1), 2 * (n - 1)))
-    m, k = lab.coords
+    m, k = coords
     return RadialFactor(m, f21(Fraction(k - m, 2), Fraction(-m - k - 6, 2), 4))
 
 
@@ -225,18 +235,6 @@ def chebyshev_three_term(q: int) -> bool:
     return peq(pmul(two_c, chebyshev_u(q)), padd(chebyshev_u(q + 1), chebyshev_u(q - 1)))
 
 
-def _su_radial(n: int, p: int, q: int) -> RadialFactor:
-    return RadialFactor(p + q, f21(-p, -q, n - 1))
-
-
-def _sp_radial(n: int, a: int, b: int) -> RadialFactor:
-    return RadialFactor(a + b, f21(-b, -(a + 1), 2 * (n - 1)))
-
-
-def _f4_radial(m: int, k: int) -> RadialFactor:
-    return RadialFactor(m, f21(Fraction(k - m, 2), Fraction(-m - k - 6, 2), 4))
-
-
 def ingredient_identities(family: GroupFamily, lab: KTypeLabel) -> dict[str, bool]:
     """The per-factor identities whose combination yields the omega(H) row."""
     _check_supported(family)
@@ -246,22 +244,22 @@ def ingredient_identities(family: GroupFamily, lab: KTypeLabel) -> dict[str, boo
     if v == "SO":
         (k,) = lab.coords
         den = n + 2 * k - 2
-        rhs = [(Fraction(n + k - 2, den), radial_factor(family, label(family, k + 1)))]
+        rhs = [(Fraction(n + k - 2, den), _radial(family, (k + 1,)))]
         if k >= 1:
-            rhs.append((Fraction(k, den), radial_factor(family, label(family, k - 1))))
-        out["radial"] = _radial_identity(radial_factor(family, lab), rhs)
+            rhs.append((Fraction(k, den), _radial(family, (k - 1,))))
+        out["radial"] = _radial_identity(_radial(family, lab.coords), rhs)
         return out
     if v == "SU":
         p, q = lab.coords
         den = p + q + n - 1
-        rhs2 = [(Fraction(p + n - 1, den), _su_radial(n, p + 1, q))]
+        rhs2 = [(Fraction(p + n - 1, den), _radial(family, (p + 1, q)))]
         if q >= 1:
-            rhs2.append((Fraction(q, den), _su_radial(n, p, q - 1)))
-        out["raise_p"] = _radial_identity(_su_radial(n, p, q), rhs2)
-        rhs3 = [(Fraction(q + n - 1, den), _su_radial(n, p, q + 1))]
+            rhs2.append((Fraction(q, den), _radial(family, (p, q - 1))))
+        out["raise_p"] = _radial_identity(_radial(family, (p, q)), rhs2)
+        rhs3 = [(Fraction(q + n - 1, den), _radial(family, (p, q + 1)))]
         if p >= 1:
-            rhs3.append((Fraction(p, den), _su_radial(n, p - 1, q)))
-        out["raise_q"] = _radial_identity(_su_radial(n, p, q), rhs3)
+            rhs3.append((Fraction(p, den), _radial(family, (p - 1, q))))
+        out["raise_q"] = _radial_identity(_radial(family, (p, q)), rhs3)
         return out
     if v == "Sp":
         # The two radial splittings hold as formulas for every a >= b, also on
@@ -269,13 +267,13 @@ def ingredient_identities(family: GroupFamily, lab: KTypeLabel) -> dict[str, boo
         a, b = lab.coords
         den = 2 * n + a + b - 1
         out["chebyshev"] = chebyshev_three_term(a - b)
-        rhs2 = [(Fraction(2 * n - 2 + b, den), _sp_radial(n, a, b + 1)),
-                (Fraction(a + 1, den), _sp_radial(n, a - 1, b))]
-        out["lower_pair"] = _radial_identity(_sp_radial(n, a, b), rhs2)
-        rhs3 = [(Fraction(2 * n - 1 + a, den), _sp_radial(n, a + 1, b))]
+        rhs2 = [(Fraction(2 * n - 2 + b, den), _radial(family, (a, b + 1))),
+                (Fraction(a + 1, den), _radial(family, (a - 1, b)))]
+        out["lower_pair"] = _radial_identity(_radial(family, (a, b)), rhs2)
+        rhs3 = [(Fraction(2 * n - 1 + a, den), _radial(family, (a + 1, b)))]
         if b >= 1:
-            rhs3.append((Fraction(b, den), _sp_radial(n, a, b - 1)))
-        out["raise_pair"] = _radial_identity(_sp_radial(n, a, b), rhs3)
+            rhs3.append((Fraction(b, den), _radial(family, (a, b - 1))))
+        out["raise_pair"] = _radial_identity(_radial(family, (a, b)), rhs3)
         return out
     m, k = lab.coords
     den_phi = 6 + 2 * k
@@ -284,13 +282,13 @@ def ingredient_identities(family: GroupFamily, lab: KTypeLabel) -> dict[str, boo
     if k >= 1:
         rhs1.append((Fraction(k, den_phi), f4_azimuthal_factor(k - 1)))
     out["azimuthal"] = _radial_identity(f4_azimuthal_factor(k), rhs1)
-    rhs2 = [(Fraction(8 + m - k, den_xi), _f4_radial(m + 1, k - 1)),
-            (Fraction(m + k + 6, den_xi), _f4_radial(m - 1, k - 1))]
-    out["lower_pair"] = _radial_identity(_f4_radial(m, k), rhs2)
-    rhs3 = [(Fraction(14 + m + k, den_xi), _f4_radial(m + 1, k + 1))]
+    rhs2 = [(Fraction(8 + m - k, den_xi), _radial(family, (m + 1, k - 1))),
+            (Fraction(m + k + 6, den_xi), _radial(family, (m - 1, k - 1)))]
+    out["lower_pair"] = _radial_identity(_radial(family, (m, k)), rhs2)
+    rhs3 = [(Fraction(14 + m + k, den_xi), _radial(family, (m + 1, k + 1)))]
     if m > k:
-        rhs3.append((Fraction(m - k, den_xi), _f4_radial(m - 1, k + 1)))
-    out["raise_pair"] = _radial_identity(_f4_radial(m, k), rhs3)
+        rhs3.append((Fraction(m - k, den_xi), _radial(family, (m - 1, k + 1))))
+    out["raise_pair"] = _radial_identity(_radial(family, (m, k)), rhs3)
     return out
 
 

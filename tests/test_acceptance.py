@@ -13,7 +13,7 @@ import pytest
 from rankone import so_model
 from rankone.groups import (SpectralParam, exceptional_in_interval, exceptional_mu, f4,
                             rho_H, so, sp, structural_data, su)
-from rankone.ktypes import (label, langlands, minimal_ktype, minimal_ktype_closed,
+from rankone.ktypes import (label, labels, langlands, minimal_ktype, minimal_ktype_closed,
                             weyl_dim)
 from rankone.hypergeom import RELATION_IDS, check_contiguous
 from rankone.scalars import (growth_order_estimate, growth_order_stated, growth_product,
@@ -23,7 +23,6 @@ from rankone.tensor import (character_oracle, dimension_sum_check, expected_summ
                             racah_speiser)
 from tests.test_hypergeom import _seeded_triples
 from tests.test_spherical import stated_row
-from tests.test_tensor import labels_for
 
 ALL_FAMILIES = ([so(n) for n in range(2, 11)] + [su(n) for n in range(2, 9)]
                 + [sp(n) for n in range(2, 7)] + [f4()])
@@ -85,13 +84,13 @@ def test_criterion_02_exceptional_dual_route():
 def test_criterion_03_tensor_decompositions():
     with _Timed("criterion 3: tensor decompositions and character oracle", 120):
         for fam in SWEEP_FAMILIES:
-            for lab in labels_for(fam, 10):
+            for lab in labels(fam, 10):
                 dec = racah_speiser(fam, lab)
                 assert dec.weights() == expected_summand_labels(fam, lab), (fam, lab)
                 assert all(s.multiplicity == 1 for s in dec.summands), (fam, lab)
                 assert dimension_sum_check(fam, lab), (fam, lab)
         for fam in ORACLE_FAMILIES:
-            for lab in labels_for(fam, 4):
+            for lab in labels(fam, 4):
                 assert (character_oracle(fam, lab).weights()
                         == racah_speiser(fam, lab).weights()), (fam, lab)
 
@@ -99,7 +98,7 @@ def test_criterion_03_tensor_decompositions():
 def test_criterion_04_lambda_invariants():
     with _Timed("criterion 4: lambda positivity, total mass, reciprocity", 30):
         for fam in SWEEP_FAMILIES:
-            for lab in labels_for(fam, 10):
+            for lab in labels(fam, 10):
                 row = omega_h_expand(fam, lab)
                 assert {t.coords: c for t, c in row.terms} == stated_row(fam, lab)
                 assert all(c > 0 for _, c in row.terms)
@@ -112,7 +111,7 @@ def test_criterion_04_lambda_invariants():
 def test_criterion_05_recurrence_identities():
     with _Timed("criterion 5: omega(H) recurrences as exact identities", 60):
         for fam in SWEEP_FAMILIES:
-            for lab in labels_for(fam, 10):
+            for lab in labels(fam, 10):
                 assert verify_omega_identity(fam, lab), (fam, lab)
 
 
@@ -132,7 +131,7 @@ def test_criterion_07_scalar_vanishing():
             triv = label(fam, *((0,) if fam.variant == "SO" else (0, 0)))
             for y, _ in omega_h_expand(fam, triv).terms:
                 assert t_root(fam, y, triv) == rho_H(fam)
-            for v in labels_for(fam, 10):
+            for v in labels(fam, 10):
                 for y, lam in omega_h_expand(fam, v).terms:
                     mu = SpectralParam(vanishing_mu(fam, v, y))
                     assert t_scalar(fam, v, y, mu) == 0

@@ -157,3 +157,14 @@ def test_bad_seed_or_tolerance_exits_2(capsys, argv):
 def test_zero_tolerance_and_seed_are_accepted(capsys):
     code, out = run(capsys, ["structure", "SO", "5", "--seed", "0", "--tolerance", "0"])
     assert code == 0 and json.loads(out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("mu", [["--mu", "1e40000"], ["--mu=1e-40000"]])
+def test_unrenderable_mu_exits_2(capsys, mu):
+    # exact, but with more digits than int-to-str conversion allows
+    with pytest.raises(SystemExit) as exc:
+        main(["scalars", "SO", "5", "Y1", "Y2", *mu])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "bad rational" in err

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction as Q
+from itertools import product
 from math import comb
 
 import pytest
 
 from rankone import ktypes
 from rankone.groups import exceptional_mu, f4, rho_H, so, sp, su, SpectralParam
-from rankone.ktypes import (casimir_scalar, highest_weight, label, langlands,
-                            minimal_ktype, minimal_ktype_closed, mintype_norm, rho_c,
-                            socle_contains, weyl_dim)
+from rankone.ktypes import (KTypeLabel, casimir_scalar, highest_weight, label,
+                            label_from_weight, labels, langlands, minimal_ktype,
+                            minimal_ktype_closed, mintype_norm, rho_c, socle_contains,
+                            weyl_dim)
 from rankone.weyl import wt
 
 
@@ -60,6 +63,102 @@ def test_highest_weights():
     assert highest_weight(label(f4(), 2, 0)) == wt(1, 0, 0, 0)
     assert highest_weight(label(sp(2), 2, 1)) == wt(2, 1, 1)
     assert highest_weight(label(so(2), -3)) == wt(-3)
+
+
+# The lattice rule and the label counts, written out independently of KTypeLabel.
+
+def in_lattice(fam, c):
+    if fam.variant == "SO":
+        return fam.n == 2 or c[0] >= 0
+    if fam.variant == "SU":
+        return min(c) >= 0
+    if fam.variant == "Sp":
+        return c[0] >= c[1] >= 0
+    return c[0] >= c[1] >= 0 and (c[0] - c[1]) % 2 == 0
+
+
+def label_count(fam, b):
+    if fam.variant == "SO":
+        return 2 * b + 1 if fam.n == 2 else b + 1
+    if fam.variant == "SU":
+        return (b + 1) ** 2
+    if fam.variant == "Sp":
+        return (b + 1) * (b + 2) // 2
+    return sum(m // 2 + 1 for m in range(b + 1))
+
+
+LATTICE_FAMILIES = [so(2), so(3), so(6), su(2), su(4), sp(2), sp(3), f4()]
+
+
+@pytest.mark.parametrize("fam", LATTICE_FAMILIES, ids=str)
+def test_labels_are_the_lattice_box(fam):
+    rank = 1 if fam.variant == "SO" else 2
+    lo = -1 if fam == so(2) else 0
+    for b in range(9):
+        listed = labels(fam, b)
+        assert len(listed) == label_count(fam, b)
+        assert all(isinstance(lab, KTypeLabel) and lab.family == fam for lab in listed)
+        box = product(range(lo * b, b + 1), repeat=rank)
+        assert [lab.coords for lab in listed] == [c for c in box if in_lattice(fam, c)]
+    (triv,) = labels(fam, 0)
+    assert triv.coords == (0,) * rank and weyl_dim(fam, triv) == 1
+
+
+def _random_label(rng, fam, top):
+    if fam.variant == "SO":
+        return label(fam, rng.randint(-top if fam.n == 2 else 0, top))
+    if fam.variant == "SU":
+        return label(fam, rng.randint(0, top), rng.randint(0, top))
+    if fam.variant == "Sp":
+        a = rng.randint(0, top)
+        return label(fam, a, rng.randint(0, a))
+    k = rng.randint(0, top)
+    return label(fam, k + 2 * rng.randint(0, top // 2), k)
+
+
+def _perturbed(w):
+    for i in range(len(w)):
+        for delta in (Q(1, 2), Q(-1, 2), Q(1), Q(-1)):
+            yield w[:i] + (w[i] + delta,) + w[i + 1:]
+
+
+def _near(lab):
+    """Brute-force weight -> label table of the labels within 2 of lab in every coordinate."""
+    out = {}
+    for d in product(range(-2, 3), repeat=len(lab.coords)):
+        coords = tuple(c + e for c, e in zip(lab.coords, d))
+        if in_lattice(lab.family, coords):
+            other = label(lab.family, *coords)
+            out[highest_weight(other)] = other
+    return out
+
+
+def _random_families(rng):
+    return [so(2), so(rng.randint(3, 60)), su(rng.randint(2, 60)), sp(rng.randint(2, 60)), f4()]
+
+
+def test_label_from_weight_inverts_highest_weight_on_large_labels():
+    rng = random.Random(2112)
+    for _ in range(40):
+        for fam in _random_families(rng):
+            lab = _random_label(rng, fam, 10 ** 6)
+            w = highest_weight(lab)
+            assert label_from_weight(fam, w) == lab
+            near = _near(lab)
+            for w2 in _perturbed(w):
+                assert label_from_weight(fam, w2) == near.get(w2), (lab, w2)
+
+
+def test_label_from_weight_perturbations_match_lattice_lookup():
+    rng = random.Random(11073)
+    for _ in range(3):
+        for fam in _random_families(rng):
+            table = {highest_weight(lab): lab for lab in labels(fam, 8)}
+            for lab in labels(fam, 6):
+                w = highest_weight(lab)
+                assert label_from_weight(fam, w) == lab
+                for w2 in _perturbed(w):
+                    assert label_from_weight(fam, w2) == table.get(w2), (lab, w2)
 
 
 def test_rho_c():
@@ -155,7 +254,7 @@ def test_minimal_ktype_scale_invariance():
     # the argmin is unchanged under positive rescaling of the inner product
     for fam in (so(6), su(3), sp(2), f4()):
         for ell in (0, 2):
-            labs = list(ktypes._socle_labels(fam, ell, 4 * (ell + 2)))
+            labs = [l for l in ktypes.labels(fam, 4 * (ell + 2)) if socle_contains(fam, ell, l)]
             plain = min(labs, key=lambda l: (mintype_norm(fam, l), l.coords))
             scaled = min(labs, key=lambda l: (2 * mintype_norm(fam, l), l.coords))
             assert plain == scaled == minimal_ktype(fam, ell)

@@ -3,13 +3,13 @@ from fractions import Fraction as Q
 import pytest
 
 from rankone.groups import UnsupportedFamilyError, f4, so, sp, su
-from rankone.ktypes import label, weyl_dim
+from rankone.ktypes import label, labels, weyl_dim
 from rankone.poly import peval
 from rankone.spherical import (chebyshev_three_term, chebyshev_u, ingredient_identities,
                                lambda_scalar, omega_h_expand, omega_related, phi,
                                radial_factor, verify_omega_identity)
 from rankone.tensor import racah_speiser
-from tests.test_tensor import FAMILIES, labels_for
+from tests.test_tensor import FAMILIES
 
 
 def test_phi_base_point_and_shapes():
@@ -24,7 +24,7 @@ def test_phi_base_point_and_shapes():
     assert spec.radial.series.coeffs == (1,)
     assert peval(chebyshev_u(1), 1) == 2
     for fam in (so(4), su(2), sp(2), f4()):
-        for lab in labels_for(fam, 4):
+        for lab in labels(fam, 4):
             assert phi(fam, lab).base_point_value() == 1
 
 
@@ -84,14 +84,14 @@ def stated_row(fam, lab):
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_rows_match_stated_coefficients(fam):
-    for lab in labels_for(fam, 10):
+    for lab in labels(fam, 10):
         row = omega_h_expand(fam, lab)
         assert {t.coords: c for t, c in row.terms} == stated_row(fam, lab), lab
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_rows_are_convex(fam):
-    for lab in labels_for(fam, 10):
+    for lab in labels(fam, 10):
         row = omega_h_expand(fam, lab)
         assert all(c > 0 for _, c in row.terms)
         assert sum(c for _, c in row.terms) == 1
@@ -109,14 +109,14 @@ def test_lambda_values():
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_dim_reciprocity(fam):
-    for lab in labels_for(fam, 10):
+    for lab in labels(fam, 10):
         for tgt, lam in omega_h_expand(fam, lab).terms:
             assert lam * weyl_dim(fam, lab) == lambda_scalar(fam, tgt, lab) * weyl_dim(fam, tgt)
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_omega_identity_sweep(fam):
-    for lab in labels_for(fam, 10):
+    for lab in labels(fam, 10):
         assert verify_omega_identity(fam, lab), lab
 
 
@@ -131,7 +131,7 @@ def test_ingredient_identities_reported_individually():
 
 @pytest.mark.parametrize("fam", [so(3), so(5), so(6), su(2), su(4), sp(2), sp(3), f4()])
 def test_omega_relation_is_spherical_tensor_adjacency(fam):
-    for lab in labels_for(fam, 8):
+    for lab in labels(fam, 8):
         neighbours = {t for t, _ in omega_h_expand(fam, lab).terms}
         spherical = racah_speiser(fam, lab).spherical_labels()
         if fam.variant == "SO" and fam.n == 3:

@@ -3,26 +3,10 @@ from fractions import Fraction as Q
 import pytest
 
 from rankone.groups import UnsupportedFamilyError, f4, so, sp, structural_data, su
-from rankone.ktypes import highest_weight, label, weyl_dim
+from rankone.ktypes import highest_weight, label, labels, weyl_dim
 from rankone.tensor import (character_oracle, dimension_sum_check, expected_summand_labels,
                             racah_speiser, racah_speiser_weight, weights_of_p)
 from rankone.weyl import wt
-
-
-def so_labels(fam, bound):
-    return [label(fam, k) for k in range(bound + 1)]
-
-
-def pair_labels(fam, bound):
-    if fam.variant == "SU":
-        return [label(fam, p, q) for p in range(bound + 1) for q in range(bound + 1)]
-    if fam.variant == "Sp":
-        return [label(fam, a, b) for a in range(bound + 1) for b in range(a + 1)]
-    return [label(fam, m, k) for m in range(bound + 1) for k in range(m % 2, m + 1, 2)]
-
-
-def labels_for(fam, bound):
-    return so_labels(fam, bound) if fam.variant == "SO" else pair_labels(fam, bound)
 
 
 FAMILIES = ([so(n) for n in range(3, 9)] + [su(n) for n in range(2, 6)]
@@ -103,7 +87,7 @@ def test_trivial_type_gives_p_itself():
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_closed_form_multiplicity_and_dimension(fam):
-    for lab in labels_for(fam, 10):
+    for lab in labels(fam, 10):
         dec = racah_speiser(fam, lab)
         assert dec.weights() == expected_summand_labels(fam, lab), lab
         assert all(s.multiplicity == 1 for s in dec.summands), lab
@@ -112,7 +96,7 @@ def test_closed_form_multiplicity_and_dimension(fam):
 
 @pytest.mark.parametrize("fam", ORACLE_FAMILIES)
 def test_character_oracle_agrees(fam):
-    for lab in labels_for(fam, 4):
+    for lab in labels(fam, 4):
         rs = racah_speiser(fam, lab)
         oracle = character_oracle(fam, lab)
         assert rs.weights() == oracle.weights(), lab
@@ -123,7 +107,7 @@ def test_character_oracle_agrees(fam):
 @pytest.mark.parametrize("fam", [so(4), so(5), so(6), su(2), su(3), sp(2), f4()])
 def test_adjacency_symmetry(fam):
     # V <= Y (x) p iff Y <= V (x) p, also through non-spherical summands
-    for lab in labels_for(fam, 6):
+    for lab in labels(fam, 6):
         lam = highest_weight(lab)
         for s in racah_speiser(fam, lab).summands:
             assert lam in racah_speiser_weight(fam, s.weight).weights(), (lab, s.weight)
