@@ -6,7 +6,9 @@ a commit whose reports are trusted; regenerate one only from such a commit, e.g.
 
 The tensor and `verify tensor` goldens pin the Weyl/character layer; the
 structure, exceptional, socle, scalars and `verify groups|spherical` goldens
-pin the per-family tables, the K-type lattice and the radial factors.
+pin the per-family tables, the K-type lattice and the radial factors; the
+`verify scalars`, long `exceptional` and large-ell `socle` goldens pin the
+growth factorials, the Gamma-pole scan and the minimal-K-type search.
 """
 from pathlib import Path
 
@@ -34,6 +36,13 @@ CASES = [
     ("tensor_SU_26_Y3_5.json", ["tensor", "SU", "26", "Y3,5"]),
     ("tensor_Sp_15_V6_2.json", ["tensor", "Sp", "15", "V6,2"]),
     ("tensor_F4_V4_2.json", ["tensor", "F4", "V4,2"]),
+    ("verify_scalars_depth3.json", ["verify", "scalars", "--depth", "3"]),
+    ("verify_scalars_depth3.csv", ["verify", "scalars", "--depth", "3", "--format", "csv"]),
+    ("exceptional_SO_3_count4000.json", ["exceptional", "SO", "3", "--count", "4000"]),
+    ("exceptional_F4_count3517.csv", ["exceptional", "F4", "--count", "3517", "--format", "csv"]),
+    ("socle_SU_8_ell20.json", ["socle", "SU", "8", "--ell", "20"]),
+    ("socle_Sp_8_ell18.json", ["socle", "Sp", "8", "--ell", "18"]),
+    ("socle_F4_ell20.json", ["socle", "F4", "--ell", "20"]),
 ]
 for fam in FAMILIES:
     CASES += [
