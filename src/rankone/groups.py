@@ -6,6 +6,7 @@ positive restricted root alpha.  All values are exact rationals.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -114,18 +115,22 @@ def rho_H(family: GroupFamily) -> Fraction:
     return structural_data(family).rho_H
 
 
+def _gamma_numerators(sd: StructuralData, t):
+    """Numerators over 4 of the two Gamma arguments of 1/e at mu(H) = t/2.
+
+    Integers when t is: m_alpha + 2 + t and m_alpha + 2 m_2alpha + t.
+    """
+    return sd.m_alpha + 2 + t, sd.m_alpha + 2 * sd.m_2alpha + t
+
+
 def e_inverse_gamma_args(family: GroupFamily, mu: SpectralParam) -> tuple[Fraction, Fraction]:
     """Arguments of the two Gamma factors of 1/e at the simple restricted root.
 
     The reciprocal of the Harish-Chandra e-function is a product of Gamma
     values; its zeros (poles of Gamma) are exactly the exceptional parameters.
     """
-    sd = structural_data(family)
-    half_m = Fraction(sd.m_alpha, 2)
-    return (
-        Fraction(half_m + 1 + mu.mu_H, 2),
-        Fraction(half_m + sd.m_2alpha + mu.mu_H, 2),
-    )
+    a1, a2 = _gamma_numerators(structural_data(family), 2 * mu.mu_H)
+    return Fraction(a1, 4), Fraction(a2, 4)
 
 
 def _is_nonpositive_integer(q: Fraction) -> bool:
@@ -138,6 +143,12 @@ def is_exceptional(family: GroupFamily, mu: SpectralParam) -> bool:
     return _is_nonpositive_integer(a1) or _is_nonpositive_integer(a2)
 
 
+def _exceptional_mu_H(rho: Fraction, variant: str, ell: int) -> Fraction:
+    """The closed form -rho(H) - (c ell + d), with rho(H) passed in so a list computes it once."""
+    c, d = FAMILY_SPECS[variant].shift
+    return -rho - (c * ell + d)
+
+
 def exceptional_mu(family: GroupFamily, ell: int) -> SpectralParam:
     """The ell-th exceptional parameter mu_ell(H) = -rho(H) - (c ell + d), from the closed form.
 
@@ -145,15 +156,15 @@ def exceptional_mu(family: GroupFamily, ell: int) -> SpectralParam:
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    c, d = FAMILY_SPECS[family.variant].shift
-    return SpectralParam(-rho_H(family) - (c * ell + d))
+    return SpectralParam(_exceptional_mu_H(rho_H(family), family.variant, ell))
 
 
 def exceptional_params(family: GroupFamily, count: int) -> list[SpectralParam]:
     """First `count` exceptional parameters in decreasing order of mu(H)."""
     if count < 1:
         raise ValueError("count must be positive")
-    return [exceptional_mu(family, ell) for ell in range(count)]
+    rho = rho_H(family)
+    return [SpectralParam(_exceptional_mu_H(rho, family.variant, ell)) for ell in range(count)]
 
 
 def exceptional_in_interval(family: GroupFamily, lower: Fraction, upper: Fraction = Fraction(0)) -> list[Fraction]:
@@ -161,13 +172,15 @@ def exceptional_in_interval(family: GroupFamily, lower: Fraction, upper: Fractio
 
     Scans the half-integer grid, which contains every possible zero: a Gamma
     argument (m_alpha/2 + c + mu(H))/2 is integral only for mu(H) in a coset
-    of 2Z shifted by an integer or half-integer.
+    of 2Z shifted by an integer or half-integer.  The scan runs over the
+    integers t = 2 mu(H) in [2 lower, 2 upper], where the argument is
+    integral and nonpositive iff its numerator over 4 is a nonpositive
+    multiple of 4.
     """
+    sd = structural_data(family)
     out = []
-    mu2 = 2 * Fraction(lower)  # scan in half-integer steps
-    while mu2 <= 2 * Fraction(upper):
-        mu = SpectralParam(Fraction(mu2, 2))
-        if is_exceptional(family, mu):
-            out.append(mu.mu_H)
-        mu2 += 1
+    for t in range(math.ceil(2 * Fraction(lower)), math.floor(2 * Fraction(upper)) + 1):
+        a1, a2 = _gamma_numerators(sd, t)
+        if (a1 % 4 == 0 and a1 <= 0) or (a2 % 4 == 0 and a2 <= 0):
+            out.append(Fraction(t, 2))
     return out

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Optional
 
 from .groups import GroupFamily, SpectralParam, exceptional_mu, rho_H
-from .weyl import Weight, k_root_system, w_add, w_dot, wt
+from .weyl import Weight, double, k_root_system, w_add, w_dot, wt
 
 
 @dataclass(frozen=True, order=True)
@@ -162,8 +162,10 @@ class InconclusiveTruncationError(RuntimeError):
 def minimal_ktype(family: GroupFamily, ell: int, search_bound: int | None = None) -> KTypeLabel:
     """Socle K-type minimizing the (lam + 2 rho_c)-norm, found by bounded search.
 
-    The truncation is certified by checking that every label on the outer
-    shell of the search box exceeds the interior minimum (the norm is a convex
+    The search compares the integer 4 |lam + 2 rho_c|^2 = |2 lam + 4 rho_c|^2 on
+    doubled weights, which orders labels exactly as `mintype_norm` does.  The
+    truncation is certified by checking that every label on the outer shell
+    of the search box exceeds the interior minimum (the norm is a convex
     quadratic in the label, so it keeps growing outward).
     """
     if search_bound is None:
@@ -172,22 +174,23 @@ def minimal_ktype(family: GroupFamily, ell: int, search_bound: int | None = None
         # prefer the positive representative when SO(2,1) norms tie
         return tuple(abs(c) for c in lab.coords) + tuple(-c for c in lab.coords)
 
+    rho4 = tuple(2 * c for c in double(rho_c(family)))
     best = None
     shell_min = None
     for lab in labels(family, search_bound):
         if not socle_contains(family, ell, lab):
             continue
-        nrm = mintype_norm(family, lab)
+        nrm = sum((x + r) ** 2 for x, r in zip(double(highest_weight(lab)), rho4, strict=True))
         on_shell = max(abs(c) for c in lab.coords) >= search_bound - 1
         if on_shell:
             if shell_min is None or nrm < shell_min:
                 shell_min = nrm
-        elif best is None or (nrm, tie_key(lab)) < (best[0], tie_key(best[1])):
-            best = (nrm, lab)
+        elif best is None or (nrm, tie_key(lab)) < best[:2]:
+            best = (nrm, tie_key(lab), lab)
     if best is None or shell_min is None or shell_min <= best[0]:
         raise InconclusiveTruncationError(
             f"search_bound={search_bound} too small for {family} at ell={ell}")
-    return best[1]
+    return best[2]
 
 
 def minimal_ktype_closed(family: GroupFamily, ell: int) -> KTypeLabel:

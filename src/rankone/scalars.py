@@ -10,9 +10,9 @@ Sp and F4 cases.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, log
 
 from .groups import GroupFamily, SpectralParam, UnsupportedFamilyError, rho_H
 from .ktypes import KTypeLabel, label, labels, weyl_dim
@@ -175,17 +175,9 @@ def growth_order_stated(family: GroupFamily, ell: int) -> int:
     raise UnsupportedFamilyError("growth products exist for SU, Sp and F4 only")
 
 
-def _ffrac(num_from: int, num_to: int) -> Fraction:
-    """Product num_from * (num_from+1) * ... * num_to as an exact Fraction."""
-    out = Fraction(1)
-    for j in range(num_from, num_to + 1):
-        out *= j
-    return out
-
-
 def _sp_factorial_part(n: int, ell: int, m: int) -> Fraction:
     """The factorial factor of the Sp closed form, without its dimension ratio."""
-    return _ffrac(1, 2 * n - 1 + 2 * ell + m) / (_ffrac(1, m) * _ffrac(1, 2 * n + 2 * ell))
+    return Fraction(factorial(2 * n - 1 + 2 * ell + m), factorial(m) * factorial(2 * n + 2 * ell))
 
 
 def growth_step_ratio(family: GroupFamily, ell: int, r: int, fixed: int) -> Fraction:
@@ -215,16 +207,18 @@ def growth_step_ratio(family: GroupFamily, ell: int, r: int, fixed: int) -> Frac
 
 
 def growth_closed_form(family: GroupFamily, ell: int, steps: int, fixed: int) -> Fraction:
-    """Factorial closed form of the iterated product after `steps` steps."""
+    """Factorial closed form of the iterated product after `steps` steps (ell, steps >= 0)."""
+    if ell < 0 or steps < 0:
+        raise ValueError("ell and steps must be nonnegative")
     n = family.n
     m = steps + 1
     if family.variant == "SU":
         q = fixed
-        num = ((n + ell + m + q - 1) * _ffrac(1, n + ell + m - 2) * _ffrac(1, ell + 1)
-               * _ffrac(1, n + ell + m))
-        den = ((n + ell + q) * _ffrac(1, n + ell - 1) * _ffrac(1, ell + m)
-               * _ffrac(1, m - 1) * _ffrac(1, n + ell + 1))
-        return num / den
+        num = ((n + ell + m + q - 1) * factorial(n + ell + m - 2) * factorial(ell + 1)
+               * factorial(n + ell + m))
+        den = ((n + ell + q) * factorial(n + ell - 1) * factorial(ell + m)
+               * factorial(m - 1) * factorial(n + ell + 1))
+        return Fraction(num, den)
     if family.variant == "Sp":
         b = fixed
         fact = _sp_factorial_part(n, ell, m)
@@ -233,7 +227,7 @@ def growth_closed_form(family: GroupFamily, ell: int, steps: int, fixed: int) ->
         return fact * dims
     if family.variant == "F4":
         p = steps + 1
-        return 6 * _ffrac(1, 7 + 2 * ell + p) / (_ffrac(1, 8 + 2 * ell) * _ffrac(1, 2 + p))
+        return Fraction(6 * factorial(7 + 2 * ell + p), factorial(8 + 2 * ell) * factorial(2 + p))
     raise UnsupportedFamilyError("growth products exist for SU, Sp and F4 only")
 
 
@@ -258,11 +252,15 @@ def growth_order_estimate(family: GroupFamily, ell: int, max_steps: int = 512) -
 
     SU uses the full closed form; Sp and F4 use the factorial factor alone
     (their dimension ratios are reported separately by the stated orders).
+    Each value is an exact Fraction of integer factorial products; the slope
+    takes logs of its integer numerator and denominator, which overflow float.
     This is the single place the package touches floating point outside the
     Lorentz model.
     """
     if max_steps < 64:
         raise ValueError("max_steps must be at least 64")
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
     ys = []
     xs = []
     for m in range(max_steps // 2, max_steps + 1):
@@ -270,9 +268,8 @@ def growth_order_estimate(family: GroupFamily, ell: int, max_steps: int = 512) -
             val = _sp_factorial_part(family.n, ell, m)
         else:
             val = growth_closed_form(family, ell, m - 1, ell + 1)
-        xs.append(math.log(m))
-        # factorial numerators overflow float: take logs of the integer parts
-        ys.append(math.log(val.numerator) - math.log(val.denominator))
+        xs.append(log(m))
+        ys.append(log(val.numerator) - log(val.denominator))
     xbar = sum(xs) / len(xs)
     ybar = sum(ys) / len(ys)
     slope = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))

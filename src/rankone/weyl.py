@@ -44,10 +44,13 @@ def w_dot(a, b):
 
 def double(w: Weight) -> Weight2:
     """The doubled-integer form 2w of a weight with coordinates in (1/2)Z."""
-    out = tuple(int(2 * x) for x in w)
-    if any(2 * x != y for x, y in zip(w, out)):
-        raise ValueError(f"weight {w} has a coordinate outside (1/2)Z")
-    return out
+    out = []
+    for x in w:
+        y, r = divmod(2 * x.numerator, x.denominator)
+        if r:
+            raise ValueError(f"weight {w} has a coordinate outside (1/2)Z")
+        out.append(y)
+    return tuple(out)
 
 
 def halve(w2: Weight2) -> Weight:

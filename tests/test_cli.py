@@ -168,3 +168,13 @@ def test_unrenderable_mu_exits_2(capsys, mu):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "bad rational" in err
+
+
+def test_unrenderable_result_exits_2(capsys):
+    # mu renders, but T = (mu + rho) lambda + nu has too many digits
+    with pytest.raises(SystemExit) as exc:
+        main(["scalars", "SO", "7", "Y2", "Y3", "--mu", "1e-4299"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "result T has too many digits" in err

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -101,3 +103,26 @@ def test_exceptional_params_decreasing():
     for fam in (so(5), su(4), sp(3), f4()):
         vals = [m.mu_H for m in groups.exceptional_params(fam, 6)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def scan_reference(fam, lower, upper):
+    """The Fraction predicate at every half-integer of [lower, upper], in increasing order."""
+    lo, hi = math.ceil(2 * lower), math.floor(2 * upper)
+    return [Q(t, 2) for t in range(lo, hi + 1) if groups.is_exceptional(fam, SpectralParam(Q(t, 2)))]
+
+
+def test_scan_from_off_grid_lower_bound():
+    # 2 * (-7/3) is not an integer: the scan starts at the next half-integer
+    assert groups.exceptional_in_interval(so(3), Q(-7, 3)) == [-2, -1]
+    assert groups.exceptional_in_interval(f4(), Q(-29, 3), Q(-26, 5)) == [-9, -7]
+
+
+def test_scan_matches_predicate_reference():
+    rng = random.Random(2112)
+    fams = ([so(n) for n in range(2, 13)] + [su(n) for n in range(2, 13)]
+            + [sp(n) for n in range(2, 13)] + [f4()])
+    for fam in fams:
+        for _ in range(8):
+            lower = Q(rng.randint(-400, 40), rng.randint(1, 9))
+            upper = lower + Q(rng.randint(-5, 200), rng.randint(1, 9))
+            assert groups.exceptional_in_interval(fam, lower, upper) == scan_reference(fam, lower, upper)

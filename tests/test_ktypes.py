@@ -260,6 +260,21 @@ def test_minimal_ktype_scale_invariance():
             assert plain == scaled == minimal_ktype(fam, ell)
 
 
+SWEEP_FAMILIES = [so(2)] + MINTYPE_INSTANCES
+
+
+@pytest.mark.parametrize("fam", SWEEP_FAMILIES)
+def test_minimal_ktype_matches_fraction_brute_force(fam):
+    # brute-force min over the socle labels keyed by the Fraction norm and the tie key
+    def tie_key(lab):
+        return tuple(abs(c) for c in lab.coords) + tuple(-c for c in lab.coords)
+
+    for ell in range(9):
+        labs = [l for l in ktypes.labels(fam, 4 * (ell + 2)) if socle_contains(fam, ell, l)]
+        brute = min(labs, key=lambda l: (mintype_norm(fam, l), tie_key(l)))
+        assert minimal_ktype(fam, ell) == brute
+
+
 def test_minimal_ktype_truncation_guard():
     with pytest.raises(ktypes.InconclusiveTruncationError):
         minimal_ktype(su(3), 4, search_bound=5)

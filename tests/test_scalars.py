@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from rankone.groups import SpectralParam, exceptional_mu, f4, rho_H, so, sp, su
 from rankone.ktypes import label, weyl_dim
-from rankone.scalars import (NotOmegaRelatedError, growth_closed_form, growth_order_estimate,
+from rankone.scalars import (NotOmegaRelatedError, _sp_factorial_part, growth_closed_form, growth_order_estimate,
                              growth_order_stated, growth_product, growth_step_ratio,
                              nu_scalar, scalar_pair, t_root, t_scalar, vanishing_mu,
                              vanishing_table_check)
@@ -179,3 +180,58 @@ def test_growth_spec_bundle():
     for r in range(2, 10):
         prod *= spec.ratio(r, 2)
     assert prod == spec.closed_form(8, 2)
+
+
+def _ffrac(num_from, num_to):
+    """Reference: num_from * (num_from+1) * ... * num_to, one Fraction multiply per factor."""
+    out = Q(1)
+    for j in range(num_from, num_to + 1):
+        out *= j
+    return out
+
+
+def _sp_factorial_reference(n, ell, m):
+    return _ffrac(1, 2 * n - 1 + 2 * ell + m) / (_ffrac(1, m) * _ffrac(1, 2 * n + 2 * ell))
+
+
+def _closed_form_reference(fam, ell, steps, fixed):
+    n, m = fam.n, steps + 1
+    if fam.variant == "SU":
+        q = fixed
+        num = ((n + ell + m + q - 1) * _ffrac(1, n + ell + m - 2) * _ffrac(1, ell + 1)
+               * _ffrac(1, n + ell + m))
+        den = ((n + ell + q) * _ffrac(1, n + ell - 1) * _ffrac(1, ell + m)
+               * _ffrac(1, m - 1) * _ffrac(1, n + ell + 1))
+        return num / den
+    if fam.variant == "Sp":
+        b = fixed
+        dims = Q(weyl_dim(fam, label(fam, ell + m, b)), weyl_dim(fam, label(fam, ell + 1, b)))
+        return _sp_factorial_reference(n, ell, m) * dims
+    p = steps + 1
+    return 6 * _ffrac(1, 7 + 2 * ell + p) / (_ffrac(1, 8 + 2 * ell) * _ffrac(1, 2 + p))
+
+
+@pytest.mark.parametrize("fam", GROWTH_FAMILIES)
+def test_integer_closed_form_matches_fraction_reference(fam):
+    rng = random.Random(str(fam))
+    for ell in range(7):
+        for steps in range(1, 65):
+            fixed = rng.randint(0, ell + 1) if fam.variant == "Sp" else rng.randint(0, 12)
+            assert growth_closed_form(fam, ell, steps, fixed) == \
+                _closed_form_reference(fam, ell, steps, fixed), (ell, steps, fixed)
+            if fam.variant == "Sp":
+                assert _sp_factorial_part(fam.n, ell, steps + 1) == \
+                    _sp_factorial_reference(fam.n, ell, steps + 1)
+
+
+def test_growth_refuses_negative_ell_and_steps():
+    # the factorials are undefined there; the old empty products gave 1
+    for fam in GROWTH_FAMILIES:
+        with pytest.raises(ValueError, match="nonnegative"):
+            growth_closed_form(fam, -1, 3, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            growth_closed_form(fam, 0, -1, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            growth_order_estimate(fam, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            growth_product(fam, -1, 3)

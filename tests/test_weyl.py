@@ -160,3 +160,15 @@ def test_double_halve_round_trip():
     assert halve(double(w)) == w
     with pytest.raises(ValueError):
         double(wt(Q(1, 3)))
+
+
+def test_double_matches_fraction_reference():
+    rng = random.Random(4)
+    for _ in range(500):
+        w = wt(*(Q(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6))) for _ in range(rng.randint(1, 6))))
+        if all((2 * x).denominator == 1 for x in w):
+            assert double(w) == tuple(int(2 * x) for x in w)
+        else:
+            with pytest.raises(ValueError):
+                double(w)
+    assert double((3, -1)) == (6, -2)  # plain ints are half-integers too
