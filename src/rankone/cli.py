@@ -109,9 +109,10 @@ class Report:
 
     def result(self, key, value):
         try:
-            self.results[key] = _fmt(value)
+            rendered = _fmt(value)
         except ValueError:  # more digits than int-to-str conversion allows
             raise UsageError(f"result {key} has too many digits to render") from None
+        self.results[key] = rendered
 
     def check(self, check_id: str, ok: bool | None, instance: str = ""):
         status = "n/a" if ok is None else ("pass" if ok else "fail")
