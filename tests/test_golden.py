@@ -8,7 +8,11 @@ The tensor and `verify tensor` goldens pin the Weyl/character layer; the
 structure, exceptional, socle, scalars and `verify groups|spherical` goldens
 pin the per-family tables, the K-type lattice and the radial factors; the
 `verify scalars`, long `exceptional` and large-ell `socle` goldens pin the
-growth factorials, the Gamma-pole scan and the minimal-K-type search.
+growth factorials, the Gamma-pole scan and the minimal-K-type search.  The
+Racah-Speiser weight format is pinned by type B with a zero weight of p
+(SO 33), the D2 chiral partners (SO 4), a large rank (SO 200), a CSV tensor
+report and `verify spherical --depth 6`, which reaches Racah-Speiser through
+the omega-vs-tensor adjacency check.
 """
 from pathlib import Path
 
@@ -36,6 +40,11 @@ CASES = [
     ("tensor_SU_26_Y3_5.json", ["tensor", "SU", "26", "Y3,5"]),
     ("tensor_Sp_15_V6_2.json", ["tensor", "Sp", "15", "V6,2"]),
     ("tensor_F4_V4_2.json", ["tensor", "F4", "V4,2"]),
+    ("tensor_SO_33_Y7.json", ["tensor", "SO", "33", "Y7"]),
+    ("tensor_SO_4_Y3.json", ["tensor", "SO", "4", "Y3"]),
+    ("tensor_SO_200_Y3.json", ["tensor", "SO", "200", "Y3"]),
+    ("tensor_SU_7_Y4_2.csv", ["tensor", "SU", "7", "Y4,2", "--format", "csv"]),
+    ("verify_spherical_depth6.json", ["verify", "spherical", "--depth", "6"]),
     ("verify_scalars_depth3.json", ["verify", "scalars", "--depth", "3"]),
     ("verify_scalars_depth3.csv", ["verify", "scalars", "--depth", "3", "--format", "csv"]),
     ("exceptional_SO_3_count4000.json", ["exceptional", "SO", "3", "--count", "4000"]),
