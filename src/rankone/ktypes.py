@@ -15,7 +15,7 @@ from itertools import product
 from typing import Optional
 
 from .groups import GroupFamily, SpectralParam, exceptional_mu, rho_H
-from .weyl import Weight, double, k_root_system, w_add, w_dot, wt
+from .weyl import Weight, double, halve, k_root_system, w_add, w_dot, wt
 
 
 @dataclass(frozen=True, order=True)
@@ -115,7 +115,7 @@ def rho_c(family: GroupFamily) -> Weight:
     """Half-sum of the positive compact roots in the e_i coordinates."""
     if family.variant == "SO" and family.n == 2:
         return wt(0)
-    return k_root_system(family.variant, family.n).rho
+    return halve(k_root_system(family.variant, family.n).two_rho)
 
 
 def weyl_dim(family: GroupFamily, lam) -> int:
@@ -124,7 +124,7 @@ def weyl_dim(family: GroupFamily, lam) -> int:
         lam = highest_weight(lam)
     if family.variant == "SO" and family.n == 2:
         return 1
-    return k_root_system(family.variant, family.n).weyl_dim(lam)
+    return k_root_system(family.variant, family.n).weyl_dim(double(lam))
 
 
 def mintype_norm(family: GroupFamily, lam) -> Fraction:

@@ -5,10 +5,11 @@ shifted highest weight (racah_speiser) and a brute-force character oracle
 (Freudenthal weight multiplicities, convolution with the weights of p, greedy
 peeling of dominant characters).  p and p* are identified as K-modules.
 
-Weights in the public API (Decomposition, Summand) are Fraction tuples.  The
-oracle's Freudenthal, orbit and peeling kernels work on doubled-integer
-weights (weyl.double) and convert back only when they build Summands;
-Racah-Speiser stays on Fractions and does not use those kernels.
+Weights in the public API are Fraction tuples.  Inside, both routes work on
+doubled-integer weights (weyl.double), the one kernel format: each doubles its
+source once and halves only the summands it builds.  They share no kernel:
+Racah-Speiser uses to_dominant_chamber, the oracle Freudenthal, orbit and
+dominant_rep.
 """
 from __future__ import annotations
 
@@ -21,8 +22,7 @@ from typing import Optional
 
 from .groups import GroupFamily, UnsupportedFamilyError, structural_data
 from .ktypes import KTypeLabel, highest_weight, label_from_weight, weyl_dim
-from .weyl import (Weight, Weight2, double, halve, k_root_system, pair, shift, w_add, w_dot,
-                   w_sub, wt)
+from .weyl import Weight, Weight2, double, halve, k_root_system, pair, shift, w_add, w_dot, w_sub
 
 
 class AlgorithmViolation(RuntimeError):
@@ -56,35 +56,20 @@ def _check_supported(family: GroupFamily):
 
 
 @lru_cache(maxsize=None)
-def _p_weights(variant: str, n: Optional[int]) -> tuple[Weight, ...]:
+def _p_weights(variant: str, n: Optional[int]) -> tuple[Weight2, ...]:
+    """Doubled weights of p, each once: +-e_i (and 0 for odd n) for SO,
+    +-(e_i - e_{n+1}) for SU, +-e_i +- e_{n+1} for Sp, (+-1/2, ..., +-1/2) for F4."""
+    if variant == "F4":
+        return tuple(product((1, -1), repeat=4))
     if variant == "SO":
-        m = n // 2
-        out = []
-        for i in range(m):
-            for s in (1, -1):
-                out.append(tuple(Fraction(s) if j == i else Fraction(0) for j in range(m)))
-        if n % 2 == 1:
-            out.append(tuple(Fraction(0) for _ in range(m)))
-        return tuple(out)
+        zero = (0,) * (n // 2)
+        units = tuple(shift(zero, ((i, s),), 1) for i in range(n // 2) for s in (2, -2))
+        return units + (zero,) * (n % 2)
+    zero = (0,) * (n + 1)
     if variant == "SU":
-        out = []
-        for i in range(n):
-            for s in (1, -1):
-                v = [Fraction(0)] * (n + 1)
-                v[i], v[n] = Fraction(s), Fraction(-s)
-                out.append(tuple(v))
-        return tuple(out)
-    if variant == "Sp":
-        out = []
-        for i in range(n):
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    v = [Fraction(0)] * (n + 1)
-                    v[i], v[n] = Fraction(s1), Fraction(s2)
-                    out.append(tuple(v))
-        return tuple(out)
-    half = Fraction(1, 2)
-    return tuple(tuple(s * half for s in signs) for signs in product((1, -1), repeat=4))
+        return tuple(shift(zero, ((i, s), (n, -s)), 1) for i in range(n) for s in (2, -2))
+    return tuple(shift(zero, ((i, s), (n, t)), 1)
+                 for i in range(n) for s in (2, -2) for t in (2, -2))
 
 
 def weights_of_p(family: GroupFamily) -> Counter:
@@ -93,34 +78,39 @@ def weights_of_p(family: GroupFamily) -> Counter:
     ws = _p_weights(family.variant, family.n)
     if len(ws) != structural_data(family).dim_p:
         raise AssertionError("weight count must equal dim p")
-    return Counter(ws)
+    return Counter(halve(w) for w in ws)
 
 
-def _tag(family: GroupFamily, w: Weight, mult: int) -> Summand:
-    lab = label_from_weight(family, w)
-    return Summand(w, mult, lab is not None, lab)
+def _decomposition(family: GroupFamily, source: Weight, acc: Counter) -> Decomposition:
+    """Summands of the positive entries of a doubled multiplicity Counter, highest weight first."""
+    summands = []
+    for w2 in sorted(+acc, reverse=True):
+        w = halve(w2)
+        lab = label_from_weight(family, w)
+        summands.append(Summand(w, acc[w2], lab is not None, lab))
+    return Decomposition(family, source, tuple(summands))
 
 
 def racah_speiser_weight(family: GroupFamily, lam: Weight) -> Decomposition:
     """Decompose V_lam (x) p by signed reflection of lam + rho_c + beta."""
     _check_supported(family)
     rs = k_root_system(family.variant, family.n)
-    if not rs.is_dominant(lam):
+    lam2 = double(lam)
+    if not rs.is_dominant(lam2):
         raise ValueError(f"{lam} is not dominant")
+    lam_rho = w_add(lam2, rs.two_rho)
     acc: Counter = Counter()
     for beta in _p_weights(family.variant, family.n):
-        xi = w_add(w_add(lam, rs.rho), beta)
-        dom, sign = rs.to_dominant_chamber(xi)
+        dom, sign = rs.to_dominant_chamber(w_add(lam_rho, beta))
         if dom is None:
             continue
         if not rs.is_dominant(dom, strict=True):
             raise AssertionError("regular orbit representative must be strictly dominant")
-        acc[w_sub(dom, rs.rho)] += sign
+        acc[w_sub(dom, rs.two_rho)] += sign
     if any(m < 0 for m in acc.values()):
-        raise AlgorithmViolation(f"negative multiplicity in {family} at {lam}: {acc}")
-    summands = tuple(sorted((_tag(family, w, m) for w, m in acc.items() if m > 0),
-                            key=lambda s: s.weight, reverse=True))
-    return Decomposition(family, lam, summands)
+        public = Counter({halve(w): m for w, m in acc.items()})
+        raise AlgorithmViolation(f"negative multiplicity in {family} at {lam}: {public}")
+    return _decomposition(family, lam, acc)
 
 
 def racah_speiser(family: GroupFamily, lab: KTypeLabel) -> Decomposition:
@@ -194,7 +184,7 @@ def _weight_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tupl
         for v in rs.orbit(w):
             out[v] = m
     result = tuple(sorted(out.items()))
-    if sum(m for _, m in result) != rs.weyl_dim(halve(lam)):
+    if sum(m for _, m in result) != rs.weyl_dim(lam):
         raise AssertionError("weight multiplicities do not sum to the Weyl dimension")
     return result
 
@@ -204,7 +194,7 @@ def character_oracle(family: GroupFamily, lab: KTypeLabel, max_peel: int = 512) 
     _check_supported(family)
     rs = k_root_system(family.variant, family.n)
     lam = highest_weight(lab)
-    betas = [double(b) for b in _p_weights(family.variant, family.n)]
+    betas = _p_weights(family.variant, family.n)
     char: Counter = Counter()
     for w, m in _weight_multiplicities(family.variant, family.n, double(lam)):
         for beta in betas:
@@ -229,9 +219,7 @@ def character_oracle(family: GroupFamily, lab: KTypeLabel, max_peel: int = 512) 
         raise AlgorithmViolation("character peeling did not terminate")
     if any(v != 0 for v in char.values()):
         raise AlgorithmViolation("character did not peel to zero")
-    summands = tuple(sorted((_tag(family, halve(w), m) for w, m in acc.items() if m > 0),
-                            key=lambda s: s.weight, reverse=True))
-    return Decomposition(family, lam, summands)
+    return _decomposition(family, lam, acc)
 
 
 def dimension_sum_check(family: GroupFamily, lab: KTypeLabel) -> bool:
@@ -254,28 +242,28 @@ def expected_summand_labels(family: GroupFamily, lab: KTypeLabel) -> set[Weight]
     """
     _check_supported(family)
     rs = k_root_system(family.variant, family.n)
-    lam = highest_weight(lab)
     out: set[Weight] = set()
 
-    def push(w: Weight):
-        if rs.is_dominant(w):
-            out.add(w)
+    def push(w2: Weight2):
+        if rs.is_dominant(w2):
+            out.add(halve(w2))
 
     if family.variant == "SO":
-        k = lab.coords[0]
-        m = family.n // 2
-        push(wt(*([k - 1] + [0] * (m - 1))))
-        push(wt(*([k + 1] + [0] * (m - 1))))
-        if k >= 1:
+        k2 = 2 * lab.coords[0]
+        zeros = (0,) * (family.n // 2 - 1)
+        push((k2 - 2,) + zeros)
+        push((k2 + 2,) + zeros)
+        if k2 > 0:
             if family.n == 3:
-                push(wt(k))
+                push((k2,))
             else:
-                push(wt(*([k, 1] + [0] * (m - 2))))
+                push((k2, 2) + zeros[1:])
                 if family.n == 4:
-                    push(wt(k, -1))
+                    push((k2, -2))
     else:
+        lam2 = double(highest_weight(lab))
         for beta in _p_weights(family.variant, family.n):
-            push(w_add(lam, beta))
+            push(w_add(lam2, beta))
     return out
 
 

@@ -5,12 +5,13 @@ classical conventions: K = SO(2m+1) or SO(2m) for SO(n,1); K = U(n)
 (coordinates e_1..e_n plus the central e_{n+1}) for SU(n,1); K = Sp(n) x Sp(1)
 (e_1..e_n plus e_{n+1} for the Sp(1) factor) for Sp(n,1); K = Spin(9) for F4.
 
-Every weight the library builds has coordinates in (1/2)Z, so the orbit,
-Freudenthal and peeling kernels work on doubled weights: `double` maps a public
-weight to its int tuple 2w, `halve` maps back.  Roots are stored sparsely as
-((index, coefficient), ...) with int coefficients, and 2 rho as an int tuple.
-The Weyl groups are all signed-permutation groups, so orbits are enumerated
-directly rather than closed under reflections.
+Every weight the library builds has coordinates in (1/2)Z, so every kernel
+works on one format, the doubled weight: `double` maps a public weight to its
+int tuple 2w, `halve` maps back, and Fractions appear only at the public API of
+`ktypes` and `tensor`.  Every RootSystem method takes doubled weights.  Roots
+are stored sparsely as ((index, coefficient), ...) with int coefficients, and
+rho only as the int tuple 2 rho.  The Weyl groups are all signed-permutation
+groups, so orbits are enumerated directly rather than closed under reflections.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
 
 Weight = tuple[Fraction, ...]
 Weight2 = tuple[int, ...]  # doubled-integer weight 2w
@@ -89,11 +89,10 @@ class RootSystem:
     dim: int  # total coordinate length
     positive_roots: tuple[Root, ...]
     two_rho: Weight2
-    rho: Weight
 
     # -- chamber tests ------------------------------------------------------
 
-    def is_dominant(self, w, strict: bool = False) -> bool:
+    def is_dominant(self, w: Weight2, strict: bool = False) -> bool:
         head = w[: self.rank]
         pairs = zip(head, head[1:])
         if self.kind == "A":
@@ -112,7 +111,7 @@ class RootSystem:
 
     # -- orbit normalization -------------------------------------------------
 
-    def to_dominant_chamber(self, w: Weight):
+    def to_dominant_chamber(self, w: Weight2):
         """Unique chamber representative of w with the sign of the Weyl element.
 
         Returns (dominant weight, sign) or (None, 0) when w lies on a wall,
@@ -151,7 +150,7 @@ class RootSystem:
             out[-1] = -out[-1]
         return tuple(out) + tuple(tail), _sort_sign(absd)
 
-    def dominant_rep(self, w):
+    def dominant_rep(self, w: Weight2) -> Weight2:
         """The dominant element of the Weyl orbit of w (no sign tracking)."""
         head = list(w[: self.rank])
         tail = list(w[self.rank:])
@@ -167,7 +166,7 @@ class RootSystem:
             out[-1] = -out[-1]
         return tuple(out) + tuple(tail)
 
-    def orbit(self, w) -> set:
+    def orbit(self, w: Weight2) -> set[Weight2]:
         """Full Weyl orbit of w, enumerated as signed permutations of the head."""
         head, tail = w[: self.rank], tuple(w[self.rank:])
         if self.kind == "A":
@@ -183,23 +182,20 @@ class RootSystem:
 
     # -- Weyl dimension formula ---------------------------------------------
 
-    def weyl_dim(self, lam) -> int:
-        """prod <lam + rho, a> / <rho, a> over positive roots a, computed in scaled integers."""
+    def weyl_dim(self, lam: Weight2) -> int:
+        """prod <lam + rho, a> / <rho, a> over positive roots a, as <2 lam + 2 rho, a> / <2 rho, a>."""
         if not self.is_dominant(lam):
-            raise ValueError(f"weight {lam} is not dominant")
-        scale = lcm(2, *(x.denominator for x in lam))
-        half = scale // 2
-        scaled = [x.numerator * (scale // x.denominator) for x in lam]
+            raise ValueError(f"weight {halve(lam)} is not dominant")
         num = den = 1
         for a in self.positive_roots:
-            lam_a = pair(scaled, a)
+            lam_a = pair(lam, a)
             if lam_a:  # roots orthogonal to lam contribute the factor 1
-                rho_a = half * pair(self.two_rho, a)
+                rho_a = pair(self.two_rho, a)
                 num *= lam_a + rho_a
                 den *= rho_a
         d, rem = divmod(num, den)
         if rem:
-            raise ValueError(f"Weyl dimension of {lam} is not integral")
+            raise ValueError(f"Weyl dimension of {halve(lam)} is not integral")
         return d
 
 
@@ -244,7 +240,7 @@ def _root_system(kind: str, rank: int, dim: int, pos: list[Root]) -> RootSystem:
     for root in pos:
         for i, c in root:
             two_rho[i] += c
-    return RootSystem(kind, rank, dim, tuple(pos), tuple(two_rho), halve(two_rho))
+    return RootSystem(kind, rank, dim, tuple(pos), tuple(two_rho))
 
 
 def _pm_roots(m: int) -> list[Root]:

@@ -127,6 +127,25 @@ def test_out_file(tmp_path, capsys):
     assert doc["results"]["rho_H"] == "5"
 
 
+def test_out_to_missing_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["socle", "SU", "2", "--ell", "2", "--out", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {path}")
+
+
+@pytest.mark.parametrize("ell", ["101", str(10 ** 9)])
+def test_socle_ell_above_cap_exits_2(capsys, ell):
+    # refused before the quadratic minimal-K-type search starts
+    with pytest.raises(SystemExit) as exc:
+        main(["socle", "SU", "8", "--ell", ell])
+    assert exc.value.code == 2
+    assert "ell must be at most 100" in capsys.readouterr().err
+
+
 def test_verify_small_suite(capsys):
     code, out = run(capsys, ["verify", "groups", "--depth", "2"])
     assert code == 0

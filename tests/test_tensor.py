@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -102,6 +103,17 @@ def test_character_oracle_agrees(fam):
         assert rs.weights() == oracle.weights(), lab
         assert {s.weight: s.multiplicity for s in rs.summands} \
             == {s.weight: s.multiplicity for s in oracle.summands}, lab
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+def test_racah_speiser_beyond_the_bound_box(fam):
+    # two seeded labels with coordinates in 5..9, outside the labels(fam, 4) above
+    rng = random.Random(str(fam))
+    box = [lab for lab in labels(fam, 9) if min(lab.coords) >= 5]
+    for lab in rng.sample(box, 2):
+        rs = racah_speiser(fam, lab)
+        assert rs.summands == character_oracle(fam, lab).summands, lab
+        assert rs.weights() == expected_summand_labels(fam, lab), lab
 
 
 @pytest.mark.parametrize("fam", [so(4), so(5), so(6), su(2), su(3), sp(2), f4()])

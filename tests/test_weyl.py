@@ -10,6 +10,8 @@ from math import factorial, prod
 
 import pytest
 
+from rankone import ktypes
+from rankone.groups import su
 from rankone.weyl import (double, halve, k_root_system, type_a_u, type_b, type_c_c1, type_d,
                           w_add, w_dot, wt)
 
@@ -65,8 +67,9 @@ def reference_weyl_dim(rs, lam):
     if not rs.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     roots = [_dense(rs, a) for a in rs.positive_roots]
-    lam_rho = w_add(lam, rs.rho)
-    d = Q(prod(w_dot(lam_rho, a) for a in roots), prod(w_dot(rs.rho, a) for a in roots))
+    rho = halve(rs.two_rho)
+    lam_rho = w_add(lam, rho)
+    d = Q(prod(w_dot(lam_rho, a) for a in roots), prod(w_dot(rho, a) for a in roots))
     if d.denominator != 1:
         raise ValueError(f"Weyl dimension of {lam} is not integral")
     return int(d)
@@ -121,9 +124,9 @@ def test_weyl_dim_matches_fraction_formula(rs):
             expected = reference_weyl_dim(rs, lam)
         except ValueError:
             with pytest.raises(ValueError):
-                rs.weyl_dim(lam)
+                rs.weyl_dim(double(lam))
             continue
-        assert rs.weyl_dim(lam) == expected
+        assert rs.weyl_dim(double(lam)) == expected
         checked += 1
     assert checked > 0
 
@@ -134,24 +137,23 @@ def test_weyl_dim_every_family():
         rng = random.Random(n or 0)
         for _ in range(30):
             lam = rs.dominant_rep(tuple(Q(rng.randrange(-6, 7)) for _ in range(rs.dim)))
-            assert rs.weyl_dim(lam) == reference_weyl_dim(rs, lam)
+            assert rs.weyl_dim(double(lam)) == reference_weyl_dim(rs, lam)
 
 
-def test_weyl_dim_central_third_is_one():
-    rs = type_a_u(3)
-    lam = wt(0, 0, 0, Q(1, 3))
-    assert rs.weyl_dim(lam) == reference_weyl_dim(rs, lam) == 1
-    assert rs.weyl_dim(wt(1, 0, -1, Q(1, 3))) == 8
+def test_weyl_dim_rejects_central_third():
+    # no K-type has a coordinate outside (1/2)Z, so the doubled kernel refuses one
+    with pytest.raises(ValueError, match=r"outside \(1/2\)Z"):
+        ktypes.weyl_dim(su(3), wt(0, 0, 0, Q(1, 3)))
 
 
 def test_weyl_dim_rejects_non_dominant_and_non_integral():
     with pytest.raises(ValueError, match="not dominant"):
-        type_b(2).weyl_dim(wt(1, 2))
+        type_b(2).weyl_dim(double(wt(1, 2)))
     with pytest.raises(ValueError, match="not dominant"):
-        type_a_u(2).weyl_dim(wt(0, 1, 0))
+        type_a_u(2).weyl_dim(double(wt(0, 1, 0)))
     # (1/2, 0) is dominant for D2 but outside the weight lattice of Spin(4)
     with pytest.raises(ValueError, match="not integral"):
-        type_d(2).weyl_dim(wt(Q(1, 2), 0))
+        type_d(2).weyl_dim(double(wt(Q(1, 2), 0)))
 
 
 def test_double_halve_round_trip():
