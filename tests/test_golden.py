@@ -12,7 +12,10 @@ growth factorials, the Gamma-pole scan and the minimal-K-type search.  The
 Racah-Speiser weight format is pinned by type B with a zero weight of p
 (SO 33), the D2 chiral partners (SO 4), a large rank (SO 200), a CSV tensor
 report and `verify spherical --depth 6`, which reaches Racah-Speiser through
-the omega-vs-tensor adjacency check.
+the omega-vs-tensor adjacency check.  The integer polynomial kernel of the
+spherical, hypergeometric and zonal layer is pinned by `verify spherical
+--depth 12`, `verify scalars --depth 6` and `verify so-model --depth 6
+--seed 3`, whose report carries the float intertwining residual as text.
 """
 from pathlib import Path
 
@@ -52,6 +55,9 @@ CASES = [
     ("socle_SU_8_ell20.json", ["socle", "SU", "8", "--ell", "20"]),
     ("socle_Sp_8_ell18.json", ["socle", "Sp", "8", "--ell", "18"]),
     ("socle_F4_ell20.json", ["socle", "F4", "--ell", "20"]),
+    ("verify_spherical_depth12.json", ["verify", "spherical", "--depth", "12"]),
+    ("verify_so_model_depth6_seed3.json", ["verify", "so-model", "--depth", "6", "--seed", "3"]),
+    ("verify_scalars_depth6.json", ["verify", "scalars", "--depth", "6"]),
 ]
 for fam in FAMILIES:
     CASES += [
