@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -317,19 +318,31 @@ def verify_tensor(rep: Report, depth: int, tolerance: float, seed: int):
             rep.check("tensor-character-oracle", ok_oracle, str(fam))
 
 
+def _memo(table: dict, fn, family: GroupFamily, lab: ktypes.KTypeLabel):
+    """fn(family, lab), computed once per label in a table local to one sweep."""
+    if lab not in table:
+        table[lab] = fn(family, lab)
+    return table[lab]
+
+
 def verify_spherical(rep: Report, depth: int, tolerance: float, seed: int):
     for fam in _tensor_families():
         ok_identity = ok_sum = ok_rec = ok_adj = True
+        # each omega row, Weyl dimension and radial factor is built once per family
+        rows: dict = {}
+        dims: dict = {}
+        radials: dict = {}
         for lab in ktypes.labels(fam, depth):
-            row = spherical.omega_h_expand(fam, lab)
+            row = _memo(rows, spherical.omega_h_expand, fam, lab)
             ok_sum &= sum(c for _, c in row.terms) == 1 and all(c >= 0 for _, c in row.terms)
-            ok_identity &= spherical.verify_omega_identity(fam, lab)
+            ok_identity &= spherical._verify_omega_identity(fam, lab, row, radials)
+            dim = _memo(dims, ktypes.weyl_dim, fam, lab)
             for tgt, lam in row.terms:
-                ok_rec &= (lam * ktypes.weyl_dim(fam, lab)
-                           == spherical.lambda_scalar(fam, tgt, lab) * ktypes.weyl_dim(fam, tgt))
+                ok_rec &= (lam * dim == _memo(rows, spherical.omega_h_expand, fam, tgt).coefficient(lab)
+                           * _memo(dims, ktypes.weyl_dim, fam, tgt))
         for lab in ktypes.labels(fam, min(depth, 8)):
             dec = tensor.racah_speiser(fam, lab)
-            neighbours = {t for t, _ in spherical.omega_h_expand(fam, lab).terms}
+            neighbours = {t for t, _ in rows[lab].terms}
             spherical_summands = dec.spherical_labels()
             if fam.variant == "SO" and fam.n == 3:
                 spherical_summands = spherical_summands - {lab}
@@ -492,9 +505,25 @@ def _dispatch(args) -> Report:
     raise UsageError(f"unknown command {args.command}")
 
 
+def _attach_negative_mu(argv: list[str]) -> list[str]:
+    """Rewrite `--mu -5/2` as `--mu=-5/2`.
+
+    argparse takes a token that starts with '-' and is not a plain negative
+    decimal (such as -5/2 or -1e-3) for an option, so the separate-token form
+    of a negative rational would fail with "expected one argument".
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--mu" and re.match(r"-[\d.]", token):
+            out[-1] = f"--mu={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_mu(sys.argv[1:] if argv is None else list(argv)))
     try:
         report = _dispatch(args)
     except UsageError as exc:

@@ -1,30 +1,22 @@
 """Terminating Gauss hypergeometric polynomials and their contiguous relations.
 
 Only the polynomial regime is supported: F(a,b,c,z) with a or b a nonpositive
-integer, expanded as an exact coefficient list in z.  The contiguous relations
-are verified as polynomial identities, never numerically.
+integer.  A series is stored as integer numerators over one common
+denominator, built by an integer Pochhammer recursion; its `coeffs` are the
+exact `Fraction`s.  The contiguous relations are verified as polynomial
+identities in Z[z] after clearing denominators once, never numerically.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .poly import Poly, padd, pderiv, peq, peval, pmul, pscale, trim
-
-
-def pochhammer(q, n: int) -> Fraction:
-    """Rising factorial (q)_n = q (q+1) ... (q+n-1), with (q)_0 = 1."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    q = Fraction(q)
-    out = Fraction(1)
-    for i in range(n):
-        out *= q + i
-    return out
+from .poly import Poly, pclear, pderiv, peval, pmul
 
 
 def _terminating_degree(a: Fraction, b: Fraction) -> int:
-    degrees = [int(-x) for x in (a, b) if x.denominator == 1 and x <= 0]
+    degrees = [-x.numerator for x in (a, b) if x.denominator == 1 and x.numerator <= 0]
     if not degrees:
         raise ValueError(f"F({a},{b},...) does not terminate: neither parameter is a nonpositive integer")
     return min(degrees)
@@ -32,19 +24,28 @@ def _terminating_degree(a: Fraction, b: Fraction) -> int:
 
 @dataclass(frozen=True)
 class F21Poly:
-    """F(a,b,c,z) as a polynomial: coeffs[j] = (a)_j (b)_j / ((c)_j j!)."""
+    """F(a,b,c,z) as a polynomial: coeffs[j] = (a)_j (b)_j / ((c)_j j!) = nums[j] / den.
+
+    The numerators and the positive denominator share no common factor, and
+    nums[0] == den.
+    """
 
     a: Fraction
     b: Fraction
     c: Fraction
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def eval(self, z) -> Fraction:
-        return peval(list(self.coeffs), z)
+        return Fraction(peval(self.nums, Fraction(z)), self.den)
 
     def derivative(self) -> Poly:
         """Exact formal d/dz as a coefficient list."""
@@ -58,18 +59,39 @@ def f21(a, b, c) -> F21Poly:
     """Build the terminating series; rejects parameters hitting a (c)_j zero."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     deg = _terminating_degree(a, b)
-    if c.denominator == 1 and c <= 0 and c >= -deg + 1:
+    an, ad, bn, bd, cn, cd = a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator
+    if cd == 1 and -deg < cn <= 0:
         raise ValueError(f"invalid c={c}: (c)_j vanishes before the series terminates")
-    coeffs = [Fraction(1)]
-    for j in range(deg):
-        coeffs.append(coeffs[-1] * (a + j) * (b + j) / ((c + j) * (j + 1)))
-    return F21Poly(a, b, c, tuple(coeffs))
+    # coeffs[j+1] / coeffs[j] = up[j] / down[j], both integers once the
+    # denominators of a, b and c are multiplied through
+    up = [(an + j * ad) * (bn + j * bd) * cd for j in range(deg)]
+    down = [(cn + j * cd) * (j + 1) * ad * bd for j in range(deg)]
+    # nums[j] = up[0] ... up[j-1] * down[j] ... down[deg-1]; nums[0] is the denominator
+    nums = [1] * (deg + 1)
+    for j in range(deg - 1, -1, -1):
+        nums[j] = nums[j + 1] * down[j]
+    head = 1
+    for j in range(1, deg + 1):
+        head *= up[j - 1]
+        nums[j] *= head
+    g = gcd(*nums)
+    if nums[0] < 0:
+        g = -g
+    nums = tuple(x // g for x in nums)
+    return F21Poly(a, b, c, nums, nums[0])
 
 
-_Z_MINUS_1: Poly = [Fraction(-1), Fraction(1)]
-_Z: Poly = [Fraction(0), Fraction(1)]
+_Z_MINUS_1: Poly = [-1, 1]
+_Z: Poly = [0, 1]
 
 RELATION_IDS = ("i", "ii", "iii", "iv", "v")
+
+
+def _term(coeff: Fraction, series: F21Poly, factor: Poly | None = None) -> tuple[int, int, Poly]:
+    """coeff * factor * series as a (numerator, denominator, Z[z] polynomial) term of `pclear`."""
+    nums = list(series.nums)
+    return (coeff.numerator, coeff.denominator * series.den,
+            nums if factor is None else pmul(factor, nums))
 
 
 def check_contiguous(relation_id: str, a, b, c) -> bool:
@@ -80,41 +102,29 @@ def check_contiguous(relation_id: str, a, b, c) -> bool:
     iii: (c-b-a) F(a,b,c)         = (c-a) F(a-1,b,c) + b (z-1) F(a,b+1,c)
     iv:  F(a,b+1,c) - F(a,b,c)    = (az/c) F(a+1,b+1,c+1)
     v:   F(a+1,b,c) - F(a,b,c)    = (bz/c) F(a+1,b+1,c+1)
+
+    Each relation is moved to one side and checked to vanish in Z[z].
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if relation_id == "i":
-        lhs = f21(a, b, c).derivative()
-        rhs = pscale(f21(a + 1, b + 1, c + 1).poly(), a * b / c)
-        return peq(lhs, rhs)
-    if relation_id == "ii":
-        lhs = pscale(f21(a, b, c).poly(), c - b - a)
-        rhs = padd(pscale(f21(a, b - 1, c).poly(), c - b),
-                   pscale(pmul(_Z_MINUS_1, f21(a + 1, b, c).poly()), a))
-        return peq(lhs, rhs)
-    if relation_id == "iii":
-        lhs = pscale(f21(a, b, c).poly(), c - b - a)
-        rhs = padd(pscale(f21(a - 1, b, c).poly(), c - a),
-                   pscale(pmul(_Z_MINUS_1, f21(a, b + 1, c).poly()), b))
-        return peq(lhs, rhs)
-    if relation_id == "iv":
-        lhs = padd(f21(a, b + 1, c).poly(), pscale(f21(a, b, c).poly(), -1))
-        rhs = pscale(pmul(_Z, f21(a + 1, b + 1, c + 1).poly()), a / c)
-        return peq(lhs, rhs)
-    if relation_id == "v":
-        lhs = padd(f21(a + 1, b, c).poly(), pscale(f21(a, b, c).poly(), -1))
-        rhs = pscale(pmul(_Z, f21(a + 1, b + 1, c + 1).poly()), b / c)
-        return peq(lhs, rhs)
-    raise ValueError(f"unknown relation {relation_id!r}, expected one of {RELATION_IDS}")
+        f = f21(a, b, c)
+        terms = [(1, f.den, pderiv(list(f.nums))),
+                 _term(-a * b / c, f21(a + 1, b + 1, c + 1))]
+    elif relation_id == "ii":
+        terms = [_term(c - b - a, f21(a, b, c)), _term(b - c, f21(a, b - 1, c)),
+                 _term(-a, f21(a + 1, b, c), _Z_MINUS_1)]
+    elif relation_id == "iii":
+        terms = [_term(c - b - a, f21(a, b, c)), _term(a - c, f21(a - 1, b, c)),
+                 _term(-b, f21(a, b + 1, c), _Z_MINUS_1)]
+    elif relation_id == "iv":
+        terms = [_term(Fraction(1), f21(a, b + 1, c)), _term(Fraction(-1), f21(a, b, c)),
+                 _term(-a / c, f21(a + 1, b + 1, c + 1), _Z)]
+    elif relation_id == "v":
+        terms = [_term(Fraction(1), f21(a + 1, b, c)), _term(Fraction(-1), f21(a, b, c)),
+                 _term(-b / c, f21(a + 1, b + 1, c + 1), _Z)]
+    else:
+        raise ValueError(f"unknown relation {relation_id!r}, expected one of {RELATION_IDS}")
+    return not pclear(terms)
 
 
-def f21_series_value(a, b, c, z, terms: int) -> Fraction:
-    """Direct partial-sum evaluation, independent of the coefficient recursion."""
-    a, b, c, z = map(Fraction, (a, b, c, z))
-    total = Fraction(0)
-    for j in range(terms):
-        fact = pochhammer(1, j)
-        total += pochhammer(a, j) * pochhammer(b, j) / (pochhammer(c, j) * fact) * z**j
-    return total
-
-
-__all__ = ["F21Poly", "f21", "pochhammer", "check_contiguous", "f21_series_value", "RELATION_IDS", "trim"]
+__all__ = ["F21Poly", "f21", "check_contiguous", "RELATION_IDS"]

@@ -1,9 +1,14 @@
-"""Dense univariate polynomials over Q, as coefficient lists (ascending powers)."""
+"""Dense univariate polynomials as coefficient lists (ascending powers).
+
+The helpers are generic over the coefficient ring: sums are seeded with the
+int 0, so int lists stay in Z[u] and `Fraction` lists stay in Q[u].  The exact
+identities clear their denominators once with `pclear` and then run on ints.
+"""
 from __future__ import annotations
 
-from fractions import Fraction
+from math import comb, lcm
 
-Poly = list[Fraction]
+Poly = list  # coefficients: int or Fraction
 
 
 def trim(p: Poly) -> Poly:
@@ -13,7 +18,7 @@ def trim(p: Poly) -> Poly:
 
 
 def padd(p: Poly, q: Poly) -> Poly:
-    out = [Fraction(0)] * max(len(p), len(q))
+    out = [0] * max(len(p), len(q))
     for i, c in enumerate(p):
         out[i] += c
     for i, c in enumerate(q):
@@ -22,14 +27,13 @@ def padd(p: Poly, q: Poly) -> Poly:
 
 
 def pscale(p: Poly, c) -> Poly:
-    c = Fraction(c)
     return trim([c * x for x in p])
 
 
 def pmul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -39,15 +43,19 @@ def pmul(p: Poly, q: Poly) -> Poly:
 
 
 def ppow(p: Poly, k: int) -> Poly:
-    out: Poly = [Fraction(1)]
+    out: Poly = [1]
     for _ in range(k):
         out = pmul(out, p)
     return out
 
 
-def peval(p: Poly, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
+def binomial_row(k: int) -> Poly:
+    """(1 + u)^k as its integer binomial coefficients."""
+    return [comb(k, i) for i in range(k + 1)]
+
+
+def peval(p: Poly, x):
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -59,3 +67,18 @@ def pderiv(p: Poly) -> Poly:
 
 def peq(p: Poly, q: Poly) -> bool:
     return trim(list(p)) == trim(list(q))
+
+
+def pclear(terms) -> Poly:
+    """L * sum(num / den * p) in Z[u], for (int num, int den, integer poly p) terms.
+
+    L is the lcm of the denominators, so the result is zero exactly when the
+    rational combination is.
+    """
+    big = lcm(*(den for _, den, _ in terms))
+    out = [0] * max((len(p) for _, _, p in terms), default=0)
+    for num, den, p in terms:
+        scale = num * (big // den)
+        for i, x in enumerate(p):
+            out[i] += scale * x
+    return trim(out)

@@ -10,7 +10,6 @@ Sp and F4 cases.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, log
 
@@ -21,16 +20,6 @@ from .spherical import lambda_scalar, omega_h_expand
 
 class NotOmegaRelatedError(ValueError):
     """The requested pair of K-types is not omega-related."""
-
-
-@dataclass(frozen=True)
-class ScalarPair:
-    lam: Fraction
-    nu: Fraction
-
-    def __post_init__(self):
-        if self.lam == 0 and self.nu != 0:
-            raise ValueError("nu must vanish with lambda")
 
 
 def _direction(v: KTypeLabel, y: KTypeLabel) -> tuple[int, ...]:
@@ -78,15 +67,17 @@ def nu_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
     return _nu_factor(family, v, y) * lam
 
 
-def scalar_pair(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> ScalarPair:
-    return ScalarPair(lambda_scalar(family, v, y), nu_scalar(family, v, y))
-
-
 def t_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, mu: SpectralParam) -> Fraction:
     """T(V, Y, mu) = (mu + rho)(H) lambda(V, Y) + nu(V, Y)."""
     lam = lambda_scalar(family, v, y)
     if lam == 0:
         raise NotOmegaRelatedError(f"{v} and {y} are not omega-related in {family}")
+    return _t_scalar(family, v, y, mu, lam)
+
+
+def _t_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, mu: SpectralParam,
+              lam: Fraction) -> Fraction:
+    """t_scalar from a nonzero lambda(V, Y) the caller already holds."""
     return (mu.mu_H + rho_H(family)) * lam + _nu_factor(family, v, y) * lam
 
 
@@ -134,34 +125,16 @@ def vanishing_mu(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
 def vanishing_table_check(family: GroupFamily, bound: int) -> bool:
     """T(V, Y, mu_row) = 0 exactly for every direction and label within bound."""
     for v in labels(family, bound):
-        for y, _ in omega_h_expand(family, v).terms:
-            if t_scalar(family, v, y, SpectralParam(vanishing_mu(family, v, y))) != 0:
+        for y, lam in omega_h_expand(family, v).terms:
+            mu = vanishing_mu(family, v, y)
+            if _t_scalar(family, v, y, SpectralParam(mu), lam) != 0:
                 return False
-            if t_root(family, v, y) != vanishing_mu(family, v, y):
+            if t_root(family, v, y) != mu:
                 return False
     return True
 
 
 # -- norm-recursion growth products -------------------------------------------
-
-
-@dataclass(frozen=True)
-class GrowthSpec:
-    """Norm-recursion growth data: per-step ratio, closed form, stated order."""
-
-    family: GroupFamily
-    ell: int
-    order: int  # stated polynomial growth exponent of the closed form
-
-    def ratio(self, r: int, fixed: int) -> Fraction:
-        return growth_step_ratio(self.family, self.ell, r, fixed)
-
-    def closed_form(self, steps: int, fixed: int) -> Fraction:
-        return growth_closed_form(self.family, self.ell, steps, fixed)
-
-
-def growth_spec(family: GroupFamily, ell: int) -> GrowthSpec:
-    return GrowthSpec(family, ell, growth_order_stated(family, ell))
 
 
 def growth_order_stated(family: GroupFamily, ell: int) -> int:
@@ -278,8 +251,8 @@ def growth_order_estimate(family: GroupFamily, ell: int, max_steps: int = 512) -
 
 
 __all__ = [
-    "ScalarPair", "GrowthSpec", "NotOmegaRelatedError",
-    "nu_scalar", "scalar_pair", "t_scalar", "t_root", "vanishing_mu",
-    "vanishing_table_check", "growth_spec", "growth_product", "growth_step_ratio",
+    "NotOmegaRelatedError",
+    "nu_scalar", "t_scalar", "t_root", "vanishing_mu",
+    "vanishing_table_check", "growth_product", "growth_step_ratio",
     "growth_closed_form", "growth_order_estimate", "growth_order_stated",
 ]

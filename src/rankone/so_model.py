@@ -18,45 +18,57 @@ from typing import Sequence
 import numpy as np
 
 from .groups import SpectralParam, rho_H, so
-from .hypergeom import f21
+from .hypergeom import F21Poly, f21
 from .ktypes import label, weyl_dim
-from .poly import Poly, padd, peval, pmul
+from .poly import Poly, binomial_row, peval, pmul, trim
 from .scalars import t_scalar
 
 # -- exact zonal polynomials ---------------------------------------------------
+
+
+def _zonal_series(n: int, k: int) -> F21Poly:
+    """F(-k/2, (1-k)/2, (n-1)/2, .), the hypergeometric part of the degree-k zonal function."""
+    return f21(Fraction(-k, 2), Fraction(1 - k, 2), Fraction(n - 1, 2))
+
+
+def _signed_nums(series: F21Poly) -> list[int]:
+    """Numerators of F(-t) over series.den: (-1)^j nums[j]."""
+    return [-x if j % 2 else x for j, x in enumerate(series.nums)]
 
 
 def zonal_coeffs(n: int, k: int) -> Poly:
     """Coefficients (ascending powers of x1 = cos xi) of the degree-k zonal function.
 
     Expansion of cos^k F(-k/2, (1-k)/2, (n-1)/2, -tan^2) with sin^2 = 1 - x1^2;
-    normalized to 1 at x1 = 1.
+    normalized to 1 at x1 = 1.  Summed in Z[x1] over the series denominator,
+    with (1 - x1^2)^j as a signed binomial row.
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    series = f21(Fraction(-k, 2), Fraction(1 - k, 2), Fraction(n - 1, 2))
-    one_minus_sq: Poly = [Fraction(1), Fraction(0), Fraction(-1)]
-    out: Poly = []
-    power: Poly = [Fraction(1)]
-    for j, c in enumerate(series.coeffs):
-        x_part: Poly = [Fraction(0)] * (k - 2 * j) + [(-1) ** j * c]
-        out = padd(out, pmul(x_part, power))
-        power = pmul(power, one_minus_sq)
-    if peval(out, 1) != 1:
+    series = _zonal_series(n, k)
+    out = [0] * (k + 1)
+    for j, c in enumerate(_signed_nums(series)):
+        for i, b in enumerate(binomial_row(j)):
+            out[k - 2 * j + 2 * i] += -b * c if i % 2 else b * c
+    out = trim(out)
+    if sum(out) != series.den:
         raise AssertionError("zonal polynomial must equal 1 at the base point")
-    return out
+    return [Fraction(c, series.den) for c in out]
 
 
 def harmonic_extension_coeffs(n: int, k: int) -> list[Fraction]:
     """a_j with P(x) = sum_j a_j x1^(k-2j) r^(2j), r^2 = x2^2 + ... + xn^2."""
-    series = f21(Fraction(-k, 2), Fraction(1 - k, 2), Fraction(n - 1, 2))
-    return [(-1) ** j * c for j, c in enumerate(series.coeffs)]
+    series = _zonal_series(n, k)
+    return [Fraction(c, series.den) for c in _signed_nums(series)]
 
 
 def harmonic_extension_is_harmonic(n: int, k: int) -> bool:
-    """Exact check that the homogeneous extension has vanishing Laplacian."""
-    a = harmonic_extension_coeffs(n, k)
-    a = a + [Fraction(0)]
+    """Exact check that the homogeneous extension has vanishing Laplacian.
+
+    Runs on the numerators of harmonic_extension_coeffs over their common
+    denominator.
+    """
+    a = _signed_nums(_zonal_series(n, k)) + [0]
     for j in range(len(a) - 1):
         m = k - 2 * j
         if m * (m - 1) * a[j] + 2 * (j + 1) * (2 * j + n - 1) * a[j + 1] != 0:
@@ -280,10 +292,15 @@ def poisson_delta(n: int, k: int, mu: SpectralParam, g: np.ndarray,
 
     a_I(g^-1)^{-(mu+rho)} Z_k evaluated along the rotated axis k_I(g^-1) e1.
     """
+    return _poisson_delta(n, [float(c) for c in zonal_coeffs(n, k)], mu, g, points)
+
+
+def _poisson_delta(n: int, z: list[float], mu: SpectralParam, g: np.ndarray,
+                   points: np.ndarray) -> np.ndarray:
+    """poisson_delta with the zonal coefficients z already converted to float."""
     kI, s, _ = iwasawa(lorentz_inverse(g))
     axis = kI[:n, 0]
     factor = math.exp(-s * float(mu.mu_H + rho_H(so(n))))
-    z = [float(c) for c in zonal_coeffs(n, k)]
     return factor * np.array([_feval(z, float(points[i] @ axis)) for i in range(len(points))])
 
 
@@ -297,11 +314,12 @@ class IntertwiningReport:
 def _gradient_sum(n: int, k: int, mu: SpectralParam, points: np.ndarray,
                   step_h: float) -> tuple[np.ndarray, np.ndarray]:
     """(combined omega-weighted derivative, derivative along H) at the identity."""
+    z = [float(c) for c in zonal_coeffs(n, k)]
     combined = np.zeros(len(points))
     d_h = None
     for j in range(n):
-        plus = poisson_delta(n, k, mu, boost(n, j, step_h), points)
-        minus = poisson_delta(n, k, mu, boost(n, j, -step_h), points)
+        plus = _poisson_delta(n, z, mu, boost(n, j, step_h), points)
+        minus = _poisson_delta(n, z, mu, boost(n, j, -step_h), points)
         deriv = (plus - minus) / (2 * step_h)
         if j == 0:
             d_h = deriv

@@ -5,7 +5,10 @@ and, for SU / Sp / F4, an azimuthal factor (a circle character, a Chebyshev
 ratio sin((q+1)t)/sin(t), or a second hypergeometric factor).  Multiplying by
 omega(H) re-expands in neighbouring K-types with rational coefficients; all
 recurrence identities are verified by exact polynomial algebra after the
-substitution u = tan^2, which turns every 1/cos^2 into (1 + u).
+substitution u = tan^2, which turns every 1/cos^2 into (1 + u).  The algebra
+runs in Z[u]: a radial factor is an integer polynomial over one denominator,
+(1 + u)^k is a binomial row, and each identity clears its denominators once.
+Rows, lambda and the recurrence coefficients stay `Fraction`s.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from typing import Optional
 from .groups import GroupFamily, UnsupportedFamilyError
 from .hypergeom import F21Poly, f21
 from .ktypes import KTypeLabel, label
-from .poly import Poly, padd, peq, pmul, ppow, pscale, trim
+from .poly import Poly, binomial_row, padd, pclear, peq, pmul, trim
 
 
 def _check_supported(family: GroupFamily):
@@ -93,9 +96,9 @@ def chebyshev_u(q: int) -> Poly:
     """U_q(c) = sin((q+1)t)/sin(t) with c = cos t, from the explicit closed form."""
     if q < 0:
         return []
-    out = [Fraction(0)] * (q + 1)
+    out = [0] * (q + 1)
     for j in range(q // 2 + 1):
-        out[q - 2 * j] += Fraction((-1) ** j * comb(q - j, j) * 2 ** (q - 2 * j))
+        out[q - 2 * j] += (-1) ** j * comb(q - j, j) * 2 ** (q - 2 * j)
     return trim(out)
 
 
@@ -137,40 +140,27 @@ class RecurrenceRow:
 
 
 def _raw_row(family: GroupFamily, coords: tuple[int, ...]):
-    """Target offsets and coefficients before dropping the vanishing ones."""
+    """(den, [(target offsets, numerator)]) before dropping the vanishing terms."""
     n = family.n
     if family.variant == "SO":
         (k,) = coords
-        den = n + 2 * k - 2
-        return [((k - 1,), Fraction(k, den)), ((k + 1,), Fraction(n + k - 2, den))]
+        return n + 2 * k - 2, [((k - 1,), k), ((k + 1,), n + k - 2)]
     if family.variant == "SU":
         p, q = coords
-        den = 2 * (p + q + n - 1)
-        return [((p + 1, q), Fraction(p + n - 1, den)),
-                ((p, q - 1), Fraction(q, den)),
-                ((p, q + 1), Fraction(q + n - 1, den)),
-                ((p - 1, q), Fraction(p, den))]
+        return 2 * (p + q + n - 1), [((p + 1, q), p + n - 1), ((p, q - 1), q),
+                                     ((p, q + 1), q + n - 1), ((p - 1, q), p)]
     if family.variant == "Sp":
         a, b = coords
-        den = 2 * (a - b + 1) * (2 * n - 1 + a + b)
-        return [((a + 1, b), Fraction((a - b + 2) * (2 * n - 1 + a), den)),
-                ((a, b - 1), Fraction(b * (a - b + 2), den)),
-                ((a, b + 1), Fraction((a - b) * (2 * n - 2 + b), den)),
-                ((a - 1, b), Fraction((a - b) * (a + 1), den))]
+        return 2 * (a - b + 1) * (2 * n - 1 + a + b), [
+            ((a + 1, b), (a - b + 2) * (2 * n - 1 + a)),
+            ((a, b - 1), b * (a - b + 2)),
+            ((a, b + 1), (a - b) * (2 * n - 2 + b)),
+            ((a - 1, b), (a - b) * (a + 1))]
     m, k = coords
-    den = (6 + 2 * k) * (14 + 2 * m)
-    return [((m + 1, k + 1), Fraction((6 + k) * (14 + m + k), den)),
-            ((m - 1, k + 1), Fraction((6 + k) * (m - k), den)),
-            ((m + 1, k - 1), Fraction(k * (8 + m - k), den)),
-            ((m - 1, k - 1), Fraction(k * (m + k + 6), den))]
-
-
-def _valid_coords(family: GroupFamily, coords: tuple[int, ...]) -> bool:
-    try:
-        label(family, *coords)
-        return True
-    except ValueError:
-        return False
+    return (6 + 2 * k) * (14 + 2 * m), [((m + 1, k + 1), (6 + k) * (14 + m + k)),
+                                        ((m - 1, k + 1), (6 + k) * (m - k)),
+                                        ((m + 1, k - 1), k * (8 + m - k)),
+                                        ((m - 1, k - 1), k * (m + k + 6))]
 
 
 def omega_h_expand(family: GroupFamily, lab: KTypeLabel) -> RecurrenceRow:
@@ -181,17 +171,20 @@ def omega_h_expand(family: GroupFamily, lab: KTypeLabel) -> RecurrenceRow:
     equals lambda(source, target).
     """
     _check_supported(family)
+    den, raw = _raw_row(family, lab.coords)
     terms = []
-    for coords, coeff in _raw_row(family, lab.coords):
-        valid = _valid_coords(family, coords)
-        if (coeff == 0) != (not valid):
+    for coords, num in raw:
+        try:
+            target = label(family, *coords)
+        except ValueError:
+            target = None
+        if (num == 0) != (target is None):
             raise AssertionError(f"coefficient/validity mismatch at {lab} -> {coords}")
-        if coeff != 0:
-            terms.append((label(family, *coords), coeff))
-    row = RecurrenceRow(lab, tuple(terms))
-    if any(c < 0 for _, c in row.terms) or sum(c for _, c in row.terms) != 1:
+        if num:
+            terms.append((target, Fraction(num, den)))
+    if den <= 0 or any(num < 0 for _, num in raw) or sum(num for _, num in raw) != den:
         raise AssertionError(f"row at {lab} is not a convex combination")
-    return row
+    return RecurrenceRow(lab, tuple(terms))
 
 
 def lambda_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
@@ -199,67 +192,80 @@ def lambda_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction
     return omega_h_expand(family, v).coefficient(y)
 
 
-def omega_related(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> bool:
-    return lambda_scalar(family, v, y) != 0
-
-
 # -- exact verification of the recurrence identities --------------------------
 
 
-def _clear_cos(terms: list[tuple[int, Fraction, Poly]]) -> Poly:
-    """Sum coeff * cos^p * F(u) terms as one polynomial in u.
+def _u_nums(r: RadialFactor) -> Poly:
+    """F(.., -u) times its denominator r.series.den, in Z[u]."""
+    return [-x if j % 2 else x for j, x in enumerate(r.series.nums)]
 
-    Each term is multiplied by (1+u)^((P - p)/2), P the maximal cos power;
-    powers must share parity for the identity to make sense.
+
+def _clear_cos(terms: list[tuple[int, int, int, Poly]]) -> Poly:
+    """Sum num/den * cos^p * F(u) terms, F in Z[u], as one polynomial in Z[u].
+
+    Each term is multiplied by (1+u)^((P - p)/2), P the maximal cos power, and
+    the denominators are cleared once; powers must share parity for the
+    identity to make sense.
     """
-    top = max(p for p, _, _ in terms)
-    if any((top - p) % 2 for p, _, _ in terms):
+    top = max(p for p, _, _, _ in terms)
+    if any((top - p) % 2 for p, _, _, _ in terms):
         raise ValueError("cosine powers of different parity cannot be cleared")
-    one_plus_u: Poly = [Fraction(1), Fraction(1)]
-    acc: Poly = []
-    for p, coeff, f_of_u in terms:
-        acc = padd(acc, pscale(pmul(ppow(one_plus_u, (top - p) // 2), f_of_u), coeff))
-    return acc
+    return pclear([(num, den, f_of_u if p == top else pmul(binomial_row((top - p) // 2), f_of_u))
+                   for p, num, den, f_of_u in terms])
 
 
 def _radial_identity(lhs: RadialFactor, rhs: list[tuple[Fraction, RadialFactor]]) -> bool:
     """cos * lhs == sum coeff * rhs_i, as an exact identity in u = tan^2."""
-    terms = [(lhs.cos_power + 1, Fraction(-1), lhs.poly_in_u())]
-    terms += [(r.cos_power, c, r.poly_in_u()) for c, r in rhs]
-    return peq(_clear_cos(terms), [])
+    terms = [(lhs.cos_power + 1, -1, lhs.series.den, _u_nums(lhs))]
+    terms += [(r.cos_power, c.numerator, c.denominator * r.series.den, _u_nums(r)) for c, r in rhs]
+    return not _clear_cos(terms)
 
 
 def chebyshev_three_term(q: int) -> bool:
     """2 cos(t) U_q = U_{q+1} + U_{q-1} as exact polynomials in cos t."""
-    two_c: Poly = [Fraction(0), Fraction(2)]
-    return peq(pmul(two_c, chebyshev_u(q)), padd(chebyshev_u(q + 1), chebyshev_u(q - 1)))
+    return peq(pmul([0, 2], chebyshev_u(q)), padd(chebyshev_u(q + 1), chebyshev_u(q - 1)))
 
 
 def ingredient_identities(family: GroupFamily, lab: KTypeLabel) -> dict[str, bool]:
     """The per-factor identities whose combination yields the omega(H) row."""
     _check_supported(family)
+    return _ingredient_identities(family, lab, {})
+
+
+def _ingredient_identities(family: GroupFamily, lab: KTypeLabel, radials: dict) -> dict[str, bool]:
+    """ingredient_identities, building each radial factor at most once in `radials`.
+
+    `radials` maps label coordinates (a tuple) to the radial factor there and,
+    for F4, ell (an int) to the azimuthal factor; a sweep passes one dict for
+    all labels of a family, since neighbouring labels share most factors.
+    """
+    def rad(*coords: int) -> RadialFactor:
+        if coords not in radials:
+            radials[coords] = _radial(family, coords)
+        return radials[coords]
+
     n = family.n
     v = family.variant
     out: dict[str, bool] = {}
     if v == "SO":
         (k,) = lab.coords
         den = n + 2 * k - 2
-        rhs = [(Fraction(n + k - 2, den), _radial(family, (k + 1,)))]
+        rhs = [(Fraction(n + k - 2, den), rad(k + 1))]
         if k >= 1:
-            rhs.append((Fraction(k, den), _radial(family, (k - 1,))))
-        out["radial"] = _radial_identity(_radial(family, lab.coords), rhs)
+            rhs.append((Fraction(k, den), rad(k - 1)))
+        out["radial"] = _radial_identity(rad(k), rhs)
         return out
     if v == "SU":
         p, q = lab.coords
         den = p + q + n - 1
-        rhs2 = [(Fraction(p + n - 1, den), _radial(family, (p + 1, q)))]
+        rhs2 = [(Fraction(p + n - 1, den), rad(p + 1, q))]
         if q >= 1:
-            rhs2.append((Fraction(q, den), _radial(family, (p, q - 1))))
-        out["raise_p"] = _radial_identity(_radial(family, (p, q)), rhs2)
-        rhs3 = [(Fraction(q + n - 1, den), _radial(family, (p, q + 1)))]
+            rhs2.append((Fraction(q, den), rad(p, q - 1)))
+        out["raise_p"] = _radial_identity(rad(p, q), rhs2)
+        rhs3 = [(Fraction(q + n - 1, den), rad(p, q + 1))]
         if p >= 1:
-            rhs3.append((Fraction(p, den), _radial(family, (p - 1, q))))
-        out["raise_q"] = _radial_identity(_radial(family, (p, q)), rhs3)
+            rhs3.append((Fraction(p, den), rad(p - 1, q)))
+        out["raise_q"] = _radial_identity(rad(p, q), rhs3)
         return out
     if v == "Sp":
         # The two radial splittings hold as formulas for every a >= b, also on
@@ -267,28 +273,34 @@ def ingredient_identities(family: GroupFamily, lab: KTypeLabel) -> dict[str, boo
         a, b = lab.coords
         den = 2 * n + a + b - 1
         out["chebyshev"] = chebyshev_three_term(a - b)
-        rhs2 = [(Fraction(2 * n - 2 + b, den), _radial(family, (a, b + 1))),
-                (Fraction(a + 1, den), _radial(family, (a - 1, b)))]
-        out["lower_pair"] = _radial_identity(_radial(family, (a, b)), rhs2)
-        rhs3 = [(Fraction(2 * n - 1 + a, den), _radial(family, (a + 1, b)))]
+        rhs2 = [(Fraction(2 * n - 2 + b, den), rad(a, b + 1)),
+                (Fraction(a + 1, den), rad(a - 1, b))]
+        out["lower_pair"] = _radial_identity(rad(a, b), rhs2)
+        rhs3 = [(Fraction(2 * n - 1 + a, den), rad(a + 1, b))]
         if b >= 1:
-            rhs3.append((Fraction(b, den), _radial(family, (a, b - 1))))
-        out["raise_pair"] = _radial_identity(_radial(family, (a, b)), rhs3)
+            rhs3.append((Fraction(b, den), rad(a, b - 1)))
+        out["raise_pair"] = _radial_identity(rad(a, b), rhs3)
         return out
+
+    def azimuthal(ell: int) -> RadialFactor:
+        if ell not in radials:
+            radials[ell] = f4_azimuthal_factor(ell)
+        return radials[ell]
+
     m, k = lab.coords
     den_phi = 6 + 2 * k
     den_xi = 14 + 2 * m
-    rhs1 = [(Fraction(6 + k, den_phi), f4_azimuthal_factor(k + 1))]
+    rhs1 = [(Fraction(6 + k, den_phi), azimuthal(k + 1))]
     if k >= 1:
-        rhs1.append((Fraction(k, den_phi), f4_azimuthal_factor(k - 1)))
-    out["azimuthal"] = _radial_identity(f4_azimuthal_factor(k), rhs1)
-    rhs2 = [(Fraction(8 + m - k, den_xi), _radial(family, (m + 1, k - 1))),
-            (Fraction(m + k + 6, den_xi), _radial(family, (m - 1, k - 1)))]
-    out["lower_pair"] = _radial_identity(_radial(family, (m, k)), rhs2)
-    rhs3 = [(Fraction(14 + m + k, den_xi), _radial(family, (m + 1, k + 1)))]
+        rhs1.append((Fraction(k, den_phi), azimuthal(k - 1)))
+    out["azimuthal"] = _radial_identity(azimuthal(k), rhs1)
+    rhs2 = [(Fraction(8 + m - k, den_xi), rad(m + 1, k - 1)),
+            (Fraction(m + k + 6, den_xi), rad(m - 1, k - 1))]
+    out["lower_pair"] = _radial_identity(rad(m, k), rhs2)
+    rhs3 = [(Fraction(14 + m + k, den_xi), rad(m + 1, k + 1))]
     if m > k:
-        rhs3.append((Fraction(m - k, den_xi), _radial(family, (m - 1, k + 1))))
-    out["raise_pair"] = _radial_identity(_radial(family, (m, k)), rhs3)
+        rhs3.append((Fraction(m - k, den_xi), rad(m - 1, k + 1)))
+    out["raise_pair"] = _radial_identity(rad(m, k), rhs3)
     return out
 
 
@@ -350,17 +362,24 @@ def verify_omega_identity(family: GroupFamily, lab: KTypeLabel) -> bool:
     assembled coefficients reproduce the stated recurrence row.
     """
     _check_supported(family)
-    if not all(ingredient_identities(family, lab).values()):
+    return _verify_omega_identity(family, lab, omega_h_expand(family, lab), {})
+
+
+def _verify_omega_identity(family: GroupFamily, lab: KTypeLabel, row: RecurrenceRow,
+                           radials: dict) -> bool:
+    """verify_omega_identity against the stated `row` of lab.
+
+    A sweep passes the row it already holds and one `radials` dict for all
+    labels of a family (see _ingredient_identities).
+    """
+    if not all(_ingredient_identities(family, lab, radials).values()):
         return False
-    row = omega_h_expand(family, lab)
-    assembled = _assembled_row(family, lab)
-    stated = {t.coords: c for t, c in row.terms}
-    return assembled == stated
+    return _assembled_row(family, lab) == {t.coords: c for t, c in row.terms}
 
 
 __all__ = [
     "PhiSpec", "RadialFactor", "RecurrenceRow",
     "phi", "radial_factor", "f4_azimuthal_factor", "chebyshev_u",
-    "chebyshev_three_term", "omega_h_expand", "lambda_scalar", "omega_related",
+    "chebyshev_three_term", "omega_h_expand", "lambda_scalar",
     "ingredient_identities", "verify_omega_identity",
 ]

@@ -49,6 +49,17 @@ def test_scalars_exceptional_vanishing(capsys):
     assert doc["results"]["lambda"] == "1"
 
 
+@pytest.mark.parametrize("mu", ["-5/2", "-1/2", "-1e-3", "-7"])
+def test_negative_mu_as_separate_token(capsys, mu):
+    # argparse alone reads "-5/2" as an option and exits 2
+    argv = ["scalars", "SO", "3", "Y0", "Y1"]
+    code, joined = run(capsys, argv + [f"--mu={mu}"])
+    assert code == 0
+    code, separate = run(capsys, argv + ["--mu", mu])
+    assert code == 0
+    assert separate == joined
+
+
 def test_scalars_unrelated_pair(capsys):
     code, out = run(capsys, ["scalars", "SO", "5", "Y0", "Y2"])
     assert code == 0

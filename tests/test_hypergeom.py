@@ -1,11 +1,33 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
-from rankone.hypergeom import (RELATION_IDS, check_contiguous, f21, f21_series_value,
-                               pochhammer)
+from rankone import hypergeom
+from rankone.hypergeom import RELATION_IDS, check_contiguous, f21
 from rankone.poly import peq, pscale
+
+
+def pochhammer(q, n: int) -> Q:
+    """Reference rising factorial (q)_n = q (q+1) ... (q+n-1), with (q)_0 = 1."""
+    if n < 0:
+        raise ValueError("pochhammer needs n >= 0")
+    q = Q(q)
+    out = Q(1)
+    for i in range(n):
+        out *= q + i
+    return out
+
+
+def f21_series_value(a, b, c, z, terms: int) -> Q:
+    """Reference partial sum of the series, independent of the coefficient recursion."""
+    a, b, c, z = map(Q, (a, b, c, z))
+    total = Q(0)
+    for j in range(terms):
+        fact = pochhammer(1, j)
+        total += pochhammer(a, j) * pochhammer(b, j) / (pochhammer(c, j) * fact) * z**j
+    return total
 
 
 def test_pochhammer():
@@ -90,3 +112,48 @@ def test_coefficients_are_pochhammer_ratios():
         expected = pochhammer(a, j) * pochhammer(b, j) / (pochhammer(c, j) * pochhammer(1, j))
         assert coeff == expected
     assert poly.coeffs[0] == 1
+
+
+def _random_rational(rng, span=40):
+    return Q(rng.randint(-span, span), rng.randint(1, 7))
+
+
+def test_f21_integer_storage_on_seeded_rationals():
+    """coeffs equal the Pochhammer ratios, and nums/den are in lowest terms."""
+    rng = random.Random(20261018)
+    for _ in range(300):
+        a, b = Q(-rng.randint(0, 9)), _random_rational(rng)
+        if rng.random() < 0.5:
+            a, b = b, a  # the terminating parameter in either slot
+        c = _random_rational(rng)
+        while c.denominator == 1 and c <= 0:  # keep c off the poles of (c)_j
+            c = _random_rational(rng)
+        deg = int(min(-x for x in (a, b) if x.denominator == 1 and x <= 0))
+        poly = f21(a, b, c)
+        expected = tuple(pochhammer(a, j) * pochhammer(b, j) / (pochhammer(c, j) * pochhammer(1, j))
+                         for j in range(deg + 1))
+        assert poly.coeffs == expected, (a, b, c)
+        assert poly.den > 0 and poly.nums[0] == poly.den
+        assert gcd(poly.den, *poly.nums) == 1, (a, b, c)
+
+
+# (relation, the right-hand factor F(a+da, b+db, c+dc) as offsets)
+_RHS_FACTORS = [("i", (1, 1, 1)), ("ii", (1, 0, 0)), ("iii", (0, 1, 0)),
+                ("iv", (1, 1, 1)), ("v", (1, 1, 1))]
+
+
+@pytest.mark.parametrize("relation,offsets", _RHS_FACTORS)
+def test_contiguous_relation_fails_with_a_shifted_parameter(monkeypatch, relation, offsets):
+    """Shifting c of one factor by 1 must break the integer check, so it cannot pass vacuously."""
+    a, b, c = Q(-3), Q(5, 2), Q(7, 2)
+    assert check_contiguous(relation, a, b, c)
+    target = (a + offsets[0], b + offsets[1], c + offsets[2])
+    real = hypergeom.f21
+
+    def shifted(x, y, z):
+        if (x, y, z) == target:
+            return real(x, y, z + 1)
+        return real(x, y, z)
+
+    monkeypatch.setattr(hypergeom, "f21", shifted)
+    assert not check_contiguous(relation, a, b, c)

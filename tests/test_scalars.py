@@ -7,7 +7,7 @@ from rankone.groups import SpectralParam, exceptional_mu, f4, rho_H, so, sp, su
 from rankone.ktypes import label, weyl_dim
 from rankone.scalars import (NotOmegaRelatedError, _sp_factorial_part, growth_closed_form, growth_order_estimate,
                              growth_order_stated, growth_product, growth_step_ratio,
-                             nu_scalar, scalar_pair, t_root, t_scalar, vanishing_mu,
+                             nu_scalar, t_root, t_scalar, vanishing_mu,
                              vanishing_table_check)
 from rankone.spherical import lambda_scalar, omega_h_expand
 from tests.test_tensor import FAMILIES
@@ -29,8 +29,10 @@ def test_nu_examples():
 
 
 def test_scalar_pair_invariant():
-    pair = scalar_pair(so(5), label(so(5), 1), label(so(5), 2))
-    assert pair.lam != 0
+    v, y = label(so(5), 1), label(so(5), 2)
+    lam = lambda_scalar(so(5), v, y)
+    assert lam != 0
+    assert nu_scalar(so(5), v, y) == lam  # direction +1 from Y_1: nu = ell * lambda
     with pytest.raises(NotOmegaRelatedError):
         nu_scalar(so(5), label(so(5), 0), label(so(5), 2))
 
@@ -173,13 +175,11 @@ def test_growth_closed_form_at_zero_steps_is_one():
 
 
 def test_growth_spec_bundle():
-    from rankone.scalars import growth_spec
-    spec = growth_spec(sp(2), 1)
-    assert spec.order == 2 * 2 - 1 + 2
+    assert growth_order_stated(sp(2), 1) == 2 * 2 - 1 + 2
     prod = Q(1)
     for r in range(2, 10):
-        prod *= spec.ratio(r, 2)
-    assert prod == spec.closed_form(8, 2)
+        prod *= growth_step_ratio(sp(2), 1, r, 2)
+    assert prod == growth_closed_form(sp(2), 1, 8, 2)
 
 
 def _ffrac(num_from, num_to):

@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
+from rankone import spherical
 from rankone.groups import UnsupportedFamilyError, f4, so, sp, su
 from rankone.ktypes import label, labels, weyl_dim
-from rankone.poly import peval
+from rankone.poly import padd, peval, pmul, ppow, pscale
 from rankone.spherical import (chebyshev_three_term, chebyshev_u, ingredient_identities,
-                               lambda_scalar, omega_h_expand, omega_related, phi,
+                               lambda_scalar, omega_h_expand, phi,
                                radial_factor, verify_omega_identity)
 from rankone.tensor import racah_speiser
 from tests.test_tensor import FAMILIES
@@ -141,7 +143,7 @@ def test_omega_relation_is_spherical_tensor_adjacency(fam):
             spherical = spherical - {lab}
         assert neighbours == spherical
         for other in neighbours:
-            assert omega_related(fam, other, lab)
+            assert lambda_scalar(fam, other, lab) != 0
 
 
 def test_boundary_rows_drop_only_invalid_targets():
@@ -161,3 +163,49 @@ def test_radial_factor_parameters():
     assert r.cos_power == 5
     r = radial_factor(f4(), label(f4(), 5, 3))
     assert (r.series.a, r.series.b, r.series.c) == (-1, -7, 4)
+
+
+def reference_clear_cos(terms):
+    """The Fraction route, kept as the reference: terms are (cos power, coeff, F(u) over Q)."""
+    top = max(p for p, _, _ in terms)
+    one_plus_u = [Q(1), Q(1)]
+    acc = []
+    for p, coeff, f_of_u in terms:
+        acc = padd(acc, pscale(pmul(ppow(one_plus_u, (top - p) // 2), f_of_u), coeff))
+    return acc
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_integer_clear_cos_matches_fraction_reference(fam):
+    """Random rational combinations of a radial factor and its neighbours' agree up to a positive scale."""
+    rng = random.Random(str(fam))
+    for lab in labels(fam, 5):
+        factors = [(Q(-1), radial_factor(fam, lab), 1)]
+        factors += [(Q(rng.randint(-9, 9), rng.randint(1, 7)), radial_factor(fam, t), 0)
+                    for t, _ in omega_h_expand(fam, lab).terms]
+        ref = reference_clear_cos([(r.cos_power + extra, c, r.poly_in_u()) for c, r, extra in factors])
+        got = spherical._clear_cos([(r.cos_power + extra, c.numerator, c.denominator * r.series.den,
+                                     spherical._u_nums(r)) for c, r, extra in factors])
+        assert all(type(x) is int for x in got)
+        if not ref:
+            assert got == []
+            continue
+        ratio = Q(got[-1]) / ref[-1]
+        assert ratio > 0 and [Q(x) for x in got] == [ratio * y for y in ref], lab
+
+
+@pytest.mark.parametrize("fam,coords", [(so(5), (3,)), (su(3), (2, 1)), (sp(2), (3, 1)), (f4(), (4, 2))])
+def test_radial_identity_fails_with_a_moved_coefficient(monkeypatch, fam, coords):
+    """Moving the first right-hand coefficient by 1/den must break every radial identity."""
+    lab = label(fam, *coords)
+    assert all(ingredient_identities(fam, lab).values())
+    real = spherical._radial_identity
+
+    def moved(lhs, rhs):
+        (c, r), *rest = rhs
+        return real(lhs, [(c + Q(1, c.denominator), r)] + rest)
+
+    monkeypatch.setattr(spherical, "_radial_identity", moved)
+    checks = ingredient_identities(fam, lab)
+    assert not any(ok for key, ok in checks.items() if key != "chebyshev"), checks
+    assert not verify_omega_identity(fam, lab)
