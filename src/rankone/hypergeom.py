@@ -47,6 +47,10 @@ class F21Poly:
     def eval(self, z) -> Fraction:
         return Fraction(peval(self.nums, Fraction(z)), self.den)
 
+    def negated_nums(self) -> list[int]:
+        """Numerators of F(a,b,c,-z) over the same denominator: (-1)^j nums[j]."""
+        return [-x if j % 2 else x for j, x in enumerate(self.nums)]
+
     def derivative(self) -> Poly:
         """Exact formal d/dz as a coefficient list."""
         return pderiv(list(self.coeffs))
@@ -59,7 +63,9 @@ def f21(a, b, c) -> F21Poly:
     """Build the terminating series; rejects parameters hitting a (c)_j zero."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     deg = _terminating_degree(a, b)
-    an, ad, bn, bd, cn, cd = a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    cn, cd = c.numerator, c.denominator
     if cd == 1 and -deg < cn <= 0:
         raise ValueError(f"invalid c={c}: (c)_j vanishes before the series terminates")
     # coeffs[j+1] / coeffs[j] = up[j] / down[j], both integers once the
@@ -87,11 +93,10 @@ _Z: Poly = [0, 1]
 RELATION_IDS = ("i", "ii", "iii", "iv", "v")
 
 
-def _term(coeff: Fraction, series: F21Poly, factor: Poly | None = None) -> tuple[int, int, Poly]:
+def _term(coeff: Fraction | int, series: F21Poly, factor: Poly | None = None) -> tuple[int, int, Poly]:
     """coeff * factor * series as a (numerator, denominator, Z[z] polynomial) term of `pclear`."""
-    nums = list(series.nums)
-    return (coeff.numerator, coeff.denominator * series.den,
-            nums if factor is None else pmul(factor, nums))
+    nums = series.nums if factor is None else pmul(factor, series.nums)
+    return coeff.numerator, coeff.denominator * series.den, nums
 
 
 def check_contiguous(relation_id: str, a, b, c) -> bool:
@@ -108,7 +113,7 @@ def check_contiguous(relation_id: str, a, b, c) -> bool:
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if relation_id == "i":
         f = f21(a, b, c)
-        terms = [(1, f.den, pderiv(list(f.nums))),
+        terms = [(1, f.den, pderiv(f.nums)),
                  _term(-a * b / c, f21(a + 1, b + 1, c + 1))]
     elif relation_id == "ii":
         terms = [_term(c - b - a, f21(a, b, c)), _term(b - c, f21(a, b - 1, c)),
@@ -117,10 +122,10 @@ def check_contiguous(relation_id: str, a, b, c) -> bool:
         terms = [_term(c - b - a, f21(a, b, c)), _term(a - c, f21(a - 1, b, c)),
                  _term(-b, f21(a, b + 1, c), _Z_MINUS_1)]
     elif relation_id == "iv":
-        terms = [_term(Fraction(1), f21(a, b + 1, c)), _term(Fraction(-1), f21(a, b, c)),
+        terms = [_term(1, f21(a, b + 1, c)), _term(-1, f21(a, b, c)),
                  _term(-a / c, f21(a + 1, b + 1, c + 1), _Z)]
     elif relation_id == "v":
-        terms = [_term(Fraction(1), f21(a + 1, b, c)), _term(Fraction(-1), f21(a, b, c)),
+        terms = [_term(1, f21(a + 1, b, c)), _term(-1, f21(a, b, c)),
                  _term(-b / c, f21(a + 1, b + 1, c + 1), _Z)]
     else:
         raise ValueError(f"unknown relation {relation_id!r}, expected one of {RELATION_IDS}")

@@ -31,11 +31,6 @@ def _zonal_series(n: int, k: int) -> F21Poly:
     return f21(Fraction(-k, 2), Fraction(1 - k, 2), Fraction(n - 1, 2))
 
 
-def _signed_nums(series: F21Poly) -> list[int]:
-    """Numerators of F(-t) over series.den: (-1)^j nums[j]."""
-    return [-x if j % 2 else x for j, x in enumerate(series.nums)]
-
-
 def zonal_coeffs(n: int, k: int) -> Poly:
     """Coefficients (ascending powers of x1 = cos xi) of the degree-k zonal function.
 
@@ -47,7 +42,7 @@ def zonal_coeffs(n: int, k: int) -> Poly:
         raise ValueError("need n >= 2 and k >= 0")
     series = _zonal_series(n, k)
     out = [0] * (k + 1)
-    for j, c in enumerate(_signed_nums(series)):
+    for j, c in enumerate(series.negated_nums()):
         for i, b in enumerate(binomial_row(j)):
             out[k - 2 * j + 2 * i] += -b * c if i % 2 else b * c
     out = trim(out)
@@ -59,7 +54,7 @@ def zonal_coeffs(n: int, k: int) -> Poly:
 def harmonic_extension_coeffs(n: int, k: int) -> list[Fraction]:
     """a_j with P(x) = sum_j a_j x1^(k-2j) r^(2j), r^2 = x2^2 + ... + xn^2."""
     series = _zonal_series(n, k)
-    return [Fraction(c, series.den) for c in _signed_nums(series)]
+    return [Fraction(c, series.den) for c in series.negated_nums()]
 
 
 def harmonic_extension_is_harmonic(n: int, k: int) -> bool:
@@ -68,7 +63,7 @@ def harmonic_extension_is_harmonic(n: int, k: int) -> bool:
     Runs on the numerators of harmonic_extension_coeffs over their common
     denominator.
     """
-    a = _signed_nums(_zonal_series(n, k)) + [0]
+    a = _zonal_series(n, k).negated_nums() + [0]
     for j in range(len(a) - 1):
         m = k - 2 * j
         if m * (m - 1) * a[j] + 2 * (j + 1) * (2 * j + n - 1) * a[j + 1] != 0:

@@ -195,11 +195,6 @@ def lambda_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction
 # -- exact verification of the recurrence identities --------------------------
 
 
-def _u_nums(r: RadialFactor) -> Poly:
-    """F(.., -u) times its denominator r.series.den, in Z[u]."""
-    return [-x if j % 2 else x for j, x in enumerate(r.series.nums)]
-
-
 def _clear_cos(terms: list[tuple[int, int, int, Poly]]) -> Poly:
     """Sum num/den * cos^p * F(u) terms, F in Z[u], as one polynomial in Z[u].
 
@@ -216,8 +211,9 @@ def _clear_cos(terms: list[tuple[int, int, int, Poly]]) -> Poly:
 
 def _radial_identity(lhs: RadialFactor, rhs: list[tuple[Fraction, RadialFactor]]) -> bool:
     """cos * lhs == sum coeff * rhs_i, as an exact identity in u = tan^2."""
-    terms = [(lhs.cos_power + 1, -1, lhs.series.den, _u_nums(lhs))]
-    terms += [(r.cos_power, c.numerator, c.denominator * r.series.den, _u_nums(r)) for c, r in rhs]
+    terms = [(lhs.cos_power + 1, -1, lhs.series.den, lhs.series.negated_nums())]
+    terms += [(r.cos_power, c.numerator, c.denominator * r.series.den, r.series.negated_nums())
+              for c, r in rhs]
     return not _clear_cos(terms)
 
 

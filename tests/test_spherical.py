@@ -177,7 +177,7 @@ def reference_clear_cos(terms):
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_integer_clear_cos_matches_fraction_reference(fam):
-    """Random rational combinations of a radial factor and its neighbours' agree up to a positive scale."""
+    """Random combinations of a radial factor and its neighbours agree up to a positive scale."""
     rng = random.Random(str(fam))
     for lab in labels(fam, 5):
         factors = [(Q(-1), radial_factor(fam, lab), 1)]
@@ -185,7 +185,7 @@ def test_integer_clear_cos_matches_fraction_reference(fam):
                     for t, _ in omega_h_expand(fam, lab).terms]
         ref = reference_clear_cos([(r.cos_power + extra, c, r.poly_in_u()) for c, r, extra in factors])
         got = spherical._clear_cos([(r.cos_power + extra, c.numerator, c.denominator * r.series.den,
-                                     spherical._u_nums(r)) for c, r, extra in factors])
+                                     r.series.negated_nums()) for c, r, extra in factors])
         assert all(type(x) is int for x in got)
         if not ref:
             assert got == []
