@@ -16,6 +16,9 @@ the omega-vs-tensor adjacency check.  The integer polynomial kernel of the
 spherical, hypergeometric and zonal layer is pinned by `verify spherical
 --depth 12`, `verify scalars --depth 6` and `verify so-model --depth 6
 --seed 3`, whose report carries the float intertwining residual as text.
+The anchored minimal-K-type search is pinned by `socle --ell 100` for SU 8,
+Sp 8, F4, SO 8 and SO 2, and the integer exceptional route by `exceptional
+Sp 7 --count 3028` and the CSV report of `exceptional SU 8 --count 1610`.
 """
 from pathlib import Path
 
@@ -58,6 +61,14 @@ CASES = [
     ("verify_spherical_depth12.json", ["verify", "spherical", "--depth", "12"]),
     ("verify_so_model_depth6_seed3.json", ["verify", "so-model", "--depth", "6", "--seed", "3"]),
     ("verify_scalars_depth6.json", ["verify", "scalars", "--depth", "6"]),
+    ("socle_SU_8_ell100.json", ["socle", "SU", "8", "--ell", "100"]),
+    ("socle_Sp_8_ell100.json", ["socle", "Sp", "8", "--ell", "100"]),
+    ("socle_F4_ell100.json", ["socle", "F4", "--ell", "100"]),
+    ("socle_SO_8_ell100.json", ["socle", "SO", "8", "--ell", "100"]),
+    ("socle_SO_2_ell100.json", ["socle", "SO", "2", "--ell", "100"]),
+    ("exceptional_Sp_7_count3028.json", ["exceptional", "Sp", "7", "--count", "3028"]),
+    ("exceptional_SU_8_count1610.csv",
+     ["exceptional", "SU", "8", "--count", "1610", "--format", "csv"]),
 ]
 for fam in FAMILIES:
     CASES += [
