@@ -42,6 +42,11 @@ def _fmt(value):
     return str(value)
 
 
+def _half(t: int) -> str:
+    """t/2 rendered as `_fmt` renders the Fraction t/2."""
+    return str(t // 2) if t % 2 == 0 else f"{t}/2"
+
+
 def parse_family(tokens: list[str]) -> tuple[GroupFamily, list[str]]:
     if not tokens:
         raise UsageError("missing family (SO | SU | Sp | F4)")
@@ -173,24 +178,15 @@ def cmd_structure(family: GroupFamily) -> Report:
 
 def cmd_exceptional(family: GroupFamily, count: int) -> Report:
     rep = Report("exceptional", {"family": str(family), "count": count})
-    closed = [m.mu_H for m in groups.exceptional_params(family, count)]
-    lower = closed[-1]
-    scanned = sorted(groups.exceptional_in_interval(family, lower), reverse=True)
-    rep.result("closed_form", closed)
-    rep.result("gamma_pole_scan", scanned)
+    # both routes run on the integers t = 2 mu(H); each value renders once
+    closed = groups.exceptional_doubled(family, count)
+    scanned = groups._gamma_pole_scan(groups.structural_data(family), closed[-1], 0)[::-1]
+    closed_text = [_half(t) for t in closed]
+    rep.result("closed_form", closed_text)
+    rep.result("gamma_pole_scan",
+               closed_text if scanned == closed else [_half(t) for t in scanned])
     rep.check("exceptional-dual-route", closed == scanned, str(family))
     return rep
-
-
-def _socle_condition(family: GroupFamily, ell: int) -> str:
-    lo = ell + 1
-    if family.variant == "SO":
-        return f"|k| >= {lo}" if family.n == 2 else f"k >= {lo}"
-    if family.variant == "SU":
-        return f"p >= {lo} and q >= {lo}"
-    if family.variant == "Sp":
-        return f"a >= b >= {lo}"
-    return f"m - k >= {2 * ell + 2} and m = k mod 2"
 
 
 def cmd_socle(family: GroupFamily, ell: int) -> Report:
@@ -198,7 +194,7 @@ def cmd_socle(family: GroupFamily, ell: int) -> Report:
     mu = groups.exceptional_mu(family, ell)
     rep.result("mu_H", mu.mu_H)
     rep.result("casimir", ktypes.casimir_scalar(family, mu))
-    rep.result("socle_condition", _socle_condition(family, ell))
+    rep.result("socle_condition", ktypes.socle_condition(family, ell))
     closed = ktypes.minimal_ktype_closed(family, ell)
     rep.result("minimal_ktype_closed_form", closed)
     if family.variant == "SO" and family.n == 2:
@@ -254,8 +250,9 @@ def cmd_scalars(family: GroupFamily, v: ktypes.KTypeLabel, y: ktypes.KTypeLabel,
         rep.result("T", Fraction(0))
         rep.result("note", "pair is not omega-related; all scalars vanish")
         return rep
-    rep.result("nu", scalars.nu_scalar(family, v, y))
-    rep.result("T", scalars.t_scalar(family, v, y, SpectralParam(mu)))
+    # nu and T from the one lambda, so the omega row is expanded once
+    rep.result("nu", scalars._nu_factor(family, v, y) * lam)
+    rep.result("T", scalars._t_scalar(family, v, y, SpectralParam(mu), lam))
     rep.result("T_root_mu_H", scalars.t_root(family, v, y))
     return rep
 
@@ -489,7 +486,7 @@ def _dispatch(args) -> Report:
             raise UsageError(f"unexpected arguments {rest}")
         if args.ell < 0:
             raise UsageError("ell must be nonnegative")
-        if args.ell > 100:  # the minimal-K-type search box grows as ell^2
+        if args.ell > 100:  # a command-line cap; the search costs the same at every ell
             raise UsageError("ell must be at most 100")
         return cmd_socle(family, args.ell)
     if args.command == "tensor":

@@ -143,10 +143,13 @@ def is_exceptional(family: GroupFamily, mu: SpectralParam) -> bool:
     return _is_nonpositive_integer(a1) or _is_nonpositive_integer(a2)
 
 
-def _exceptional_mu_H(rho: Fraction, variant: str, ell: int) -> Fraction:
-    """The closed form -rho(H) - (c ell + d), with rho(H) passed in so a list computes it once."""
+def _exceptional_t(sd: StructuralData, variant: str, ell: int) -> int:
+    """2 mu_ell(H) = -2 rho(H) - 2 (c ell + d), an integer since 2 rho(H) = m_alpha + 2 m_2alpha is.
+
+    The structural data is passed in so that a list builds it once.
+    """
     c, d = FAMILY_SPECS[variant].shift
-    return -rho - (c * ell + d)
+    return -(sd.m_alpha + 2 * sd.m_2alpha) - 2 * (c * ell + d)
 
 
 def exceptional_mu(family: GroupFamily, ell: int) -> SpectralParam:
@@ -156,15 +159,34 @@ def exceptional_mu(family: GroupFamily, ell: int) -> SpectralParam:
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    return SpectralParam(_exceptional_mu_H(rho_H(family), family.variant, ell))
+    return SpectralParam(Fraction(_exceptional_t(structural_data(family), family.variant, ell), 2))
+
+
+def exceptional_doubled(family: GroupFamily, count: int) -> list[int]:
+    """The integers 2 mu_ell(H) of the first `count` exceptional parameters, decreasing."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    sd = structural_data(family)
+    return [_exceptional_t(sd, family.variant, ell) for ell in range(count)]
 
 
 def exceptional_params(family: GroupFamily, count: int) -> list[SpectralParam]:
     """First `count` exceptional parameters in decreasing order of mu(H)."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    rho = rho_H(family)
-    return [SpectralParam(_exceptional_mu_H(rho, family.variant, ell)) for ell in range(count)]
+    return [SpectralParam(Fraction(t, 2)) for t in exceptional_doubled(family, count)]
+
+
+def _gamma_pole_scan(sd: StructuralData, lo: int, hi: int) -> list[int]:
+    """The integers t = 2 mu(H) in [lo, hi], ascending, where 1/e has a Gamma pole.
+
+    A Gamma argument is integral and nonpositive iff its numerator over 4
+    is a nonpositive multiple of 4.
+    """
+    out = []
+    for t in range(lo, hi + 1):
+        a1, a2 = _gamma_numerators(sd, t)
+        if (a1 % 4 == 0 and a1 <= 0) or (a2 % 4 == 0 and a2 <= 0):
+            out.append(t)
+    return out
 
 
 def exceptional_in_interval(family: GroupFamily, lower: Fraction, upper: Fraction = Fraction(0)) -> list[Fraction]:
@@ -173,14 +195,7 @@ def exceptional_in_interval(family: GroupFamily, lower: Fraction, upper: Fractio
     Scans the half-integer grid, which contains every possible zero: a Gamma
     argument (m_alpha/2 + c + mu(H))/2 is integral only for mu(H) in a coset
     of 2Z shifted by an integer or half-integer.  The scan runs over the
-    integers t = 2 mu(H) in [2 lower, 2 upper], where the argument is
-    integral and nonpositive iff its numerator over 4 is a nonpositive
-    multiple of 4.
+    integers t = 2 mu(H) in [2 lower, 2 upper].
     """
-    sd = structural_data(family)
-    out = []
-    for t in range(math.ceil(2 * Fraction(lower)), math.floor(2 * Fraction(upper)) + 1):
-        a1, a2 = _gamma_numerators(sd, t)
-        if (a1 % 4 == 0 and a1 <= 0) or (a2 % 4 == 0 and a2 <= 0):
-            out.append(Fraction(t, 2))
-    return out
+    lo, hi = math.ceil(2 * Fraction(lower)), math.floor(2 * Fraction(upper))
+    return [Fraction(t, 2) for t in _gamma_pole_scan(structural_data(family), lo, hi)]

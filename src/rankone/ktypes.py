@@ -94,16 +94,24 @@ def label_from_weight(family: GroupFamily, w: Weight) -> Optional[KTypeLabel]:
     return lab if highest_weight(lab) == w else None
 
 
-def labels(family: GroupFamily, bound: int) -> list[KTypeLabel]:
+def labels(family: GroupFamily, bound: int,
+           corner: Optional[tuple[int, ...]] = None) -> list[KTypeLabel]:
     """Every label with coordinates in [0, bound] ([-bound, bound] for SO(2,1)), in lex order.
 
-    The coordinate box is filtered through KTypeLabel's own validation, so the
-    lattice is stated once, there.
+    With a lower `corner`, coordinate i runs over [corner[i], corner[i] + bound]
+    instead.  The coordinate box is filtered through KTypeLabel's own
+    validation, so the lattice is stated once, there.
     """
-    lo = -bound if family.variant == "SO" and family.n == 2 else 0
     rank = 1 if family.variant == "SO" else 2
+    if corner is None:
+        lo = -bound if family.variant == "SO" and family.n == 2 else 0
+        ranges = [range(lo, bound + 1)] * rank
+    elif len(corner) != rank:
+        raise ValueError(f"corner {corner} does not have the label rank {rank}")
+    else:
+        ranges = [range(c, c + bound + 1) for c in corner]
     out = []
-    for coords in product(range(lo, bound + 1), repeat=rank):
+    for coords in product(*ranges):
         try:
             out.append(KTypeLabel(family, coords))
         except ValueError:
@@ -138,38 +146,101 @@ def mintype_norm(family: GroupFamily, lam) -> Fraction:
 # -- socle of the reducible spherical principal series -----------------------
 
 
-def socle_contains(family: GroupFamily, ell: int, lab: KTypeLabel) -> bool:
-    """Membership of a K-type in the socle at the exceptional parameter mu_ell."""
+@dataclass(frozen=True)
+class SocleSpec:
+    """The socle at mu_ell, as lower bounds form(|coords|) >= scale * (ell + 1).
+
+    `bounds` holds one (coefficients, scale) pair per bound; the forms are
+    linear in the absolute label coordinates, which differ from the
+    coordinates only on the signed SO(2,1) lattice, where the bound reads
+    |k| >= ell + 1.  `text` is the condition as reports write it, with slot
+    {i} for the floor of bound i.
+    """
+
+    bounds: tuple[tuple[tuple[int, ...], int], ...]
+    text: str
+
+
+# Sp's a >= ell + 1 follows from the lattice's a >= b; it is listed so that
+# the search corner reads off the bounds alone (see `socle_corner`).
+SOCLE_SPECS = {
+    "SO": SocleSpec((((1,), 1),), "k >= {0}"),
+    "SO(2,1)": SocleSpec((((1,), 1),), "|k| >= {0}"),
+    "SU": SocleSpec((((1, 0), 1), ((0, 1), 1)), "p >= {0} and q >= {1}"),
+    "Sp": SocleSpec((((1, 0), 1), ((0, 1), 1)), "a >= b >= {1}"),
+    "F4": SocleSpec((((1, -1), 2),), "m - k >= {0} and m = k mod 2"),
+}
+
+
+def _socle_spec(family: GroupFamily) -> SocleSpec:
+    return SOCLE_SPECS.get(str(family)) or SOCLE_SPECS[family.variant]
+
+
+def _socle_floors(spec: SocleSpec, ell: int) -> list[int]:
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    c = lab.coords
-    v = family.variant
-    if v == "SO":
-        if family.n == 2:
-            return abs(c[0]) >= ell + 1
-        return c[0] >= ell + 1
-    if v == "SU":
-        return c[0] >= ell + 1 and c[1] >= ell + 1
-    if v == "Sp":
-        return c[0] >= c[1] >= ell + 1
-    return c[0] - c[1] >= 2 * ell + 2
+    return [scale * (ell + 1) for _, scale in spec.bounds]
+
+
+def socle_condition(family: GroupFamily, ell: int) -> str:
+    """The socle condition at mu_ell as reports write it."""
+    spec = _socle_spec(family)
+    return spec.text.format(*_socle_floors(spec, ell))
+
+
+def socle_contains(family: GroupFamily, ell: int, lab: KTypeLabel) -> bool:
+    """Membership of a K-type in the socle at the exceptional parameter mu_ell."""
+    spec = _socle_spec(family)
+    coords = [abs(c) for c in lab.coords]
+    return all(sum(a * x for a, x in zip(coeffs, coords, strict=True)) >= floor
+               for (coeffs, _), floor in zip(spec.bounds, _socle_floors(spec, ell)))
+
+
+def socle_corner(family: GroupFamily, ell: int) -> tuple[int, ...]:
+    """Least value of each |coordinate| over the socle at mu_ell.
+
+    Read off the bounds: every coefficient is 0 or +-1 and the coordinates
+    are nonnegative, so a bound raises each coordinate it enters with +1 to
+    its floor and leaves the others free down to 0.
+    """
+    spec = _socle_spec(family)
+    floors = _socle_floors(spec, ell)
+    rank = len(spec.bounds[0][0])
+    return tuple(max([f for (coeffs, _), f in zip(spec.bounds, floors) if coeffs[i] > 0],
+                     default=0)
+                 for i in range(rank))
 
 
 class InconclusiveTruncationError(RuntimeError):
     """The lattice truncation cannot be certified to contain the norm argmin."""
 
 
+# Width of the minimal-K-type search box past the socle corner.
+SEARCH_WIDTH = 8
+
+
 def minimal_ktype(family: GroupFamily, ell: int, search_bound: int | None = None) -> KTypeLabel:
     """Socle K-type minimizing the (lam + 2 rho_c)-norm, found by bounded search.
 
-    The search compares the integer 4 |lam + 2 rho_c|^2 = |2 lam + 4 rho_c|^2 on
-    doubled weights, which orders labels exactly as `mintype_norm` does.  The
-    truncation is certified by checking that every label on the outer shell
-    of the search box exceeds the interior minimum (the norm is a convex
-    quadratic in the label, so it keeps growing outward).
+    The search box has width w = search_bound - max(corner) past the socle
+    corner, so its cost does not depend on ell; search_bound stays an
+    absolute bound on the coordinates and defaults to max(corner) +
+    SEARCH_WIDTH.  The search compares the integer
+    4 |lam + 2 rho_c|^2 = |2 lam + 4 rho_c|^2 on doubled weights, which
+    orders labels exactly as `mintype_norm` does.  The truncation is
+    certified by checking that every label on the outer shell of the box
+    (some |coordinate| >= corner_i + w - 1) exceeds the interior minimum (the
+    norm is a convex quadratic in the label, so it keeps growing outward).
     """
+    corner = socle_corner(family, ell)
     if search_bound is None:
-        search_bound = 4 * (ell + 2)
+        search_bound = max(corner) + SEARCH_WIDTH
+    width = search_bound - max(corner)
+    box = labels(family, width, corner)
+    if family.variant == "SO" and family.n == 2:
+        # the signed lattice adds the mirror box, -k in [corner, corner + width]
+        box = labels(family, width, (-corner[0] - width,)) + box
+
     def tie_key(lab):
         # prefer the positive representative when SO(2,1) norms tie
         return tuple(abs(c) for c in lab.coords) + tuple(-c for c in lab.coords)
@@ -177,11 +248,11 @@ def minimal_ktype(family: GroupFamily, ell: int, search_bound: int | None = None
     rho4 = tuple(2 * c for c in double(rho_c(family)))
     best = None
     shell_min = None
-    for lab in labels(family, search_bound):
+    for lab in box:
         if not socle_contains(family, ell, lab):
             continue
         nrm = sum((x + r) ** 2 for x, r in zip(double(highest_weight(lab)), rho4, strict=True))
-        on_shell = max(abs(c) for c in lab.coords) >= search_bound - 1
+        on_shell = any(abs(x) >= c + width - 1 for x, c in zip(lab.coords, corner))
         if on_shell:
             if shell_min is None or nrm < shell_min:
                 shell_min = nrm
@@ -262,6 +333,7 @@ def casimir_scalar(family: GroupFamily, mu: SpectralParam) -> Fraction:
 __all__ = [
     "KTypeLabel", "LanglandsRecord", "InconclusiveTruncationError",
     "label", "labels", "label_from_weight", "highest_weight", "rho_c", "weyl_dim",
-    "mintype_norm", "socle_contains", "minimal_ktype", "minimal_ktype_closed",
+    "mintype_norm", "SocleSpec", "SOCLE_SPECS", "socle_condition", "socle_contains",
+    "socle_corner", "minimal_ktype", "minimal_ktype_closed",
     "langlands", "casimir_scalar",
 ]

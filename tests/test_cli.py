@@ -68,6 +68,22 @@ def test_scalars_unrelated_pair(capsys):
     assert "not omega-related" in doc["results"]["note"]
 
 
+def test_scalars_expands_the_omega_row_once(capsys, monkeypatch):
+    from rankone import spherical
+    calls = []
+    expand = spherical.omega_h_expand
+
+    def counting(family, lab):
+        calls.append(lab)
+        return expand(family, lab)
+
+    monkeypatch.setattr(spherical, "omega_h_expand", counting)
+    code, out = run(capsys, ["scalars", "SU", "4", "Y2,3", "Y3,3", "--mu=-5/2"])
+    assert code == 0
+    assert json.loads(out)["results"]["lambda"] != "0"
+    assert len(calls) == 1
+
+
 def test_exceptional_routes_agree(capsys):
     code, out = run(capsys, ["exceptional", "Sp", "2", "--count", "5"])
     assert code == 0

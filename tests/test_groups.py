@@ -126,3 +126,16 @@ def test_scan_matches_predicate_reference():
             lower = Q(rng.randint(-400, 40), rng.randint(1, 9))
             upper = lower + Q(rng.randint(-5, 200), rng.randint(1, 9))
             assert groups.exceptional_in_interval(fam, lower, upper) == scan_reference(fam, lower, upper)
+
+
+def test_integer_route_matches_fraction_routes():
+    # the doubled integers of both routes against exceptional_params and exceptional_in_interval
+    rng = random.Random(4711)
+    fams = [so(n) for n in range(2, 11)] + [su(n) for n in range(2, 9)] + [sp(n) for n in range(2, 7)]
+    for fam in rng.sample(fams, 12) + [f4()]:
+        count = rng.randint(1, 400)
+        doubled = groups.exceptional_doubled(fam, count)
+        assert [Q(t, 2) for t in doubled] == [m.mu_H for m in groups.exceptional_params(fam, count)]
+        scanned = groups._gamma_pole_scan(groups.structural_data(fam), doubled[-1], 0)
+        assert scanned[::-1] == doubled
+        assert [Q(t, 2) for t in scanned] == groups.exceptional_in_interval(fam, Q(doubled[-1], 2))

@@ -280,6 +280,54 @@ def test_minimal_ktype_truncation_guard():
         minimal_ktype(su(3), 4, search_bound=5)
 
 
+LARGE_ELL_FAMILIES = ([so(n) for n in (3, 17, 30)] + [su(n) for n in (2, 3, 17, 30)]
+                      + [sp(n) for n in (2, 3, 17, 30)] + [f4()])
+
+
+@pytest.mark.parametrize("fam", LARGE_ELL_FAMILIES, ids=str)
+def test_minimal_ktype_matches_closed_form_at_large_ell(fam):
+    for ell in (25, 100, 1000):
+        assert minimal_ktype(fam, ell) == minimal_ktype_closed(fam, ell)
+
+
+@pytest.mark.parametrize("fam", [su(8), sp(8), f4(), so(8)], ids=str)
+def test_minimal_ktype_highest_weights_do_not_grow_with_ell(monkeypatch, fam):
+    calls = []
+
+    def counting(lab):
+        calls.append(lab)
+        return highest_weight(lab)
+
+    monkeypatch.setattr(ktypes, "highest_weight", counting)
+    counts = []
+    for ell in (1, 100):
+        calls.clear()
+        minimal_ktype(fam, ell)
+        counts.append(len(calls))
+    # only socle labels get a highest weight, and the box does not grow with ell
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("fam", SWEEP_FAMILIES, ids=str)
+def test_socle_corner_is_the_least_socle_coordinate(fam):
+    for ell in range(4):
+        socle = [l for l in labels(fam, 4 * (ell + 2)) if socle_contains(fam, ell, l)]
+        least = tuple(min(abs(l.coords[i]) for l in socle) for i in range(len(socle[0].coords)))
+        assert ktypes.socle_corner(fam, ell) == least
+
+
+@pytest.mark.parametrize("fam", LATTICE_FAMILIES, ids=str)
+def test_labels_with_corner_are_the_shifted_box(fam):
+    rank = 1 if fam.variant == "SO" else 2
+    for corner in [(0,) * rank, (3,) * rank, (5, 0)[:rank], (2, 4)[:rank]]:
+        for b in range(5):
+            box = product(*(range(c, c + b + 1) for c in corner))
+            expected = [c for c in box if in_lattice(fam, c)]
+            assert [lab.coords for lab in labels(fam, b, corner)] == expected
+    with pytest.raises(ValueError):
+        labels(fam, 3, (1,) * (rank + 1))
+
+
 def test_langlands_records():
     rec = langlands(f4(), 0)
     assert rec.S == "G" and rec.tempered and rec.limit_of_discrete_series
