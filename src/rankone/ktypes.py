@@ -54,8 +54,6 @@ def highest_weight(lab: KTypeLabel) -> Weight:
     """Highest weight of the labelled K-type in the e_i coordinates."""
     fam, c = lab.family, lab.coords
     if fam.variant == "SO":
-        if fam.n == 2:
-            return wt(c[0])
         m = fam.n // 2
         return wt(*([c[0]] + [0] * (m - 1)))
     if fam.variant == "SU":
@@ -121,8 +119,6 @@ def labels(family: GroupFamily, bound: int,
 
 def rho_c(family: GroupFamily) -> Weight:
     """Half-sum of the positive compact roots in the e_i coordinates."""
-    if family.variant == "SO" and family.n == 2:
-        return wt(0)
     return halve(k_root_system(family.variant, family.n).two_rho)
 
 
@@ -130,8 +126,6 @@ def weyl_dim(family: GroupFamily, lam) -> int:
     """Exact dimension of the K-type with highest weight lam (label or weight)."""
     if isinstance(lam, KTypeLabel):
         lam = highest_weight(lam)
-    if family.variant == "SO" and family.n == 2:
-        return 1
     return k_root_system(family.variant, family.n).weyl_dim(double(lam))
 
 

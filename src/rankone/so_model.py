@@ -18,29 +18,25 @@ from typing import Sequence
 import numpy as np
 
 from .groups import SpectralParam, rho_H, so
-from .hypergeom import F21Poly, f21
 from .ktypes import label, weyl_dim
 from .poly import Poly, binomial_row, peval, pmul, trim
 from .scalars import t_scalar
+from .spherical import zonal_factor
 
 # -- exact zonal polynomials ---------------------------------------------------
-
-
-def _zonal_series(n: int, k: int) -> F21Poly:
-    """F(-k/2, (1-k)/2, (n-1)/2, .), the hypergeometric part of the degree-k zonal function."""
-    return f21(Fraction(-k, 2), Fraction(1 - k, 2), Fraction(n - 1, 2))
 
 
 def zonal_coeffs(n: int, k: int) -> Poly:
     """Coefficients (ascending powers of x1 = cos xi) of the degree-k zonal function.
 
-    Expansion of cos^k F(-k/2, (1-k)/2, (n-1)/2, -tan^2) with sin^2 = 1 - x1^2;
-    normalized to 1 at x1 = 1.  Summed in Z[x1] over the series denominator,
-    with (1 - x1^2)^j as a signed binomial row.
+    Expansion of `spherical.zonal_factor(n, k)`, cos^k F(-k/2, (1-k)/2,
+    (n-1)/2, -tan^2), with sin^2 = 1 - x1^2; normalized to 1 at x1 = 1.
+    Summed in Z[x1] over the series denominator, with (1 - x1^2)^j as a
+    signed binomial row.
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    series = _zonal_series(n, k)
+    series = zonal_factor(n, k).series
     out = [0] * (k + 1)
     for j, c in enumerate(series.negated_nums()):
         for i, b in enumerate(binomial_row(j)):
@@ -51,19 +47,15 @@ def zonal_coeffs(n: int, k: int) -> Poly:
     return [Fraction(c, series.den) for c in out]
 
 
-def harmonic_extension_coeffs(n: int, k: int) -> list[Fraction]:
-    """a_j with P(x) = sum_j a_j x1^(k-2j) r^(2j), r^2 = x2^2 + ... + xn^2."""
-    series = _zonal_series(n, k)
-    return [Fraction(c, series.den) for c in series.negated_nums()]
-
-
 def harmonic_extension_is_harmonic(n: int, k: int) -> bool:
     """Exact check that the homogeneous extension has vanishing Laplacian.
 
-    Runs on the numerators of harmonic_extension_coeffs over their common
-    denominator.
+    The extension is P(x) = sum_j a_j x1^(k-2j) r^(2j), r^2 = x2^2 + ... + xn^2,
+    where a_j are the coefficients of F(-k/2, (1-k)/2, (n-1)/2, -z) in
+    `spherical.zonal_factor(n, k)`.  The check runs on their numerators over
+    the series denominator.
     """
-    a = _zonal_series(n, k).negated_nums() + [0]
+    a = zonal_factor(n, k).series.negated_nums() + [0]
     for j in range(len(a) - 1):
         m = k - 2 * j
         if m * (m - 1) * a[j] + 2 * (j + 1) * (2 * j + n - 1) * a[j + 1] != 0:
@@ -445,7 +437,7 @@ def check_2rho(n: int) -> bool:
 
 __all__ = [
     "IntertwiningReport",
-    "zonal_coeffs", "harmonic_extension_coeffs", "harmonic_extension_is_harmonic",
+    "zonal_coeffs", "harmonic_extension_is_harmonic",
     "sphere_moment", "zonal_l2_norm", "reproducing_check", "pythagorean_rotation",
     "is_lorentz", "boost", "rotation", "nilpotent", "lorentz_inverse", "iwasawa",
     "random_lorentz", "iwasawa_roundtrip_error", "sphere_points", "poisson_delta",

@@ -3,12 +3,18 @@
 Each spherical function factors into a radial part cos^p(xi) F(a,b,c,-tan^2 xi)
 and, for SU / Sp / F4, an azimuthal factor (a circle character, a Chebyshev
 ratio sin((q+1)t)/sin(t), or a second hypergeometric factor).  Multiplying by
-omega(H) re-expands in neighbouring K-types with rational coefficients; all
-recurrence identities are verified by exact polynomial algebra after the
-substitution u = tan^2, which turns every 1/cos^2 into (1 + u).  The algebra
-runs in Z[u]: a radial factor is an integer polynomial over one denominator,
-(1 + u)^k is a binomial row, and each identity clears its denominators once.
-Rows, lambda and the recurrence coefficients stay `Fraction`s.
+omega(H) re-expands in neighbouring K-types with rational coefficients.  The
+row is stated once as a formula (`_raw_row`) and once as a factorisation
+(`_factorisation`): per label, the azimuthal split weights and, per split,
+the terms of one radial identity.  The ingredient identities and the
+assembled row are both read from that one factorisation, so the assembled
+row uses exactly the coefficients whose identities were checked, and it must
+reproduce the stated row.  All identities are verified by exact polynomial
+algebra after the substitution u = tan^2, which turns every 1/cos^2 into
+(1 + u).  The algebra runs in Z[u]: a radial factor is an integer polynomial
+over one denominator, (1 + u)^k is a binomial row, and each identity clears
+its denominators once.  Rows, lambda and the recurrence coefficients stay
+`Fraction`s.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .groups import GroupFamily, UnsupportedFamilyError
+from .groups import GroupFamily, UnsupportedFamilyError, so
 from .hypergeom import F21Poly, f21
 from .ktypes import KTypeLabel, label
 from .poly import Poly, binomial_row, padd, pclear, peq, pmul, trim
@@ -76,7 +82,7 @@ def _radial(family: GroupFamily, coords: tuple[int, ...]) -> RadialFactor:
     n = family.n
     if family.variant == "SO":
         (k,) = coords
-        return RadialFactor(k, f21(Fraction(-k, 2), Fraction(1 - k, 2), Fraction(n - 1, 2)))
+        return zonal_factor(n, k)
     if family.variant == "SU":
         p, q = coords
         return RadialFactor(p + q, f21(-p, -q, n - 1))
@@ -87,9 +93,18 @@ def _radial(family: GroupFamily, coords: tuple[int, ...]) -> RadialFactor:
     return RadialFactor(m, f21(Fraction(k - m, 2), Fraction(-m - k - 6, 2), 4))
 
 
-def f4_azimuthal_factor(ell: int) -> RadialFactor:
-    """cos^ell(phi) F(-ell/2, (1-ell)/2, 7/2, -tan^2 phi), the sphere-of-angles factor."""
-    return RadialFactor(ell, f21(Fraction(-ell, 2), Fraction(1 - ell, 2), Fraction(7, 2)))
+def zonal_factor(n: int, k: int) -> RadialFactor:
+    """cos^k F(-k/2, (1-k)/2, (n-1)/2, -tan^2), the degree-k zonal function on S^(n-1).
+
+    It is the SO(n,1) radial factor, F4's azimuthal factor at n = 8 and the
+    series under `so_model.zonal_coeffs`.
+    """
+    return RadialFactor(k, f21(Fraction(-k, 2), Fraction(1 - k, 2), Fraction(n - 1, 2)))
+
+
+# F4's azimuthal factor lives on the sphere of angles S^7: it is the SO(8,1)
+# radial factor, and its omega(H) split is the SO(8,1) radial split.
+_F4_ANGLES = so(8)
 
 
 def chebyshev_u(q: int) -> Poly:
@@ -118,7 +133,7 @@ def phi(family: GroupFamily, lab: KTypeLabel) -> PhiSpec:
     else:
         m, k = lab.coords
         spec = PhiSpec(family, lab, rad, f"gegenbauer:{k}",
-                       azimuthal_radial=f4_azimuthal_factor(k))
+                       azimuthal_radial=zonal_factor(_F4_ANGLES.n, k))
     if spec.base_point_value() != 1:
         raise AssertionError("spherical function must equal 1 at the base point")
     return spec
@@ -222,132 +237,88 @@ def chebyshev_three_term(q: int) -> bool:
     return peq(pmul([0, 2], chebyshev_u(q)), padd(chebyshev_u(q + 1), chebyshev_u(q - 1)))
 
 
+# (identity name, azimuthal weight w, {target coordinates: radial coefficient c})
+Split = tuple[str, Fraction, dict[tuple[int, ...], Fraction]]
+
+
+def _terms(den: int, *terms: tuple[int, tuple[int, ...]]) -> dict[tuple[int, ...], Fraction]:
+    """{target: num/den} over the (num, target) pairs with a nonzero numerator."""
+    return {target: Fraction(num, den) for num, target in terms if num}
+
+
+def _factorisation(family: GroupFamily, coords: tuple[int, ...]) -> list[Split]:
+    """omega(H) phi at coords, split azimuthally and then radially.
+
+    omega(H) is cos(xi) times a cosine on the azimuthal factor (none for SO).
+    That cosine splits the azimuthal factor onto its neighbours with weights
+    w, and on each split cos(xi) R(coords) = sum c R(target) is one radial
+    identity.  Returns one (identity name, w, {target: c}) per split, zero
+    terms dropped.  Different splits never share a target, so the omega(H)
+    coefficient at a target is w * c.
+    """
+    n = family.n
+    if family.variant == "SO":
+        (k,) = coords
+        return [("radial", Fraction(1),
+                 _terms(n + 2 * k - 2, (n + k - 2, (k + 1,)), (k, (k - 1,))))]
+    if family.variant == "SU":
+        # cos(phi) splits the circle character in half onto the two
+        # neighbouring frequencies
+        p, q = coords
+        den = p + q + n - 1
+        half = Fraction(1, 2)
+        return [("raise_p", half, _terms(den, (p + n - 1, (p + 1, q)), (q, (p, q - 1)))),
+                ("raise_q", half, _terms(den, (q + n - 1, (p, q + 1)), (p, (p - 1, q))))]
+    if family.variant == "Sp":
+        # 2 cos(t) U_q = U_{q+1} + U_{q-1}, with the 1/(q+1) normalizations.
+        # Both radial splittings hold as formulas for every a >= b, also on
+        # the boundary labels where the lower Chebyshev branch has weight 0.
+        a, b = coords
+        q = a - b
+        den = 2 * n + a + b - 1
+        return [("lower_pair", Fraction(q, 2 * (q + 1)),
+                 _terms(den, (2 * n - 2 + b, (a, b + 1)), (a + 1, (a - 1, b)))),
+                ("raise_pair", Fraction(q + 2, 2 * (q + 1)),
+                 _terms(den, (2 * n - 1 + a, (a + 1, b)), (b, (a, b - 1))))]
+    m, k = coords
+    ((_, _, angles),) = _factorisation(_F4_ANGLES, (k,))
+    den = 14 + 2 * m
+    return [("lower_pair", angles.get((k - 1,), Fraction(0)),
+             _terms(den, (8 + m - k, (m + 1, k - 1)), (m + k + 6, (m - 1, k - 1)))),
+            ("raise_pair", angles[(k + 1,)],
+             _terms(den, (14 + m + k, (m + 1, k + 1)), (m - k, (m - 1, k + 1))))]
+
+
 def ingredient_identities(family: GroupFamily, lab: KTypeLabel) -> dict[str, bool]:
     """The per-factor identities whose combination yields the omega(H) row."""
     _check_supported(family)
-    return _ingredient_identities(family, lab, {})
+    return _identities(family, lab.coords, _factorisation(family, lab.coords), {})
 
 
-def _ingredient_identities(family: GroupFamily, lab: KTypeLabel, radials: dict) -> dict[str, bool]:
-    """ingredient_identities, building each radial factor at most once in `radials`.
+def _identities(family: GroupFamily, coords: tuple[int, ...], splits: list[Split],
+                radials: dict) -> dict[str, bool]:
+    """ingredient_identities of the factorisation `splits` of coords.
 
-    `radials` maps label coordinates (a tuple) to the radial factor there and,
-    for F4, ell (an int) to the azimuthal factor; a sweep passes one dict for
-    all labels of a family, since neighbouring labels share most factors.
+    `radials` maps label coordinates to the radial factor there; it holds
+    F4's azimuthal factors under SO(8,1) coordinates (k,), which no F4 label
+    has.  A sweep passes one dict for all labels of a family, since
+    neighbouring labels share most factors; each factor is built at most once.
     """
-    def rad(*coords: int) -> RadialFactor:
-        if coords not in radials:
-            radials[coords] = _radial(family, coords)
-        return radials[coords]
+    def rad(c: tuple[int, ...]) -> RadialFactor:
+        if c not in radials:
+            radials[c] = _radial(family, c)
+        return radials[c]
 
-    n = family.n
-    v = family.variant
     out: dict[str, bool] = {}
-    if v == "SO":
-        (k,) = lab.coords
-        den = n + 2 * k - 2
-        rhs = [(Fraction(n + k - 2, den), rad(k + 1))]
-        if k >= 1:
-            rhs.append((Fraction(k, den), rad(k - 1)))
-        out["radial"] = _radial_identity(rad(k), rhs)
-        return out
-    if v == "SU":
-        p, q = lab.coords
-        den = p + q + n - 1
-        rhs2 = [(Fraction(p + n - 1, den), rad(p + 1, q))]
-        if q >= 1:
-            rhs2.append((Fraction(q, den), rad(p, q - 1)))
-        out["raise_p"] = _radial_identity(rad(p, q), rhs2)
-        rhs3 = [(Fraction(q + n - 1, den), rad(p, q + 1))]
-        if p >= 1:
-            rhs3.append((Fraction(p, den), rad(p - 1, q)))
-        out["raise_q"] = _radial_identity(rad(p, q), rhs3)
-        return out
-    if v == "Sp":
-        # The two radial splittings hold as formulas for every a >= b, also on
-        # the boundary labels where one Chebyshev branch vanishes.
-        a, b = lab.coords
-        den = 2 * n + a + b - 1
-        out["chebyshev"] = chebyshev_three_term(a - b)
-        rhs2 = [(Fraction(2 * n - 2 + b, den), rad(a, b + 1)),
-                (Fraction(a + 1, den), rad(a - 1, b))]
-        out["lower_pair"] = _radial_identity(rad(a, b), rhs2)
-        rhs3 = [(Fraction(2 * n - 1 + a, den), rad(a + 1, b))]
-        if b >= 1:
-            rhs3.append((Fraction(b, den), rad(a, b - 1)))
-        out["raise_pair"] = _radial_identity(rad(a, b), rhs3)
-        return out
-
-    def azimuthal(ell: int) -> RadialFactor:
-        if ell not in radials:
-            radials[ell] = f4_azimuthal_factor(ell)
-        return radials[ell]
-
-    m, k = lab.coords
-    den_phi = 6 + 2 * k
-    den_xi = 14 + 2 * m
-    rhs1 = [(Fraction(6 + k, den_phi), azimuthal(k + 1))]
-    if k >= 1:
-        rhs1.append((Fraction(k, den_phi), azimuthal(k - 1)))
-    out["azimuthal"] = _radial_identity(azimuthal(k), rhs1)
-    rhs2 = [(Fraction(8 + m - k, den_xi), rad(m + 1, k - 1)),
-            (Fraction(m + k + 6, den_xi), rad(m - 1, k - 1))]
-    out["lower_pair"] = _radial_identity(rad(m, k), rhs2)
-    rhs3 = [(Fraction(14 + m + k, den_xi), rad(m + 1, k + 1))]
-    if m > k:
-        rhs3.append((Fraction(m - k, den_xi), rad(m - 1, k + 1)))
-    out["raise_pair"] = _radial_identity(rad(m, k), rhs3)
-    return out
-
-
-def _assembled_row(family: GroupFamily, lab: KTypeLabel) -> dict[tuple[int, ...], Fraction]:
-    """Recurrence coefficients rebuilt from the ingredient factorizations."""
-    n = family.n
-    v = family.variant
-    out: dict[tuple[int, ...], Fraction] = {}
-    if v == "SO":
-        (k,) = lab.coords
-        den = n + 2 * k - 2
-        if k >= 1:
-            out[(k - 1,)] = Fraction(k, den)
-        out[(k + 1,)] = Fraction(n + k - 2, den)
-        return out
-    if v == "SU":
-        # omega(H) = cos(xi) cos(phi); cos(phi) splits the circle character in
-        # half onto the two neighbouring frequencies, each refined radially.
-        p, q = lab.coords
-        den = p + q + n - 1
-        half = Fraction(1, 2)
-        out[(p + 1, q)] = half * Fraction(p + n - 1, den)
-        if q >= 1:
-            out[(p, q - 1)] = half * Fraction(q, den)
-        out[(p, q + 1)] = half * Fraction(q + n - 1, den)
-        if p >= 1:
-            out[(p - 1, q)] = half * Fraction(p, den)
-        return out
-    if v == "Sp":
-        # 2 cos(t) U_q = U_{q+1} + U_{q-1}; track the 1/(q+1) normalizations.
-        a, b = lab.coords
-        q = a - b
-        den = 2 * n + a + b - 1
-        up = Fraction(q + 2, 2 * (q + 1))
-        out[(a + 1, b)] = up * Fraction(2 * n - 1 + a, den)
-        if b >= 1:
-            out[(a, b - 1)] = up * Fraction(b, den)
-        if q >= 1:
-            down = Fraction(q, 2 * (q + 1))
-            out[(a, b + 1)] = down * Fraction(2 * n - 2 + b, den)
-            out[(a - 1, b)] = down * Fraction(a + 1, den)
-        return out
-    m, k = lab.coords
-    den_phi = 6 + 2 * k
-    den_xi = 14 + 2 * m
-    out[(m + 1, k + 1)] = Fraction(6 + k, den_phi) * Fraction(14 + m + k, den_xi)
-    if m > k:
-        out[(m - 1, k + 1)] = Fraction(6 + k, den_phi) * Fraction(m - k, den_xi)
-    if k >= 1:
-        out[(m + 1, k - 1)] = Fraction(k, den_phi) * Fraction(8 + m - k, den_xi)
-        out[(m - 1, k - 1)] = Fraction(k, den_phi) * Fraction(m + k + 6, den_xi)
+    if family.variant == "Sp":
+        out["chebyshev"] = chebyshev_three_term(coords[0] - coords[1])
+    elif family.variant == "F4":
+        angle = (coords[1],)
+        out["azimuthal"] = _identities(_F4_ANGLES, angle, _factorisation(_F4_ANGLES, angle),
+                                       radials)["radial"]
+    lhs = rad(coords)
+    for name, _, terms in splits:
+        out[name] = _radial_identity(lhs, [(c, rad(t)) for t, c in terms.items()])
     return out
 
 
@@ -366,16 +337,23 @@ def _verify_omega_identity(family: GroupFamily, lab: KTypeLabel, row: Recurrence
     """verify_omega_identity against the stated `row` of lab.
 
     A sweep passes the row it already holds and one `radials` dict for all
-    labels of a family (see _ingredient_identities).
+    labels of a family (see _identities).
     """
-    if not all(_ingredient_identities(family, lab, radials).values()):
+    splits = _factorisation(family, lab.coords)
+    if not all(_identities(family, lab.coords, splits, radials).values()):
         return False
-    return _assembled_row(family, lab) == {t.coords: c for t, c in row.terms}
+    assembled = {}
+    for _, weight, terms in splits:
+        if weight == 1:
+            assembled.update(terms)
+        elif weight:
+            assembled.update({t: weight * c for t, c in terms.items()})
+    return assembled == {t.coords: c for t, c in row.terms}
 
 
 __all__ = [
     "PhiSpec", "RadialFactor", "RecurrenceRow",
-    "phi", "radial_factor", "f4_azimuthal_factor", "chebyshev_u",
+    "phi", "radial_factor", "zonal_factor", "chebyshev_u",
     "chebyshev_three_term", "omega_h_expand", "lambda_scalar",
     "ingredient_identities", "verify_omega_identity",
 ]

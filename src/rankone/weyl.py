@@ -98,9 +98,11 @@ class RootSystem:
         if self.kind == "A":
             return all((x > y if strict else x >= y) for x, y in pairs)
         if self.kind == "D":
+            if self.rank < 2:  # D1 has no roots, so every weight is dominant
+                return True
             body = all((x > y if strict else x >= y) for x, y in zip(head, head[1:-1]))
             edge = head[-2] > abs(head[-1]) if strict else head[-2] >= abs(head[-1])
-            return body and edge if self.rank >= 2 else True
+            return body and edge
         # B / CC: decreasing and nonnegative
         ok = all((x > y if strict else x >= y) for x, y in pairs)
         ok = ok and (head[-1] > 0 if strict else head[-1] >= 0)
@@ -276,8 +278,7 @@ def type_c_c1(n: int) -> RootSystem:
 def k_root_system(variant: str, n: int | None) -> RootSystem:
     """Root system of K for one family instance."""
     if variant == "SO":
-        if n < 3:
-            raise ValueError("SO(2,1) has abelian K; no root system")
+        # SO(2)'s root system is D1: one coordinate and no roots
         m = n // 2
         return type_b(m) if n % 2 == 1 else type_d(m)
     if variant == "SU":

@@ -1,7 +1,10 @@
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import rankone
 from rankone.cli import main, parse_family, parse_label, UsageError
 from rankone.groups import f4, so, su
 
@@ -10,6 +13,14 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize("module", ["rankone"] + [f"rankone.{m.name}"
+                                                  for m in pkgutil.iter_modules(rankone.__path__)])
+def test_exported_names_exist(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
+    assert not missing, missing
 
 
 def test_parse_family():

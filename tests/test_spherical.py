@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from rankone import spherical
+from rankone import cli, spherical
 from rankone.groups import UnsupportedFamilyError, f4, so, sp, su
 from rankone.ktypes import label, labels, weyl_dim
 from rankone.poly import padd, peval, pmul, ppow, pscale
@@ -209,3 +210,27 @@ def test_radial_identity_fails_with_a_moved_coefficient(monkeypatch, fam, coords
     checks = ingredient_identities(fam, lab)
     assert not any(ok for key, ok in checks.items() if key != "chebyshev"), checks
     assert not verify_omega_identity(fam, lab)
+
+
+@pytest.mark.parametrize("fam,coords,neighbour", [
+    (so(5), (3,), (2,)), (su(3), (2, 1), (1, 1)), (sp(2), (3, 1), (2, 1)), (f4(), (4, 2), (3, 1))])
+def test_swapped_stated_row_fails_only_its_family(monkeypatch, capsys, fam, coords, neighbour):
+    """Swapping the first two numerators of one stated row keeps it convex, so only
+    the comparison with the factorisation can catch it."""
+    real = spherical._raw_row
+
+    def swapped(family, c):
+        den, raw = real(family, c)
+        if family == fam and c == coords:
+            (t0, n0), (t1, n1), *rest = raw
+            raw = [(t0, n1), (t1, n0)] + rest
+        return den, raw
+
+    monkeypatch.setattr(spherical, "_raw_row", swapped)
+    assert not verify_omega_identity(fam, label(fam, *coords))
+    assert verify_omega_identity(fam, label(fam, *neighbour))
+    assert cli.main(["verify", "spherical", "--depth", "4"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    identity = {c["instance"]: c["status"] for c in checks if c["id"] == "omega-recurrence-identity"}
+    assert identity.pop(str(fam)) == "fail"
+    assert identity and all(status == "pass" for status in identity.values()), identity

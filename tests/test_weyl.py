@@ -11,7 +11,7 @@ from math import factorial, prod
 import pytest
 
 from rankone import ktypes
-from rankone.groups import su
+from rankone.groups import so, su
 from rankone.weyl import (double, halve, k_root_system, type_a_u, type_b, type_c_c1, type_d,
                           w_add, w_dot, wt)
 
@@ -129,6 +129,19 @@ def test_weyl_dim_matches_fraction_formula(rs):
         assert rs.weyl_dim(double(lam)) == expected
         checked += 1
     assert checked > 0
+
+
+def test_so2_compact_root_system_is_d1():
+    """SO(2) is one coordinate with no roots: every weight is dominant, of dimension 1."""
+    rs = k_root_system("SO", 2)
+    assert rs is type_d(1) and rs.positive_roots == () and rs.two_rho == (0,)
+    fam = so(2)
+    for k in range(-6, 7):
+        for strict in (False, True):
+            assert rs.is_dominant((2 * k,), strict)
+        assert rs.weyl_dim((2 * k,)) == 1
+        assert ktypes.weyl_dim(fam, ktypes.label(fam, k)) == 1
+    assert ktypes.rho_c(fam) == wt(0)
 
 
 def test_weyl_dim_every_family():
