@@ -292,17 +292,19 @@ def _factorisation(family: GroupFamily, coords: tuple[int, ...]) -> list[Split]:
 def ingredient_identities(family: GroupFamily, lab: KTypeLabel) -> dict[str, bool]:
     """The per-factor identities whose combination yields the omega(H) row."""
     _check_supported(family)
-    return _identities(family, lab.coords, _factorisation(family, lab.coords), {})
+    return _identities(family, lab.coords, {})
 
 
-def _identities(family: GroupFamily, coords: tuple[int, ...], splits: list[Split],
-                radials: dict) -> dict[str, bool]:
-    """ingredient_identities of the factorisation `splits` of coords.
+def _identities(family: GroupFamily, coords: tuple[int, ...], radials: dict,
+                splits: Optional[list[Split]] = None) -> dict[str, bool]:
+    """ingredient_identities at coords.
 
-    `radials` maps label coordinates to the radial factor there; it holds
-    F4's azimuthal factors under SO(8,1) coordinates (k,), which no F4 label
-    has.  A sweep passes one dict for all labels of a family, since
-    neighbouring labels share most factors; each factor is built at most once.
+    `splits` is _factorisation(family, coords), built here unless the caller
+    already holds it.  `radials` maps label coordinates to the radial factor
+    there; it holds F4's azimuthal factors under SO(8,1) coordinates (k,),
+    which no F4 label has.  A sweep passes one dict for all labels of a
+    family, since neighbouring labels share most factors; each factor is
+    built at most once.
     """
     def rad(c: tuple[int, ...]) -> RadialFactor:
         if c not in radials:
@@ -313,9 +315,9 @@ def _identities(family: GroupFamily, coords: tuple[int, ...], splits: list[Split
     if family.variant == "Sp":
         out["chebyshev"] = chebyshev_three_term(coords[0] - coords[1])
     elif family.variant == "F4":
-        angle = (coords[1],)
-        out["azimuthal"] = _identities(_F4_ANGLES, angle, _factorisation(_F4_ANGLES, angle),
-                                       radials)["radial"]
+        out["azimuthal"] = _identities(_F4_ANGLES, (coords[1],), radials)["radial"]
+    if splits is None:
+        splits = _factorisation(family, coords)
     lhs = rad(coords)
     for name, _, terms in splits:
         out[name] = _radial_identity(lhs, [(c, rad(t)) for t, c in terms.items()])
@@ -340,13 +342,11 @@ def _verify_omega_identity(family: GroupFamily, lab: KTypeLabel, row: Recurrence
     labels of a family (see _identities).
     """
     splits = _factorisation(family, lab.coords)
-    if not all(_identities(family, lab.coords, splits, radials).values()):
+    if not all(_identities(family, lab.coords, radials, splits).values()):
         return False
     assembled = {}
     for _, weight, terms in splits:
-        if weight == 1:
-            assembled.update(terms)
-        elif weight:
+        if weight:
             assembled.update({t: weight * c for t, c in terms.items()})
     return assembled == {t.coords: c for t, c in row.terms}
 
