@@ -4,7 +4,8 @@ Each file under tests/golden/ is the stdout of `rankone <argv>`, captured from
 a commit whose reports are trusted; regenerate one only from such a commit, e.g.
 `PYTHONPATH=src python -m rankone.cli tensor SO 32 Y7 > tests/golden/tensor_SO_32_Y7.json`.
 
-The tensor and `verify tensor` goldens pin the Weyl/character layer; the
+The tensor and `verify tensor` goldens pin the Weyl/character layer (depth 6
+reaches the character oracle at every label <= 4 of every rank <= 4 family); the
 structure, exceptional, socle, scalars and `verify groups|spherical` goldens
 pin the per-family tables, the K-type lattice and the radial factors; the
 `verify scalars`, long `exceptional` and large-ell `socle` goldens pin the
@@ -40,6 +41,7 @@ def _tag(tokens):
 CASES = [
     ("verify_tensor_depth3.json", ["verify", "tensor", "--depth", "3"]),
     ("verify_tensor_depth3.csv", ["verify", "tensor", "--depth", "3", "--format", "csv"]),
+    ("verify_tensor_depth6.json", ["verify", "tensor", "--depth", "6"]),
     ("verify_groups_depth3.json", ["verify", "groups", "--depth", "3"]),
     ("verify_spherical_depth3.json", ["verify", "spherical", "--depth", "3"]),
     ("tensor_SO_32_Y7.json", ["tensor", "SO", "32", "Y7"]),
