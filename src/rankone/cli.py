@@ -23,6 +23,10 @@ class UsageError(ValueError):
     pass
 
 
+# one encoder for every CSV cell; json.dumps would build a new one per call
+_CELL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _fmt(value):
     """Exact, JSON-friendly rendering; rationals become strings."""
     if isinstance(value, Fraction):
@@ -145,9 +149,9 @@ class Report:
             value = self.results[key]
             if isinstance(value, list):
                 for i, item in enumerate(value):
-                    writer.writerow(["results", f"{key}[{i}]", json.dumps(item, sort_keys=True)])
+                    writer.writerow(["results", f"{key}[{i}]", _CELL_ENCODER.encode(item)])
             else:
-                writer.writerow(["results", key, json.dumps(value, sort_keys=True)])
+                writer.writerow(["results", key, _CELL_ENCODER.encode(value)])
         for c in self.checks:
             writer.writerow(["checks", f"{c['id']}:{c['instance']}", c["status"]])
         writer.writerow(["status", "", self.status])
@@ -294,7 +298,7 @@ def verify_tensor(rep: Report, depth: int, tolerance: float, seed: int):
             dec = tensor.racah_speiser(fam, lab)
             decs[lab] = dec
             ok_closed &= dec.weights() == tensor.expected_summand_labels(fam, lab)
-            ok_dim &= tensor.dimension_sum_check(fam, lab)
+            ok_dim &= tensor.dimension_sum_check(dec)
             ok_free &= all(s.multiplicity == 1 for s in dec.summands)
         for lab, dec in decs.items():
             for s in dec.summands:

@@ -1,15 +1,18 @@
 """Decomposition of Y (x) p* into irreducible K-types.
 
 Two independent routes are provided: the signed-reflection algorithm on the
-shifted highest weight (racah_speiser) and a brute-force character oracle
-(Freudenthal weight multiplicities, convolution with the weights of p, greedy
-peeling of dominant characters).  p and p* are identified as K-modules.
+shifted highest weight (racah_speiser) and a character oracle (Freudenthal
+weight multiplicities, convolution with the weights of p, peeling of dominant
+characters).  The oracle holds every character by its multiplicities on the
+dominant chamber, which loses nothing because characters are W-invariant, and
+peels the highest weights in one descending pass.  p and p* are identified as
+K-modules.
 
 Weights in the public API are Fraction tuples.  Inside, both routes work on
 doubled-integer weights (weyl.double), the one kernel format: each doubles its
 source once and halves only the summands it builds.  They share no kernel:
-Racah-Speiser uses to_dominant_chamber, the oracle Freudenthal, orbit and
-dominant_rep.
+Racah-Speiser uses to_dominant_chamber, the oracle Freudenthal and
+dominant_rep, with orbit only for the orbit sizes of its dimension checks.
 """
 from __future__ import annotations
 
@@ -172,61 +175,60 @@ def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tu
                                  f"{Fraction(2 * total, denom)} at {halve(w)}")
         if m:
             mult[w] = m
+    if sum(m * len(rs.orbit(w)) for w, m in mult.items()) != rs.weyl_dim(lam):
+        raise AssertionError("weight multiplicities do not sum to the Weyl dimension")
     return tuple(sorted(mult.items()))
 
 
-@lru_cache(maxsize=None)
-def _weight_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tuple[tuple[Weight2, int], ...]:
-    """Full doubled weight multiset of V_lam: Weyl orbits of the dominant multiplicities."""
-    rs = k_root_system(variant, n)
-    out: dict[Weight2, int] = {}
-    for w, m in _dominant_multiplicities(variant, n, lam):
-        for v in rs.orbit(w):
-            out[v] = m
-    result = tuple(sorted(out.items()))
-    if sum(m for _, m in result) != rs.weyl_dim(lam):
-        raise AssertionError("weight multiplicities do not sum to the Weyl dimension")
-    return result
-
-
 def character_oracle(family: GroupFamily, lab: KTypeLabel, max_peel: int = 512) -> Decomposition:
-    """Decompose by full character arithmetic; intended for small labels."""
+    """Decompose by character arithmetic on the dominant chamber; intended for small labels.
+
+    Characters are W-invariant, so each is held by its multiplicities at
+    dominant weights.  For dominant mu, the multiplicity of mu in V_lam (x) p
+    is the sum over the weights beta of p of m_lam(dominant_rep(mu - beta)),
+    and every dominant weight of the product is dominant_rep(nu + beta) for a
+    dominant weight nu of V_lam.
+    """
     _check_supported(family)
-    rs = k_root_system(family.variant, family.n)
+    variant, n = family.variant, family.n
+    rs = k_root_system(variant, n)
     lam = highest_weight(lab)
-    betas = _p_weights(family.variant, family.n)
-    char: Counter = Counter()
-    for w, m in _weight_multiplicities(family.variant, family.n, double(lam)):
-        for beta in betas:
-            char[w_add(w, beta)] += m
+    lam2 = double(lam)
+    betas = _p_weights(variant, n)
+    m_lam = dict(_dominant_multiplicities(variant, n, lam2))
+    char: dict[Weight2, int] = {}
+    for mu in {rs.dominant_rep(w_add(nu, beta)) for nu in m_lam for beta in betas}:
+        m = sum(m_lam.get(rs.dominant_rep(w_sub(mu, beta)), 0) for beta in betas)
+        if m:
+            char[mu] = m
+    if (sum(m * len(rs.orbit(mu)) for mu, m in char.items())
+            != structural_data(family).dim_p * rs.weyl_dim(lam2)):
+        raise AssertionError("the character of V_lam (x) p must have dimension dim p * dim V_lam")
     acc: Counter = Counter()
     # rho pairs strictly positively with any nonzero sum of positive roots, so
-    # the (rho-pairing, lex) maximum is maximal in the dominance order.
-    for _ in range(max_peel):
-        support = +char
-        if not support:
-            break
-        top = max(support, key=lambda w: (w_dot(w, rs.two_rho), w))
-        if not rs.is_dominant(top):
-            raise AlgorithmViolation(f"maximal residual weight {halve(top)} is not dominant")
-        m = support[top]
+    # peeling V_top lowers only weights after top in the (rho-pairing, lex)
+    # order, and one descending pass meets the tops in peel order.
+    for top in sorted(char, key=lambda w: (w_dot(w, rs.two_rho), w), reverse=True):
+        m = char[top]
+        if m == 0:
+            continue
         if m < 0:
-            raise AlgorithmViolation("negative residual multiplicity while peeling")
-        acc[top] += m
-        for w, mw in _weight_multiplicities(family.variant, family.n, top):
-            char[w] -= m * mw
-    else:
-        raise AlgorithmViolation("character peeling did not terminate")
+            raise AlgorithmViolation(f"negative residual multiplicity at {halve(top)} "
+                                     "while peeling")
+        if len(acc) == max_peel:
+            raise AlgorithmViolation("character peeling did not terminate")
+        acc[top] = m
+        for w, mw in _dominant_multiplicities(variant, n, top):
+            char[w] = char.get(w, 0) - m * mw
     if any(v != 0 for v in char.values()):
         raise AlgorithmViolation("character did not peel to zero")
     return _decomposition(family, lam, acc)
 
 
-def dimension_sum_check(family: GroupFamily, lab: KTypeLabel) -> bool:
+def dimension_sum_check(dec: Decomposition) -> bool:
     """Sum of summand dimensions equals dim p times the source dimension, exactly."""
-    dec = racah_speiser(family, lab)
-    total = sum(s.multiplicity * weyl_dim(family, s.weight) for s in dec.summands)
-    return total == structural_data(family).dim_p * weyl_dim(family, lab)
+    total = sum(s.multiplicity * weyl_dim(dec.family, s.weight) for s in dec.summands)
+    return total == structural_data(dec.family).dim_p * weyl_dim(dec.family, dec.source)
 
 
 def expected_summand_labels(family: GroupFamily, lab: KTypeLabel) -> set[Weight]:

@@ -88,7 +88,7 @@ def test_criterion_03_tensor_decompositions():
                 dec = racah_speiser(fam, lab)
                 assert dec.weights() == expected_summand_labels(fam, lab), (fam, lab)
                 assert all(s.multiplicity == 1 for s in dec.summands), (fam, lab)
-                assert dimension_sum_check(fam, lab), (fam, lab)
+                assert dimension_sum_check(dec), (fam, lab)
         for fam in ORACLE_FAMILIES:
             for lab in labels(fam, 4):
                 assert (character_oracle(fam, lab).weights()

@@ -1,13 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rankone import tensor
 from rankone.groups import UnsupportedFamilyError, f4, so, sp, structural_data, su
 from rankone.ktypes import highest_weight, label, labels, weyl_dim
-from rankone.tensor import (character_oracle, dimension_sum_check, expected_summand_labels,
-                            racah_speiser, racah_speiser_weight, weights_of_p)
-from rankone.weyl import wt
+from rankone.tensor import (AlgorithmViolation, character_oracle, dimension_sum_check,
+                            expected_summand_labels, racah_speiser, racah_speiser_weight,
+                            weights_of_p)
+from rankone.weyl import double, k_root_system, w_add, w_dot, wt
 
 
 FAMILIES = ([so(n) for n in range(3, 9)] + [su(n) for n in range(2, 6)]
@@ -55,7 +60,7 @@ def test_so4_has_both_chiral_middle_summands():
     for k in range(1, 6):
         dec = racah_speiser(fam, label(fam, k))
         assert dec.weights() == {wt(k - 1, 0), wt(k + 1, 0), wt(k, 1), wt(k, -1)}
-        assert dimension_sum_check(fam, label(fam, k))
+        assert dimension_sum_check(dec)
 
 
 def test_su_six_summand_form():
@@ -92,7 +97,7 @@ def test_closed_form_multiplicity_and_dimension(fam):
         dec = racah_speiser(fam, lab)
         assert dec.weights() == expected_summand_labels(fam, lab), lab
         assert all(s.multiplicity == 1 for s in dec.summands), lab
-        assert dimension_sum_check(fam, lab), lab
+        assert dimension_sum_check(dec), lab
 
 
 @pytest.mark.parametrize("fam", ORACLE_FAMILIES)
@@ -103,6 +108,88 @@ def test_character_oracle_agrees(fam):
         assert rs.weights() == oracle.weights(), lab
         assert {s.weight: s.multiplicity for s in rs.summands} \
             == {s.weight: s.multiplicity for s in oracle.summands}, lab
+
+
+def reference_character_oracle(fam, lab):
+    """The oracle on full weight multisets: every Freudenthal table expanded to
+    its Weyl orbits, the whole character convolved with p, and the residual
+    rescanned for its (rho-pairing, lex) maximum before each peel."""
+    rs = k_root_system(fam.variant, fam.n)
+
+    def full(lam2):
+        out = {}
+        for w, m in tensor._dominant_multiplicities(fam.variant, fam.n, lam2):
+            for v in rs.orbit(w):
+                out[v] = m
+        assert sum(out.values()) == rs.weyl_dim(lam2)
+        return out
+
+    lam = highest_weight(lab)
+    char = Counter()
+    for w, m in full(double(lam)).items():
+        for beta in tensor._p_weights(fam.variant, fam.n):
+            char[w_add(w, beta)] += m
+    acc = Counter()
+    for _ in range(512):
+        support = +char
+        if not support:
+            break
+        top = max(support, key=lambda w: (w_dot(w, rs.two_rho), w))
+        assert rs.is_dominant(top)
+        acc[top] += support[top]
+        for w, mw in full(top).items():
+            char[w] -= support[top] * mw
+    else:
+        raise AlgorithmViolation("character peeling did not terminate")
+    assert not any(char.values())
+    return tensor._decomposition(fam, lam, acc)
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+def test_character_oracle_matches_full_orbit_reference(fam):
+    for lab in labels(fam, 4):
+        reference = reference_character_oracle(fam, lab)
+        assert character_oracle(fam, lab).summands == reference.summands, lab
+
+
+def _corrupt_one_table(monkeypatch, lam2):
+    """Add 1 to the lowest non-top dominant multiplicity of V_lam2 only."""
+    true = tensor._dominant_multiplicities
+
+    def corrupted(variant, n, lam):
+        table = true(variant, n, lam)
+        if lam != lam2:
+            return table
+        target = min(w for w, _ in table if w != lam)
+        return tuple((w, m + (w == target)) for w, m in table)
+
+    monkeypatch.setattr(tensor, "_dominant_multiplicities", corrupted)
+
+
+def test_oracle_rejects_a_wrong_source_multiplicity(monkeypatch):
+    fam, lab = su(3), label(su(3), 2, 1)
+    _corrupt_one_table(monkeypatch, double(highest_weight(lab)))
+    with pytest.raises(AssertionError, match="dim p"):
+        character_oracle(fam, lab)
+
+
+def test_oracle_rejects_a_wrong_summand_multiplicity(monkeypatch):
+    fam, lab = su(3), label(su(3), 2, 1)
+    summand = racah_speiser(fam, lab).summands[0].weight
+    _corrupt_one_table(monkeypatch, double(summand))
+    with pytest.raises(AlgorithmViolation, match="negative residual"):
+        character_oracle(fam, lab)
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_character_oracle_agrees_on_random_labels(fam, data):
+    box = {lab.coords: lab for lab in labels(fam, 12)}
+    width = len(next(iter(box)))
+    coords = data.draw(st.tuples(*[st.integers(0, 12)] * width).filter(box.__contains__))
+    lab = box[coords]
+    assert character_oracle(fam, lab).summands == racah_speiser(fam, lab).summands, lab
 
 
 @pytest.mark.parametrize("fam", ORACLE_FAMILIES)
