@@ -11,9 +11,10 @@ pin the per-family tables, the K-type lattice and the radial factors; the
 `verify scalars`, long `exceptional` and large-ell `socle` goldens pin the
 growth factorials, the Gamma-pole scan and the minimal-K-type search.  The
 Racah-Speiser weight format is pinned by type B with a zero weight of p
-(SO 33), the D2 chiral partners (SO 4), a large rank (SO 200), a CSV tensor
-report and `verify spherical --depth 6`, which reaches Racah-Speiser through
-the omega-vs-tensor adjacency check.  The integer polynomial kernel of the
+(SO 33), the D2 chiral partners (SO 4), a large rank (SO 200), two CSV tensor
+reports (one with the half-integer Spin(9) weights of F4 V2,0) and `verify
+spherical --depth 6`, which reaches Racah-Speiser through the
+omega-vs-tensor adjacency check.  The integer polynomial kernel of the
 spherical, hypergeometric and zonal layer is pinned by `verify spherical
 --depth 12`, `verify scalars --depth 6` and `verify so-model --depth 6
 --seed 3`, whose report carries the float intertwining residual as text.
@@ -52,6 +53,7 @@ CASES = [
     ("tensor_SO_4_Y3.json", ["tensor", "SO", "4", "Y3"]),
     ("tensor_SO_200_Y3.json", ["tensor", "SO", "200", "Y3"]),
     ("tensor_SU_7_Y4_2.csv", ["tensor", "SU", "7", "Y4,2", "--format", "csv"]),
+    ("tensor_F4_V2_0.csv", ["tensor", "F4", "V2,0", "--format", "csv"]),
     ("verify_spherical_depth6.json", ["verify", "spherical", "--depth", "6"]),
     ("verify_scalars_depth3.json", ["verify", "scalars", "--depth", "3"]),
     ("verify_scalars_depth3.csv", ["verify", "scalars", "--depth", "3", "--format", "csv"]),
