@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 VARIANTS = ("SO", "SU", "Sp", "F4")
@@ -101,6 +102,7 @@ class SpectralParam:
         return str(self.mu_H)
 
 
+@lru_cache(maxsize=None)
 def structural_data(family: GroupFamily) -> StructuralData:
     """Root multiplicities and derived constants for one family instance."""
     spec = FAMILY_SPECS[family.variant]

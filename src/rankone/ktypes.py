@@ -6,6 +6,8 @@ Sp(n,1): V_{a,b} with a >= b >= 0; F4: V_{m,k} with m >= k >= 0, m = k mod 2.
 For SO(2,1) the label is a signed integer (two one-dimensional types Y_{+-k}).
 KTypeLabel's validation is the one statement of each lattice; `labels`
 enumerates a bounded box of it and `label_from_weight` inverts `highest_weight`.
+Highest weights are doubled-integer weights 2w (`weyl.Weight2`), the one weight
+format of the library.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from itertools import product
 from typing import Optional
 
 from .groups import GroupFamily, SpectralParam, exceptional_mu, rho_H
-from .weyl import Weight, double, halve, k_root_system, w_add, w_dot, wt
+from .weyl import Weight2, k_root_system, w_dot
 
 
 @dataclass(frozen=True, order=True)
@@ -50,26 +52,23 @@ def label(family: GroupFamily, *coords: int) -> KTypeLabel:
     return KTypeLabel(family, tuple(coords))
 
 
-def highest_weight(lab: KTypeLabel) -> Weight:
-    """Highest weight of the labelled K-type in the e_i coordinates."""
+def highest_weight(lab: KTypeLabel) -> Weight2:
+    """Doubled highest weight 2w of the labelled K-type in the e_i coordinates."""
     fam, c = lab.family, lab.coords
     if fam.variant == "SO":
-        m = fam.n // 2
-        return wt(*([c[0]] + [0] * (m - 1)))
+        return (2 * c[0],) + (0,) * (fam.n // 2 - 1)
     if fam.variant == "SU":
         p, q = c
-        n = fam.n
-        return wt(*([q] + [0] * (n - 2) + [-p, p - q]))
+        return (2 * q,) + (0,) * (fam.n - 2) + (-2 * p, 2 * (p - q))
     if fam.variant == "Sp":
         a, b = c
-        n = fam.n
-        return wt(*([a, b] + [0] * (n - 2) + [a - b]))
+        return (2 * a, 2 * b) + (0,) * (fam.n - 2) + (2 * (a - b),)
     m, k = c
-    return wt(Fraction(m, 2), Fraction(k, 2), Fraction(k, 2), Fraction(k, 2))
+    return (m, k, k, k)
 
 
-def label_from_weight(family: GroupFamily, w: Weight) -> Optional[KTypeLabel]:
-    """The M-spherical label with highest weight w, or None if w is not M-spherical.
+def label_from_weight(family: GroupFamily, w: Weight2) -> Optional[KTypeLabel]:
+    """The M-spherical label with doubled highest weight w, or None if w is not M-spherical.
 
     The label coordinates are read off w and accepted iff `highest_weight`
     maps them back to w.
@@ -79,14 +78,14 @@ def label_from_weight(family: GroupFamily, w: Weight) -> Optional[KTypeLabel]:
         coords = (w[0],)
     elif v == "SU":
         coords = (-w[family.n - 1], w[0])
-    elif v == "Sp":
-        coords = (w[0], w[1])
     else:
-        coords = (2 * w[0], 2 * w[1])
-    if any(c.denominator != 1 for c in coords):
+        coords = (w[0], w[1])
+    # F4 labels count half-units of the Spin(9) weight, the others whole units
+    scale = 1 if v == "F4" else 2
+    if any(c % scale for c in coords):
         return None
     try:
-        lab = KTypeLabel(family, tuple(int(c) for c in coords))
+        lab = KTypeLabel(family, tuple(c // scale for c in coords))
     except ValueError:
         return None
     return lab if highest_weight(lab) == w else None
@@ -117,24 +116,23 @@ def labels(family: GroupFamily, bound: int,
     return out
 
 
-def rho_c(family: GroupFamily) -> Weight:
-    """Half-sum of the positive compact roots in the e_i coordinates."""
-    return halve(k_root_system(family.variant, family.n).two_rho)
-
-
 def weyl_dim(family: GroupFamily, lam) -> int:
-    """Exact dimension of the K-type with highest weight lam (label or weight)."""
+    """Exact dimension of the K-type with highest weight lam (label or doubled weight)."""
     if isinstance(lam, KTypeLabel):
         lam = highest_weight(lam)
-    return k_root_system(family.variant, family.n).weyl_dim(double(lam))
+    return k_root_system(family.variant, family.n).weyl_dim(lam)
 
 
 def mintype_norm(family: GroupFamily, lam) -> Fraction:
-    """Squared Euclidean norm of lam + 2 rho_c, the minimal-K-type height."""
+    """Squared Euclidean norm of lam + 2 rho_c, the minimal-K-type height.
+
+    lam is a label or a doubled weight w = 2 lam; the norm is |w + 4 rho_c|^2 / 4.
+    """
     if isinstance(lam, KTypeLabel):
         lam = highest_weight(lam)
-    shifted = w_add(lam, tuple(2 * c for c in rho_c(family)))
-    return w_dot(shifted, shifted)
+    two_rho = k_root_system(family.variant, family.n).two_rho
+    shifted = tuple(x + 2 * r for x, r in zip(lam, two_rho, strict=True))
+    return Fraction(w_dot(shifted, shifted), 4)
 
 
 # -- socle of the reducible spherical principal series -----------------------
@@ -239,13 +237,13 @@ def minimal_ktype(family: GroupFamily, ell: int, search_bound: int | None = None
         # prefer the positive representative when SO(2,1) norms tie
         return tuple(abs(c) for c in lab.coords) + tuple(-c for c in lab.coords)
 
-    rho4 = tuple(2 * c for c in double(rho_c(family)))
+    rho4 = tuple(2 * c for c in k_root_system(family.variant, family.n).two_rho)
     best = None
     shell_min = None
     for lab in box:
         if not socle_contains(family, ell, lab):
             continue
-        nrm = sum((x + r) ** 2 for x, r in zip(double(highest_weight(lab)), rho4, strict=True))
+        nrm = sum((x + r) ** 2 for x, r in zip(highest_weight(lab), rho4, strict=True))
         on_shell = any(abs(x) >= c + width - 1 for x, c in zip(lab.coords, corner))
         if on_shell:
             if shell_min is None or nrm < shell_min:
@@ -285,7 +283,7 @@ class LanglandsRecord:
     discrete_series: bool
     limit_of_discrete_series: bool
     nu_H: Optional[Fraction] = None
-    omega_weight: Optional[Weight] = None
+    omega_weight: Optional[Weight2] = None
     omega_expr: Optional[str] = None
 
     def __post_init__(self):
@@ -306,8 +304,7 @@ def langlands(family: GroupFamily, ell: int) -> LanglandsRecord:
         discrete = mu <= -rho_H(family)
         return LanglandsRecord("G", True, discrete, not discrete)
     if v == "SO":
-        m_rank = (n - 1) // 2
-        omega = wt(*([ell + 1] + [0] * (m_rank - 1)))
+        omega = (2 * (ell + 1),) + (0,) * ((n - 1) // 2 - 1)
         return LanglandsRecord("P", False, False, False,
                                nu_H=Fraction(2 * n - 3, 2), omega_weight=omega,
                                omega_expr=f"{ell + 1} e1")
@@ -326,7 +323,7 @@ def casimir_scalar(family: GroupFamily, mu: SpectralParam) -> Fraction:
 
 __all__ = [
     "KTypeLabel", "LanglandsRecord", "InconclusiveTruncationError",
-    "label", "labels", "label_from_weight", "highest_weight", "rho_c", "weyl_dim",
+    "label", "labels", "label_from_weight", "highest_weight", "weyl_dim",
     "mintype_norm", "SocleSpec", "SOCLE_SPECS", "socle_condition", "socle_contains",
     "socle_corner", "minimal_ktype", "minimal_ktype_closed",
     "langlands", "casimir_scalar",

@@ -8,24 +8,22 @@ dominant chamber, which loses nothing because characters are W-invariant, and
 peels the highest weights in one descending pass.  p and p* are identified as
 K-modules.
 
-Weights in the public API are Fraction tuples.  Inside, both routes work on
-doubled-integer weights (weyl.double), the one kernel format: each doubles its
-source once and halves only the summands it builds.  They share no kernel:
-Racah-Speiser uses to_dominant_chamber, the oracle Freudenthal and
+Every weight, in the API and inside, is a doubled-integer weight 2w
+(`weyl.Weight2`), the one weight format of the library.  The two routes share
+no kernel: Racah-Speiser uses to_dominant_chamber, the oracle Freudenthal and
 dominant_rep, with orbit only for the orbit sizes of its dimension checks.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Optional
 
 from .groups import GroupFamily, UnsupportedFamilyError, structural_data
 from .ktypes import KTypeLabel, highest_weight, label_from_weight, weyl_dim
-from .weyl import Weight, Weight2, double, halve, k_root_system, pair, shift, w_add, w_dot, w_sub
+from .weyl import Weight2, k_root_system, pair, shift, w_add, w_dot, w_sub
 
 
 class AlgorithmViolation(RuntimeError):
@@ -34,7 +32,7 @@ class AlgorithmViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class Summand:
-    weight: Weight
+    weight: Weight2
     multiplicity: int
     m_spherical: bool
     label: Optional[KTypeLabel]  # set iff m_spherical
@@ -43,10 +41,10 @@ class Summand:
 @dataclass(frozen=True)
 class Decomposition:
     family: GroupFamily
-    source: Weight
+    source: Weight2
     summands: tuple[Summand, ...]
 
-    def weights(self) -> set[Weight]:
+    def weights(self) -> set[Weight2]:
         return {s.weight for s in self.summands}
 
     def spherical_labels(self) -> set[KTypeLabel]:
@@ -76,32 +74,30 @@ def _p_weights(variant: str, n: Optional[int]) -> tuple[Weight2, ...]:
 
 
 def weights_of_p(family: GroupFamily) -> Counter:
-    """Weight multiset of the isotropy representation p; all multiplicities are 1."""
+    """Doubled weight multiset of the isotropy representation p; all multiplicities are 1."""
     _check_supported(family)
     ws = _p_weights(family.variant, family.n)
     if len(ws) != structural_data(family).dim_p:
         raise AssertionError("weight count must equal dim p")
-    return Counter(halve(w) for w in ws)
+    return Counter(ws)
 
 
-def _decomposition(family: GroupFamily, source: Weight, acc: Counter) -> Decomposition:
-    """Summands of the positive entries of a doubled multiplicity Counter, highest weight first."""
+def _decomposition(family: GroupFamily, source: Weight2, acc: Counter) -> Decomposition:
+    """Summands of the positive entries of a multiplicity Counter, highest weight first."""
     summands = []
-    for w2 in sorted(+acc, reverse=True):
-        w = halve(w2)
+    for w in sorted(+acc, reverse=True):
         lab = label_from_weight(family, w)
-        summands.append(Summand(w, acc[w2], lab is not None, lab))
+        summands.append(Summand(w, acc[w], lab is not None, lab))
     return Decomposition(family, source, tuple(summands))
 
 
-def racah_speiser_weight(family: GroupFamily, lam: Weight) -> Decomposition:
-    """Decompose V_lam (x) p by signed reflection of lam + rho_c + beta."""
+def racah_speiser_weight(family: GroupFamily, lam: Weight2) -> Decomposition:
+    """Decompose V_lam (x) p by signed reflection of lam + rho_c + beta (lam doubled)."""
     _check_supported(family)
     rs = k_root_system(family.variant, family.n)
-    lam2 = double(lam)
-    if not rs.is_dominant(lam2):
-        raise ValueError(f"{lam} is not dominant")
-    lam_rho = w_add(lam2, rs.two_rho)
+    if not rs.is_dominant(lam):
+        raise ValueError(f"doubled weight {lam} is not dominant")
+    lam_rho = w_add(lam, rs.two_rho)
     acc: Counter = Counter()
     for beta in _p_weights(family.variant, family.n):
         dom, sign = rs.to_dominant_chamber(w_add(lam_rho, beta))
@@ -111,8 +107,8 @@ def racah_speiser_weight(family: GroupFamily, lam: Weight) -> Decomposition:
             raise AssertionError("regular orbit representative must be strictly dominant")
         acc[w_sub(dom, rs.two_rho)] += sign
     if any(m < 0 for m in acc.values()):
-        public = Counter({halve(w): m for w, m in acc.items()})
-        raise AlgorithmViolation(f"negative multiplicity in {family} at {lam}: {public}")
+        raise AlgorithmViolation(f"negative multiplicity in {family} at doubled weight "
+                                 f"{lam}: {acc}")
     return _decomposition(family, lam, acc)
 
 
@@ -122,21 +118,20 @@ def racah_speiser(family: GroupFamily, lab: KTypeLabel) -> Decomposition:
 
 # -- character oracle ---------------------------------------------------------
 #
-# The oracle runs on doubled-integer weights (weyl.double): the Freudenthal
-# ratio and the (rho-pairing, lex) peel order are both invariant under the
-# scaling, so every check below is made exactly, in ints.
+# The Freudenthal ratio and the (rho-pairing, lex) peel order are both
+# invariant under the doubling of weights, so every check below is made
+# exactly, in ints.
 
 
 @lru_cache(maxsize=None)
 def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tuple[tuple[Weight2, int], ...]:
     """Multiplicities of the dominant weights of V_lam via Freudenthal's formula.
 
-    lam and the result are doubled.  The dominant weights of V_lam are the
-    dominant mu with lam - mu a sum of positive roots; each is reached from lam
-    through dominant weights by subtracting one positive root at a time
-    (Stembridge, "The partial order of dominant weights", 1998).  Multiplicities
-    of non-dominant weights are looked up through their dominant orbit
-    representative.
+    The dominant weights of V_lam are the dominant mu with lam - mu a sum of
+    positive roots; each is reached from lam through dominant weights by
+    subtracting one positive root at a time (Stembridge, "The partial order of
+    dominant weights", 1998).  Multiplicities of non-dominant weights are
+    looked up through their dominant orbit representative.
     """
     rs = k_root_system(variant, n)
     top_norm = w_dot(lam, lam)
@@ -172,7 +167,7 @@ def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tu
         m, rem = divmod(2 * total, denom)
         if rem or m < 0:
             raise AssertionError(f"non-integral Freudenthal multiplicity "
-                                 f"{Fraction(2 * total, denom)} at {halve(w)}")
+                                 f"{2 * total}/{denom} at doubled weight {w}")
         if m:
             mult[w] = m
     if sum(m * len(rs.orbit(w)) for w, m in mult.items()) != rs.weyl_dim(lam):
@@ -193,16 +188,15 @@ def character_oracle(family: GroupFamily, lab: KTypeLabel, max_peel: int = 512) 
     variant, n = family.variant, family.n
     rs = k_root_system(variant, n)
     lam = highest_weight(lab)
-    lam2 = double(lam)
     betas = _p_weights(variant, n)
-    m_lam = dict(_dominant_multiplicities(variant, n, lam2))
+    m_lam = dict(_dominant_multiplicities(variant, n, lam))
     char: dict[Weight2, int] = {}
     for mu in {rs.dominant_rep(w_add(nu, beta)) for nu in m_lam for beta in betas}:
         m = sum(m_lam.get(rs.dominant_rep(w_sub(mu, beta)), 0) for beta in betas)
         if m:
             char[mu] = m
     if (sum(m * len(rs.orbit(mu)) for mu, m in char.items())
-            != structural_data(family).dim_p * rs.weyl_dim(lam2)):
+            != structural_data(family).dim_p * rs.weyl_dim(lam)):
         raise AssertionError("the character of V_lam (x) p must have dimension dim p * dim V_lam")
     acc: Counter = Counter()
     # rho pairs strictly positively with any nonzero sum of positive roots, so
@@ -213,8 +207,8 @@ def character_oracle(family: GroupFamily, lab: KTypeLabel, max_peel: int = 512) 
         if m == 0:
             continue
         if m < 0:
-            raise AlgorithmViolation(f"negative residual multiplicity at {halve(top)} "
-                                     "while peeling")
+            raise AlgorithmViolation(f"negative residual multiplicity at doubled weight "
+                                     f"{top} while peeling")
         if len(acc) == max_peel:
             raise AlgorithmViolation("character peeling did not terminate")
         acc[top] = m
@@ -231,8 +225,8 @@ def dimension_sum_check(dec: Decomposition) -> bool:
     return total == structural_data(dec.family).dim_p * weyl_dim(dec.family, dec.source)
 
 
-def expected_summand_labels(family: GroupFamily, lab: KTypeLabel) -> set[Weight]:
-    """Stated closed-form decomposition of Y (x) p*, as a set of highest weights.
+def expected_summand_labels(family: GroupFamily, lab: KTypeLabel) -> set[Weight2]:
+    """Stated closed-form decomposition of Y (x) p*, as a set of doubled highest weights.
 
     Equal-rank families (SU, Sp, F4): every dominant shift lam + beta by a
     weight beta of p occurs, each once.  SO(n,1): Y_{k-1} + Y_{k+1} plus, for
@@ -244,11 +238,11 @@ def expected_summand_labels(family: GroupFamily, lab: KTypeLabel) -> set[Weight]
     """
     _check_supported(family)
     rs = k_root_system(family.variant, family.n)
-    out: set[Weight] = set()
+    out: set[Weight2] = set()
 
-    def push(w2: Weight2):
-        if rs.is_dominant(w2):
-            out.add(halve(w2))
+    def push(w: Weight2):
+        if rs.is_dominant(w):
+            out.add(w)
 
     if family.variant == "SO":
         k2 = 2 * lab.coords[0]
@@ -263,9 +257,9 @@ def expected_summand_labels(family: GroupFamily, lab: KTypeLabel) -> set[Weight]
                 if family.n == 4:
                     push((k2, -2))
     else:
-        lam2 = double(highest_weight(lab))
+        lam = highest_weight(lab)
         for beta in _p_weights(family.variant, family.n):
-            push(w_add(lam2, beta))
+            push(w_add(lam, beta))
     return out
 
 

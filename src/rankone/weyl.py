@@ -1,33 +1,26 @@
 """Root systems and Weyl group combinatorics for the maximal compact subgroups.
 
-Public weights are tuples of Fractions in the e_i coordinates fixed by the
-classical conventions: K = SO(2m+1) or SO(2m) for SO(n,1); K = U(n)
-(coordinates e_1..e_n plus the central e_{n+1}) for SU(n,1); K = Sp(n) x Sp(1)
-(e_1..e_n plus e_{n+1} for the Sp(1) factor) for Sp(n,1); K = Spin(9) for F4.
+Weights live in the e_i coordinates fixed by the classical conventions:
+K = SO(2m+1) or SO(2m) for SO(n,1); K = U(n) (coordinates e_1..e_n plus the
+central e_{n+1}) for SU(n,1); K = Sp(n) x Sp(1) (e_1..e_n plus e_{n+1} for the
+Sp(1) factor) for Sp(n,1); K = Spin(9) for F4.
 
-Every weight the library builds has coordinates in (1/2)Z, so every kernel
-works on one format, the doubled weight: `double` maps a public weight to its
-int tuple 2w, `halve` maps back, and Fractions appear only at the public API of
-`ktypes` and `tensor`.  Every RootSystem method takes doubled weights.  Roots
-are stored sparsely as ((index, coefficient), ...) with int coefficients, and
-rho only as the int tuple 2 rho.  The Weyl groups are all signed-permutation
-groups, so orbits are enumerated directly rather than closed under reflections.
+Every weight the library builds has coordinates in (1/2)Z, so there is one
+weight format, the doubled weight `Weight2`: the int tuple 2w.  `ktypes`,
+`tensor` and every RootSystem method take and return doubled weights; only a
+report halves them for display.  Roots are stored sparsely as
+((index, coefficient), ...) with int coefficients, and rho only as the int
+tuple 2 rho.  The Weyl groups are all signed-permutation groups, so orbits are
+enumerated directly rather than closed under reflections.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-Weight = tuple[Fraction, ...]
 Weight2 = tuple[int, ...]  # doubled-integer weight 2w
 Root = tuple[tuple[int, int], ...]  # sparse: ((index, coefficient), ...)
-
-
-def wt(*coords) -> Weight:
-    """Build a weight tuple of exact Fractions."""
-    return tuple(Fraction(c) for c in coords)
 
 
 def w_add(a, b):
@@ -40,22 +33,6 @@ def w_sub(a, b):
 
 def w_dot(a, b):
     return sum(x * y for x, y in zip(a, b, strict=True))
-
-
-def double(w: Weight) -> Weight2:
-    """The doubled-integer form 2w of a weight with coordinates in (1/2)Z."""
-    out = []
-    for x in w:
-        y, r = divmod(2 * x.numerator, x.denominator)
-        if r:
-            raise ValueError(f"weight {w} has a coordinate outside (1/2)Z")
-        out.append(y)
-    return tuple(out)
-
-
-def halve(w2: Weight2) -> Weight:
-    """The public Fraction weight of a doubled-integer weight."""
-    return tuple(Fraction(x, 2) for x in w2)
 
 
 def pair(w, alpha: Root):
@@ -185,9 +162,13 @@ class RootSystem:
     # -- Weyl dimension formula ---------------------------------------------
 
     def weyl_dim(self, lam: Weight2) -> int:
-        """prod <lam + rho, a> / <rho, a> over positive roots a, as <2 lam + 2 rho, a> / <2 rho, a>."""
+        """Dimension of the K-type with doubled highest weight lam = 2 lambda.
+
+        prod <lambda + rho, a> / <rho, a> over positive roots a, computed as
+        <lam + 2 rho, a> / <2 rho, a>.
+        """
         if not self.is_dominant(lam):
-            raise ValueError(f"weight {halve(lam)} is not dominant")
+            raise ValueError(f"doubled weight {lam} is not dominant")
         num = den = 1
         for a in self.positive_roots:
             lam_a = pair(lam, a)
@@ -197,7 +178,7 @@ class RootSystem:
                 den *= rho_a
         d, rem = divmod(num, den)
         if rem:
-            raise ValueError(f"Weyl dimension of {halve(lam)} is not integral")
+            raise ValueError(f"Weyl dimension of doubled weight {lam} is not integral")
         return d
 
 

@@ -1,12 +1,17 @@
 import importlib
 import json
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
 import rankone
-from rankone.cli import main, parse_family, parse_label, UsageError
+from rankone import groups
+from rankone.cli import _fmt, _half, main, parse_family, parse_label, UsageError
 from rankone.groups import f4, so, su
+from rankone.ktypes import highest_weight, label
+
+from .test_tensor import _corrupt_one_table
 
 
 def run(capsys, argv):
@@ -123,6 +128,12 @@ def test_tensor_report_and_rationals_are_strings(capsys):
     assert all(isinstance(c, str) for w in weights for c in w)
 
 
+def test_half_renders_as_the_fraction():
+    # the tensor report renders each doubled weight coordinate t through _half
+    for t in list(range(-2001, 2002)) + [10 ** 30 + 1, -(10 ** 30 + 1)]:
+        assert _half(t) == _fmt(Fraction(t, 2)), t
+
+
 def test_so2_recurrences_unsupported(capsys):
     for argv in (["tensor", "SO", "2", "Y3"], ["scalars", "SO", "2", "Y1", "Y2"]):
         with pytest.raises(SystemExit) as exc:
@@ -190,6 +201,22 @@ def test_verify_small_suite(capsys):
     doc = json.loads(out)
     assert doc["status"] == "pass"
     assert doc["results"]["checks_failed"] == 0
+
+
+def test_verify_tensor_reports_a_failing_character_oracle(capsys, monkeypatch):
+    # a wrong multiplicity table makes the oracle raise inside its own checks
+    _corrupt_one_table(monkeypatch, highest_weight(label(su(3), 2, 1)))
+    code, out = run(capsys, ["verify", "tensor", "--depth", "3"])
+    assert code == 1
+    failed = [(c["id"], c["instance"]) for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert failed == [("tensor-character-oracle", "SU(3,1)")]
+
+
+def test_structural_data_is_built_once_per_family(capsys):
+    groups.structural_data.cache_clear()
+    code, _ = run(capsys, ["verify", "scalars", "--depth", "6"])
+    assert code == 0
+    assert groups.structural_data.cache_info().misses <= 14  # the sweep's 14 families
 
 
 @pytest.mark.parametrize("argv", [

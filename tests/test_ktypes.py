@@ -9,9 +9,8 @@ from rankone import ktypes
 from rankone.groups import exceptional_mu, f4, rho_H, so, sp, su, SpectralParam
 from rankone.ktypes import (KTypeLabel, casimir_scalar, highest_weight, label,
                             label_from_weight, labels, langlands, minimal_ktype,
-                            minimal_ktype_closed, mintype_norm, rho_c, socle_contains,
-                            weyl_dim)
-from rankone.weyl import wt
+                            minimal_ktype_closed, mintype_norm, socle_contains, weyl_dim)
+from rankone.weyl import k_root_system
 
 
 # Closed-form dimensions used as independent oracles.
@@ -58,11 +57,12 @@ def test_label_validation():
 
 
 def test_highest_weights():
-    assert highest_weight(label(so(5), 2)) == wt(2, 0)
-    assert highest_weight(label(su(3), 1, 2)) == wt(2, 0, -1, -1)
-    assert highest_weight(label(f4(), 2, 0)) == wt(1, 0, 0, 0)
-    assert highest_weight(label(sp(2), 2, 1)) == wt(2, 1, 1)
-    assert highest_weight(label(so(2), -3)) == wt(-3)
+    # doubled weights 2w
+    assert highest_weight(label(so(5), 2)) == (4, 0)
+    assert highest_weight(label(su(3), 1, 2)) == (4, 0, -2, -2)
+    assert highest_weight(label(f4(), 2, 0)) == (2, 0, 0, 0)
+    assert highest_weight(label(sp(2), 2, 1)) == (4, 2, 2)
+    assert highest_weight(label(so(2), -3)) == (-6,)
 
 
 # The lattice rule and the label counts, written out independently of KTypeLabel.
@@ -117,8 +117,9 @@ def _random_label(rng, fam, top):
 
 
 def _perturbed(w):
+    # +-1/2 and +-1 in each coordinate, in doubled units
     for i in range(len(w)):
-        for delta in (Q(1, 2), Q(-1, 2), Q(1), Q(-1)):
+        for delta in (1, -1, 2, -2):
             yield w[:i] + (w[i] + delta,) + w[i + 1:]
 
 
@@ -162,11 +163,14 @@ def test_label_from_weight_perturbations_match_lattice_lookup():
 
 
 def test_rho_c():
-    assert rho_c(so(5)) == wt(Q(3, 2), Q(1, 2))
-    assert rho_c(so(6)) == wt(2, 1, 0)
-    assert rho_c(f4()) == wt(Q(7, 2), Q(5, 2), Q(3, 2), Q(1, 2))
-    assert rho_c(su(2)) == wt(Q(1, 2), Q(-1, 2), 0)
-    assert rho_c(sp(3)) == wt(3, 2, 1, 1)
+    def two_rho(fam):
+        return k_root_system(fam.variant, fam.n).two_rho
+
+    assert two_rho(so(5)) == (3, 1)
+    assert two_rho(so(6)) == (4, 2, 0)
+    assert two_rho(f4()) == (7, 5, 3, 1)
+    assert two_rho(su(2)) == (1, -1, 0)
+    assert two_rho(sp(3)) == (6, 4, 2, 2)
 
 
 def test_weyl_dim_trivial_is_one():
@@ -203,15 +207,14 @@ def test_weyl_dim_f4_closed_form():
 
 def test_weyl_dim_rejects_non_dominant():
     with pytest.raises(ValueError):
-        weyl_dim(so(5), wt(1, 2))
+        weyl_dim(so(5), (2, 4))
 
 
 def test_mintype_norm_values():
     assert mintype_norm(f4(), label(f4(), 2, 0)) == 99  # (8,5,3,1)
     assert mintype_norm(so(5), label(so(5), 1)) == 17  # (4,1)
     zero = mintype_norm(su(3), label(su(3), 0, 0))
-    two_rho = tuple(2 * c for c in rho_c(su(3)))
-    assert zero == sum(c * c for c in two_rho)
+    assert zero == sum(c * c for c in k_root_system("SU", 3).two_rho)
 
 
 def test_socle_contains():
@@ -337,7 +340,7 @@ def test_langlands_records():
     assert rec.S == "G" and rec.limit_of_discrete_series
     assert langlands(sp(2), 1).discrete_series
     rec = langlands(so(5), 0)
-    assert rec.S == "P" and rec.nu_H == Q(7, 2) and rec.omega_weight == wt(1, 0)
+    assert rec.S == "P" and rec.nu_H == Q(7, 2) and rec.omega_weight == (2, 0)
     assert langlands(su(4), 2).nu_H == 2
     assert langlands(sp(3), 0).nu_H == 3
     assert langlands(so(2), 5).discrete_series

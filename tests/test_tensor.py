@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,7 @@ from rankone.ktypes import highest_weight, label, labels, weyl_dim
 from rankone.tensor import (AlgorithmViolation, character_oracle, dimension_sum_check,
                             expected_summand_labels, racah_speiser, racah_speiser_weight,
                             weights_of_p)
-from rankone.weyl import double, k_root_system, w_add, w_dot, wt
+from rankone.weyl import k_root_system, w_add, w_dot
 
 
 FAMILIES = ([so(n) for n in range(3, 9)] + [su(n) for n in range(2, 6)]
@@ -21,12 +20,15 @@ ORACLE_FAMILIES = ([so(n) for n in range(3, 9)] + [su(n) for n in range(2, 5)]
                    + [sp(2), sp(3), f4()])  # rank of K at most 4
 
 
+# Every weight below is doubled: (2, 0) is e_1, (1, 1, 1, 1) is (1/2, 1/2, 1/2, 1/2).
+
+
 def test_weights_of_p_counts():
-    assert set(weights_of_p(so(5))) == {wt(1, 0), wt(-1, 0), wt(0, 1), wt(0, -1), wt(0, 0)}
+    assert set(weights_of_p(so(5))) == {(2, 0), (-2, 0), (0, 2), (0, -2), (0, 0)}
     sp2 = weights_of_p(sp(2))
-    assert len(sp2) == 8 and wt(1, 0, 1) in sp2 and wt(0, -1, 1) in sp2
+    assert len(sp2) == 8 and (2, 0, 2) in sp2 and (0, -2, 2) in sp2
     assert len(weights_of_p(f4())) == 16
-    assert all(abs(c) == Q(1, 2) for w in weights_of_p(f4()) for c in w)
+    assert all(abs(c) == 1 for w in weights_of_p(f4()) for c in w)
     for fam in FAMILIES:
         assert sum(weights_of_p(fam).values()) == structural_data(fam).dim_p
 
@@ -42,24 +44,24 @@ def test_so_odd_stated_form():
     fam = so(5)
     for k in range(1, 8):
         dec = racah_speiser(fam, label(fam, k))
-        assert dec.weights() == {wt(k - 1, 0), wt(k + 1, 0), wt(k, 1)}
+        assert dec.weights() == {(2 * k - 2, 0), (2 * k + 2, 0), (2 * k, 2)}
         flags = {s.weight: s.m_spherical for s in dec.summands}
-        assert flags[wt(k, 1)] is False
-        assert flags[wt(k - 1, 0)] and flags[wt(k + 1, 0)]
+        assert flags[(2 * k, 2)] is False
+        assert flags[(2 * k - 2, 0)] and flags[(2 * k + 2, 0)]
 
 
 def test_so3_special_case():
     fam = so(3)
     for k in range(1, 8):
-        assert racah_speiser(fam, label(fam, k)).weights() == {wt(k - 1), wt(k), wt(k + 1)}
-    assert racah_speiser(fam, label(fam, 0)).weights() == {wt(1)}
+        assert racah_speiser(fam, label(fam, k)).weights() == {(2 * k - 2,), (2 * k,), (2 * k + 2,)}
+    assert racah_speiser(fam, label(fam, 0)).weights() == {(2,)}
 
 
 def test_so4_has_both_chiral_middle_summands():
     fam = so(4)
     for k in range(1, 6):
         dec = racah_speiser(fam, label(fam, k))
-        assert dec.weights() == {wt(k - 1, 0), wt(k + 1, 0), wt(k, 1), wt(k, -1)}
+        assert dec.weights() == {(2 * k - 2, 0), (2 * k + 2, 0), (2 * k, 2), (2 * k, -2)}
         assert dimension_sum_check(dec)
 
 
@@ -70,8 +72,8 @@ def test_su_six_summand_form():
             dec = racah_speiser(fam, label(fam, p, q))
             spherical = {highest_weight(label(fam, a, b))
                          for a, b in ((p + 1, q), (p - 1, q), (p, q + 1), (p, q - 1))}
-            v1 = wt(q, 1, -p, p - q - 1)
-            v2 = wt(q, -1, -p, p - q + 1)
+            v1 = (2 * q, 2, -2 * p, 2 * (p - q - 1))
+            v2 = (2 * q, -2, -2 * p, 2 * (p - q + 1))
             assert dec.weights() == spherical | {v1, v2}
             flags = {s.weight: s.m_spherical for s in dec.summands}
             assert not flags[v1] and not flags[v2]
@@ -82,8 +84,8 @@ def test_trivial_type_gives_p_itself():
         triv = label(fam, *((0,) if fam.variant == "SO" else (0, 0)))
         dec = racah_speiser(fam, triv)
         p_weight = {
-            "SO": wt(*([1] + [0] * (fam.n // 2 - 1))) if fam.n else None,
-            "SU": wt(*([1] + [0] * (fam.n - 2) + [0, -1])) if fam.variant == "SU" else None,
+            "SO": (2,) + (0,) * (fam.n // 2 - 1) if fam.n else None,
+            "SU": (2,) + (0,) * (fam.n - 2) + (0, -2) if fam.variant == "SU" else None,
         }
         total = sum(s.multiplicity * weyl_dim(fam, s.weight) for s in dec.summands)
         assert total == structural_data(fam).dim_p
@@ -126,7 +128,7 @@ def reference_character_oracle(fam, lab):
 
     lam = highest_weight(lab)
     char = Counter()
-    for w, m in full(double(lam)).items():
+    for w, m in full(lam).items():
         for beta in tensor._p_weights(fam.variant, fam.n):
             char[w_add(w, beta)] += m
     acc = Counter()
@@ -168,7 +170,7 @@ def _corrupt_one_table(monkeypatch, lam2):
 
 def test_oracle_rejects_a_wrong_source_multiplicity(monkeypatch):
     fam, lab = su(3), label(su(3), 2, 1)
-    _corrupt_one_table(monkeypatch, double(highest_weight(lab)))
+    _corrupt_one_table(monkeypatch, highest_weight(lab))
     with pytest.raises(AssertionError, match="dim p"):
         character_oracle(fam, lab)
 
@@ -176,7 +178,7 @@ def test_oracle_rejects_a_wrong_source_multiplicity(monkeypatch):
 def test_oracle_rejects_a_wrong_summand_multiplicity(monkeypatch):
     fam, lab = su(3), label(su(3), 2, 1)
     summand = racah_speiser(fam, lab).summands[0].weight
-    _corrupt_one_table(monkeypatch, double(summand))
+    _corrupt_one_table(monkeypatch, summand)
     with pytest.raises(AlgorithmViolation, match="negative residual"):
         character_oracle(fam, lab)
 
@@ -214,4 +216,4 @@ def test_adjacency_symmetry(fam):
 
 def test_racah_speiser_weight_rejects_non_dominant():
     with pytest.raises(ValueError):
-        racah_speiser_weight(su(3), wt(0, 1, 0, -1))
+        racah_speiser_weight(su(3), (0, 2, 0, -2))
