@@ -2,11 +2,11 @@
 
 A spectral parameter mu lives on the one-dimensional split torus and is stored
 through its value mu(H), where H is normalized by alpha(H) = 1 for the simple
-positive restricted root alpha.  All values are exact rationals.
+positive restricted root alpha.  All values are exact rationals; both routes
+to the exceptional parameters work on the integers t = 2 mu(H).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -172,32 +172,18 @@ def exceptional_doubled(family: GroupFamily, count: int) -> list[int]:
     return [_exceptional_t(sd, family.variant, ell) for ell in range(count)]
 
 
-def exceptional_params(family: GroupFamily, count: int) -> list[SpectralParam]:
-    """First `count` exceptional parameters in decreasing order of mu(H)."""
-    return [SpectralParam(Fraction(t, 2)) for t in exceptional_doubled(family, count)]
-
-
-def _gamma_pole_scan(sd: StructuralData, lo: int, hi: int) -> list[int]:
+def exceptional_in_interval(family: GroupFamily, lo: int, hi: int = 0) -> list[int]:
     """The integers t = 2 mu(H) in [lo, hi], ascending, where 1/e has a Gamma pole.
 
-    A Gamma argument is integral and nonpositive iff its numerator over 4
-    is a nonpositive multiple of 4.
+    The integer grid of t holds every possible zero: a Gamma argument
+    (m_alpha/2 + c + mu(H))/2 is integral only for mu(H) in a coset of 2Z
+    shifted by an integer or half-integer.  A Gamma argument is integral and
+    nonpositive iff its numerator over 4 is a nonpositive multiple of 4.
     """
+    sd = structural_data(family)
     out = []
     for t in range(lo, hi + 1):
         a1, a2 = _gamma_numerators(sd, t)
         if (a1 % 4 == 0 and a1 <= 0) or (a2 % 4 == 0 and a2 <= 0):
             out.append(t)
     return out
-
-
-def exceptional_in_interval(family: GroupFamily, lower: Fraction, upper: Fraction = Fraction(0)) -> list[Fraction]:
-    """All mu(H) in [lower, upper] flagged by the Gamma-pole predicate.
-
-    Scans the half-integer grid, which contains every possible zero: a Gamma
-    argument (m_alpha/2 + c + mu(H))/2 is integral only for mu(H) in a coset
-    of 2Z shifted by an integer or half-integer.  The scan runs over the
-    integers t = 2 mu(H) in [2 lower, 2 upper].
-    """
-    lo, hi = math.ceil(2 * Fraction(lower)), math.floor(2 * Fraction(upper))
-    return [Fraction(t, 2) for t in _gamma_pole_scan(structural_data(family), lo, hi)]

@@ -2,11 +2,12 @@
 
 For an omega-related pair (V, Y) the gradient from V-sections to Y-sections
 rescales Poisson transforms by T(V, Y, mu) = (mu + rho)(H) lambda(V, Y) +
-nu(V, Y).  nu is tabulated per direction; its defining property is that
-T(V, Y, .) vanishes exactly at the parameter whose principal series has an
-invariant subspace containing Y but not V.  The growth products reproduce the
-norm-recursion estimates used for the Fourier-series convergence of the SU,
-Sp and F4 cases.
+nu(V, Y).  nu_scalar and t_scalar take lambda(V, Y) from the caller, who
+already holds the omega row of V.  nu is tabulated per direction; its
+defining property is that T(V, Y, .) vanishes exactly at the parameter whose
+principal series has an invariant subspace containing Y but not V.  The
+growth products reproduce the norm-recursion estimates used for the
+Fourier-series convergence of the SU, Sp and F4 cases.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from math import factorial, log
 
 from .groups import GroupFamily, SpectralParam, UnsupportedFamilyError, rho_H
 from .ktypes import KTypeLabel, label, labels, weyl_dim
-from .spherical import lambda_scalar, omega_h_expand
+from .spherical import omega_h_expand
 
 
 class NotOmegaRelatedError(ValueError):
@@ -59,26 +60,17 @@ def _nu_factor(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
     raise NotOmegaRelatedError(f"{v} and {y} are not neighbours in {family}")
 
 
-def nu_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
-    """nu(V, Y), the Poisson-transform scalar at mu = -rho."""
-    lam = lambda_scalar(family, v, y)
+def nu_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, lam: Fraction) -> Fraction:
+    """nu(V, Y), the Poisson-transform scalar at mu = -rho, from lam = lambda(V, Y)."""
     if lam == 0:
         raise NotOmegaRelatedError(f"{v} and {y} are not omega-related in {family}")
     return _nu_factor(family, v, y) * lam
 
 
-def t_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, mu: SpectralParam) -> Fraction:
-    """T(V, Y, mu) = (mu + rho)(H) lambda(V, Y) + nu(V, Y)."""
-    lam = lambda_scalar(family, v, y)
-    if lam == 0:
-        raise NotOmegaRelatedError(f"{v} and {y} are not omega-related in {family}")
-    return _t_scalar(family, v, y, mu, lam)
-
-
-def _t_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, mu: SpectralParam,
-              lam: Fraction) -> Fraction:
-    """t_scalar from a nonzero lambda(V, Y) the caller already holds."""
-    return (mu.mu_H + rho_H(family)) * lam + _nu_factor(family, v, y) * lam
+def t_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, mu: SpectralParam,
+             lam: Fraction) -> Fraction:
+    """T(V, Y, mu) = (mu + rho)(H) lambda(V, Y) + nu(V, Y), from lam = lambda(V, Y)."""
+    return (mu.mu_H + rho_H(family)) * lam + nu_scalar(family, v, y, lam)
 
 
 def t_root(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
@@ -127,7 +119,7 @@ def vanishing_table_check(family: GroupFamily, bound: int) -> bool:
     for v in labels(family, bound):
         for y, lam in omega_h_expand(family, v).terms:
             mu = vanishing_mu(family, v, y)
-            if _t_scalar(family, v, y, SpectralParam(mu), lam) != 0:
+            if t_scalar(family, v, y, SpectralParam(mu), lam) != 0:
                 return False
             if t_root(family, v, y) != mu:
                 return False

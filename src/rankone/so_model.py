@@ -21,7 +21,7 @@ from .groups import SpectralParam, rho_H, so
 from .ktypes import label, weyl_dim
 from .poly import Poly, binomial_row, peval, pmul, trim
 from .scalars import t_scalar
-from .spherical import zonal_factor
+from .spherical import lambda_scalar, omega_h_expand, zonal_factor
 
 # -- exact zonal polynomials ---------------------------------------------------
 
@@ -273,18 +273,13 @@ def sphere_points(n: int, count: int, seed: int = 0) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def poisson_delta(n: int, k: int, mu: SpectralParam, g: np.ndarray,
+def poisson_delta(n: int, z: list[float], mu: SpectralParam, g: np.ndarray,
                   points: np.ndarray) -> np.ndarray:
     """Values of the delta-distribution Poisson transform at sphere points.
 
-    a_I(g^-1)^{-(mu+rho)} Z_k evaluated along the rotated axis k_I(g^-1) e1.
+    a_I(g^-1)^{-(mu+rho)} Z_k evaluated along the rotated axis k_I(g^-1) e1,
+    where z holds the coefficients of Z_k (`zonal_coeffs`) converted to float.
     """
-    return _poisson_delta(n, [float(c) for c in zonal_coeffs(n, k)], mu, g, points)
-
-
-def _poisson_delta(n: int, z: list[float], mu: SpectralParam, g: np.ndarray,
-                   points: np.ndarray) -> np.ndarray:
-    """poisson_delta with the zonal coefficients z already converted to float."""
     kI, s, _ = iwasawa(lorentz_inverse(g))
     axis = kI[:n, 0]
     factor = math.exp(-s * float(mu.mu_H + rho_H(so(n))))
@@ -305,8 +300,8 @@ def _gradient_sum(n: int, k: int, mu: SpectralParam, points: np.ndarray,
     combined = np.zeros(len(points))
     d_h = None
     for j in range(n):
-        plus = _poisson_delta(n, z, mu, boost(n, j, step_h), points)
-        minus = _poisson_delta(n, z, mu, boost(n, j, -step_h), points)
+        plus = poisson_delta(n, z, mu, boost(n, j, step_h), points)
+        minus = poisson_delta(n, z, mu, boost(n, j, -step_h), points)
         deriv = (plus - minus) / (2 * step_h)
         if j == 0:
             d_h = deriv
@@ -319,11 +314,9 @@ def expected_combination(n: int, k: int, mu: SpectralParam, points: np.ndarray) 
     fam = so(n)
     src = label(fam, k)
     out = np.zeros(len(points))
-    for tgt in (k - 1, k + 1):
-        if tgt < 0:
-            continue
-        coeff = float(t_scalar(fam, src, label(fam, tgt), mu))
-        z = [float(c) for c in zonal_coeffs(n, tgt)]
+    for y, lam in omega_h_expand(fam, src).terms:  # Y_{k-1} (for k > 0), then Y_{k+1}
+        coeff = float(t_scalar(fam, src, y, mu, lam))
+        z = [float(c) for c in zonal_coeffs(n, y.coords[0])]
         out += coeff * np.array([_feval(z, float(p[0])) for p in points])
     return out
 
@@ -378,7 +371,8 @@ def exceptional_vanishing_residual(n: int, ell: int, step_h: float = 1e-4,
     """
     fam = so(n)
     mu = SpectralParam(-rho_H(fam) - ell)
-    if t_scalar(fam, label(fam, ell), label(fam, ell + 1), mu) != 0:
+    v, y = label(fam, ell), label(fam, ell + 1)
+    if t_scalar(fam, v, y, mu, lambda_scalar(fam, v, y)) != 0:
         raise AssertionError(f"T(Y_{ell}, Y_{ell + 1}) must vanish at mu(H) = {mu.mu_H}")
     points = sphere_points(n, num_points, seed)
     combined, _ = _gradient_sum(n, ell, mu, points, step_h)

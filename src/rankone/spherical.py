@@ -66,19 +66,14 @@ class PhiSpec:
         return value
 
 
-def radial_factor(family: GroupFamily, lab: KTypeLabel) -> RadialFactor:
-    """The xi-dependent hypergeometric factor of the spherical function."""
-    _check_supported(family)
-    return _radial(family, lab.coords)
-
-
-def _radial(family: GroupFamily, coords: tuple[int, ...]) -> RadialFactor:
-    """radial_factor as a formula in the label coordinates.
+def radial_factor(family: GroupFamily, coords: tuple[int, ...]) -> RadialFactor:
+    """The xi-dependent hypergeometric factor of the spherical function at label coordinates.
 
     The ingredient identities also evaluate it just outside the lattice, at
     Sp (a, a+1) and (a-1, a) and at F4 (m+-1, -1), so it takes coordinates
     rather than a label.
     """
+    _check_supported(family)
     n = family.n
     if family.variant == "SO":
         (k,) = coords
@@ -120,7 +115,7 @@ def chebyshev_u(q: int) -> Poly:
 def phi(family: GroupFamily, lab: KTypeLabel) -> PhiSpec:
     """Symbolic spherical function, normalized to 1 at the base point."""
     _check_supported(family)
-    rad = radial_factor(family, lab)
+    rad = radial_factor(family, lab.coords)
     if family.variant == "SO":
         spec = PhiSpec(family, lab, rad, "none")
     elif family.variant == "SU":
@@ -289,15 +284,9 @@ def _factorisation(family: GroupFamily, coords: tuple[int, ...]) -> list[Split]:
              _terms(den, (14 + m + k, (m + 1, k + 1)), (m - k, (m - 1, k + 1))))]
 
 
-def ingredient_identities(family: GroupFamily, lab: KTypeLabel) -> dict[str, bool]:
-    """The per-factor identities whose combination yields the omega(H) row."""
-    _check_supported(family)
-    return _identities(family, lab.coords, {})
-
-
-def _identities(family: GroupFamily, coords: tuple[int, ...], radials: dict,
-                splits: Optional[list[Split]] = None) -> dict[str, bool]:
-    """ingredient_identities at coords.
+def ingredient_identities(family: GroupFamily, coords: tuple[int, ...], radials: dict,
+                          splits: Optional[list[Split]] = None) -> dict[str, bool]:
+    """The per-factor identities whose combination yields the omega(H) row at coords.
 
     `splits` is _factorisation(family, coords), built here unless the caller
     already holds it.  `radials` maps label coordinates to the radial factor
@@ -308,14 +297,14 @@ def _identities(family: GroupFamily, coords: tuple[int, ...], radials: dict,
     """
     def rad(c: tuple[int, ...]) -> RadialFactor:
         if c not in radials:
-            radials[c] = _radial(family, c)
+            radials[c] = radial_factor(family, c)
         return radials[c]
 
     out: dict[str, bool] = {}
     if family.variant == "Sp":
         out["chebyshev"] = chebyshev_three_term(coords[0] - coords[1])
     elif family.variant == "F4":
-        out["azimuthal"] = _identities(_F4_ANGLES, (coords[1],), radials)["radial"]
+        out["azimuthal"] = ingredient_identities(_F4_ANGLES, (coords[1],), radials)["radial"]
     if splits is None:
         splits = _factorisation(family, coords)
     lhs = rad(coords)
@@ -324,25 +313,17 @@ def _identities(family: GroupFamily, coords: tuple[int, ...], radials: dict,
     return out
 
 
-def verify_omega_identity(family: GroupFamily, lab: KTypeLabel) -> bool:
+def verify_omega_identity(family: GroupFamily, lab: KTypeLabel, row: RecurrenceRow,
+                          radials: dict) -> bool:
     """Exact check of the full omega(H) recurrence for one label.
 
     True iff every ingredient identity holds as a polynomial identity and the
-    assembled coefficients reproduce the stated recurrence row.
-    """
-    _check_supported(family)
-    return _verify_omega_identity(family, lab, omega_h_expand(family, lab), {})
-
-
-def _verify_omega_identity(family: GroupFamily, lab: KTypeLabel, row: RecurrenceRow,
-                           radials: dict) -> bool:
-    """verify_omega_identity against the stated `row` of lab.
-
-    A sweep passes the row it already holds and one `radials` dict for all
-    labels of a family (see _identities).
+    assembled coefficients reproduce `row`, the stated recurrence row of lab
+    (`omega_h_expand`).  A sweep passes the row it already holds and one
+    `radials` dict for all labels of a family (see ingredient_identities).
     """
     splits = _factorisation(family, lab.coords)
-    if not all(_identities(family, lab.coords, radials, splits).values()):
+    if not all(ingredient_identities(family, lab.coords, radials, splits).values()):
         return False
     assembled = {}
     for _, weight, terms in splits:

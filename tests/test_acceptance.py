@@ -69,7 +69,7 @@ def test_criterion_01_structural_table():
 def test_criterion_02_exceptional_dual_route():
     with _Timed("criterion 2: exceptional parameters, dual route on [-60, 0]", 1):
         for fam in ALL_FAMILIES:
-            scanned = exceptional_in_interval(fam, Q(-60))
+            scanned = [Q(t, 2) for t in exceptional_in_interval(fam, -120)]
             closed, ell = [], 0
             while True:
                 mu = exceptional_mu(fam, ell).mu_H
@@ -112,7 +112,7 @@ def test_criterion_05_recurrence_identities():
     with _Timed("criterion 5: omega(H) recurrences as exact identities", 60):
         for fam in SWEEP_FAMILIES:
             for lab in labels(fam, 10):
-                assert verify_omega_identity(fam, lab), (fam, lab)
+                assert verify_omega_identity(fam, lab, omega_h_expand(fam, lab), {}), (fam, lab)
 
 
 def test_criterion_06_hypergeometric_relations():
@@ -134,7 +134,7 @@ def test_criterion_07_scalar_vanishing():
             for v in labels(fam, 10):
                 for y, lam in omega_h_expand(fam, v).terms:
                     mu = SpectralParam(vanishing_mu(fam, v, y))
-                    assert t_scalar(fam, v, y, mu) == 0
+                    assert t_scalar(fam, v, y, mu, lam) == 0
 
 
 def test_criterion_08_growth_products():

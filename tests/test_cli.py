@@ -1,14 +1,19 @@
+import ast
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import rankone
-from rankone import groups
+from rankone import cli, groups, scalars, spherical, tensor
 from rankone.cli import _fmt, _half, main, parse_family, parse_label, UsageError
-from rankone.groups import f4, so, su
+from rankone.groups import f4, so, sp, su
 from rankone.ktypes import highest_weight, label
 
 from .test_tensor import _corrupt_one_table
@@ -18,6 +23,10 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def failed_checks(out):
+    return [(c["id"], c["instance"]) for c in json.loads(out)["checks"] if c["status"] == "fail"]
 
 
 @pytest.mark.parametrize("module", ["rankone"] + [f"rankone.{m.name}"
@@ -262,3 +271,97 @@ def test_unrenderable_result_exits_2(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and "result T has too many digits" in err
+
+
+def _racah_speiser_raises_at(monkeypatch, fam, lab, exc):
+    real = tensor.racah_speiser
+
+    def failing(family, source):
+        if family == fam and source == lab:
+            raise exc(f"injected at {source}")
+        return real(family, source)
+
+    monkeypatch.setattr(tensor, "racah_speiser", failing)
+
+
+@pytest.mark.parametrize("exc", [tensor.AlgorithmViolation, AssertionError])
+def test_verify_tensor_reports_a_failing_racah_speiser(capsys, monkeypatch, exc):
+    _racah_speiser_raises_at(monkeypatch, su(3), label(su(3), 2, 1), exc)
+    code, out = run(capsys, ["verify", "tensor", "--depth", "3"])
+    assert code == 1
+    # the label has no decomposition, so neither the closed form nor the oracle matches it
+    assert failed_checks(out) == [("tensor-closed-form", "SU(3,1)"),
+                                  ("tensor-character-oracle", "SU(3,1)")]
+
+
+@pytest.mark.parametrize("exc", [tensor.AlgorithmViolation, AssertionError])
+def test_verify_spherical_reports_a_failing_racah_speiser(capsys, monkeypatch, exc):
+    _racah_speiser_raises_at(monkeypatch, su(3), label(su(3), 2, 1), exc)
+    code, out = run(capsys, ["verify", "spherical", "--depth", "3"])
+    assert code == 1
+    assert failed_checks(out) == [("omega-vs-tensor-adjacency", "SU(3,1)")]
+
+
+# The CLI calls each kernel through its public entry, so a fault injected there
+# shows in the report.
+
+
+def test_verify_spherical_goes_through_verify_omega_identity(capsys, monkeypatch):
+    real = spherical.verify_omega_identity
+
+    def failing(family, lab, row, radials):
+        if family == sp(2) and lab.coords == (2, 1):
+            return False
+        return real(family, lab, row, radials)
+
+    monkeypatch.setattr(spherical, "verify_omega_identity", failing)
+    code, out = run(capsys, ["verify", "spherical", "--depth", "3"])
+    assert code == 1
+    assert failed_checks(out) == [("omega-recurrence-identity", "Sp(2,1)")]
+
+
+def test_exceptional_goes_through_exceptional_in_interval(capsys, monkeypatch):
+    real = groups.exceptional_in_interval
+    monkeypatch.setattr(groups, "exceptional_in_interval",
+                        lambda family, lo, hi=0: real(family, lo, hi)[1:])  # drop one pole
+    code, out = run(capsys, ["exceptional", "SO", "5", "--count", "8"])
+    assert code == 1
+    assert failed_checks(out) == [("exceptional-dual-route", "SO(5,1)")]
+
+
+def test_scalars_report_goes_through_t_scalar(capsys, monkeypatch):
+    argv = ["scalars", "SU", "4", "Y2,3", "Y3,3", "--mu=-5/2"]
+    _, before = run(capsys, argv)
+    real = scalars.t_scalar
+    monkeypatch.setattr(scalars, "t_scalar", lambda *args: real(*args) + 1)
+    _, after = run(capsys, argv)
+    t_before = Fraction(json.loads(before)["results"]["T"])
+    assert json.loads(after)["results"]["T"] == str(t_before + 1)
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    """Each kernel has one public entry; the CLI may not reach a private twin."""
+    siblings = {m.name for m in pkgutil.iter_modules(rankone.__path__)}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    bound = set()  # names that cli binds to sibling modules
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in siblings:
+                    bound.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    private.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    assert bound and not private, private
+
+
+def test_python_dash_m_rankone():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "rankone", "structure", "F4"], cwd=root,
+                          env=dict(os.environ, PYTHONPATH="src"), capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (root / "tests" / "golden" / "structure_F4.json").read_bytes()

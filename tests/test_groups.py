@@ -57,12 +57,23 @@ def test_unitary_axis_and_positive_chamber_not_exceptional(fam):
     assert a1 > 0 and a2 > 0
 
 
+def closed_mus(fam, count):
+    """mu(H) of the first `count` exceptional parameters, from the doubled integers."""
+    return [Q(t, 2) for t in groups.exceptional_doubled(fam, count)]
+
+
+def scan(fam, lower, upper=Q(0)):
+    """mu(H) in [lower, upper] flagged by the Gamma-pole scan over t = 2 mu(H)."""
+    return [Q(t, 2) for t in groups.exceptional_in_interval(fam, math.ceil(2 * lower),
+                                                             math.floor(2 * upper))]
+
+
 def test_exceptional_closed_forms():
-    assert [m.mu_H for m in groups.exceptional_params(so(3), 3)] == [-1, -2, -3]
-    assert [m.mu_H for m in groups.exceptional_params(sp(2), 3)] == [-3, -5, -7]
-    assert [m.mu_H for m in groups.exceptional_params(f4(), 3)] == [-5, -7, -9]
-    assert [m.mu_H for m in groups.exceptional_params(su(2), 2)] == [-2, -4]
-    assert [m.mu_H for m in groups.exceptional_params(so(4), 2)] == [Q(-3, 2), Q(-5, 2)]
+    assert closed_mus(so(3), 3) == [-1, -2, -3]
+    assert closed_mus(sp(2), 3) == [-3, -5, -7]
+    assert closed_mus(f4(), 3) == [-5, -7, -9]
+    assert closed_mus(su(2), 2) == [-2, -4]
+    assert closed_mus(so(4), 2) == [Q(-3, 2), Q(-5, 2)]
 
 
 def test_first_exceptional_is_minus_rho_for_so_su():
@@ -75,7 +86,7 @@ def test_first_exceptional_is_minus_rho_for_so_su():
                          + [sp(n) for n in range(2, 7)] + [f4()])
 def test_dual_route_agreement(fam):
     bound = 60
-    scanned = groups.exceptional_in_interval(fam, Q(-bound))
+    scanned = scan(fam, Q(-bound))
     closed = []
     ell = 0
     while True:
@@ -101,7 +112,7 @@ def test_structural_invariants(fam):
 
 def test_exceptional_params_decreasing():
     for fam in (so(5), su(4), sp(3), f4()):
-        vals = [m.mu_H for m in groups.exceptional_params(fam, 6)]
+        vals = closed_mus(fam, 6)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -113,8 +124,8 @@ def scan_reference(fam, lower, upper):
 
 def test_scan_from_off_grid_lower_bound():
     # 2 * (-7/3) is not an integer: the scan starts at the next half-integer
-    assert groups.exceptional_in_interval(so(3), Q(-7, 3)) == [-2, -1]
-    assert groups.exceptional_in_interval(f4(), Q(-29, 3), Q(-26, 5)) == [-9, -7]
+    assert scan(so(3), Q(-7, 3)) == [-2, -1]
+    assert scan(f4(), Q(-29, 3), Q(-26, 5)) == [-9, -7]
 
 
 def test_scan_matches_predicate_reference():
@@ -125,17 +136,18 @@ def test_scan_matches_predicate_reference():
         for _ in range(8):
             lower = Q(rng.randint(-400, 40), rng.randint(1, 9))
             upper = lower + Q(rng.randint(-5, 200), rng.randint(1, 9))
-            assert groups.exceptional_in_interval(fam, lower, upper) == scan_reference(fam, lower, upper)
+            assert scan(fam, lower, upper) == scan_reference(fam, lower, upper)
 
 
 def test_integer_route_matches_fraction_routes():
-    # the doubled integers of both routes against exceptional_params and exceptional_in_interval
+    # the doubled integers of both routes against the Fraction closed form and predicate
     rng = random.Random(4711)
     fams = [so(n) for n in range(2, 11)] + [su(n) for n in range(2, 9)] + [sp(n) for n in range(2, 7)]
     for fam in rng.sample(fams, 12) + [f4()]:
         count = rng.randint(1, 400)
         doubled = groups.exceptional_doubled(fam, count)
-        assert [Q(t, 2) for t in doubled] == [m.mu_H for m in groups.exceptional_params(fam, count)]
-        scanned = groups._gamma_pole_scan(groups.structural_data(fam), doubled[-1], 0)
+        assert [Q(t, 2) for t in doubled] == [groups.exceptional_mu(fam, ell).mu_H
+                                              for ell in range(count)]
+        scanned = groups.exceptional_in_interval(fam, doubled[-1])
         assert scanned[::-1] == doubled
-        assert [Q(t, 2) for t in scanned] == groups.exceptional_in_interval(fam, Q(doubled[-1], 2))
+        assert [Q(t, 2) for t in scanned] == scan_reference(fam, Q(doubled[-1], 2), Q(0))

@@ -17,35 +17,42 @@ def SP(x):
     return SpectralParam(Q(x))
 
 
+def t_of(fam, v, y, mu):
+    """t_scalar with lambda(V, Y) read from the omega row of V."""
+    return t_scalar(fam, v, y, mu, lambda_scalar(fam, v, y))
+
+
 def test_nu_examples():
     fam = so(6)
-    assert nu_scalar(fam, label(fam, 0), label(fam, 1)) == 0
+    lam = lambda_scalar(fam, label(fam, 0), label(fam, 1))
+    assert nu_scalar(fam, label(fam, 0), label(fam, 1), lam) == 0
     lam = lambda_scalar(su(3), label(su(3), 2, 1), label(su(3), 3, 1))
-    assert nu_scalar(su(3), label(su(3), 2, 1), label(su(3), 3, 1)) == 4 * lam
+    assert nu_scalar(su(3), label(su(3), 2, 1), label(su(3), 3, 1), lam) == 4 * lam
     lam = lambda_scalar(f4(), label(f4(), 5, 3), label(f4(), 6, 2))
-    assert nu_scalar(f4(), label(f4(), 5, 3), label(f4(), 6, 2)) == (5 - 3 - 6) * lam
+    assert nu_scalar(f4(), label(f4(), 5, 3), label(f4(), 6, 2), lam) == (5 - 3 - 6) * lam
     lam = lambda_scalar(sp(2), label(sp(2), 2, 1), label(sp(2), 1, 1))
-    assert nu_scalar(sp(2), label(sp(2), 2, 1), label(sp(2), 1, 1)) == -(8 + 4) * lam
+    assert nu_scalar(sp(2), label(sp(2), 2, 1), label(sp(2), 1, 1), lam) == -(8 + 4) * lam
 
 
 def test_scalar_pair_invariant():
     v, y = label(so(5), 1), label(so(5), 2)
     lam = lambda_scalar(so(5), v, y)
     assert lam != 0
-    assert nu_scalar(so(5), v, y) == lam  # direction +1 from Y_1: nu = ell * lambda
+    assert nu_scalar(so(5), v, y, lam) == lam  # direction +1 from Y_1: nu = ell * lambda
+    v, y = label(so(5), 0), label(so(5), 2)
     with pytest.raises(NotOmegaRelatedError):
-        nu_scalar(so(5), label(so(5), 0), label(so(5), 2))
+        nu_scalar(so(5), v, y, lambda_scalar(so(5), v, y))
 
 
 def test_t_examples():
-    assert t_scalar(so(3), label(so(3), 0), label(so(3), 1), SP(-1)) == 0
-    assert t_scalar(su(3), label(su(3), 1, 1), label(su(3), 0, 1), SP(3)) == 0
+    assert t_of(so(3), label(so(3), 0), label(so(3), 1), SP(-1)) == 0
+    assert t_of(su(3), label(su(3), 1, 1), label(su(3), 0, 1), SP(3)) == 0
     # trivial-route root sits exactly at rho(H)
     for fam in (so(4), so(7), su(2), su(4), sp(2), sp(3), f4()):
         triv = label(fam, *((0,) if fam.variant == "SO" else (0, 0)))
         for y, _ in omega_h_expand(fam, triv).terms:
             assert t_root(fam, y, triv) == rho_H(fam)
-            assert t_scalar(fam, y, triv, SpectralParam(rho_H(fam))) == 0
+            assert t_of(fam, y, triv, SpectralParam(rho_H(fam))) == 0
 
 
 def test_affine_in_mu_with_slope_lambda():
@@ -53,11 +60,11 @@ def test_affine_in_mu_with_slope_lambda():
                       (sp(2), label(sp(2), 3, 1), label(sp(2), 3, 2)),
                       (f4(), label(f4(), 4, 2), label(f4(), 3, 1))]:
         lam = lambda_scalar(fam, v, y)
-        t0 = t_scalar(fam, v, y, SP(0))
+        t0 = t_scalar(fam, v, y, SP(0), lam)
         for mu in (Q(1), Q(-7, 2), Q(12)):
-            assert t_scalar(fam, v, y, SpectralParam(mu)) == t0 + mu * lam
+            assert t_scalar(fam, v, y, SpectralParam(mu), lam) == t0 + mu * lam
         root = t_root(fam, v, y)
-        assert t_scalar(fam, v, y, SpectralParam(root)) == 0
+        assert t_scalar(fam, v, y, SpectralParam(root), lam) == 0
         assert root == vanishing_mu(fam, v, y)
 
 
@@ -74,21 +81,21 @@ def test_vanishing_rows_explicit():
     # one hand-checked row per family
     fam = so(7)
     for ell in range(5):
-        assert t_scalar(fam, label(fam, ell), label(fam, ell + 1),
+        assert t_of(fam, label(fam, ell), label(fam, ell + 1),
                         SpectralParam(-rho_H(fam) - ell)) == 0
     fam = sp(3)
     for a in range(1, 5):
         for b in range(1, a + 1):
-            assert t_scalar(fam, label(fam, a, b), label(fam, a, b - 1),
+            assert t_of(fam, label(fam, a, b), label(fam, a, b - 1),
                             SpectralParam(rho_H(fam) + 2 * b - 4)) == 0
     fam = f4()
     for m in range(1, 6):
         for k in range(2 - m % 2, m + 1, 2):
-            assert t_scalar(fam, label(fam, m, k), label(fam, m + 1, k - 1),
+            assert t_of(fam, label(fam, m, k), label(fam, m + 1, k - 1),
                             SpectralParam(-(rho_H(fam) - 6 + m - k))) == 0
     fam = su(4)
     for q in range(1, 5):
-        assert t_scalar(fam, label(fam, 2, q), label(fam, 2, q - 1),
+        assert t_of(fam, label(fam, 2, q), label(fam, 2, q - 1),
                         SpectralParam(rho_H(fam) + 2 * (q - 1))) == 0
 
 
@@ -128,7 +135,7 @@ def _t_ratio(fam, ell, v, y):
     """Squared-norm step ratio derived from the exact T-scalars."""
     mu = exceptional_mu(fam, ell)
     dims = Q(weyl_dim(fam, v), weyl_dim(fam, y))
-    return -(dims ** 2) * t_scalar(fam, v, y, mu) / t_scalar(fam, y, v, mu)
+    return -(dims ** 2) * t_of(fam, v, y, mu) / t_of(fam, y, v, mu)
 
 
 @pytest.mark.parametrize("fam", [sp(2), sp(3), sp(4)])

@@ -9,6 +9,7 @@ from rankone.groups import SpectralParam, rho_H, so
 from rankone.ktypes import label, weyl_dim
 from rankone.poly import peval
 from rankone.scalars import t_scalar
+from rankone.spherical import lambda_scalar
 
 
 def SP(x):
@@ -111,13 +112,13 @@ def test_poisson_delta_special_cases():
     z = [float(c) for c in M.zonal_coeffs(n, k)]
     base = np.array([M._feval(z, p[0]) for p in pts])
     # at the identity: the zonal function itself
-    assert np.allclose(M.poisson_delta(n, k, SP(Q(1, 2)), np.eye(n + 1), pts), base)
+    assert np.allclose(M.poisson_delta(n, z, SP(Q(1, 2)), np.eye(n + 1), pts), base)
     # on the horospherical subgroup: unchanged
     g = M.nilpotent(n, np.array([0.4, -0.1]))
-    assert np.max(np.abs(M.poisson_delta(n, k, SP(Q(1, 2)), g, pts) - base)) < 1e-12
+    assert np.max(np.abs(M.poisson_delta(n, z, SP(Q(1, 2)), g, pts) - base)) < 1e-12
     # along exp(sH): scales by exp(s (mu+rho)(H))
     mu = Q(-1, 2)
-    got = M.poisson_delta(n, k, SP(mu), M.boost(n, 0, 0.3), pts)
+    got = M.poisson_delta(n, z, SP(mu), M.boost(n, 0, 0.3), pts)
     assert np.allclose(got, math.exp(0.3 * float(mu + rho_H(so(n)))) * base)
 
 
@@ -148,7 +149,8 @@ def test_gradient_coefficients_match_scalars():
     rep = M.verify_intertwining(n, k, mu)
     fam = so(n)
     for tgt in (k - 1, k + 1):
-        want = float(t_scalar(fam, label(fam, k), label(fam, tgt), mu))
+        v, y = label(fam, k), label(fam, tgt)
+        want = float(t_scalar(fam, v, y, mu, lambda_scalar(fam, v, y)))
         assert abs(rep.coefficients[tgt] - want) <= 1e-6
     assert abs(rep.coefficients[k]) <= 1e-6  # no middle component
 
@@ -164,7 +166,8 @@ def test_exceptional_scalar_is_exactly_zero():
         fam = so(n)
         for ell in range(4):
             mu = SpectralParam(-rho_H(fam) - ell)
-            assert t_scalar(fam, label(fam, ell), label(fam, ell + 1), mu) == 0
+            v, y = label(fam, ell), label(fam, ell + 1)
+            assert t_scalar(fam, v, y, mu, lambda_scalar(fam, v, y)) == 0
 
 
 def test_lambda_equals_exact_zonal_projection():

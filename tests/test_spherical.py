@@ -120,15 +120,15 @@ def test_dim_reciprocity(fam):
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_omega_identity_sweep(fam):
     for lab in labels(fam, 10):
-        assert verify_omega_identity(fam, lab), lab
+        assert verify_omega_identity(fam, lab, omega_h_expand(fam, lab), {}), lab
 
 
 def test_ingredient_identities_reported_individually():
-    keys = ingredient_identities(su(3), label(su(3), 2, 1))
+    keys = ingredient_identities(su(3), (2, 1), {})
     assert set(keys) == {"raise_p", "raise_q"} and all(keys.values())
-    keys = ingredient_identities(f4(), label(f4(), 3, 1))
+    keys = ingredient_identities(f4(), (3, 1), {})
     assert set(keys) == {"azimuthal", "lower_pair", "raise_pair"} and all(keys.values())
-    keys = ingredient_identities(sp(2), label(sp(2), 2, 2))
+    keys = ingredient_identities(sp(2), (2, 2), {})
     assert all(keys.values())
 
 
@@ -159,10 +159,10 @@ def test_boundary_rows_drop_only_invalid_targets():
 
 
 def test_radial_factor_parameters():
-    r = radial_factor(su(4), label(su(4), 2, 3))
+    r = radial_factor(su(4), (2, 3))
     assert (r.series.a, r.series.b, r.series.c) == (-2, -3, 3)
     assert r.cos_power == 5
-    r = radial_factor(f4(), label(f4(), 5, 3))
+    r = radial_factor(f4(), (5, 3))
     assert (r.series.a, r.series.b, r.series.c) == (-1, -7, 4)
 
 
@@ -181,8 +181,8 @@ def test_integer_clear_cos_matches_fraction_reference(fam):
     """Random combinations of a radial factor and its neighbours agree up to a positive scale."""
     rng = random.Random(str(fam))
     for lab in labels(fam, 5):
-        factors = [(Q(-1), radial_factor(fam, lab), 1)]
-        factors += [(Q(rng.randint(-9, 9), rng.randint(1, 7)), radial_factor(fam, t), 0)
+        factors = [(Q(-1), radial_factor(fam, lab.coords), 1)]
+        factors += [(Q(rng.randint(-9, 9), rng.randint(1, 7)), radial_factor(fam, t.coords), 0)
                     for t, _ in omega_h_expand(fam, lab).terms]
         ref = reference_clear_cos([(r.cos_power + extra, c, r.poly_in_u()) for c, r, extra in factors])
         got = spherical._clear_cos([(r.cos_power + extra, c.numerator, c.denominator * r.series.den,
@@ -199,7 +199,7 @@ def test_integer_clear_cos_matches_fraction_reference(fam):
 def test_radial_identity_fails_with_a_moved_coefficient(monkeypatch, fam, coords):
     """Moving the first right-hand coefficient by 1/den must break every radial identity."""
     lab = label(fam, *coords)
-    assert all(ingredient_identities(fam, lab).values())
+    assert all(ingredient_identities(fam, coords, {}).values())
     real = spherical._radial_identity
 
     def moved(lhs, rhs):
@@ -207,9 +207,9 @@ def test_radial_identity_fails_with_a_moved_coefficient(monkeypatch, fam, coords
         return real(lhs, [(c + Q(1, c.denominator), r)] + rest)
 
     monkeypatch.setattr(spherical, "_radial_identity", moved)
-    checks = ingredient_identities(fam, lab)
+    checks = ingredient_identities(fam, coords, {})
     assert not any(ok for key, ok in checks.items() if key != "chebyshev"), checks
-    assert not verify_omega_identity(fam, lab)
+    assert not verify_omega_identity(fam, lab, omega_h_expand(fam, lab), {})
 
 
 @pytest.mark.parametrize("fam,coords,neighbour", [
@@ -227,8 +227,9 @@ def test_swapped_stated_row_fails_only_its_family(monkeypatch, capsys, fam, coor
         return den, raw
 
     monkeypatch.setattr(spherical, "_raw_row", swapped)
-    assert not verify_omega_identity(fam, label(fam, *coords))
-    assert verify_omega_identity(fam, label(fam, *neighbour))
+    lab, other = label(fam, *coords), label(fam, *neighbour)
+    assert not verify_omega_identity(fam, lab, omega_h_expand(fam, lab), {})
+    assert verify_omega_identity(fam, other, omega_h_expand(fam, other), {})
     assert cli.main(["verify", "spherical", "--depth", "4"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     identity = {c["instance"]: c["status"] for c in checks if c["id"] == "omega-recurrence-identity"}
