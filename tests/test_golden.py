@@ -21,6 +21,11 @@ spherical, hypergeometric and zonal layer is pinned by `verify spherical
 The anchored minimal-K-type search is pinned by `socle --ell 100` for SU 8,
 Sp 8, F4, SO 8 and SO 2, and the integer exceptional route by `exceptional
 Sp 7 --count 3028` and the CSV report of `exceptional SU 8 --count 1610`.
+
+The argument parser is pinned by `help_*.txt` (stdout of `rankone -h` and of
+`rankone <command> -h`, exit 0) and `usage_*.txt` (stderr of rejected command
+lines, exit 2).  argparse wraps both to the terminal width, so those tests run
+at COLUMNS=80.
 """
 from pathlib import Path
 
@@ -91,3 +96,37 @@ def test_report_matches_golden(capsys, name, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / name).read_text()
+
+
+COMMANDS = ("structure", "exceptional", "socle", "tensor", "scalars", "verify")
+HELP_CASES = [("help_rankone.txt", ["-h"])] + [(f"help_{c}.txt", [c, "-h"]) for c in COMMANDS]
+USAGE_CASES = [
+    ("usage_no_command.txt", []),
+    ("usage_unknown_command.txt", ["bogus"]),
+    ("usage_structure_unrecognized_option.txt", ["structure", "SO", "5", "--bogus"]),
+    ("usage_verify_unknown_suite.txt", ["verify", "nope"]),
+    ("usage_structure_bad_format.txt", ["structure", "SO", "5", "--format", "xml"]),
+    ("usage_exceptional_bad_count.txt", ["exceptional", "F4", "--count", "z"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", HELP_CASES, ids=[name for name, _ in HELP_CASES])
+def test_help_matches_golden(capsys, monkeypatch, name, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name,argv", USAGE_CASES, ids=[name for name, _ in USAGE_CASES])
+def test_usage_error_matches_golden(capsys, monkeypatch, name, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == (GOLDEN / name).read_text()
