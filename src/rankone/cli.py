@@ -29,12 +29,12 @@ _CELL_ENCODER = json.JSONEncoder(sort_keys=True)
 
 def _fmt(value):
     """Exact, JSON-friendly rendering; rationals become strings."""
+    # str and int first: most values are already rendered or plain integers,
+    # and the isinstance test against Fraction (an ABC) is the slow one
+    if isinstance(value, (str, int, float)) or value is None:
+        return value
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str, float)):
-        return value
     if isinstance(value, SpectralParam):
         return str(value.mu_H)
     if isinstance(value, ktypes.KTypeLabel):
@@ -441,47 +441,100 @@ def cmd_verify(suite: str, depth: int, tolerance: float, seed: int) -> Report:
 # -- argument parsing ------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", help="write the report to this file instead of stdout")
-    common.add_argument("--seed", type=_seed, default=0, help="sampling seed (so-model)")
-    common.add_argument("--tolerance", type=_tolerance, default=1e-5,
-                        help="numerical tolerance (so-model)")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", help="write the report to this file instead of stdout")
+    p.add_argument("--seed", type=_seed, default=0, help="sampling seed (so-model)")
+    p.add_argument("--tolerance", type=_tolerance, default=1e-5,
+                   help="numerical tolerance (so-model)")
 
+
+def _args_structure(p: argparse.ArgumentParser) -> None:
+    p.add_argument("params", nargs="+")
+
+
+def _args_exceptional(p: argparse.ArgumentParser) -> None:
+    p.add_argument("params", nargs="+")
+    p.add_argument("--count", type=int, default=8)
+
+
+def _args_socle(p: argparse.ArgumentParser) -> None:
+    p.add_argument("params", nargs="+")
+    p.add_argument("--ell", type=int, default=0)
+
+
+def _args_tensor(p: argparse.ArgumentParser) -> None:
+    p.add_argument("params", nargs="+", help="family [n] label")
+
+
+def _args_scalars(p: argparse.ArgumentParser) -> None:
+    p.add_argument("params", nargs="+", help="family [n] V Y")
+    p.add_argument("--mu", default="0", help="mu(H) as an exact rational")
+
+
+def _args_verify(p: argparse.ArgumentParser) -> None:
+    p.add_argument("suite", choices=("all",) + tuple(SUITES))
+    p.add_argument("--depth", type=int, default=6)
+
+
+# subcommand -> (its line in `rankone -h`, adds its own arguments after the common ones)
+COMMANDS = {
+    "structure": ("root multiplicities and derived constants", _args_structure),
+    "exceptional": ("exceptional parameters via both routes", _args_exceptional),
+    "socle": ("socle data at the ell-th exceptional parameter", _args_socle),
+    "tensor": ("decompose a K-type tensored with p", _args_tensor),
+    "scalars": ("lambda, nu and T for a pair of K-types", _args_scalars),
+    "verify": ("run a verification suite", _args_verify),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    _add_common(p)
+    COMMANDS[name][1](p)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="rankone",
         description="Exact structural data, K-type lattices, tensor decompositions "
                     "and intertwining scalars of the rank-one groups, with a "
                     "numerical SO(n,1) verification model.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("structure", parents=[common],
-                       help="root multiplicities and derived constants")
-    p.add_argument("params", nargs="+")
-
-    p = sub.add_parser("exceptional", parents=[common],
-                       help="exceptional parameters via both routes")
-    p.add_argument("params", nargs="+")
-    p.add_argument("--count", type=int, default=8)
-
-    p = sub.add_parser("socle", parents=[common],
-                       help="socle data at the ell-th exceptional parameter")
-    p.add_argument("params", nargs="+")
-    p.add_argument("--ell", type=int, default=0)
-
-    p = sub.add_parser("tensor", parents=[common], help="decompose a K-type tensored with p")
-    p.add_argument("params", nargs="+", help="family [n] label")
-
-    p = sub.add_parser("scalars", parents=[common],
-                       help="lambda, nu and T for a pair of K-types")
-    p.add_argument("params", nargs="+", help="family [n] V Y")
-    p.add_argument("--mu", default="0", help="mu(H) as an exact rational")
-
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p.add_argument("suite", choices=("all",) + tuple(SUITES))
-    p.add_argument("--depth", type=int, default=6)
+    for name, (help_text, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse(argv: list[str]) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
+    """The parser that read argv, and what it read.
+
+    A command line that names a subcommand is read by a parser for that
+    subcommand alone, built as the full parser builds its subparser and under
+    the same prog, so its help and errors are the same.  The full parser is
+    built only for what it alone reports: the top-level help, a missing or
+    unknown command and tokens left over.  It re-reads the whole argv, so
+    those messages are the ones it always printed.
+    """
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = argparse.ArgumentParser(prog=f"rankone {name}")
+        _add_arguments(parser, name)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = name
+            return parser, args
+    parser = build_parser()
+    return parser, parser.parse_args(argv)
+
+
+# Caps on the size arguments, each set so that a query inside them answers in
+# about 2 s or less (measured at the slowest family on a 2-vCPU host): tensor
+# and socle build every root of K, about n^2 of them, and the Gamma-pole scan
+# of exceptional runs over about n + count grid points.
+MAX_N = {"exceptional": 100_000, "socle": 800, "tensor": 300}
+MAX_COUNT = 200_000
+MAX_ELL = 100  # the minimal-K-type search costs the same at every ell
 
 
 def _dispatch(args) -> Report:
@@ -490,6 +543,9 @@ def _dispatch(args) -> Report:
             raise UsageError("depth must be positive")
         return cmd_verify(args.suite, args.depth, args.tolerance, args.seed)
     family, rest = parse_family(args.params)
+    max_n = MAX_N.get(args.command)
+    if max_n is not None and family.n is not None and family.n > max_n:
+        raise UsageError(f"n must be at most {max_n} for {args.command}")
     if args.command == "structure":
         if rest:
             raise UsageError(f"unexpected arguments {rest}")
@@ -499,14 +555,16 @@ def _dispatch(args) -> Report:
             raise UsageError(f"unexpected arguments {rest}")
         if args.count < 1:
             raise UsageError("count must be positive")
+        if args.count > MAX_COUNT:
+            raise UsageError(f"count must be at most {MAX_COUNT}")
         return cmd_exceptional(family, args.count)
     if args.command == "socle":
         if rest:
             raise UsageError(f"unexpected arguments {rest}")
         if args.ell < 0:
             raise UsageError("ell must be nonnegative")
-        if args.ell > 100:  # a command-line cap; the search costs the same at every ell
-            raise UsageError("ell must be at most 100")
+        if args.ell > MAX_ELL:
+            raise UsageError(f"ell must be at most {MAX_ELL}")
         return cmd_socle(family, args.ell)
     if args.command == "tensor":
         if len(rest) != 1:
@@ -538,8 +596,7 @@ def _attach_negative_mu(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_mu(sys.argv[1:] if argv is None else list(argv)))
+    parser, args = _parse(_attach_negative_mu(sys.argv[1:] if argv is None else list(argv)))
     try:
         report = _dispatch(args)
     except UsageError as exc:

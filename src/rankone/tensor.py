@@ -11,7 +11,7 @@ K-modules.
 Every weight, in the API and inside, is a doubled-integer weight 2w
 (`weyl.Weight2`), the one weight format of the library.  The two routes share
 no kernel: Racah-Speiser uses to_dominant_chamber, the oracle Freudenthal and
-dominant_rep, with orbit only for the orbit sizes of its dimension checks.
+dominant_rep, with orbit_size (|W| over the stabiliser) in its dimension checks.
 """
 from __future__ import annotations
 
@@ -170,7 +170,7 @@ def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tu
                                  f"{2 * total}/{denom} at doubled weight {w}")
         if m:
             mult[w] = m
-    if sum(m * len(rs.orbit(w)) for w, m in mult.items()) != rs.weyl_dim(lam):
+    if sum(m * rs.orbit_size(w) for w, m in mult.items()) != rs.weyl_dim(lam):
         raise AssertionError("weight multiplicities do not sum to the Weyl dimension")
     return tuple(sorted(mult.items()))
 
@@ -195,7 +195,7 @@ def character_oracle(family: GroupFamily, lab: KTypeLabel, max_peel: int = 512) 
         m = sum(m_lam.get(rs.dominant_rep(w_sub(mu, beta)), 0) for beta in betas)
         if m:
             char[mu] = m
-    if (sum(m * len(rs.orbit(mu)) for mu, m in char.items())
+    if (sum(m * rs.orbit_size(mu) for mu, m in char.items())
             != structural_data(family).dim_p * rs.weyl_dim(lam)):
         raise AssertionError("the character of V_lam (x) p must have dimension dim p * dim V_lam")
     acc: Counter = Counter()

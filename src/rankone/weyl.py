@@ -15,9 +15,11 @@ enumerated directly rather than closed under reflections.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import factorial, prod
 
 Weight2 = tuple[int, ...]  # doubled-integer weight 2w
 Root = tuple[tuple[int, int], ...]  # sparse: ((index, coefficient), ...)
@@ -158,6 +160,31 @@ class RootSystem:
         if self.kind == "CC":
             return {v + (t,) for v in signed for t in {tail[0], -tail[0]}}
         return {v + tail for v in signed}
+
+    def orbit_size(self, w: Weight2) -> int:
+        """len(self.orbit(w)), as |W| over the order of the stabiliser of w.
+
+        Among signed permutations the stabiliser permutes equal |w_i| and flips
+        the signs of zero coordinates.  D keeps only the even sign changes, which
+        halves |W|, and halves the stabiliser too when w has a zero, since
+        flipping that zero evens out any other sign change.
+        """
+        head = w[: self.rank]
+        if self.kind == "A":
+            return factorial(self.rank) // prod(factorial(k) for k in Counter(head).values())
+        counts = Counter(abs(x) for x in head)
+        zeros = counts.pop(0, 0)
+        order = 2 ** self.rank * factorial(self.rank)
+        stab = prod(factorial(k) for k in counts.values()) * factorial(zeros) * 2 ** zeros
+        if self.kind == "D":
+            order //= 2
+            if zeros:
+                stab //= 2
+        if self.kind == "CC":  # the independent sign of the Sp(1) coordinate
+            order *= 2
+            if not w[-1]:
+                stab *= 2
+        return order // stab
 
     # -- Weyl dimension formula ---------------------------------------------
 

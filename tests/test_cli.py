@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import json
@@ -204,6 +205,57 @@ def test_socle_ell_above_cap_exits_2(capsys, ell):
     assert "ell must be at most 100" in capsys.readouterr().err
 
 
+BEYOND_THE_CAPS = [
+    # each of these used to exit 1 with an OverflowError or MemoryError, or run for minutes
+    (["tensor", "SO", "999999999999999999999", "Y1"], "n must be at most 300 for tensor"),
+    (["tensor", "SO", "60000", "Y3"], "n must be at most 300 for tensor"),
+    (["socle", "SU", "999999999999999999999", "--ell", "1"], "n must be at most 800 for socle"),
+    (["socle", "SO", "5000", "--ell", "1"], "n must be at most 800 for socle"),
+    (["socle", "Sp", "3000", "--ell", "1"], "n must be at most 800 for socle"),
+    (["exceptional", "F4", "--count", "100000000"], "count must be at most 200000"),
+    (["exceptional", "SO", "999999999999999999999", "--count", "3"],
+     "n must be at most 100000 for exceptional"),
+]
+
+
+def _no_command_runs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a query beyond the caps reached its command")
+
+    for name in ("cmd_exceptional", "cmd_socle", "cmd_tensor"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("argv,message", BEYOND_THE_CAPS,
+                         ids=[" ".join(a) for a, _ in BEYOND_THE_CAPS])
+def test_sizes_beyond_the_caps_exit_2_before_any_work(capsys, monkeypatch, argv, message):
+    _no_command_runs(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command,extra", [("exceptional", []), ("socle", ["--ell", "1"]),
+                                           ("tensor", ["Y1"])])
+def test_the_n_cap_itself_is_accepted(capsys, monkeypatch, command, extra):
+    cap = cli.MAX_N[command]
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda *args: cli.Report(command, {}))
+    assert run(capsys, [command, "SO", str(cap)] + extra)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([command, "SO", str(cap + 1)] + extra)
+    assert exc.value.code == 2
+
+
+def test_the_count_cap_itself_is_accepted(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_exceptional", lambda *args: cli.Report("exceptional", {}))
+    assert run(capsys, ["exceptional", "F4", "--count", str(cli.MAX_COUNT)])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["exceptional", "F4", "--count", str(cli.MAX_COUNT + 1)])
+    assert exc.value.code == 2
+
+
 def test_verify_small_suite(capsys):
     code, out = run(capsys, ["verify", "groups", "--depth", "2"])
     assert code == 0
@@ -365,3 +417,55 @@ def test_python_dash_m_rankone():
                           env=dict(os.environ, PYTHONPATH="src"), capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (root / "tests" / "golden" / "structure_F4.json").read_bytes()
+
+
+# A command line that names a subcommand is parsed by that subcommand's parser
+# alone; the full parser is built only for what it alone reports.
+
+FAST_PATH_QUERIES = [
+    ["tensor", "SU", "3", "Y2,1"],
+    ["scalars", "SU", "4", "Y2,3", "Y3,3", "--mu", "-5/2"],
+    ["exceptional", "F4", "--count", "5", "--format", "csv"],
+    ["verify", "groups", "--depth", "1"],
+]
+
+
+def _full_parser_refused(monkeypatch):
+    class FullParserBuilt(Exception):
+        pass
+
+    def refuse():
+        raise FullParserBuilt
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    return FullParserBuilt
+
+
+@pytest.mark.parametrize("argv", FAST_PATH_QUERIES, ids=[" ".join(a) for a in FAST_PATH_QUERIES])
+def test_valid_query_never_builds_the_full_parser(capsys, monkeypatch, argv):
+    expected = run(capsys, argv)
+    assert expected[0] == 0
+    _full_parser_refused(monkeypatch)
+    assert run(capsys, argv) == expected
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["bogus"], [], ["structure", "SO", "5", "--bogus"]])
+def test_only_the_full_parser_reports_top_level_usage(monkeypatch, argv):
+    full_parser_built = _full_parser_refused(monkeypatch)
+    with pytest.raises(full_parser_built):
+        main(argv)
+
+
+def test_each_query_builds_one_fresh_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in FAST_PATH_QUERIES:
+        assert run(capsys, argv)[0] == 0
+    # one per query: no second parser, and none kept from an earlier call
+    assert len(built) == len(FAST_PATH_QUERIES)

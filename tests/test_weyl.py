@@ -10,6 +10,8 @@ from fractions import Fraction as Q
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankone import ktypes
 from rankone.groups import so, su
@@ -118,12 +120,22 @@ def test_orbit_matches_reflection_closure(rs):
         assert rs.orbit(double(w)) == {double(v) for v in expected}
 
 
+@pytest.mark.parametrize("rs", SYSTEMS + [type_d(1), type_b(5), type_d(5), type_a_u(6)],
+                         ids=IDS + ["D1", "B5", "D5", "A6"])
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_orbit_size_counts_the_orbit(rs, data):
+    # few coordinate values, so that repeats and zeros (nontrivial stabilisers) are common
+    w = data.draw(st.tuples(*[st.integers(-4, 4)] * rs.dim))
+    assert rs.orbit_size(w) == len(rs.orbit(w)), w
+
+
 @pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
 def test_regular_orbit_has_weyl_group_order(rs):
     # a strictly dominant weight has a trivial stabiliser, so |orbit| = |W| / 1
     w = tuple([2 * (rs.rank - i) + 1 for i in range(rs.rank)] + [3] * (rs.dim - rs.rank))
     assert rs.is_dominant(w, strict=True)
-    assert len(rs.orbit(w)) == weyl_order(rs)
+    assert len(rs.orbit(w)) == rs.orbit_size(w) == weyl_order(rs)
     assert len(reference_orbit(rs, halve(w))) == weyl_order(rs)
 
 
