@@ -218,41 +218,36 @@ BEYOND_THE_CAPS = [
 ]
 
 
-def _no_command_runs(monkeypatch):
+@pytest.mark.parametrize("argv,message", BEYOND_THE_CAPS,
+                         ids=[" ".join(a) for a, _ in BEYOND_THE_CAPS])
+def test_sizes_beyond_the_caps_exit_2_before_any_work(capsys, monkeypatch, argv, message):
     def refuse(*args):
         raise AssertionError("a query beyond the caps reached its command")
 
     for name in ("cmd_exceptional", "cmd_socle", "cmd_tensor"):
         monkeypatch.setattr(cli, name, refuse)
-
-
-@pytest.mark.parametrize("argv,message", BEYOND_THE_CAPS,
-                         ids=[" ".join(a) for a, _ in BEYOND_THE_CAPS])
-def test_sizes_beyond_the_caps_exit_2_before_any_work(capsys, monkeypatch, argv, message):
-    _no_command_runs(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("command,extra", [("exceptional", []), ("socle", ["--ell", "1"]),
-                                           ("tensor", ["Y1"])])
-def test_the_n_cap_itself_is_accepted(capsys, monkeypatch, command, extra):
-    cap = cli.MAX_N[command]
+CAP_EDGES = [  # (command, argv with {} where the capped value goes, cap)
+    ("exceptional", ["exceptional", "SO", "{}"], cli.MAX_N["exceptional"]),
+    ("socle", ["socle", "SO", "{}", "--ell", "1"], cli.MAX_N["socle"]),
+    ("tensor", ["tensor", "SO", "{}", "Y1"], cli.MAX_N["tensor"]),
+    ("exceptional", ["exceptional", "F4", "--count", "{}"], cli.MAX_COUNT),
+    ("socle", ["socle", "SU", "8", "--ell", "{}"], cli.MAX_ELL),
+]
+
+
+@pytest.mark.parametrize("command,argv,cap", CAP_EDGES,
+                         ids=[" ".join(a).format("cap") for _, a, _ in CAP_EDGES])
+def test_each_cap_is_the_largest_accepted_value(capsys, monkeypatch, command, argv, cap):
     monkeypatch.setattr(cli, f"cmd_{command}", lambda *args: cli.Report(command, {}))
-    assert run(capsys, [command, "SO", str(cap)] + extra)[0] == 0
+    assert run(capsys, [t.format(cap) for t in argv])[0] == 0
     with pytest.raises(SystemExit) as exc:
-        main([command, "SO", str(cap + 1)] + extra)
-    assert exc.value.code == 2
-
-
-def test_the_count_cap_itself_is_accepted(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "cmd_exceptional", lambda *args: cli.Report("exceptional", {}))
-    assert run(capsys, ["exceptional", "F4", "--count", str(cli.MAX_COUNT)])[0] == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["exceptional", "F4", "--count", str(cli.MAX_COUNT + 1)])
+        main([t.format(cap + 1) for t in argv])
     assert exc.value.code == 2
 
 
