@@ -21,6 +21,8 @@ spherical, hypergeometric and zonal layer is pinned by `verify spherical
 The anchored minimal-K-type search is pinned by `socle --ell 100` for SU 8,
 Sp 8, F4, SO 8 and SO 2, and the integer exceptional route by `exceptional
 Sp 7 --count 3028` and the CSV report of `exceptional SU 8 --count 1610`.
+The K-type dimensions at the size caps, up to ~35 digits, are pinned by
+`tensor Sp 300 V6,2`, `tensor SU 300 Y3,5` and `socle Sp 800 --ell 100`.
 
 The argument parser is pinned by `help_*.txt` (stdout of `rankone -h` and of
 `rankone <command> -h`, exit 0) and `usage_*.txt` (stderr of rejected command
@@ -78,6 +80,9 @@ CASES = [
     ("exceptional_Sp_7_count3028.json", ["exceptional", "Sp", "7", "--count", "3028"]),
     ("exceptional_SU_8_count1610.csv",
      ["exceptional", "SU", "8", "--count", "1610", "--format", "csv"]),
+    ("tensor_Sp_300_V6_2.json", ["tensor", "Sp", "300", "V6,2"]),
+    ("tensor_SU_300_Y3_5.json", ["tensor", "SU", "300", "Y3,5"]),
+    ("socle_Sp_800_ell100.json", ["socle", "Sp", "800", "--ell", "100"]),
 ]
 for fam in FAMILIES:
     CASES += [
