@@ -27,11 +27,20 @@ class UsageError(ValueError):
 _CELL_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
+# An int of at most this many bits has fewer than 640 decimal digits, the least
+# value `sys.set_int_max_str_digits` accepts, so it always renders.
+_INT_STR_SAFE_BITS = 2000
+
+
 def _fmt(value):
     """Exact, JSON-friendly rendering; rationals become strings."""
     # str and int first: most values are already rendered or plain integers,
     # and the isinstance test against Fraction (an ABC) is the slow one
-    if isinstance(value, (str, int, float)) or value is None:
+    if isinstance(value, (str, float)) or value is None:
+        return value
+    if isinstance(value, int):
+        if value.bit_length() > _INT_STR_SAFE_BITS:
+            str(value)  # more digits than int-to-str conversion allows raises ValueError here
         return value
     if isinstance(value, Fraction):
         return str(value)
@@ -529,18 +538,23 @@ def _parse(argv: list[str]) -> tuple[argparse.ArgumentParser, argparse.Namespace
 
 
 # Caps on the size arguments, each set so that a query inside them answers in
-# about 2 s or less (measured at the slowest family on a 2-vCPU host): tensor
-# and socle build every root of K, about n^2 of them, and the Gamma-pole scan
-# of exceptional runs over about n + count grid points.
-MAX_N = {"exceptional": 100_000, "socle": 800, "tensor": 300}
+# about 2 s or less (measured at the slowest family, Sp, on a 2-vCPU host):
+# tensor adds each of the ~4n weights of p to a weight of length n, the Weyl
+# dimension of a weight supported on a few coordinates multiplies O(n) factors
+# into an integer of O(n) digits, and the Gamma-pole scan of exceptional runs
+# over about n + count grid points.
+MAX_N = {"exceptional": 100_000, "socle": 10_000, "tensor": 1000}
 MAX_COUNT = 200_000
 MAX_ELL = 100  # the minimal-K-type search costs the same at every ell
+MAX_DEPTH = 16  # `verify all`, the five suites in turn, is the slowest
 
 
 def _dispatch(args) -> Report:
     if args.command == "verify":
         if args.depth < 1:
             raise UsageError("depth must be positive")
+        if args.depth > MAX_DEPTH:
+            raise UsageError(f"depth must be at most {MAX_DEPTH}")
         return cmd_verify(args.suite, args.depth, args.tolerance, args.seed)
     family, rest = parse_family(args.params)
     max_n = MAX_N.get(args.command)

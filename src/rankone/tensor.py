@@ -148,6 +148,8 @@ def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tu
                 frontier.append(nu)
     lam_rho = w_add(lam, rs.two_rho)
     c_top = w_dot(lam_rho, lam_rho)
+    roots = [(alpha, sum(c * c for _, c in alpha)) for alpha in rs.positive_roots]
+    reps: dict[Weight2, Weight2] = {}  # dominant_rep, once per weight of the table
     mult: dict[Weight2, int] = {lam: 1}
     for w in sorted(candidates, key=lambda w: w_dot(w, rs.two_rho), reverse=True):
         if w == lam:
@@ -157,13 +159,20 @@ def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tu
         if denom <= 0:
             raise AssertionError("Freudenthal denominator must be positive below lam")
         total = 0
-        for alpha in rs.positive_roots:
-            up = shift(w, alpha, 2)
-            while w_dot(up, up) <= top_norm:  # every weight lies in the ||lam|| ball
-                m_up = mult.get(rs.dominant_rep(up))
-                if m_up:
-                    total += m_up * 2 * pair(up, alpha)  # <up, 2 alpha> in doubled units
+        w_norm = w_dot(w, w)
+        for alpha, aa in roots:
+            # walk up = w + 2k alpha (doubled) with norm = |up|^2 and p = <up, alpha>:
+            # one step adds 4 (p + |alpha|^2) to the norm and 2 |alpha|^2 to p
+            up, norm, p = w, w_norm, pair(w, alpha)
+            while (norm := norm + 4 * (p + aa)) <= top_norm:  # the ||lam|| ball
                 up = shift(up, alpha, 2)
+                p += 2 * aa
+                rep = reps.get(up)
+                if rep is None:
+                    rep = reps[up] = rs.dominant_rep(up)
+                m_up = mult.get(rep)
+                if m_up:
+                    total += m_up * 2 * p  # <up, 2 alpha> in doubled units
         m, rem = divmod(2 * total, denom)
         if rem or m < 0:
             raise AssertionError(f"non-integral Freudenthal multiplicity "

@@ -8,16 +8,21 @@ Sp(1) factor) for Sp(n,1); K = Spin(9) for F4.
 Every weight the library builds has coordinates in (1/2)Z, so there is one
 weight format, the doubled weight `Weight2`: the int tuple 2w.  `ktypes`,
 `tensor` and every RootSystem method take and return doubled weights; only a
-report halves them for display.  Roots are stored sparsely as
-((index, coefficient), ...) with int coefficients, and rho only as the int
-tuple 2 rho.  The Weyl groups are all signed-permutation groups, so orbits are
-enumerated directly rather than closed under reflections.
+report halves them for display.  The Weyl groups are all signed-permutation
+groups, so each root system is stated by its kind and rank alone: 2 rho has a
+closed form per kind, orbits are enumerated directly rather than closed under
+reflections, and the Weyl dimension multiplies only the factors of the roots
+e_i +- e_j, e_i, 2 e_i that meet the support of the weight (Fulton-Harris,
+Representation Theory, Lecture 24), O(rank) for the weights of bounded
+support that the families use.  The positive roots themselves, stored sparsely
+as ((index, coefficient), ...) with int coefficients, are enumerated only on
+first access, which only the Freudenthal oracle makes.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import factorial, prod
 
@@ -52,22 +57,38 @@ def shift(w, alpha: Root, k: int):
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Positive roots of K together with the signed-permutation Weyl action.
+    """The root system of K, stated by its kind, rank and 2 rho, with the
+    signed-permutation Weyl action.
 
-    kind selects the chamber combinatorics:
+    kind selects the chamber combinatorics and the positive roots:
       "B"  -- signed permutations of all coordinates (SO(odd), Spin(9)),
       "D"  -- signed permutations with an even number of sign changes,
       "A"  -- permutations of the first `rank` coordinates, the trailing
               central coordinate is fixed (U(n)),
       "CC" -- signed permutations of the first `rank` coordinates and an
               independent sign flip on the last one (Sp(n) x Sp(1)).
+    The positive roots are e_i - e_j (i < j < rank), plus e_i + e_j for B, D
+    and CC, e_i for B, and 2 e_i (i <= rank, the last one the Sp(1) root) for CC.
     """
 
     kind: str
     rank: int  # number of permuted coordinates
     dim: int  # total coordinate length
-    positive_roots: tuple[Root, ...]
     two_rho: Weight2
+
+    @cached_property
+    def positive_roots(self) -> tuple[Root, ...]:
+        """Every positive root, sparse, in the order e_i - e_j, e_i + e_j, e_i or 2 e_i;
+        about rank^2 of them, built on first access."""
+        pairs = list(combinations(range(self.rank), 2))
+        roots = [((i, 1), (j, -1)) for i, j in pairs]
+        if self.kind != "A":
+            roots += [((i, 1), (j, 1)) for i, j in pairs]
+        if self.kind == "B":
+            roots += [((i, 1),) for i in range(self.rank)]
+        if self.kind == "CC":
+            roots += [((i, 2),) for i in range(self.rank + 1)]
+        return tuple(roots)
 
     # -- chamber tests ------------------------------------------------------
 
@@ -192,17 +213,38 @@ class RootSystem:
         """Dimension of the K-type with doubled highest weight lam = 2 lambda.
 
         prod <lambda + rho, a> / <rho, a> over positive roots a, computed as
-        <lam + 2 rho, a> / <2 rho, a>.
+        <lam + 2 rho, a> / <2 rho, a>.  A root orthogonal to lam contributes
+        the factor 1 and is skipped, as is every root that meets no coordinate
+        of supp(lam).  What is left are the roots e_i +- e_j with i in the
+        support (each pair met once), e_i (B) and 2 e_i (CC) on the support,
+        and the Sp(1) root 2 e_rank (CC): O(rank |supp(lam)|) factors.
         """
         if not self.is_dominant(lam):
             raise ValueError(f"doubled weight {lam} is not dominant")
+        rho, rank, kind = self.two_rho, self.rank, self.kind
         num = den = 1
-        for a in self.positive_roots:
-            lam_a = pair(lam, a)
-            if lam_a:  # roots orthogonal to lam contribute the factor 1
-                rho_a = pair(self.two_rho, a)
-                num *= lam_a + rho_a
-                den *= rho_a
+        for i in range(rank):
+            if not lam[i]:
+                continue
+            for j in range(rank):
+                if j == i or (j < i and lam[j]):  # that pair was met from j
+                    continue
+                a, b = (i, j) if i < j else (j, i)
+                if lam[a] != lam[b]:  # e_a - e_b
+                    num *= lam[a] - lam[b] + rho[a] - rho[b]
+                    den *= rho[a] - rho[b]
+                if kind != "A" and lam[a] != -lam[b]:  # e_a + e_b
+                    num *= lam[a] + lam[b] + rho[a] + rho[b]
+                    den *= rho[a] + rho[b]
+            if kind == "B":  # e_i
+                num *= lam[i] + rho[i]
+                den *= rho[i]
+            elif kind == "CC":  # 2 e_i
+                num *= 2 * (lam[i] + rho[i])
+                den *= 2 * rho[i]
+        if kind == "CC" and lam[rank]:  # 2 e_rank, the root of Sp(1)
+            num *= 2 * (lam[rank] + rho[rank])
+            den *= 2 * rho[rank]
         d, rem = divmod(num, den)
         if rem:
             raise ValueError(f"Weyl dimension of doubled weight {lam} is not integral")
@@ -245,42 +287,34 @@ def _sort_sign(values) -> int:
     return sign
 
 
-def _root_system(kind: str, rank: int, dim: int, pos: list[Root]) -> RootSystem:
-    two_rho = [0] * dim
-    for root in pos:
-        for i, c in root:
-            two_rho[i] += c
-    return RootSystem(kind, rank, dim, tuple(pos), tuple(two_rho))
-
-
-def _pm_roots(m: int) -> list[Root]:
-    """e_i - e_j and e_i + e_j for i < j < m."""
-    pairs = list(combinations(range(m), 2))
-    return [((i, 1), (j, -1)) for i, j in pairs] + [((i, 1), (j, 1)) for i, j in pairs]
+# 2 rho, the sum of the positive roots, per kind (coordinate i counted from 0):
+# e_i - e_j gives rank - 1 - 2i, e_i + e_j adds rank - 1, e_i adds 1 and 2 e_i adds 2.
 
 
 @lru_cache(maxsize=None)
 def type_b(m: int) -> RootSystem:
-    return _root_system("B", m, m, _pm_roots(m) + [((i, 1),) for i in range(m)])
+    """B_m: 2 rho = (2m - 1, ..., 3, 1)."""
+    return RootSystem("B", m, m, tuple(range(2 * m - 1, 0, -2)))
 
 
 @lru_cache(maxsize=None)
 def type_d(m: int) -> RootSystem:
-    return _root_system("D", m, m, _pm_roots(m))
+    """D_m: 2 rho = (2m - 2, ..., 2, 0)."""
+    return RootSystem("D", m, m, tuple(range(2 * m - 2, -1, -2)))
 
 
 @lru_cache(maxsize=None)
 def type_a_u(n: int) -> RootSystem:
-    """U(n): type A_{n-1} on e_1..e_n with the inert central coordinate e_{n+1}."""
-    pos = [((i, 1), (j, -1)) for i, j in combinations(range(n), 2)]
-    return _root_system("A", n, n + 1, pos)
+    """U(n): type A_{n-1} on e_1..e_n with the inert central coordinate e_{n+1};
+    2 rho = (n - 1, n - 3, ..., 1 - n, 0)."""
+    return RootSystem("A", n, n + 1, tuple(range(n - 1, -n, -2)) + (0,))
 
 
 @lru_cache(maxsize=None)
 def type_c_c1(n: int) -> RootSystem:
-    """Sp(n) x Sp(1): type C_n on e_1..e_n, type C_1 on e_{n+1}."""
-    pos = _pm_roots(n) + [((i, 2),) for i in range(n)] + [((n, 2),)]
-    return _root_system("CC", n, n + 1, pos)
+    """Sp(n) x Sp(1): type C_n on e_1..e_n, type C_1 on e_{n+1};
+    2 rho = (2n, ..., 4, 2, 2)."""
+    return RootSystem("CC", n, n + 1, tuple(range(2 * n, 0, -2)) + (2,))
 
 
 def k_root_system(variant: str, n: int | None) -> RootSystem:

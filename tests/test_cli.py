@@ -207,14 +207,14 @@ def test_socle_ell_above_cap_exits_2(capsys, ell):
 
 BEYOND_THE_CAPS = [
     # each of these used to exit 1 with an OverflowError or MemoryError, or run for minutes
-    (["tensor", "SO", "999999999999999999999", "Y1"], "n must be at most 300 for tensor"),
-    (["tensor", "SO", "60000", "Y3"], "n must be at most 300 for tensor"),
-    (["socle", "SU", "999999999999999999999", "--ell", "1"], "n must be at most 800 for socle"),
-    (["socle", "SO", "5000", "--ell", "1"], "n must be at most 800 for socle"),
-    (["socle", "Sp", "3000", "--ell", "1"], "n must be at most 800 for socle"),
+    (["tensor", "SO", "999999999999999999999", "Y1"], "n must be at most 1000 for tensor"),
+    (["tensor", "SO", "60000", "Y3"], "n must be at most 1000 for tensor"),
+    (["socle", "SU", "999999999999999999999", "--ell", "1"], "n must be at most 10000 for socle"),
+    (["socle", "SO", "50000", "--ell", "1"], "n must be at most 10000 for socle"),
     (["exceptional", "F4", "--count", "100000000"], "count must be at most 200000"),
     (["exceptional", "SO", "999999999999999999999", "--count", "3"],
      "n must be at most 100000 for exceptional"),
+    (["verify", "spherical", "--depth", "200"], "depth must be at most 16"),
 ]
 
 
@@ -224,7 +224,7 @@ def test_sizes_beyond_the_caps_exit_2_before_any_work(capsys, monkeypatch, argv,
     def refuse(*args):
         raise AssertionError("a query beyond the caps reached its command")
 
-    for name in ("cmd_exceptional", "cmd_socle", "cmd_tensor"):
+    for name in ("cmd_exceptional", "cmd_socle", "cmd_tensor", "cmd_verify"):
         monkeypatch.setattr(cli, name, refuse)
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -238,6 +238,7 @@ CAP_EDGES = [  # (command, argv with {} where the capped value goes, cap)
     ("tensor", ["tensor", "SO", "{}", "Y1"], cli.MAX_N["tensor"]),
     ("exceptional", ["exceptional", "F4", "--count", "{}"], cli.MAX_COUNT),
     ("socle", ["socle", "SU", "8", "--ell", "{}"], cli.MAX_ELL),
+    ("verify", ["verify", "spherical", "--depth", "{}"], cli.MAX_DEPTH),
 ]
 
 
@@ -249,6 +250,15 @@ def test_each_cap_is_the_largest_accepted_value(capsys, monkeypatch, command, ar
     with pytest.raises(SystemExit) as exc:
         main([t.format(cap + 1) for t in argv])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["socle", "SO", "5000", "--ell", "1"],
+                                  ["socle", "Sp", "3000", "--ell", "1"]],
+                         ids=" ".join)
+def test_sizes_once_beyond_the_caps_answer(capsys, argv):
+    # these ran for more than 20 s while each socle query built every root of K
+    code, out = run(capsys, argv)
+    assert code == 0 and json.loads(out)["status"] == "pass"
 
 
 def test_verify_small_suite(capsys):
@@ -318,6 +328,16 @@ def test_unrenderable_result_exits_2(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and "result T has too many digits" in err
+
+
+def test_unrenderable_weyl_dimension_exits_2(capsys):
+    # the summand dimensions have more digits than int-to-str conversion allows
+    with pytest.raises(SystemExit) as exc:
+        main(["tensor", "SU", "300", "Y1000000000000000000000000000000,0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "result summands has too many digits" in err
 
 
 def _racah_speiser_raises_at(monkeypatch, fam, lab, exc):

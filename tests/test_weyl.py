@@ -2,8 +2,10 @@
 
 The references are the straightforward constructions: orbits closed under the
 simple reflections s_a(w) = w - 2<w,a>/<a,a> a in exact Fractions, and the Weyl
-dimension formula as a quotient of Fraction products.  The library takes
-doubled-integer weights 2w; `double` and `halve` below convert the references.
+dimension formula as a quotient of Fraction products over every positive root,
+where the library multiplies only the roots that meet the support of the
+weight and states 2 rho in closed form.  The library takes doubled-integer
+weights 2w; `double` and `halve` below convert the references.
 """
 import random
 from fractions import Fraction as Q
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone import ktypes
+from rankone import ktypes, weyl
+from rankone.cli import main
 from rankone.groups import so, su
 from rankone.weyl import k_root_system, type_a_u, type_b, type_c_c1, type_d, w_add, w_dot
 
@@ -79,13 +82,18 @@ def reference_orbit(rs, w):
     return seen
 
 
+def _dot(w, root):
+    """<w, root> for a dense root, skipping its zero entries (a root has at most two)."""
+    return sum(x * a for x, a in zip(w, root) if a)
+
+
 def reference_weyl_dim(rs, lam):
     if not rs.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     roots = [_dense(rs, a) for a in rs.positive_roots]
     rho = halve(rs.two_rho)
     lam_rho = w_add(lam, rho)
-    d = Q(prod(w_dot(lam_rho, a) for a in roots), prod(w_dot(rho, a) for a in roots))
+    d = Q(prod(_dot(lam_rho, a) for a in roots), prod(_dot(rho, a) for a in roots))
     if d.denominator != 1:
         raise ValueError(f"Weyl dimension of {lam} is not integral")
     return int(d)
@@ -185,3 +193,57 @@ def test_weyl_dim_rejects_non_dominant_and_non_integral():
     # (1/2, 0) is dominant for D2 but outside the weight lattice of Spin(4)
     with pytest.raises(ValueError, match="not integral"):
         type_d(2).weyl_dim((1, 0))
+
+
+KINDS = {"B": type_b, "D": type_d, "A": type_a_u, "CC": type_c_c1}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_weyl_dim_over_the_support_matches_every_root(kind, data):
+    # a dominant weight with at most 4 nonzero permuted coordinates, as every
+    # family but F4 uses, at ranks far past the sweeps
+    rs = KINDS[kind](data.draw(st.integers(1, 40), label="rank"))
+    places = data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=4, unique=True))
+    # one draw in four has half-integer coordinates, mostly outside the weight lattice
+    odd = data.draw(st.sampled_from([0, 0, 0, 1]))
+    w = [0] * rs.dim
+    for i in places:
+        w[i] = 2 * data.draw(st.integers(-6, 6).filter(bool)) + odd
+    if rs.dim > rs.rank:  # the central U(1) or the Sp(1) coordinate
+        w[rs.rank] = 2 * data.draw(st.integers(-6, 6)) + odd
+    lam = rs.dominant_rep(tuple(w))
+    try:
+        expected = reference_weyl_dim(rs, halve(lam))
+    except ValueError:
+        with pytest.raises(ValueError, match="not integral"):
+            rs.weyl_dim(lam)
+        return
+    assert rs.weyl_dim(lam) == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_closed_form_two_rho_is_the_sum_of_positive_roots(kind):
+    counts = {"B": lambda r: r * r, "D": lambda r: r * (r - 1),
+              "A": lambda r: r * (r - 1) // 2, "CC": lambda r: r * r + 1}
+    for rank in range(1, 13):
+        rs = KINDS[kind](rank)
+        total = [0] * rs.dim
+        for root in rs.positive_roots:
+            for i, c in root:
+                total[i] += c
+        assert rs.two_rho == tuple(total), rank
+        assert len(set(rs.positive_roots)) == len(rs.positive_roots) == counts[kind](rank)
+
+
+@pytest.mark.parametrize("argv", [["tensor", "SO", "300", "Y3"],
+                                  ["socle", "Sp", "800", "--ell", "100"]], ids=" ".join)
+def test_large_rank_queries_never_enumerate_the_roots(capsys, monkeypatch, argv):
+    def refuse(rs):
+        raise AssertionError(f"enumerated the positive roots of {rs.kind}{rs.rank}")
+
+    # a property takes precedence over a value cached on the instance
+    monkeypatch.setattr(weyl.RootSystem, "positive_roots", property(refuse))
+    assert main(argv) == 0
+    capsys.readouterr()
