@@ -22,12 +22,14 @@ The anchored minimal-K-type search is pinned by `socle --ell 100` for SU 8,
 Sp 8, F4, SO 8 and SO 2, and the integer exceptional route by `exceptional
 Sp 7 --count 3028` and the CSV report of `exceptional SU 8 --count 1610`.
 The K-type dimensions at the size caps, up to ~35 digits, are pinned by
-`tensor Sp 300 V6,2`, `tensor SU 300 Y3,5` and `socle Sp 800 --ell 100`.
+`tensor Sp 300 V6,2`, `tensor SU 300 Y3,5` and `socle Sp 800 --ell 100`, and
+the tensor cap itself by `tensor SO 1000 Y3`.
 
 The argument parser is pinned by `help_*.txt` (stdout of `rankone -h` and of
 `rankone <command> -h`, exit 0) and `usage_*.txt` (stderr of rejected command
-lines, exit 2).  argparse wraps both to the terminal width, so those tests run
-at COLUMNS=80.
+lines, exit 2).  The `usage_tensor_*` goldens pin the message of each
+label-lattice rule: length, sign, order and parity.  argparse wraps both to
+the terminal width, so those tests run at COLUMNS=80.
 """
 from pathlib import Path
 
@@ -83,6 +85,7 @@ CASES = [
     ("tensor_Sp_300_V6_2.json", ["tensor", "Sp", "300", "V6,2"]),
     ("tensor_SU_300_Y3_5.json", ["tensor", "SU", "300", "Y3,5"]),
     ("socle_Sp_800_ell100.json", ["socle", "Sp", "800", "--ell", "100"]),
+    ("tensor_SO_1000_Y3.json", ["tensor", "SO", "1000", "Y3"]),
 ]
 for fam in FAMILIES:
     CASES += [
@@ -112,6 +115,11 @@ USAGE_CASES = [
     ("usage_verify_unknown_suite.txt", ["verify", "nope"]),
     ("usage_structure_bad_format.txt", ["structure", "SO", "5", "--format", "xml"]),
     ("usage_exceptional_bad_count.txt", ["exceptional", "F4", "--count", "z"]),
+    ("usage_tensor_SO_5_Y-1.txt", ["tensor", "SO", "5", "Y-1"]),
+    ("usage_tensor_SO_5_Y1_2.txt", ["tensor", "SO", "5", "Y1,2"]),
+    ("usage_tensor_SU_3_Y-1_0.txt", ["tensor", "SU", "3", "Y-1,0"]),
+    ("usage_tensor_Sp_3_V1_2.txt", ["tensor", "Sp", "3", "V1,2"]),
+    ("usage_tensor_F4_V3_0.txt", ["tensor", "F4", "V3,0"]),
 ]
 
 
