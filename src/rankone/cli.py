@@ -82,7 +82,8 @@ def parse_family(tokens: list[str]) -> tuple[GroupFamily, list[str]]:
 
 
 def parse_label(family: GroupFamily, token: str) -> ktypes.KTypeLabel:
-    body = token.lstrip("YV")
+    # at most one leading letter, the family's own: Y or V as reports print it
+    body = token[1:] if token[:1] == ktypes.lattice_spec(family).letter else token
     try:
         coords = tuple(int(p) for p in body.split(","))
         return ktypes.KTypeLabel(family, coords)
@@ -210,7 +211,7 @@ def cmd_socle(family: GroupFamily, ell: int) -> Report:
     rep.result("socle_condition", ktypes.socle_condition(family, ell))
     closed = ktypes.minimal_ktype_closed(family, ell)
     rep.result("minimal_ktype_closed_form", closed)
-    if family.variant == "SO" and family.n == 2:
+    if ktypes.lattice_spec(family).signed:
         rep.result("note", "two discrete-series constituents; labels come in +- pairs")
     searched = ktypes.minimal_ktype(family, ell)
     rep.result("minimal_ktype_search", searched)
@@ -316,7 +317,7 @@ def verify_tensor(rep: Report, depth: int, tolerance: float, seed: int):
             for s in dec.summands:
                 other = s.label
                 if other is not None and other in decs:
-                    ok_sym &= ktypes.highest_weight(lab) in decs[other].weights()
+                    ok_sym &= dec.source in decs[other].weights()
         rep.check("tensor-closed-form", ok_closed, str(fam))
         rep.check("tensor-dimension-sum", ok_dim, str(fam))
         rep.check("tensor-multiplicity-free", ok_free, str(fam))

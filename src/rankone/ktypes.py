@@ -1,23 +1,81 @@
 """K-type labels, highest weights, dimensions, socle membership and Langlands data.
 
-The label lattices parametrize the K-types of L^2(K/M) per family:
-SO(n,1): spherical harmonics Y_k; SU(n,1): bigraded harmonics Y_{p,q};
-Sp(n,1): V_{a,b} with a >= b >= 0; F4: V_{m,k} with m >= k >= 0, m = k mod 2.
-For SO(2,1) the label is a signed integer (two one-dimensional types Y_{+-k}).
-KTypeLabel's validation is the one statement of each lattice; `labels`
-enumerates a bounded box of it and `label_from_weight` inverts `highest_weight`.
-Highest weights are doubled-integer weights 2w (`weyl.Weight2`), the one weight
-format of the library.
+The label lattices parametrize the K-types of L^2(K/M) per family: SO(n,1):
+spherical harmonics Y_k (for SO(2,1) a signed integer, two one-dimensional
+types Y_{+-k}); SU(n,1): bigraded harmonics Y_{p,q}; Sp(n,1): V_{a,b} with
+a >= b >= 0; F4: V_{m,k} with m >= k >= 0, m = k mod 2.  Each lattice is one row
+of LATTICE_SPECS, which the label, weight and socle functions read without
+testing the family.  Highest weights are doubled-integer weights 2w (`weyl.Weight2`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Optional
 
 from .groups import GroupFamily, SpectralParam, exceptional_mu, rho_H
 from .weyl import Weight2, k_root_system, w_dot
+
+
+@dataclass(frozen=True)
+class LatticeSpec:
+    """One family's K-type lattice.  A weight form is a coefficient tuple over
+    the label c; the doubled highest weight is the forms `head`, zeros up to K's
+    weight length, then the forms `tail`.  The socle at mu_ell is
+    form(|c|) >= scale * (ell + 1) for each (form, scale) in `socle`, where |c|
+    differs from c only on the signed SO(2,1) lattice."""
+
+    length: int  # number of label coordinates
+    signed: bool  # c may be negative
+    ordered: bool  # c[0] >= c[1]
+    parity: bool  # c[0] = c[1] mod 2
+    texts: tuple[str, ...]  # the error for a wrong length, then for a broken rule if it differs
+    letter: str  # reports print letter[c]
+    head: tuple[tuple[int, ...], ...]
+    tail: tuple[tuple[int, ...], ...]
+    readback: tuple[int, ...]  # the weight position of each c[i], negative from the end
+    socle: tuple[tuple[tuple[int, ...], int], ...]
+    socle_text: str  # slot {i} holds the floor of bound i
+    minimal: tuple[int, ...]  # the socle's minimal K-type is (ell + 1) * minimal
+
+
+# Fields in order.  F4 labels count half-units of the Spin(9) weight.  Sp's socle
+# bound a >= ell + 1 follows from a >= b but lets `socle_corner` read the bounds alone.
+_SO = LatticeSpec(1, False, False, False,
+                  ("SO label is a single integer", "SO(n,1), n >= 3, requires k >= 0"),
+                  "Y", ((2,),), (), (0,), (((1,), 1),), "k >= {0}", (1,))
+LATTICE_SPECS = {
+    "SO": _SO,
+    "SO(2,1)": replace(_SO, signed=True, socle_text="|k| >= {0}"),
+    "SU": LatticeSpec(2, False, False, False, ("SU label is a pair (p, q) with p, q >= 0",),
+                      "Y", ((0, 2),), ((-2, 0), (2, -2)), (-2, 0),
+                      (((1, 0), 1), ((0, 1), 1)), "p >= {0} and q >= {1}", (1, 1)),
+    "Sp": LatticeSpec(2, False, True, False, ("Sp label is a pair (a, b) with a >= b >= 0",),
+                      "V", ((2, 0), (0, 2)), ((2, -2),), (0, 1),
+                      (((1, 0), 1), ((0, 1), 1)), "a >= b >= {1}", (1, 1)),
+    "F4": LatticeSpec(2, False, True, True,
+                      ("F4 label is a pair (m, k) with m >= k >= 0 and m = k mod 2",),
+                      "V", ((1, 0), (0, 1), (0, 1), (0, 1)), (), (0, 1),
+                      (((1, -1), 2),), "m - k >= {0} and m = k mod 2", (2, 0)),
+}
+
+
+@lru_cache(maxsize=None)
+def _layout(variant: str, n: Optional[int]):
+    """(row, head + tail forms as (a, b) pairs, head count, zero padding, readback
+    (position, coefficient) pairs) of one family, resolved once."""
+    row = LATTICE_SPECS.get(str(GroupFamily(variant, n))) or LATTICE_SPECS[variant]
+    forms = tuple(form + (0,) * (2 - len(form)) for form in row.head + row.tail)
+    pad = (0,) * (k_root_system(variant, n).dim - len(forms))
+    readback = tuple((pos, forms[pos][i]) for i, pos in enumerate(row.readback))
+    return row, forms, len(row.head), pad, readback
+
+
+def lattice_spec(family: GroupFamily) -> LatticeSpec:
+    """The lattice row of a family: its own (SO(2,1)) or its variant's."""
+    return _layout(family.variant, family.n)[0]
 
 
 @dataclass(frozen=True, order=True)
@@ -26,26 +84,16 @@ class KTypeLabel:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        c = self.coords
-        v = self.family.variant
-        if v == "SO":
-            if len(c) != 1:
-                raise ValueError("SO label is a single integer")
-            if self.family.n >= 3 and c[0] < 0:
-                raise ValueError("SO(n,1), n >= 3, requires k >= 0")
-        elif v == "SU":
-            if len(c) != 2 or min(c) < 0:
-                raise ValueError("SU label is a pair (p, q) with p, q >= 0")
-        elif v == "Sp":
-            if len(c) != 2 or c[1] < 0 or c[0] < c[1]:
-                raise ValueError("Sp label is a pair (a, b) with a >= b >= 0")
-        else:
-            if len(c) != 2 or c[1] < 0 or c[0] < c[1] or (c[0] - c[1]) % 2 != 0:
-                raise ValueError("F4 label is a pair (m, k) with m >= k >= 0 and m = k mod 2")
+        c, fam = self.coords, self.family
+        spec = _layout(fam.variant, fam.n)[0]
+        if len(c) != spec.length:
+            raise ValueError(spec.texts[0])
+        if ((not spec.signed and min(c) < 0) or (spec.ordered and c[0] < c[1])
+                or (spec.parity and (c[0] - c[1]) % 2)):
+            raise ValueError(spec.texts[-1])
 
     def __str__(self) -> str:
-        letter = "Y" if self.family.variant in ("SO", "SU") else "V"
-        return f"{letter}[{','.join(map(str, self.coords))}]"
+        return f"{lattice_spec(self.family).letter}[{','.join(map(str, self.coords))}]"
 
 
 def label(family: GroupFamily, *coords: int) -> KTypeLabel:
@@ -55,37 +103,25 @@ def label(family: GroupFamily, *coords: int) -> KTypeLabel:
 def highest_weight(lab: KTypeLabel) -> Weight2:
     """Doubled highest weight 2w of the labelled K-type in the e_i coordinates."""
     fam, c = lab.family, lab.coords
-    if fam.variant == "SO":
-        return (2 * c[0],) + (0,) * (fam.n // 2 - 1)
-    if fam.variant == "SU":
-        p, q = c
-        return (2 * q,) + (0,) * (fam.n - 2) + (-2 * p, 2 * (p - q))
-    if fam.variant == "Sp":
-        a, b = c
-        return (2 * a, 2 * b) + (0,) * (fam.n - 2) + (2 * (a - b),)
-    m, k = c
-    return (m, k, k, k)
+    _, forms, head, pad, _ = _layout(fam.variant, fam.n)
+    x, y = c[0], c[-1]  # a one-coordinate label meets only b = 0
+    v = [a * x + b * y for a, b in forms]
+    return tuple(v[:head]) + pad + tuple(v[head:])
 
 
 def label_from_weight(family: GroupFamily, w: Weight2) -> Optional[KTypeLabel]:
     """The M-spherical label with doubled highest weight w, or None if w is not M-spherical.
 
-    The label coordinates are read off w and accepted iff `highest_weight`
-    maps them back to w.
+    The coordinates read back from w are accepted iff `highest_weight` maps them to w.
     """
-    v = family.variant
-    if v == "SO":
-        coords = (w[0],)
-    elif v == "SU":
-        coords = (-w[family.n - 1], w[0])
-    else:
-        coords = (w[0], w[1])
-    # F4 labels count half-units of the Spin(9) weight, the others whole units
-    scale = 1 if v == "F4" else 2
-    if any(c % scale for c in coords):
-        return None
+    coords = []
+    for pos, coeff in _layout(family.variant, family.n)[4]:
+        c, rem = divmod(w[pos], coeff)
+        if rem:
+            return None
+        coords.append(c)
     try:
-        lab = KTypeLabel(family, tuple(c // scale for c in coords))
+        lab = KTypeLabel(family, tuple(coords))
     except ValueError:
         return None
     return lab if highest_weight(lab) == w else None
@@ -97,14 +133,13 @@ def labels(family: GroupFamily, bound: int,
 
     With a lower `corner`, coordinate i runs over [corner[i], corner[i] + bound]
     instead.  The coordinate box is filtered through KTypeLabel's own
-    validation, so the lattice is stated once, there.
+    validation, so the lattice is stated once, in its row.
     """
-    rank = 1 if family.variant == "SO" else 2
+    spec = lattice_spec(family)
     if corner is None:
-        lo = -bound if family.variant == "SO" and family.n == 2 else 0
-        ranges = [range(lo, bound + 1)] * rank
-    elif len(corner) != rank:
-        raise ValueError(f"corner {corner} does not have the label rank {rank}")
+        ranges = [range(-bound if spec.signed else 0, bound + 1)] * spec.length
+    elif len(corner) != spec.length:
+        raise ValueError(f"corner {corner} does not have the label rank {spec.length}")
     else:
         ranges = [range(c, c + bound + 1) for c in corner]
     out = []
@@ -138,54 +173,24 @@ def mintype_norm(family: GroupFamily, lam) -> Fraction:
 # -- socle of the reducible spherical principal series -----------------------
 
 
-@dataclass(frozen=True)
-class SocleSpec:
-    """The socle at mu_ell, as lower bounds form(|coords|) >= scale * (ell + 1).
-
-    `bounds` holds one (coefficients, scale) pair per bound; the forms are
-    linear in the absolute label coordinates, which differ from the
-    coordinates only on the signed SO(2,1) lattice, where the bound reads
-    |k| >= ell + 1.  `text` is the condition as reports write it, with slot
-    {i} for the floor of bound i.
-    """
-
-    bounds: tuple[tuple[tuple[int, ...], int], ...]
-    text: str
-
-
-# Sp's a >= ell + 1 follows from the lattice's a >= b; it is listed so that
-# the search corner reads off the bounds alone (see `socle_corner`).
-SOCLE_SPECS = {
-    "SO": SocleSpec((((1,), 1),), "k >= {0}"),
-    "SO(2,1)": SocleSpec((((1,), 1),), "|k| >= {0}"),
-    "SU": SocleSpec((((1, 0), 1), ((0, 1), 1)), "p >= {0} and q >= {1}"),
-    "Sp": SocleSpec((((1, 0), 1), ((0, 1), 1)), "a >= b >= {1}"),
-    "F4": SocleSpec((((1, -1), 2),), "m - k >= {0} and m = k mod 2"),
-}
-
-
-def _socle_spec(family: GroupFamily) -> SocleSpec:
-    return SOCLE_SPECS.get(str(family)) or SOCLE_SPECS[family.variant]
-
-
-def _socle_floors(spec: SocleSpec, ell: int) -> list[int]:
+def _socle_floors(spec: LatticeSpec, ell: int) -> list[int]:
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    return [scale * (ell + 1) for _, scale in spec.bounds]
+    return [scale * (ell + 1) for _, scale in spec.socle]
 
 
 def socle_condition(family: GroupFamily, ell: int) -> str:
     """The socle condition at mu_ell as reports write it."""
-    spec = _socle_spec(family)
-    return spec.text.format(*_socle_floors(spec, ell))
+    spec = lattice_spec(family)
+    return spec.socle_text.format(*_socle_floors(spec, ell))
 
 
 def socle_contains(family: GroupFamily, ell: int, lab: KTypeLabel) -> bool:
     """Membership of a K-type in the socle at the exceptional parameter mu_ell."""
-    spec = _socle_spec(family)
+    spec = lattice_spec(family)
     coords = [abs(c) for c in lab.coords]
     return all(sum(a * x for a, x in zip(coeffs, coords, strict=True)) >= floor
-               for (coeffs, _), floor in zip(spec.bounds, _socle_floors(spec, ell)))
+               for (coeffs, _), floor in zip(spec.socle, _socle_floors(spec, ell)))
 
 
 def socle_corner(family: GroupFamily, ell: int) -> tuple[int, ...]:
@@ -195,12 +200,11 @@ def socle_corner(family: GroupFamily, ell: int) -> tuple[int, ...]:
     are nonnegative, so a bound raises each coordinate it enters with +1 to
     its floor and leaves the others free down to 0.
     """
-    spec = _socle_spec(family)
+    spec = lattice_spec(family)
     floors = _socle_floors(spec, ell)
-    rank = len(spec.bounds[0][0])
-    return tuple(max([f for (coeffs, _), f in zip(spec.bounds, floors) if coeffs[i] > 0],
+    return tuple(max([f for (coeffs, _), f in zip(spec.socle, floors) if coeffs[i] > 0],
                      default=0)
-                 for i in range(rank))
+                 for i in range(spec.length))
 
 
 class InconclusiveTruncationError(RuntimeError):
@@ -229,7 +233,7 @@ def minimal_ktype(family: GroupFamily, ell: int, search_bound: int | None = None
         search_bound = max(corner) + SEARCH_WIDTH
     width = search_bound - max(corner)
     box = labels(family, width, corner)
-    if family.variant == "SO" and family.n == 2:
+    if lattice_spec(family).signed:
         # the signed lattice adds the mirror box, -k in [corner, corner + width]
         box = labels(family, width, (-corner[0] - width,)) + box
 
@@ -257,13 +261,8 @@ def minimal_ktype(family: GroupFamily, ell: int, search_bound: int | None = None
 
 
 def minimal_ktype_closed(family: GroupFamily, ell: int) -> KTypeLabel:
-    """Closed form of the socle's minimal K-type (positive representative for SO(2,1))."""
-    v = family.variant
-    if v == "SO":
-        return label(family, ell + 1)
-    if v in ("SU", "Sp"):
-        return label(family, ell + 1, ell + 1)
-    return label(family, 2 * ell + 2, 0)
+    """Closed form (ell + 1) * minimal of the socle's minimal K-type (k > 0 for SO(2,1))."""
+    return KTypeLabel(family, tuple((ell + 1) * x for x in lattice_spec(family).minimal))
 
 
 # -- Langlands data -----------------------------------------------------------
@@ -322,9 +321,8 @@ def casimir_scalar(family: GroupFamily, mu: SpectralParam) -> Fraction:
 
 
 __all__ = [
-    "KTypeLabel", "LanglandsRecord", "InconclusiveTruncationError",
-    "label", "labels", "label_from_weight", "highest_weight", "weyl_dim",
-    "mintype_norm", "SocleSpec", "SOCLE_SPECS", "socle_condition", "socle_contains",
-    "socle_corner", "minimal_ktype", "minimal_ktype_closed",
-    "langlands", "casimir_scalar",
+    "KTypeLabel", "LanglandsRecord", "InconclusiveTruncationError", "LatticeSpec",
+    "LATTICE_SPECS", "lattice_spec", "label", "labels", "label_from_weight", "highest_weight",
+    "weyl_dim", "mintype_norm", "socle_condition", "socle_contains", "socle_corner",
+    "minimal_ktype", "minimal_ktype_closed", "langlands", "casimir_scalar",
 ]

@@ -129,15 +129,15 @@ def vanishing_table_check(family: GroupFamily, bound: int) -> bool:
 # -- norm-recursion growth products -------------------------------------------
 
 
+# The stated growth order a n + b ell + c as its row (a, b, c); F4 has no n.
+GROWTH_ORDERS = {"SU": (2, 1, 0), "Sp": (2, 2, -1), "F4": (0, 2, 5)}
+
+
 def growth_order_stated(family: GroupFamily, ell: int) -> int:
-    n = family.n
-    if family.variant == "SU":
-        return 2 * n + ell
-    if family.variant == "Sp":
-        return 2 * n - 1 + 2 * ell
-    if family.variant == "F4":
-        return 7 + 2 * ell - 2
-    raise UnsupportedFamilyError("growth products exist for SU, Sp and F4 only")
+    if family.variant not in GROWTH_ORDERS:
+        raise UnsupportedFamilyError("growth products exist for SU, Sp and F4 only")
+    a, b, c = GROWTH_ORDERS[family.variant]
+    return a * (family.n or 0) + b * ell + c
 
 
 def _sp_factorial_part(n: int, ell: int, m: int) -> Fraction:

@@ -53,8 +53,24 @@ def test_parse_label():
     assert parse_label(su(3), "Y2,1").coords == (2, 1)
     assert parse_label(so(5), "3").coords == (3,)
     assert parse_label(so(2), "Y-4").coords == (-4,)
-    with pytest.raises(UsageError):
-        parse_label(so(5), "Y1,2")
+    assert parse_label(sp(3), "V2,1").coords == (2, 1)
+    assert parse_label(f4(), "4,2").coords == (4, 2)
+    # at most one leading letter, and only the family's own
+    for fam, token in [(so(5), "Y1,2"), (sp(3), "YVY2,1"), (so(5), "V3"), (su(3), "YY2,1"),
+                       (sp(3), "VV2,1"), (f4(), "Y4,2"), (so(5), "Y")]:
+        with pytest.raises(UsageError, match="bad label"):
+            parse_label(fam, token)
+
+
+@pytest.mark.parametrize("argv", [["tensor", "Sp", "3", "YVY2,1"], ["tensor", "SO", "5", "V3"]],
+                         ids=" ".join)
+def test_label_with_a_foreign_letter_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad label {argv[-1]!r} for ")
 
 
 def test_structure_f4(capsys):
@@ -424,6 +440,66 @@ def test_cli_reads_no_private_name_of_another_module():
                 and node.value.id in bound and node.attr.startswith("_")):
             private.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
     assert bound and not private, private
+
+
+FAMILY_LITERALS = {"SO", "SU", "Sp", "F4"}
+# The functions of src/rankone that still compare against two or more family
+# literals: formulas and one side of a paired route, kept per family on purpose.
+FAMILY_CHAINS = {
+    "ktypes.langlands", "scalars._nu_factor", "scalars.vanishing_mu",
+    "scalars.growth_step_ratio", "scalars.growth_closed_form", "spherical.radial_factor",
+    "spherical.phi", "spherical._raw_row", "spherical._factorisation",
+    "spherical.ingredient_identities", "tensor._p_weights", "weyl.k_root_system",
+}
+
+
+def _family_comparisons(fn) -> int:
+    """Compare nodes in fn's own body (nested functions excluded) with a family
+    literal, or a tuple, list or set display holding one, on either side."""
+    def is_literal(node):
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(e, ast.Constant) and e.value in FAMILY_LITERALS for e in elts)
+
+    count, stack = 0, list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Compare) and any(map(is_literal, [node.left, *node.comparators])):
+            count += 1
+        stack.extend(ast.iter_child_nodes(node))
+    return count
+
+
+def test_family_chains_do_not_creep_back():
+    """A ratchet on the per-family branches of src/rankone.
+
+    The rule: count, per function, the comparisons against a family literal
+    ("SO", "SU", "Sp", "F4"); a function with two or more is a family chain.
+    The lattice rows of `ktypes.LATTICE_SPECS` and the growth orders of
+    `scalars.GROWTH_ORDERS` took the count from 18 chains and 62 comparisons to
+    12 and 43.  The chains left are FAMILY_CHAINS: `ktypes.langlands`, the nu
+    and vanishing tables `scalars._nu_factor` and `scalars.vanishing_mu`,
+    `scalars.growth_step_ratio` and `scalars.growth_closed_form`,
+    `spherical.radial_factor`, `spherical.phi`, `spherical._raw_row`,
+    `spherical._factorisation`, `spherical.ingredient_identities`,
+    `tensor._p_weights` and `weyl.k_root_system`.  A new chain fails here;
+    removing one should remove it from FAMILY_CHAINS too.
+    """
+    counts = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = f"{prefix}.{getattr(child, 'name', '')}"
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                counts[name] = _family_comparisons(child)
+            visit(child, name if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else prefix)
+
+    for path in sorted(Path(rankone.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    chains = {name for name, k in counts.items() if k >= 2}
+    assert chains == FAMILY_CHAINS
+    assert sum(counts.values()) <= 43
 
 
 def test_python_dash_m_rankone():

@@ -63,6 +63,10 @@ def test_highest_weights():
     assert highest_weight(label(f4(), 2, 0)) == (2, 0, 0, 0)
     assert highest_weight(label(sp(2), 2, 1)) == (4, 2, 2)
     assert highest_weight(label(so(2), -3)) == (-6,)
+    assert highest_weight(label(su(2), 1, 2)) == (4, -2, -2)
+    assert highest_weight(label(so(1000), 3)) == (6,) + (0,) * 499
+    assert highest_weight(label(su(1000), 1, 2)) == (4,) + (0,) * 998 + (-2, -2)
+    assert highest_weight(label(sp(1000), 2, 1)) == (4, 2) + (0,) * 998 + (2,)
 
 
 # The lattice rule and the label counts, written out independently of KTypeLabel.
@@ -117,8 +121,10 @@ def _random_label(rng, fam, top):
 
 
 def _perturbed(w):
-    # +-1/2 and +-1 in each coordinate, in doubled units
-    for i in range(len(w)):
+    # +-1/2 and +-1 in each coordinate, in doubled units; past eight coordinates
+    # the three at each end and one in the middle, which stands for the zeros
+    spots = range(len(w)) if len(w) <= 8 else [0, 1, 2, len(w) // 2, -3, -2, -1]
+    for i in (j % len(w) for j in spots):
         for delta in (1, -1, 2, -2):
             yield w[:i] + (w[i] + delta,) + w[i + 1:]
 
@@ -135,7 +141,9 @@ def _near(lab):
 
 
 def _random_families(rng):
-    return [so(2), so(rng.randint(3, 60)), su(rng.randint(2, 60)), sp(rng.randint(2, 60)), f4()]
+    # ranks up to the tensor cap; SU(2,1) and Sp(2,1) have no zero padding
+    return [so(2), so(rng.randint(3, 1000)), su(2), su(rng.randint(3, 1000)),
+            sp(2), sp(rng.randint(3, 1000)), f4()]
 
 
 def test_label_from_weight_inverts_highest_weight_on_large_labels():
