@@ -83,7 +83,7 @@ def parse_family(tokens: list[str]) -> tuple[GroupFamily, list[str]]:
 
 def parse_label(family: GroupFamily, token: str) -> ktypes.KTypeLabel:
     # at most one leading letter, the family's own: Y or V as reports print it
-    body = token[1:] if token[:1] == ktypes.lattice_spec(family).letter else token
+    body = token[1:] if token[:1] == ktypes.lattice(family).spec.letter else token
     try:
         coords = tuple(int(p) for p in body.split(","))
         return ktypes.KTypeLabel(family, coords)
@@ -211,7 +211,7 @@ def cmd_socle(family: GroupFamily, ell: int) -> Report:
     rep.result("socle_condition", ktypes.socle_condition(family, ell))
     closed = ktypes.minimal_ktype_closed(family, ell)
     rep.result("minimal_ktype_closed_form", closed)
-    if ktypes.lattice_spec(family).signed:
+    if ktypes.lattice(family).spec.signed:
         rep.result("note", "two discrete-series constituents; labels come in +- pairs")
     searched = ktypes.minimal_ktype(family, ell)
     rep.result("minimal_ktype_search", searched)

@@ -13,69 +13,75 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .groups import GroupFamily, SpectralParam, exceptional_mu, rho_H
 from .weyl import Weight2, k_root_system, w_dot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LatticeSpec:
-    """One family's K-type lattice.  A weight form is a coefficient tuple over
-    the label c; the doubled highest weight is the forms `head`, zeros up to K's
-    weight length, then the forms `tail`.  The socle at mu_ell is
-    form(|c|) >= scale * (ell + 1) for each (form, scale) in `socle`, where |c|
-    differs from c only on the signed SO(2,1) lattice."""
+    """One family's K-type lattice.  The doubled highest weight of a label c is
+    the forms `head`, zeros up to K's weight length, then the forms `tail`, each
+    a pair (a, b) read as a c[0] + b c[-1].  The socle at mu_ell is
+    sum_i coeffs[i] |c[i]| >= scale (ell + 1) for each (coeffs, scale) in `socle`."""
 
     length: int  # number of label coordinates
-    signed: bool  # c may be negative
-    ordered: bool  # c[0] >= c[1]
-    parity: bool  # c[0] = c[1] mod 2
-    texts: tuple[str, ...]  # the error for a wrong length, then for a broken rule if it differs
+    signed: bool = False  # c may be negative
+    ordered: bool = False  # c[0] >= c[1]
+    parity: bool = False  # c[0] = c[1] mod 2
+    length_error: str
+    rule_error: str = ""  # a broken sign, order or parity rule, if not length_error
     letter: str  # reports print letter[c]
-    head: tuple[tuple[int, ...], ...]
-    tail: tuple[tuple[int, ...], ...]
+    head: tuple[tuple[int, int], ...]
+    tail: tuple[tuple[int, int], ...] = ()
     readback: tuple[int, ...]  # the weight position of each c[i], negative from the end
     socle: tuple[tuple[tuple[int, ...], int], ...]
     socle_text: str  # slot {i} holds the floor of bound i
     minimal: tuple[int, ...]  # the socle's minimal K-type is (ell + 1) * minimal
 
 
-# Fields in order.  F4 labels count half-units of the Spin(9) weight.  Sp's socle
-# bound a >= ell + 1 follows from a >= b but lets `socle_corner` read the bounds alone.
-_SO = LatticeSpec(1, False, False, False,
-                  ("SO label is a single integer", "SO(n,1), n >= 3, requires k >= 0"),
-                  "Y", ((2,),), (), (0,), (((1,), 1),), "k >= {0}", (1,))
+# F4 labels count half-units of the Spin(9) weight.  Sp's socle bound a >= ell + 1
+# follows from a >= b but lets `socle_corner` read the bounds alone.
+_SO = LatticeSpec(
+    length=1, length_error="SO label is a single integer",
+    rule_error="SO(n,1), n >= 3, requires k >= 0", letter="Y",
+    head=((2, 0),), readback=(0,), socle=(((1,), 1),), socle_text="k >= {0}", minimal=(1,))
 LATTICE_SPECS = {
     "SO": _SO,
     "SO(2,1)": replace(_SO, signed=True, socle_text="|k| >= {0}"),
-    "SU": LatticeSpec(2, False, False, False, ("SU label is a pair (p, q) with p, q >= 0",),
-                      "Y", ((0, 2),), ((-2, 0), (2, -2)), (-2, 0),
-                      (((1, 0), 1), ((0, 1), 1)), "p >= {0} and q >= {1}", (1, 1)),
-    "Sp": LatticeSpec(2, False, True, False, ("Sp label is a pair (a, b) with a >= b >= 0",),
-                      "V", ((2, 0), (0, 2)), ((2, -2),), (0, 1),
-                      (((1, 0), 1), ((0, 1), 1)), "a >= b >= {1}", (1, 1)),
-    "F4": LatticeSpec(2, False, True, True,
-                      ("F4 label is a pair (m, k) with m >= k >= 0 and m = k mod 2",),
-                      "V", ((1, 0), (0, 1), (0, 1), (0, 1)), (), (0, 1),
-                      (((1, -1), 2),), "m - k >= {0} and m = k mod 2", (2, 0)),
+    "SU": LatticeSpec(
+        length=2, length_error="SU label is a pair (p, q) with p, q >= 0", letter="Y",
+        head=((0, 2),), tail=((-2, 0), (2, -2)), readback=(-2, 0),
+        socle=(((1, 0), 1), ((0, 1), 1)), socle_text="p >= {0} and q >= {1}", minimal=(1, 1)),
+    "Sp": LatticeSpec(
+        length=2, ordered=True, length_error="Sp label is a pair (a, b) with a >= b >= 0",
+        letter="V", head=((2, 0), (0, 2)), tail=((2, -2),), readback=(0, 1),
+        socle=(((1, 0), 1), ((0, 1), 1)), socle_text="a >= b >= {1}", minimal=(1, 1)),
+    "F4": LatticeSpec(
+        length=2, ordered=True, parity=True, letter="V",
+        length_error="F4 label is a pair (m, k) with m >= k >= 0 and m = k mod 2",
+        head=((1, 0), (0, 1), (0, 1), (0, 1)), readback=(0, 1), socle=(((1, -1), 2),),
+        socle_text="m - k >= {0} and m = k mod 2", minimal=(2, 0)),
 }
 
 
+class Lattice(NamedTuple):
+    """A lattice row, the zeros its rank puts between head and tail, and each c[i]'s
+    (weight position, divisor)."""
+
+    spec: LatticeSpec
+    pad: Weight2
+    readback: tuple[tuple[int, int], ...]
+
+
 @lru_cache(maxsize=None)
-def _layout(variant: str, n: Optional[int]):
-    """(row, head + tail forms as (a, b) pairs, head count, zero padding, readback
-    (position, coefficient) pairs) of one family, resolved once."""
-    row = LATTICE_SPECS.get(str(GroupFamily(variant, n))) or LATTICE_SPECS[variant]
-    forms = tuple(form + (0,) * (2 - len(form)) for form in row.head + row.tail)
-    pad = (0,) * (k_root_system(variant, n).dim - len(forms))
-    readback = tuple((pos, forms[pos][i]) for i, pos in enumerate(row.readback))
-    return row, forms, len(row.head), pad, readback
-
-
-def lattice_spec(family: GroupFamily) -> LatticeSpec:
-    """The lattice row of a family: its own (SO(2,1)) or its variant's."""
-    return _layout(family.variant, family.n)[0]
+def lattice(family: GroupFamily) -> Lattice:
+    """The lattice of a family: its own row (SO(2,1)) or its variant's, resolved once."""
+    spec = LATTICE_SPECS.get(str(family)) or LATTICE_SPECS[family.variant]
+    forms = spec.head + spec.tail
+    return Lattice(spec, (0,) * (k_root_system(family.variant, family.n).dim - len(forms)),
+                   tuple((pos, forms[pos][i]) for i, pos in enumerate(spec.readback)))
 
 
 @dataclass(frozen=True, order=True)
@@ -84,16 +90,15 @@ class KTypeLabel:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        c, fam = self.coords, self.family
-        spec = _layout(fam.variant, fam.n)[0]
+        c, spec = self.coords, lattice(self.family).spec
         if len(c) != spec.length:
-            raise ValueError(spec.texts[0])
+            raise ValueError(spec.length_error)
         if ((not spec.signed and min(c) < 0) or (spec.ordered and c[0] < c[1])
                 or (spec.parity and (c[0] - c[1]) % 2)):
-            raise ValueError(spec.texts[-1])
+            raise ValueError(spec.rule_error or spec.length_error)
 
     def __str__(self) -> str:
-        return f"{lattice_spec(self.family).letter}[{','.join(map(str, self.coords))}]"
+        return f"{lattice(self.family).spec.letter}[{','.join(map(str, self.coords))}]"
 
 
 def label(family: GroupFamily, *coords: int) -> KTypeLabel:
@@ -102,11 +107,10 @@ def label(family: GroupFamily, *coords: int) -> KTypeLabel:
 
 def highest_weight(lab: KTypeLabel) -> Weight2:
     """Doubled highest weight 2w of the labelled K-type in the e_i coordinates."""
-    fam, c = lab.family, lab.coords
-    _, forms, head, pad, _ = _layout(fam.variant, fam.n)
-    x, y = c[0], c[-1]  # a one-coordinate label meets only b = 0
-    v = [a * x + b * y for a, b in forms]
-    return tuple(v[:head]) + pad + tuple(v[head:])
+    lat, c = lattice(lab.family), lab.coords
+    x, y = c[0], c[-1]
+    return (tuple([a * x + b * y for a, b in lat.spec.head]) + lat.pad
+            + tuple([a * x + b * y for a, b in lat.spec.tail]))
 
 
 def label_from_weight(family: GroupFamily, w: Weight2) -> Optional[KTypeLabel]:
@@ -114,14 +118,9 @@ def label_from_weight(family: GroupFamily, w: Weight2) -> Optional[KTypeLabel]:
 
     The coordinates read back from w are accepted iff `highest_weight` maps them to w.
     """
-    coords = []
-    for pos, coeff in _layout(family.variant, family.n)[4]:
-        c, rem = divmod(w[pos], coeff)
-        if rem:
-            return None
-        coords.append(c)
+    coords = tuple(w[pos] // divisor for pos, divisor in lattice(family).readback)
     try:
-        lab = KTypeLabel(family, tuple(coords))
+        lab = KTypeLabel(family, coords)
     except ValueError:
         return None
     return lab if highest_weight(lab) == w else None
@@ -135,7 +134,7 @@ def labels(family: GroupFamily, bound: int,
     instead.  The coordinate box is filtered through KTypeLabel's own
     validation, so the lattice is stated once, in its row.
     """
-    spec = lattice_spec(family)
+    spec = lattice(family).spec
     if corner is None:
         ranges = [range(-bound if spec.signed else 0, bound + 1)] * spec.length
     elif len(corner) != spec.length:
@@ -181,13 +180,13 @@ def _socle_floors(spec: LatticeSpec, ell: int) -> list[int]:
 
 def socle_condition(family: GroupFamily, ell: int) -> str:
     """The socle condition at mu_ell as reports write it."""
-    spec = lattice_spec(family)
+    spec = lattice(family).spec
     return spec.socle_text.format(*_socle_floors(spec, ell))
 
 
 def socle_contains(family: GroupFamily, ell: int, lab: KTypeLabel) -> bool:
     """Membership of a K-type in the socle at the exceptional parameter mu_ell."""
-    spec = lattice_spec(family)
+    spec = lattice(family).spec
     coords = [abs(c) for c in lab.coords]
     return all(sum(a * x for a, x in zip(coeffs, coords, strict=True)) >= floor
                for (coeffs, _), floor in zip(spec.socle, _socle_floors(spec, ell)))
@@ -200,7 +199,7 @@ def socle_corner(family: GroupFamily, ell: int) -> tuple[int, ...]:
     are nonnegative, so a bound raises each coordinate it enters with +1 to
     its floor and leaves the others free down to 0.
     """
-    spec = lattice_spec(family)
+    spec = lattice(family).spec
     floors = _socle_floors(spec, ell)
     return tuple(max([f for (coeffs, _), f in zip(spec.socle, floors) if coeffs[i] > 0],
                      default=0)
@@ -233,7 +232,7 @@ def minimal_ktype(family: GroupFamily, ell: int, search_bound: int | None = None
         search_bound = max(corner) + SEARCH_WIDTH
     width = search_bound - max(corner)
     box = labels(family, width, corner)
-    if lattice_spec(family).signed:
+    if lattice(family).spec.signed:
         # the signed lattice adds the mirror box, -k in [corner, corner + width]
         box = labels(family, width, (-corner[0] - width,)) + box
 
@@ -262,7 +261,7 @@ def minimal_ktype(family: GroupFamily, ell: int, search_bound: int | None = None
 
 def minimal_ktype_closed(family: GroupFamily, ell: int) -> KTypeLabel:
     """Closed form (ell + 1) * minimal of the socle's minimal K-type (k > 0 for SO(2,1))."""
-    return KTypeLabel(family, tuple((ell + 1) * x for x in lattice_spec(family).minimal))
+    return KTypeLabel(family, tuple((ell + 1) * x for x in lattice(family).spec.minimal))
 
 
 # -- Langlands data -----------------------------------------------------------
@@ -322,7 +321,7 @@ def casimir_scalar(family: GroupFamily, mu: SpectralParam) -> Fraction:
 
 __all__ = [
     "KTypeLabel", "LanglandsRecord", "InconclusiveTruncationError", "LatticeSpec",
-    "LATTICE_SPECS", "lattice_spec", "label", "labels", "label_from_weight", "highest_weight",
+    "LATTICE_SPECS", "Lattice", "lattice", "label", "labels", "label_from_weight", "highest_weight",
     "weyl_dim", "mintype_norm", "socle_condition", "socle_contains", "socle_corner",
     "minimal_ktype", "minimal_ktype_closed", "langlands", "casimir_scalar",
 ]

@@ -453,50 +453,54 @@ FAMILY_CHAINS = {
 }
 
 
-def _family_comparisons(fn) -> int:
-    """Compare nodes in fn's own body (nested functions excluded) with a family
-    literal, or a tuple, list or set display holding one, on either side."""
+def _family_comparisons(tree, module: str) -> dict[str, int]:
+    """Per function of a module, its Compare nodes with a family literal, or a
+    tuple, list or set display holding one, on either side.  A nested function
+    counts apart, a lambda with the function around it, and whatever lies
+    outside every function (module and class bodies) as `<module>`."""
     def is_literal(node):
         elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
         return any(isinstance(e, ast.Constant) and e.value in FAMILY_LITERALS for e in elts)
 
-    count, stack = 0, list(fn.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Compare) and any(map(is_literal, [node.left, *node.comparators])):
-            count += 1
-        stack.extend(ast.iter_child_nodes(node))
-    return count
+    counts = {f"{module}.<module>": 0}
+
+    def visit(node, prefix, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                counts.setdefault(name, 0)
+                visit(child, name, name)
+                continue
+            if isinstance(child, ast.Compare) and any(
+                    map(is_literal, [child.left, *child.comparators])):
+                counts[scope] += 1
+            inner = f"{prefix}.{child.name}" if isinstance(child, ast.ClassDef) else prefix
+            visit(child, inner, scope)
+
+    visit(tree, module, f"{module}.<module>")
+    return counts
 
 
 def test_family_chains_do_not_creep_back():
     """A ratchet on the per-family branches of src/rankone.
 
     The rule: count, per function, the comparisons against a family literal
-    ("SO", "SU", "Sp", "F4"); a function with two or more is a family chain.
-    The lattice rows of `ktypes.LATTICE_SPECS` and the growth orders of
-    `scalars.GROWTH_ORDERS` took the count from 18 chains and 62 comparisons to
-    12 and 43.  The chains left are FAMILY_CHAINS: `ktypes.langlands`, the nu
-    and vanishing tables `scalars._nu_factor` and `scalars.vanishing_mu`,
-    `scalars.growth_step_ratio` and `scalars.growth_closed_form`,
-    `spherical.radial_factor`, `spherical.phi`, `spherical._raw_row`,
-    `spherical._factorisation`, `spherical.ingredient_identities`,
-    `tensor._p_weights` and `weyl.k_root_system`.  A new chain fails here;
-    removing one should remove it from FAMILY_CHAINS too.
+    ("SO", "SU", "Sp", "F4"), a lambda's with its function and those outside
+    any function under `<module>`; a function (or module) with two or more is
+    a family chain.  The lattice rows of `ktypes.LATTICE_SPECS` and the growth
+    orders of `scalars.GROWTH_ORDERS` took the count from 18 chains and 62
+    comparisons to 12 and 43.  The chains left are FAMILY_CHAINS:
+    `ktypes.langlands`, the nu and vanishing tables `scalars._nu_factor` and
+    `scalars.vanishing_mu`, `scalars.growth_step_ratio` and
+    `scalars.growth_closed_form`, `spherical.radial_factor`, `spherical.phi`,
+    `spherical._raw_row`, `spherical._factorisation`,
+    `spherical.ingredient_identities`, `tensor._p_weights` and
+    `weyl.k_root_system`.  A new chain fails here; removing one should remove
+    it from FAMILY_CHAINS too.
     """
     counts = {}
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            name = f"{prefix}.{getattr(child, 'name', '')}"
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                counts[name] = _family_comparisons(child)
-            visit(child, name if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else prefix)
-
     for path in sorted(Path(rankone.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem)
+        counts.update(_family_comparisons(ast.parse(path.read_text()), path.stem))
     chains = {name for name, k in counts.items() if k >= 2}
     assert chains == FAMILY_CHAINS
     assert sum(counts.values()) <= 43

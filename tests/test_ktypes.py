@@ -121,9 +121,10 @@ def _random_label(rng, fam, top):
 
 
 def _perturbed(w):
-    # +-1/2 and +-1 in each coordinate, in doubled units; past eight coordinates
-    # the three at each end and one in the middle, which stands for the zeros
-    spots = range(len(w)) if len(w) <= 8 else [0, 1, 2, len(w) // 2, -3, -2, -1]
+    # +-1/2 and +-1 in each coordinate, in doubled units.  Every weight of a rank
+    # up to 60 has at most 61 coordinates, all perturbed; a longer one only at the
+    # three at each end and one in the middle, which stands for the zeros
+    spots = range(len(w)) if len(w) <= 64 else [0, 1, 2, len(w) // 2, -3, -2, -1]
     for i in (j % len(w) for j in spots):
         for delta in (1, -1, 2, -2):
             yield w[:i] + (w[i] + delta,) + w[i + 1:]
@@ -141,9 +142,11 @@ def _near(lab):
 
 
 def _random_families(rng):
-    # ranks up to the tensor cap; SU(2,1) and Sp(2,1) have no zero padding
-    return [so(2), so(rng.randint(3, 1000)), su(2), su(rng.randint(3, 1000)),
-            sp(2), sp(rng.randint(3, 1000)), f4()]
+    # a rank up to 60 and one up to the tensor cap of 1000 per family;
+    # SU(2,1) and Sp(2,1) have no zero padding
+    return [so(2), so(rng.randint(3, 60)), so(rng.randint(61, 1000)),
+            su(2), su(rng.randint(3, 60)), su(rng.randint(61, 1000)),
+            sp(2), sp(rng.randint(3, 60)), sp(rng.randint(61, 1000)), f4()]
 
 
 def test_label_from_weight_inverts_highest_weight_on_large_labels():
