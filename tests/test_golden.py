@@ -23,7 +23,13 @@ Sp 8, F4, SO 8 and SO 2, and the integer exceptional route by `exceptional
 Sp 7 --count 3028` and the CSV report of `exceptional SU 8 --count 1610`.
 The K-type dimensions at the size caps, up to ~35 digits, are pinned by
 `tensor Sp 300 V6,2`, `tensor SU 300 Y3,5` and `socle Sp 800 --ell 100`, and
-the tensor cap itself by `tensor SO 1000 Y3`.
+the tensor cap itself by `tensor SO 1000 Y3`.  The integer nu and vanishing
+rows and the cancelled growth quotients are pinned by `verify scalars --depth
+16` (the depth cap) and by one lowering query per family, where nu involves
+rho: `scalars SO 999 Y6 Y5`, `SO 1000 Y6 Y5`, `SU 1000 Y3,2 Y2,2`, `Sp 1000
+V4,2 V3,2` and `F4 V6,2 V5,1`, each at `--mu=-7/2`.  Zonal evaluation over
+point arrays is pinned by `verify so-model --depth 6 --seed 0`, the default
+seed.
 
 The argument parser is pinned by `help_*.txt` (stdout of `rankone -h` and of
 `rankone <command> -h`, exit 0) and `usage_*.txt` (stderr of rejected command
@@ -41,7 +47,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 FAMILIES = [["SO", "2"], ["SO", "7"], ["SU", "3"], ["Sp", "2"], ["F4"]]
 SCALAR_PAIRS = [["SO", "7", "Y2", "Y3"], ["SU", "3", "Y1,2", "Y2,2"],
-                ["Sp", "2", "V2,1", "V3,1"], ["F4", "V4,2", "V5,3"]]
+                ["Sp", "2", "V2,1", "V3,1"], ["F4", "V4,2", "V5,3"],
+                ["SO", "999", "Y6", "Y5"], ["SO", "1000", "Y6", "Y5"],
+                ["SU", "1000", "Y3,2", "Y2,2"], ["Sp", "1000", "V4,2", "V3,2"],
+                ["F4", "V6,2", "V5,1"]]
 
 
 def _tag(tokens):
@@ -86,6 +95,8 @@ CASES = [
     ("tensor_SU_300_Y3_5.json", ["tensor", "SU", "300", "Y3,5"]),
     ("socle_Sp_800_ell100.json", ["socle", "Sp", "800", "--ell", "100"]),
     ("tensor_SO_1000_Y3.json", ["tensor", "SO", "1000", "Y3"]),
+    ("verify_scalars_depth16.json", ["verify", "scalars", "--depth", "16"]),
+    ("verify_so_model_depth6_seed0.json", ["verify", "so-model", "--depth", "6", "--seed", "0"]),
 ]
 for fam in FAMILIES:
     CASES += [
