@@ -81,12 +81,18 @@ def parse_family(tokens: list[str]) -> tuple[GroupFamily, list[str]]:
     return fam, rest[1:]
 
 
+# label coordinates: ASCII digits with at most one leading minus, comma-separated
+_LABEL_COORDS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
 def parse_label(family: GroupFamily, token: str) -> ktypes.KTypeLabel:
     # at most one leading letter, the family's own: Y or V as reports print it
     body = token[1:] if token[:1] == ktypes.lattice(family).spec.letter else token
+    if not _LABEL_COORDS.fullmatch(body):
+        raise UsageError(f"bad label {token!r} for {family}: "
+                         "expected comma-separated integer coordinates")
     try:
-        coords = tuple(int(p) for p in body.split(","))
-        return ktypes.KTypeLabel(family, coords)
+        return ktypes.KTypeLabel(family, tuple(int(p) for p in body.split(",")))
     except ValueError as exc:
         raise UsageError(f"bad label {token!r} for {family}: {exc}") from None
 

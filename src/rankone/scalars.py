@@ -12,9 +12,10 @@ Fourier-series convergence of the SU, Sp and F4 cases.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, log
+from math import factorial, log, perm
 
-from .groups import GroupFamily, SpectralParam, UnsupportedFamilyError, rho_H
+from .groups import (GroupFamily, SpectralParam, UnsupportedFamilyError, rho_H,
+                     structural_data)
 from .ktypes import KTypeLabel, label, labels, weyl_dim
 from .spherical import omega_h_expand
 
@@ -27,37 +28,47 @@ def _direction(v: KTypeLabel, y: KTypeLabel) -> tuple[int, ...]:
     return tuple(b - a for a, b in zip(v.coords, y.coords))
 
 
+# Rows (c_rho, c_1, ..., c_k, c_0) keyed by (variant, direction V -> Y); twice
+# the value is c_rho 2rho(H) + sum_i c_i V_i + c_0.  nu table: 2r with
+# nu(V, Y) = r lambda(V, Y); Sp reads 4n through 2rho(H) = 4n + 2.
+NU_ROWS = {
+    ("SO", (1,)): (0, 2, 0), ("SO", (-1,)): (-2, -2, 2),
+    ("SU", (1, 0)): (0, 4, 0, 0), ("SU", (0, -1)): (-2, 0, -4, 4),
+    ("SU", (0, 1)): (0, 0, 4, 0), ("SU", (-1, 0)): (-2, -4, 0, 4),
+    ("Sp", (1, 0)): (0, 4, 0, 0), ("Sp", (0, -1)): (-2, 0, -4, 8),
+    ("Sp", (0, 1)): (0, 0, 4, -4), ("Sp", (-1, 0)): (-2, -4, 0, 4),
+    ("F4", (1, 1)): (0, 2, 2, 0), ("F4", (-1, 1)): (0, -2, 2, -28),
+    ("F4", (1, -1)): (0, 2, -2, -12), ("F4", (-1, -1)): (0, -2, -2, -40),
+}
+
+# Vanishing table: 2mu(H) of the reducibility parameter for the direction.
+VANISHING_ROWS = {
+    ("SO", (1,)): (-1, -2, 0), ("SO", (-1,)): (1, 2, -2),
+    ("SU", (1, 0)): (-1, -4, 0, 0), ("SU", (0, -1)): (1, 0, 4, -4),
+    ("SU", (0, 1)): (-1, 0, -4, 0), ("SU", (-1, 0)): (1, 4, 0, -4),
+    ("Sp", (1, 0)): (-1, -4, 0, 0), ("Sp", (0, -1)): (1, 0, 4, -8),
+    ("Sp", (0, 1)): (-1, 0, -4, 4), ("Sp", (-1, 0)): (1, 4, 0, -4),
+    ("F4", (1, 1)): (-1, -2, -2, 0), ("F4", (-1, 1)): (1, 2, -2, -16),
+    ("F4", (1, -1)): (-1, -2, 2, 12), ("F4", (-1, -1)): (1, 2, 2, -4),
+}
+
+
+def _row_value(rows: dict, family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
+    """Half the row of (variant, direction V -> Y) evaluated at 2rho(H) and V."""
+    row = rows.get((family.variant, _direction(v, y)))
+    if row is None:
+        raise NotOmegaRelatedError(f"{v} and {y} are not neighbours in {family}")
+    c_rho, *coefs, c_0 = row
+    sd = structural_data(family)  # 2rho(H) = m_alpha + 2 m_2alpha, an integer
+    total = c_rho * (sd.m_alpha + 2 * sd.m_2alpha) + c_0
+    for c, x in zip(coefs, v.coords):
+        total += c * x
+    return Fraction(total, 2)
+
+
 def _nu_factor(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
-    """The rational multiple r with nu(V, Y) = r * lambda(V, Y)."""
-    rho = rho_H(family)
-    d = _direction(v, y)
-    fam = family.variant
-    if fam == "SO":
-        (ell,) = v.coords
-        if d == (1,):
-            return Fraction(ell)
-        if d == (-1,):
-            return -(2 * rho + ell - 1)
-    elif fam == "SU":
-        p, q = v.coords
-        table = {(1, 0): Fraction(2 * p), (0, -1): -2 * (rho + q - 1),
-                 (0, 1): Fraction(2 * q), (-1, 0): -2 * (rho + p - 1)}
-        if d in table:
-            return table[d]
-    elif fam == "Sp":
-        a, b = v.coords
-        n = family.n
-        table = {(1, 0): Fraction(2 * a), (0, -1): Fraction(-(4 * n - 2 + 2 * b)),
-                 (0, 1): Fraction(2 * (b - 1)), (-1, 0): Fraction(-(4 * n + 2 * a))}
-        if d in table:
-            return table[d]
-    else:
-        m, k = v.coords
-        table = {(1, 1): Fraction(m + k), (-1, 1): Fraction(-(14 + m - k)),
-                 (1, -1): Fraction(m - k - 6), (-1, -1): Fraction(-(20 + m + k))}
-        if d in table:
-            return table[d]
-    raise NotOmegaRelatedError(f"{v} and {y} are not neighbours in {family}")
+    """The rational multiple r with nu(V, Y) = r * lambda(V, Y), from NU_ROWS."""
+    return _row_value(NU_ROWS, family, v, y)
 
 
 def nu_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, lam: Fraction) -> Fraction:
@@ -79,39 +90,12 @@ def t_root(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
 
 
 def vanishing_mu(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
-    """Tabulated reducibility parameter for the direction V -> Y.
+    """Tabulated reducibility parameter for the direction V -> Y, from VANISHING_ROWS.
 
     At this mu the principal series has an invariant subspace containing Y
     but not V, forcing T(V, Y, mu) = 0.
     """
-    rho = rho_H(family)
-    d = _direction(v, y)
-    fam = family.variant
-    if fam == "SO":
-        (ell,) = v.coords
-        if d == (1,):
-            return -rho - ell
-        if d == (-1,):
-            return rho + ell - 1
-    elif fam == "SU":
-        p, q = v.coords
-        table = {(1, 0): -2 * p - rho, (0, -1): rho + 2 * (q - 1),
-                 (0, 1): -2 * q - rho, (-1, 0): rho + 2 * (p - 1)}
-        if d in table:
-            return table[d]
-    elif fam == "Sp":
-        a, b = v.coords
-        table = {(1, 0): -(rho + 2 * a), (0, -1): rho + 2 * b - 4,
-                 (0, 1): -(rho - 2 + 2 * b), (-1, 0): rho - 2 + 2 * a}
-        if d in table:
-            return table[d]
-    else:
-        m, k = v.coords
-        table = {(1, 1): -(rho + m + k), (-1, 1): rho + m - k - 8,
-                 (1, -1): -(rho - 6 + m - k), (-1, -1): rho - 2 + m + k}
-        if d in table:
-            return table[d]
-    raise NotOmegaRelatedError(f"{v} and {y} are not neighbours in {family}")
+    return _row_value(VANISHING_ROWS, family, v, y)
 
 
 def vanishing_table_check(family: GroupFamily, bound: int) -> bool:
@@ -141,8 +125,9 @@ def growth_order_stated(family: GroupFamily, ell: int) -> int:
 
 
 def _sp_factorial_part(n: int, ell: int, m: int) -> Fraction:
-    """The factorial factor of the Sp closed form, without its dimension ratio."""
-    return Fraction(factorial(2 * n - 1 + 2 * ell + m), factorial(m) * factorial(2 * n + 2 * ell))
+    """The factorial factor (2n-1+2ell+m)! / (m! (2n+2ell)!) of the Sp closed form,
+    without its dimension ratio; m! cancels into the falling factorial."""
+    return Fraction(perm(2 * n - 1 + 2 * ell + m, 2 * n - 1 + 2 * ell), factorial(2 * n + 2 * ell))
 
 
 def growth_step_ratio(family: GroupFamily, ell: int, r: int, fixed: int) -> Fraction:
@@ -172,17 +157,19 @@ def growth_step_ratio(family: GroupFamily, ell: int, r: int, fixed: int) -> Frac
 
 
 def growth_closed_form(family: GroupFamily, ell: int, steps: int, fixed: int) -> Fraction:
-    """Factorial closed form of the iterated product after `steps` steps (ell, steps >= 0)."""
+    """Factorial closed form of the iterated product after `steps` steps (ell, steps >= 0).
+
+    Quotients of factorials are cancelled into falling factorials
+    perm(x, k) = x! / (x - k)!, so no factorial of the step count is formed.
+    """
     if ell < 0 or steps < 0:
         raise ValueError("ell and steps must be nonnegative")
     n = family.n
     m = steps + 1
     if family.variant == "SU":
         q = fixed
-        num = ((n + ell + m + q - 1) * factorial(n + ell + m - 2) * factorial(ell + 1)
-               * factorial(n + ell + m))
-        den = ((n + ell + q) * factorial(n + ell - 1) * factorial(ell + m)
-               * factorial(m - 1) * factorial(n + ell + 1))
+        num = (n + ell + m + q - 1) * perm(n + ell + m - 2, n + ell - 1) * perm(n + ell + m, n)
+        den = (n + ell + q) * factorial(n + ell - 1) * perm(n + ell + 1, n)
         return Fraction(num, den)
     if family.variant == "Sp":
         b = fixed
@@ -192,7 +179,7 @@ def growth_closed_form(family: GroupFamily, ell: int, steps: int, fixed: int) ->
         return fact * dims
     if family.variant == "F4":
         p = steps + 1
-        return Fraction(6 * factorial(7 + 2 * ell + p), factorial(8 + 2 * ell) * factorial(2 + p))
+        return Fraction(6 * perm(7 + 2 * ell + p, 5 + 2 * ell), factorial(8 + 2 * ell))
     raise UnsupportedFamilyError("growth products exist for SU, Sp and F4 only")
 
 
@@ -217,7 +204,7 @@ def growth_order_estimate(family: GroupFamily, ell: int, max_steps: int = 512) -
 
     SU uses the full closed form; Sp and F4 use the factorial factor alone
     (their dimension ratios are reported separately by the stated orders).
-    Each value is an exact Fraction of integer factorial products; the slope
+    Each value is an exact Fraction of falling-factorial products; the slope
     takes logs of its integer numerator and denominator, which overflow float.
     This is the single place the package touches floating point outside the
     Lorentz model.

@@ -156,7 +156,8 @@ def reproducing_check(n: int, k: int, rotation, tol: float = 1e-10) -> bool:
     return abs(lhs - rhs) <= tol
 
 
-def _feval(p, x: float) -> float:
+def _feval(p, x):
+    """Horner evaluation at a float, or elementwise over a float array."""
     acc = 0.0
     for c in reversed(p):
         acc = acc * x + float(c)
@@ -283,7 +284,7 @@ def poisson_delta(n: int, z: list[float], mu: SpectralParam, g: np.ndarray,
     kI, s, _ = iwasawa(lorentz_inverse(g))
     axis = kI[:n, 0]
     factor = math.exp(-s * float(mu.mu_H + rho_H(so(n))))
-    return factor * np.array([_feval(z, float(points[i] @ axis)) for i in range(len(points))])
+    return factor * _feval(z, points @ axis)
 
 
 @dataclass(frozen=True)
@@ -317,7 +318,7 @@ def expected_combination(n: int, k: int, mu: SpectralParam, points: np.ndarray) 
     for y, lam in omega_h_expand(fam, src).terms:  # Y_{k-1} (for k > 0), then Y_{k+1}
         coeff = float(t_scalar(fam, src, y, mu, lam))
         z = [float(c) for c in zonal_coeffs(n, y.coords[0])]
-        out += coeff * np.array([_feval(z, float(p[0])) for p in points])
+        out += coeff * _feval(z, points[:, 0])
     return out
 
 
@@ -337,7 +338,7 @@ def verify_intertwining(n: int, k: int, mu: SpectralParam, step_h: float = 1e-4,
     combined, d_h = _gradient_sum(n, k, mu, points, step_h)
     expected = expected_combination(n, k, mu, points)
     z_k = [float(c) for c in zonal_coeffs(n, k)]
-    target_h = float(mu.mu_H + rho_H(so(n))) * np.array([_feval(z_k, float(p[0])) for p in points])
+    target_h = float(mu.mu_H + rho_H(so(n))) * _feval(z_k, points[:, 0])
     coeffs = _fit_zonal(n, (k - 1, k, k + 1), points, combined)
     return IntertwiningReport(
         residual=float(np.max(np.abs(combined - expected))),
@@ -353,7 +354,7 @@ def _fit_zonal(n: int, degrees, points: np.ndarray, values: np.ndarray) -> dict:
         if d < 0:
             continue
         z = [float(c) for c in zonal_coeffs(n, d)]
-        cols.append([_feval(z, float(p[0])) for p in points])
+        cols.append(_feval(z, points[:, 0]))
         keys.append(d)
     a = np.array(cols).T
     sol, *_ = np.linalg.lstsq(a, values, rcond=None)

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankone.groups import SpectralParam, exceptional_mu, f4, rho_H, so, sp, su
-from rankone.ktypes import label, weyl_dim
-from rankone.scalars import (NotOmegaRelatedError, _sp_factorial_part, growth_closed_form, growth_order_estimate,
+from rankone.ktypes import KTypeLabel, label, weyl_dim
+from rankone.scalars import (NU_ROWS, VANISHING_ROWS, NotOmegaRelatedError, _nu_factor,
+                             _sp_factorial_part, growth_closed_form, growth_order_estimate,
                              growth_order_stated, growth_product, growth_step_ratio,
                              nu_scalar, t_root, t_scalar, vanishing_mu,
                              vanishing_table_check)
@@ -66,6 +69,124 @@ def test_affine_in_mu_with_slope_lambda():
         root = t_root(fam, v, y)
         assert t_scalar(fam, v, y, SpectralParam(root), lam) == 0
         assert root == vanishing_mu(fam, v, y)
+
+
+# -- the nu and vanishing rows against the per-family formulas they replaced ----
+
+
+def _direction(v, y):
+    return tuple(b - a for a, b in zip(v.coords, y.coords))
+
+
+def _nu_factor_reference(family, v, y):
+    """r with nu(V, Y) = r lambda(V, Y), one branch per family."""
+    rho = rho_H(family)
+    d = _direction(v, y)
+    fam = family.variant
+    if fam == "SO":
+        (ell,) = v.coords
+        if d == (1,):
+            return Q(ell)
+        if d == (-1,):
+            return -(2 * rho + ell - 1)
+    elif fam == "SU":
+        p, q = v.coords
+        table = {(1, 0): Q(2 * p), (0, -1): -2 * (rho + q - 1),
+                 (0, 1): Q(2 * q), (-1, 0): -2 * (rho + p - 1)}
+        if d in table:
+            return table[d]
+    elif fam == "Sp":
+        a, b = v.coords
+        n = family.n
+        table = {(1, 0): Q(2 * a), (0, -1): Q(-(4 * n - 2 + 2 * b)),
+                 (0, 1): Q(2 * (b - 1)), (-1, 0): Q(-(4 * n + 2 * a))}
+        if d in table:
+            return table[d]
+    else:
+        m, k = v.coords
+        table = {(1, 1): Q(m + k), (-1, 1): Q(-(14 + m - k)),
+                 (1, -1): Q(m - k - 6), (-1, -1): Q(-(20 + m + k))}
+        if d in table:
+            return table[d]
+    raise NotOmegaRelatedError(f"{v} and {y} are not neighbours in {family}")
+
+
+def _vanishing_mu_reference(family, v, y):
+    """The reducibility parameter mu(H) of the direction V -> Y, one branch per family."""
+    rho = rho_H(family)
+    d = _direction(v, y)
+    fam = family.variant
+    if fam == "SO":
+        (ell,) = v.coords
+        if d == (1,):
+            return -rho - ell
+        if d == (-1,):
+            return rho + ell - 1
+    elif fam == "SU":
+        p, q = v.coords
+        table = {(1, 0): -2 * p - rho, (0, -1): rho + 2 * (q - 1),
+                 (0, 1): -2 * q - rho, (-1, 0): rho + 2 * (p - 1)}
+        if d in table:
+            return table[d]
+    elif fam == "Sp":
+        a, b = v.coords
+        table = {(1, 0): -(rho + 2 * a), (0, -1): rho + 2 * b - 4,
+                 (0, 1): -(rho - 2 + 2 * b), (-1, 0): rho - 2 + 2 * a}
+        if d in table:
+            return table[d]
+    else:
+        m, k = v.coords
+        table = {(1, 1): -(rho + m + k), (-1, 1): rho + m - k - 8,
+                 (1, -1): -(rho - 6 + m - k), (-1, -1): rho - 2 + m + k}
+        if d in table:
+            return table[d]
+    raise NotOmegaRelatedError(f"{v} and {y} are not neighbours in {family}")
+
+
+BIG = 10 ** 6
+
+
+@st.composite
+def _family_and_label(draw):
+    """A family with n up to 1000 (SO(2,1) included) and a valid label up to 10**6."""
+    variant = draw(st.sampled_from(["SO", "SU", "Sp", "F4"]))
+    x, y = draw(st.integers(0, BIG)), draw(st.integers(0, BIG))
+    if variant == "SO":
+        fam = so(draw(st.integers(2, 1000)))
+        return fam, label(fam, x if fam.n > 2 else x - y)
+    if variant == "SU":
+        fam = su(draw(st.integers(2, 1000)))
+        return fam, label(fam, x, y)
+    if variant == "Sp":
+        fam = sp(draw(st.integers(2, 1000)))
+        return fam, label(fam, max(x, y), min(x, y))
+    k = min(x, y)
+    return f4(), label(f4(), k + 2 * ((max(x, y) - k) // 2), k)
+
+
+def test_rows_cover_the_same_directions():
+    assert NU_ROWS.keys() == VANISHING_ROWS.keys()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_family_and_label())
+def test_rows_match_the_per_family_formulas(case):
+    fam, v = case
+    directions = [d for variant, d in NU_ROWS if variant == fam.variant]
+    for d in directions + [tuple(2 * c for c in directions[0])]:
+        try:
+            y = KTypeLabel(fam, tuple(a + b for a, b in zip(v.coords, d)))
+        except ValueError:
+            continue  # off the lattice
+        try:
+            expected = (_nu_factor_reference(fam, v, y), _vanishing_mu_reference(fam, v, y))
+        except NotOmegaRelatedError:
+            with pytest.raises(NotOmegaRelatedError):
+                _nu_factor(fam, v, y)
+            with pytest.raises(NotOmegaRelatedError):
+                vanishing_mu(fam, v, y)
+            continue
+        assert (_nu_factor(fam, v, y), vanishing_mu(fam, v, y)) == expected, (fam, v, y)
 
 
 VANISH_FAMILIES = ([so(n) for n in range(3, 9)] + [su(n) for n in range(2, 6)]
@@ -242,3 +363,38 @@ def test_growth_refuses_negative_ell_and_steps():
             growth_order_estimate(fam, -1)
         with pytest.raises(ValueError, match="nonnegative"):
             growth_product(fam, -1, 3)
+
+
+def _sp_factorial_part_reference(n, ell, m):
+    return Q(factorial(2 * n - 1 + 2 * ell + m), factorial(m) * factorial(2 * n + 2 * ell))
+
+
+def _factorial_closed_form(fam, ell, steps, fixed):
+    """The closed form on whole factorials, before the quotients were cancelled."""
+    n, m = fam.n, steps + 1
+    if fam.variant == "SU":
+        q = fixed
+        num = ((n + ell + m + q - 1) * factorial(n + ell + m - 2) * factorial(ell + 1)
+               * factorial(n + ell + m))
+        den = ((n + ell + q) * factorial(n + ell - 1) * factorial(ell + m)
+               * factorial(m - 1) * factorial(n + ell + 1))
+        return Q(num, den)
+    if fam.variant == "Sp":
+        b = fixed
+        dims = Q(weyl_dim(fam, label(fam, ell + m, b)), weyl_dim(fam, label(fam, ell + 1, b)))
+        return _sp_factorial_part_reference(n, ell, m) * dims
+    p = steps + 1
+    return Q(6 * factorial(7 + 2 * ell + p), factorial(8 + 2 * ell) * factorial(2 + p))
+
+
+@pytest.mark.parametrize("fam", GROWTH_FAMILIES)
+def test_cancelled_closed_form_matches_whole_factorials(fam):
+    # every step count up to 600 at ell 0 and 8; a stride at the ells between
+    for ell in range(9):
+        for steps in range(0, 601, 1 if ell in (0, 8) else 23):
+            fixed = ell + 1
+            assert growth_closed_form(fam, ell, steps, fixed) == \
+                _factorial_closed_form(fam, ell, steps, fixed), (ell, steps)
+            if fam.variant == "Sp":
+                assert _sp_factorial_part(fam.n, ell, steps + 1) == \
+                    _sp_factorial_part_reference(fam.n, ell, steps + 1), (ell, steps)

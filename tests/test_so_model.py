@@ -122,6 +122,28 @@ def test_poisson_delta_special_cases():
     assert np.allclose(got, math.exp(0.3 * float(mu + rho_H(so(n)))) * base)
 
 
+def test_array_horner_equals_the_per_point_loop():
+    # the same float operations in the same order, so equal bit for bit
+    for n in (3, 4, 5):
+        pts = M.sphere_points(n, 50, seed=n)
+        for k in range(8):
+            z = [float(c) for c in M.zonal_coeffs(n, k)]
+            loop = np.array([M._feval(z, float(p[0])) for p in pts])
+            assert np.array_equal(M._feval(z, pts[:, 0]), loop), (n, k)
+
+
+def test_matrix_product_axis_is_within_roundoff_of_row_dots():
+    # points @ axis may sum in another order than each row's dot product
+    rng = np.random.default_rng(4)
+    for n in (3, 4, 5):
+        pts = M.sphere_points(n, 50, seed=n)
+        for _ in range(10):
+            k_factor, _, _ = M.iwasawa(M.random_lorentz(n, rng))
+            axis = k_factor[:n, 0]
+            rows = np.array([float(pts[i] @ axis) for i in range(len(pts))])
+            assert np.max(np.abs(pts @ axis - rows)) <= 1e-15
+
+
 GRID_MUS = (Q(-2), Q(-1), Q(-1, 2), Q(0), Q(1, 2), Q(1))
 
 
