@@ -310,46 +310,40 @@ def test_growth_spec_bundle():
     assert prod == growth_closed_form(sp(2), 1, 8, 2)
 
 
-def _ffrac(num_from, num_to):
-    """Reference: num_from * (num_from+1) * ... * num_to, one Fraction multiply per factor."""
-    out = Q(1)
-    for j in range(num_from, num_to + 1):
-        out *= j
-    return out
-
-
 def _sp_factorial_reference(n, ell, m):
-    return _ffrac(1, 2 * n - 1 + 2 * ell + m) / (_ffrac(1, m) * _ffrac(1, 2 * n + 2 * ell))
+    return Q(factorial(2 * n - 1 + 2 * ell + m), factorial(m) * factorial(2 * n + 2 * ell))
 
 
 def _closed_form_reference(fam, ell, steps, fixed):
+    """The closed form on whole factorials, before the quotients were cancelled."""
     n, m = fam.n, steps + 1
     if fam.variant == "SU":
         q = fixed
-        num = ((n + ell + m + q - 1) * _ffrac(1, n + ell + m - 2) * _ffrac(1, ell + 1)
-               * _ffrac(1, n + ell + m))
-        den = ((n + ell + q) * _ffrac(1, n + ell - 1) * _ffrac(1, ell + m)
-               * _ffrac(1, m - 1) * _ffrac(1, n + ell + 1))
-        return num / den
+        num = ((n + ell + m + q - 1) * factorial(n + ell + m - 2) * factorial(ell + 1)
+               * factorial(n + ell + m))
+        den = ((n + ell + q) * factorial(n + ell - 1) * factorial(ell + m)
+               * factorial(m - 1) * factorial(n + ell + 1))
+        return Q(num, den)
     if fam.variant == "Sp":
         b = fixed
         dims = Q(weyl_dim(fam, label(fam, ell + m, b)), weyl_dim(fam, label(fam, ell + 1, b)))
         return _sp_factorial_reference(n, ell, m) * dims
     p = steps + 1
-    return 6 * _ffrac(1, 7 + 2 * ell + p) / (_ffrac(1, 8 + 2 * ell) * _ffrac(1, 2 + p))
+    return Q(6 * factorial(7 + 2 * ell + p), factorial(8 + 2 * ell) * factorial(2 + p))
 
 
 @pytest.mark.parametrize("fam", GROWTH_FAMILIES)
 def test_integer_closed_form_matches_fraction_reference(fam):
+    # every step count up to 64; beyond, up to 600, every one at ell 0 and 8 and a stride between
     rng = random.Random(str(fam))
-    for ell in range(7):
-        for steps in range(1, 65):
+    for ell in range(9):
+        for steps in [*range(65), *range(65, 601, 1 if ell in (0, 8) else 23)]:
             fixed = rng.randint(0, ell + 1) if fam.variant == "Sp" else rng.randint(0, 12)
             assert growth_closed_form(fam, ell, steps, fixed) == \
                 _closed_form_reference(fam, ell, steps, fixed), (ell, steps, fixed)
             if fam.variant == "Sp":
                 assert _sp_factorial_part(fam.n, ell, steps + 1) == \
-                    _sp_factorial_reference(fam.n, ell, steps + 1)
+                    _sp_factorial_reference(fam.n, ell, steps + 1), (ell, steps)
 
 
 def test_growth_refuses_negative_ell_and_steps():
@@ -364,37 +358,3 @@ def test_growth_refuses_negative_ell_and_steps():
         with pytest.raises(ValueError, match="nonnegative"):
             growth_product(fam, -1, 3)
 
-
-def _sp_factorial_part_reference(n, ell, m):
-    return Q(factorial(2 * n - 1 + 2 * ell + m), factorial(m) * factorial(2 * n + 2 * ell))
-
-
-def _factorial_closed_form(fam, ell, steps, fixed):
-    """The closed form on whole factorials, before the quotients were cancelled."""
-    n, m = fam.n, steps + 1
-    if fam.variant == "SU":
-        q = fixed
-        num = ((n + ell + m + q - 1) * factorial(n + ell + m - 2) * factorial(ell + 1)
-               * factorial(n + ell + m))
-        den = ((n + ell + q) * factorial(n + ell - 1) * factorial(ell + m)
-               * factorial(m - 1) * factorial(n + ell + 1))
-        return Q(num, den)
-    if fam.variant == "Sp":
-        b = fixed
-        dims = Q(weyl_dim(fam, label(fam, ell + m, b)), weyl_dim(fam, label(fam, ell + 1, b)))
-        return _sp_factorial_part_reference(n, ell, m) * dims
-    p = steps + 1
-    return Q(6 * factorial(7 + 2 * ell + p), factorial(8 + 2 * ell) * factorial(2 + p))
-
-
-@pytest.mark.parametrize("fam", GROWTH_FAMILIES)
-def test_cancelled_closed_form_matches_whole_factorials(fam):
-    # every step count up to 600 at ell 0 and 8; a stride at the ells between
-    for ell in range(9):
-        for steps in range(0, 601, 1 if ell in (0, 8) else 23):
-            fixed = ell + 1
-            assert growth_closed_form(fam, ell, steps, fixed) == \
-                _factorial_closed_form(fam, ell, steps, fixed), (ell, steps)
-            if fam.variant == "Sp":
-                assert _sp_factorial_part(fam.n, ell, steps + 1) == \
-                    _sp_factorial_part_reference(fam.n, ell, steps + 1), (ell, steps)
