@@ -29,7 +29,9 @@ rows and the cancelled growth quotients are pinned by `verify scalars --depth
 rho: `scalars SO 999 Y6 Y5`, `SO 1000 Y6 Y5`, `SU 1000 Y3,2 Y2,2`, `Sp 1000
 V4,2 V3,2` and `F4 V6,2 V5,1`, each at `--mu=-7/2`.  Zonal evaluation over
 point arrays is pinned by `verify so-model --depth 6 --seed 0`, the default
-seed.
+seed.  The stacked Lorentz matrices and the per-sweep boost frames are pinned
+by `verify so-model --depth 16 --seed 79` (the depth cap) and `--depth 2
+--seed 18446744073709551617`, a seed above 2**64.
 
 The argument parser is pinned by `help_*.txt` (stdout of `rankone -h` and of
 `rankone <command> -h`, exit 0) and `usage_*.txt` (stderr of rejected command
@@ -97,6 +99,10 @@ CASES = [
     ("tensor_SO_1000_Y3.json", ["tensor", "SO", "1000", "Y3"]),
     ("verify_scalars_depth16.json", ["verify", "scalars", "--depth", "16"]),
     ("verify_so_model_depth6_seed0.json", ["verify", "so-model", "--depth", "6", "--seed", "0"]),
+    ("verify_so_model_depth16_seed79.json",
+     ["verify", "so-model", "--depth", "16", "--seed", "79"]),
+    ("verify_so_model_depth2_seed18446744073709551617.json",
+     ["verify", "so-model", "--depth", "2", "--seed", "18446744073709551617"]),
 ]
 for fam in FAMILIES:
     CASES += [
