@@ -60,6 +60,21 @@ def _half(t: int) -> str:
     return str(t // 2) if t % 2 == 0 else f"{t}/2"
 
 
+# an integer argument: ASCII digits with at most one leading minus; int() alone
+# also reads underscores, a plus sign, surrounding whitespace and non-ASCII digits
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _ascii_int(token: str) -> int:
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
+
+
+# argparse names the type in its "invalid int value" message
+_ascii_int.__name__ = "int"
+
+
 def parse_family(tokens: list[str]) -> tuple[GroupFamily, list[str]]:
     if not tokens:
         raise UsageError("missing family (SO | SU | Sp | F4)")
@@ -74,7 +89,7 @@ def parse_family(tokens: list[str]) -> tuple[GroupFamily, list[str]]:
     if not rest:
         raise UsageError(f"{variant} needs the integer parameter n")
     try:
-        n = int(rest[0])
+        n = _ascii_int(rest[0])
         fam = GroupFamily(variant, n)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -99,7 +114,7 @@ def parse_label(family: GroupFamily, token: str) -> ktypes.KTypeLabel:
 
 def _seed(token: str) -> int:
     try:
-        value = int(token)
+        value = _ascii_int(token)
         if value >= 0:
             return value
     except ValueError:
@@ -471,12 +486,12 @@ def _args_structure(p: argparse.ArgumentParser) -> None:
 
 def _args_exceptional(p: argparse.ArgumentParser) -> None:
     p.add_argument("params", nargs="+")
-    p.add_argument("--count", type=int, default=8)
+    p.add_argument("--count", type=_ascii_int, default=8)
 
 
 def _args_socle(p: argparse.ArgumentParser) -> None:
     p.add_argument("params", nargs="+")
-    p.add_argument("--ell", type=int, default=0)
+    p.add_argument("--ell", type=_ascii_int, default=0)
 
 
 def _args_tensor(p: argparse.ArgumentParser) -> None:
@@ -490,7 +505,7 @@ def _args_scalars(p: argparse.ArgumentParser) -> None:
 
 def _args_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("suite", choices=("all",) + tuple(SUITES))
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_ascii_int, default=6)
 
 
 # subcommand -> (its line in `rankone -h`, adds its own arguments after the common ones)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
@@ -174,6 +175,21 @@ def pythagorean_rotation(n: int, i: int, j: int) -> list[list[Fraction]]:
 
 
 # -- Lorentz matrices and the Iwasawa decomposition ----------------------------
+#
+# Every helper here takes a leading batch axis: a scalar parameter (or a 2-D
+# matrix) gives one matrix, an array of parameters (or a stack of matrices)
+# gives the stack, element for element equal to the one-matrix results.
+
+
+def _libm(f, t):
+    """f of each entry of t through `math`; numpy's cosh and friends may round
+    the last bit differently.  A scalar t gives a scalar."""
+    t = np.asarray(t, dtype=float)
+    return np.fromiter(map(f, t.flat), float, t.size).reshape(t.shape)[()]
+
+
+def _identity(n: int, shape: tuple[int, ...]) -> np.ndarray:
+    return np.broadcast_to(np.eye(n + 1), shape + (n + 1, n + 1)).copy()
 
 
 def _metric(n: int) -> np.ndarray:
@@ -183,95 +199,135 @@ def _metric(n: int) -> np.ndarray:
 
 
 def is_lorentz(g: np.ndarray, tol: float = 1e-10) -> bool:
-    """g preserves J, has det +1 and lies in the identity component."""
-    n = g.shape[0] - 1
+    """g preserves J, has det +1 and lies in the identity component.
+
+    On a stack of matrices: every one of them does.
+    """
+    n = g.shape[-1] - 1
     j = _metric(n)
-    if np.max(np.abs(g.T @ j @ g - j)) > tol:
+    if not np.all(np.abs(np.swapaxes(g, -1, -2) @ j @ g - j) <= tol):
         return False
-    return np.linalg.det(g) > 0 and g[n, n] > 0
+    return bool(np.all(np.linalg.det(g) > 0) and np.all(g[..., n, n] > 0))
 
 
-def boost(n: int, i: int, t: float) -> np.ndarray:
+def boost(n: int, i: int, t) -> np.ndarray:
     """exp(t (E_{i,n+1} + E_{n+1,i})); i = 0 gives exp(t H)."""
-    g = np.eye(n + 1)
-    g[i, i] = g[n, n] = math.cosh(t)
-    g[i, n] = g[n, i] = math.sinh(t)
+    ch, sh = _libm(math.cosh, t), _libm(math.sinh, t)
+    g = _identity(n, np.shape(t))
+    g[..., i, i] = g[..., n, n] = ch
+    g[..., i, n] = g[..., n, i] = sh
     return g
 
 
-def rotation(n: int, i: int, j: int, t: float) -> np.ndarray:
-    g = np.eye(n + 1)
-    g[i, i] = g[j, j] = math.cos(t)
-    g[i, j] = -math.sin(t)
-    g[j, i] = math.sin(t)
+def rotation(n: int, i: int, j: int, t) -> np.ndarray:
+    c, s = _libm(math.cos, t), _libm(math.sin, t)
+    g = _identity(n, np.shape(t))
+    g[..., i, i] = g[..., j, j] = c
+    g[..., i, j] = -s
+    g[..., j, i] = s
     return g
 
 
 def nilpotent(n: int, u: np.ndarray) -> np.ndarray:
     """exp of the horospherical element with parameters u in R^(n-1)."""
-    x = np.zeros((n + 1, n + 1))
-    for i in range(1, n):
-        x[0, i] = u[i - 1]
-        x[i, 0] = -u[i - 1]
-        x[i, n] = u[i - 1]
-        x[n, i] = u[i - 1]
+    x = np.zeros(np.shape(u)[:-1] + (n + 1, n + 1))
+    x[..., 0, 1:n] = u
+    x[..., 1:n, 0] = -u
+    x[..., 1:n, n] = u
+    x[..., n, 1:n] = u
     return np.eye(n + 1) + x + x @ x / 2.0
 
 
 def lorentz_inverse(g: np.ndarray) -> np.ndarray:
-    n = g.shape[0] - 1
+    n = g.shape[-1] - 1
     j = _metric(n)
-    return j @ g.T @ j
+    return j @ np.swapaxes(g, -1, -2) @ j
 
 
-def iwasawa(g: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+def iwasawa(g: np.ndarray) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:
     """Factor g = k exp(s H) n with k in block SO(n), n horospherical.
 
     The scale e^s and the parameters of n are read off the last row, which the
-    K-factor leaves untouched; k is then recovered by undoing a and n.
+    K-factor leaves untouched; k is then recovered by undoing a and n.  A stack
+    of matrices is factored in one pass and raises if any matrix is outside
+    the chart.
     """
-    n = g.shape[0] - 1
+    n = g.shape[-1] - 1
     if not is_lorentz(g):
         raise ValueError("matrix is not in the identity component of the Lorentz group")
-    es = g[n, 0] + g[n, n]
-    if es <= 0:
+    es = g[..., n, 0] + g[..., n, n]
+    if np.any(es <= 0):
         raise ValueError("matrix is outside the K A N chart")
-    s = math.log(es)
-    u = g[n, 1:n] / es
+    s = _libm(math.log, es)
+    u = g[..., n, 1:n] / es[..., None]
     k = g @ nilpotent(n, -u) @ boost(n, 0, -s)
     return k, s, u
 
 
-def random_lorentz(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Product of elementary rotations and boosts with parameters in [-1, 1]."""
-    g = np.eye(n + 1)
-    for i, j in combinations(range(n), 2):
-        g = g @ rotation(n, i, j, rng.uniform(-1, 1))
+def random_lorentz(n: int, rng: np.random.Generator,
+                   shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Product of elementary rotations and boosts with parameters in [-1, 1].
+
+    `shape` stacks independent samples; the parameters are drawn in the order
+    of one matrix after another, so the stack equals that many calls.
+    """
+    planes = list(combinations(range(n), 2))
+    t = rng.uniform(-1, 1, size=shape + (len(planes) + n,))
+    g = _identity(n, shape)
+    for c, (i, j) in enumerate(planes):
+        g = g @ rotation(n, i, j, t[..., c])
     for i in range(n):
-        g = g @ boost(n, i, rng.uniform(-1, 1))
+        g = g @ boost(n, i, t[..., len(planes) + i])
     return g
 
 
 def iwasawa_roundtrip_error(n: int, samples: int = 100, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        g = random_lorentz(n, rng)
-        k, s, u = iwasawa(g)
-        back = k @ boost(n, 0, s) @ nilpotent(n, u)
-        worst = max(worst, float(np.max(np.abs(back - g))))
-        blk = k[:n, :n]
-        worst = max(worst, float(np.max(np.abs(blk.T @ blk - np.eye(n)))))
-    return worst
+    """Worst entry of k a n - g and of k^T k - 1 over seeded random Lorentz g."""
+    g = random_lorentz(n, np.random.default_rng(seed), (samples,))
+    k, s, u = iwasawa(g)
+    back = k @ boost(n, 0, s) @ nilpotent(n, u)
+    blk = k[..., :n, :n]
+    return float(max(np.max(np.abs(back - g), initial=0.0),
+                     np.max(np.abs(np.swapaxes(blk, -1, -2) @ blk - np.eye(n)), initial=0.0)))
 
 
 # -- Poisson transform of the delta distribution -------------------------------
 
 
+@lru_cache(maxsize=None)
 def sphere_points(n: int, count: int, seed: int = 0) -> np.ndarray:
+    """Seeded uniform points on S^(n-1), one per row; built once, read-only."""
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(count, n))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts.flags.writeable = False
+    return pts
+
+
+@lru_cache(maxsize=None)
+def _zonal_floats(n: int, k: int) -> tuple[float, ...]:
+    return tuple(float(c) for c in zonal_coeffs(n, k))
+
+
+def _frame(n: int, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """(k_I(g^-1) e1 in R^n, s of a_I(g^-1) = exp(s H)), of a matrix or a stack."""
+    k_inv, s, _ = iwasawa(lorentz_inverse(g))
+    return k_inv[..., :n, 0], s
+
+
+@lru_cache(maxsize=None)
+def _boost_frames(n: int, step_h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frames of the boosts exp(+-step_h X_j), j < n, indexed [j, 0 for +, 1 for -]."""
+    t = np.array([step_h, -step_h])
+    axes, s = _frame(n, np.stack([boost(n, j, t) for j in range(n)]))
+    axes.flags.writeable = s.flags.writeable = False
+    return axes, s
+
+
+def _delta_at(n: int, z, mu: SpectralParam, axis: np.ndarray, s: float,
+              points: np.ndarray) -> np.ndarray:
+    factor = math.exp(-s * float(mu.mu_H + rho_H(so(n))))
+    return factor * _feval(z, points @ axis)
 
 
 def poisson_delta(n: int, z: list[float], mu: SpectralParam, g: np.ndarray,
@@ -281,10 +337,7 @@ def poisson_delta(n: int, z: list[float], mu: SpectralParam, g: np.ndarray,
     a_I(g^-1)^{-(mu+rho)} Z_k evaluated along the rotated axis k_I(g^-1) e1,
     where z holds the coefficients of Z_k (`zonal_coeffs`) converted to float.
     """
-    kI, s, _ = iwasawa(lorentz_inverse(g))
-    axis = kI[:n, 0]
-    factor = math.exp(-s * float(mu.mu_H + rho_H(so(n))))
-    return factor * _feval(z, points @ axis)
+    return _delta_at(n, z, mu, *_frame(n, g), points)
 
 
 @dataclass(frozen=True)
@@ -297,12 +350,13 @@ class IntertwiningReport:
 def _gradient_sum(n: int, k: int, mu: SpectralParam, points: np.ndarray,
                   step_h: float) -> tuple[np.ndarray, np.ndarray]:
     """(combined omega-weighted derivative, derivative along H) at the identity."""
-    z = [float(c) for c in zonal_coeffs(n, k)]
+    z = _zonal_floats(n, k)
+    axes, s = _boost_frames(n, step_h)
     combined = np.zeros(len(points))
     d_h = None
     for j in range(n):
-        plus = poisson_delta(n, z, mu, boost(n, j, step_h), points)
-        minus = poisson_delta(n, z, mu, boost(n, j, -step_h), points)
+        plus = _delta_at(n, z, mu, axes[j, 0], s[j, 0], points)
+        minus = _delta_at(n, z, mu, axes[j, 1], s[j, 1], points)
         deriv = (plus - minus) / (2 * step_h)
         if j == 0:
             d_h = deriv
@@ -317,8 +371,7 @@ def expected_combination(n: int, k: int, mu: SpectralParam, points: np.ndarray) 
     out = np.zeros(len(points))
     for y, lam in omega_h_expand(fam, src).terms:  # Y_{k-1} (for k > 0), then Y_{k+1}
         coeff = float(t_scalar(fam, src, y, mu, lam))
-        z = [float(c) for c in zonal_coeffs(n, y.coords[0])]
-        out += coeff * _feval(z, points[:, 0])
+        out += coeff * _feval(_zonal_floats(n, y.coords[0]), points[:, 0])
     return out
 
 
@@ -337,8 +390,7 @@ def verify_intertwining(n: int, k: int, mu: SpectralParam, step_h: float = 1e-4,
     points = sphere_points(n, num_points, seed)
     combined, d_h = _gradient_sum(n, k, mu, points, step_h)
     expected = expected_combination(n, k, mu, points)
-    z_k = [float(c) for c in zonal_coeffs(n, k)]
-    target_h = float(mu.mu_H + rho_H(so(n))) * _feval(z_k, points[:, 0])
+    target_h = float(mu.mu_H + rho_H(so(n))) * _feval(_zonal_floats(n, k), points[:, 0])
     coeffs = _fit_zonal(n, (k - 1, k, k + 1), points, combined)
     return IntertwiningReport(
         residual=float(np.max(np.abs(combined - expected))),
@@ -353,8 +405,7 @@ def _fit_zonal(n: int, degrees, points: np.ndarray, values: np.ndarray) -> dict:
     for d in degrees:
         if d < 0:
             continue
-        z = [float(c) for c in zonal_coeffs(n, d)]
-        cols.append(_feval(z, points[:, 0]))
+        cols.append(_feval(_zonal_floats(n, d), points[:, 0]))
         keys.append(d)
     a = np.array(cols).T
     sol, *_ = np.linalg.lstsq(a, values, rcond=None)

@@ -86,6 +86,56 @@ def test_label_outside_ascii_integers_exits_2(capsys, token):
                             "expected comma-separated integer coordinates\n")
 
 
+# int() reads each of these as an integer (10, 5, 5, 5, 10, 3, 3, 10, 3)
+LOOSE_INTEGERS = [
+    (["structure", "SO", "1_0"], "error: invalid literal for int() with base 10: '1_0'"),
+    (["structure", "SO", "\u0665"], "error: invalid literal for int() with base 10: '\u0665'"),
+    (["structure", "SO", "+5"], "error: invalid literal for int() with base 10: '+5'"),
+    (["structure", "SO", " 5"], "error: invalid literal for int() with base 10: ' 5'"),
+    (["exceptional", "SO", "3", "--count", "1_0"], "argument --count: invalid int value: '1_0'"),
+    (["socle", "SO", "5", "--ell", "\u0663"], "argument --ell: invalid int value: '\u0663'"),
+    (["verify", "groups", "--depth", "\u0663"], "argument --depth: invalid int value: '\u0663'"),
+    (["verify", "so-model", "--seed", "1_0"], "seed must be a nonnegative integer, got '1_0'"),
+    (["verify", "so-model", "--seed", "\uff13"],
+     "seed must be a nonnegative integer, got '\uff13'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", LOOSE_INTEGERS,
+                         ids=[" ".join(a) for a, _ in LOOSE_INTEGERS])
+def test_integer_arguments_outside_ascii_digits_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(message + "\n") and "Traceback" not in captured.err
+
+
+# one leading minus is read, and the value reaches the range checks
+NEGATIVE_INTEGERS = [
+    (["structure", "SO", "-5"], "error: SO requires an integer n >= 2, got -5"),
+    (["exceptional", "SO", "3", "--count", "-2"], "error: count must be positive"),
+    (["socle", "SO", "5", "--ell", "-1"], "error: ell must be nonnegative"),
+    (["verify", "groups", "--depth", "-3"], "error: depth must be positive"),
+]
+
+
+@pytest.mark.parametrize("argv,message", NEGATIVE_INTEGERS,
+                         ids=[" ".join(a) for a, _ in NEGATIVE_INTEGERS])
+def test_negative_integer_arguments_reach_the_range_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_ascii_integer_arguments_are_read():
+    fam, rest = parse_family(["SO", "05", "Y2"])
+    assert fam == so(5) and rest == ["Y2"]
+    assert cli._ascii_int("-12") == -12 and cli._ascii_int.__name__ == "int"
+
+
 def test_structure_f4(capsys):
     code, out = run(capsys, ["structure", "F4"])
     assert code == 0

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction as Q
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from rankone import so_model as M
+from rankone.cli import main
 from rankone.groups import SpectralParam, rho_H, so
 from rankone.ktypes import label, weyl_dim
 from rankone.poly import peval
@@ -96,6 +98,154 @@ def test_iwasawa_rejects_non_lorentz():
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_iwasawa_roundtrip(n):
     assert M.iwasawa_roundtrip_error(n, samples=100, seed=11) <= 1e-9
+
+
+# -- the stacked Lorentz model against the one-matrix-at-a-time reference -------
+#
+# The reference below is the model as it was before the helpers took a batch
+# axis: one elementary matrix, one product and one factorisation at a time.
+
+
+def _ref_boost(n, i, t):
+    g = np.eye(n + 1)
+    g[i, i] = g[n, n] = math.cosh(t)
+    g[i, n] = g[n, i] = math.sinh(t)
+    return g
+
+
+def _ref_rotation(n, i, j, t):
+    g = np.eye(n + 1)
+    g[i, i] = g[j, j] = math.cos(t)
+    g[i, j] = -math.sin(t)
+    g[j, i] = math.sin(t)
+    return g
+
+
+def _ref_nilpotent(n, u):
+    x = np.zeros((n + 1, n + 1))
+    for i in range(1, n):
+        x[0, i] = u[i - 1]
+        x[i, 0] = -u[i - 1]
+        x[i, n] = u[i - 1]
+        x[n, i] = u[i - 1]
+    return np.eye(n + 1) + x + x @ x / 2.0
+
+
+def _ref_iwasawa(g):
+    n = g.shape[0] - 1
+    es = g[n, 0] + g[n, n]
+    s = math.log(es)
+    u = g[n, 1:n] / es
+    k = g @ _ref_nilpotent(n, -u) @ _ref_boost(n, 0, -s)
+    return k, s, u
+
+
+def _ref_random_lorentz(n, rng):
+    g = np.eye(n + 1)
+    for i, j in combinations(range(n), 2):
+        g = g @ _ref_rotation(n, i, j, rng.uniform(-1, 1))
+    for i in range(n):
+        g = g @ _ref_boost(n, i, rng.uniform(-1, 1))
+    return g
+
+
+def _ref_roundtrip_error(n, samples, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        g = _ref_random_lorentz(n, rng)
+        k, s, u = _ref_iwasawa(g)
+        back = k @ _ref_boost(n, 0, s) @ _ref_nilpotent(n, u)
+        worst = max(worst, float(np.max(np.abs(back - g))))
+        blk = k[:n, :n]
+        worst = max(worst, float(np.max(np.abs(blk.T @ blk - np.eye(n)))))
+    return worst
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_stacked_roundtrip_error_equals_the_per_matrix_loop(n):
+    for seed in range(10):
+        assert M.iwasawa_roundtrip_error(n, samples=100, seed=seed) \
+            == _ref_roundtrip_error(n, 100, seed), seed
+
+
+def test_one_matrix_helpers_equal_the_reference():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4, 5):
+        for t in rng.uniform(-2, 2, size=5):
+            for i in range(n):
+                assert np.array_equal(M.boost(n, i, t), _ref_boost(n, i, t))
+            for i, j in combinations(range(n), 2):
+                assert np.array_equal(M.rotation(n, i, j, t), _ref_rotation(n, i, j, t))
+        u = rng.uniform(-1, 1, size=n - 1)
+        assert np.array_equal(M.nilpotent(n, u), _ref_nilpotent(n, u))
+        g = _ref_random_lorentz(n, rng)
+        for got, want in zip(M.iwasawa(g), _ref_iwasawa(g)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_stacked_helpers_equal_one_matrix_at_a_time(n):
+    seed = 40 + n
+    stack = M.random_lorentz(n, np.random.default_rng(seed), (30,))
+    rng = np.random.default_rng(seed)
+    singles = [_ref_random_lorentz(n, rng) for _ in range(30)]
+    assert stack.shape == (30, n + 1, n + 1)
+    assert np.array_equal(stack, np.array(singles))
+    k, s, u = M.iwasawa(stack)
+    for i, g in enumerate(singles):
+        k_i, s_i, u_i = M.iwasawa(g)
+        assert np.array_equal(k[i], k_i) and s[i] == s_i and np.array_equal(u[i], u_i)
+    t = np.linspace(-1, 1, 7)
+    assert np.array_equal(M.boost(n, n - 1, t), np.array([M.boost(n, n - 1, x) for x in t]))
+    assert np.array_equal(M.rotation(n, 0, 1, t), np.array([M.rotation(n, 0, 1, x) for x in t]))
+    assert np.array_equal(M.nilpotent(n, u), np.array([M.nilpotent(n, x) for x in u]))
+    assert M.is_lorentz(stack)
+
+
+def test_stacked_iwasawa_rejects_one_bad_matrix():
+    rng = np.random.default_rng(2)
+    stack = M.random_lorentz(3, rng, (5,))
+    stack[3] = 2 * np.eye(4)
+    assert not M.is_lorentz(stack)
+    with pytest.raises(ValueError):
+        M.iwasawa(stack)
+
+
+def test_boost_frames_equal_the_per_boost_factorisation():
+    for n in (3, 4):
+        axes, s = M._boost_frames(n, 1e-4)
+        for j in range(n):
+            for side, t in enumerate((1e-4, -1e-4)):
+                k_inv, s_j, _ = M.iwasawa(M.lorentz_inverse(M.boost(n, j, t)))
+                assert np.array_equal(axes[j, side], k_inv[:n, 0]) and s[j, side] == s_j
+
+
+def test_cached_model_inputs_are_read_only():
+    axes, s = M._boost_frames(3, 1e-4)
+    for arr in (axes, s, M.sphere_points(3, 50, 0)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert isinstance(M._zonal_floats(3, 2), tuple)
+
+
+def test_so_model_suite_factors_each_matrix_stack_once(monkeypatch, capsys):
+    # one stacked round trip per n = 3, 4, 5 and one stack of boost frames per
+    # n = 3, 4; factoring per (k, mu) again would make hundreds of calls
+    M._boost_frames.cache_clear()
+    calls = []
+    real = M.iwasawa
+
+    def counted(g):
+        calls.append(g.shape)
+        return real(g)
+
+    monkeypatch.setattr(M, "iwasawa", counted)
+    assert main(["verify", "so-model", "--depth", "6"]) == 0
+    capsys.readouterr()
+    M._boost_frames.cache_clear()
+    assert len(calls) == 5
+    assert sorted(calls) == [(3, 2, 4, 4), (4, 2, 5, 5), (100, 4, 4), (100, 5, 5), (100, 6, 6)]
 
 
 def test_nilpotent_is_lorentz_and_unipotent():
