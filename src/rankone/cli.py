@@ -67,7 +67,7 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 def _ascii_int(token: str) -> int:
     if not _INTEGER.fullmatch(token):
-        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+        raise ValueError(f"expected an integer of ASCII digits, got {token!r}")
     return int(token)
 
 

@@ -182,8 +182,10 @@ def pythagorean_rotation(n: int, i: int, j: int) -> list[list[Fraction]]:
 
 
 def _libm(f, t):
-    """f of each entry of t through `math`; numpy's cosh and friends may round
-    the last bit differently.  A scalar t gives a scalar."""
+    """The `math` function f applied to each entry of t; a scalar t gives a scalar.
+
+    numpy's own cos, cosh and log may differ from libm in the last bit.
+    """
     t = np.asarray(t, dtype=float)
     return np.fromiter(map(f, t.flat), float, t.size).reshape(t.shape)[()]
 

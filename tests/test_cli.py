@@ -88,10 +88,10 @@ def test_label_outside_ascii_integers_exits_2(capsys, token):
 
 # int() reads each of these as an integer (10, 5, 5, 5, 10, 3, 3, 10, 3)
 LOOSE_INTEGERS = [
-    (["structure", "SO", "1_0"], "error: invalid literal for int() with base 10: '1_0'"),
-    (["structure", "SO", "\u0665"], "error: invalid literal for int() with base 10: '\u0665'"),
-    (["structure", "SO", "+5"], "error: invalid literal for int() with base 10: '+5'"),
-    (["structure", "SO", " 5"], "error: invalid literal for int() with base 10: ' 5'"),
+    (["structure", "SO", "1_0"], "error: expected an integer of ASCII digits, got '1_0'"),
+    (["structure", "SO", "\u0665"], "error: expected an integer of ASCII digits, got '\u0665'"),
+    (["structure", "SO", "+5"], "error: expected an integer of ASCII digits, got '+5'"),
+    (["structure", "SO", " 5"], "error: expected an integer of ASCII digits, got ' 5'"),
     (["exceptional", "SO", "3", "--count", "1_0"], "argument --count: invalid int value: '1_0'"),
     (["socle", "SO", "5", "--ell", "\u0663"], "argument --ell: invalid int value: '\u0663'"),
     (["verify", "groups", "--depth", "\u0663"], "argument --depth: invalid int value: '\u0663'"),
