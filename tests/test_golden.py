@@ -31,7 +31,10 @@ V4,2 V3,2` and `F4 V6,2 V5,1`, each at `--mu=-7/2`.  Zonal evaluation over
 point arrays is pinned by `verify so-model --depth 6 --seed 0`, the default
 seed.  The stacked Lorentz matrices and the per-sweep boost frames are pinned
 by `verify so-model --depth 16 --seed 79` (the depth cap) and `--depth 2
---seed 18446744073709551617`, a seed above 2**64.
+--seed 18446744073709551617`, a seed above 2**64.  The check order, ids and
+instances of every suite are pinned by `verify groups --depth 16` (the
+exceptional dual route at the depth cap) and the combined CSV report of
+`verify all --depth 2`.
 
 The argument parser is pinned by `help_*.txt` (stdout of `rankone -h` and of
 `rankone <command> -h`, exit 0) and `usage_*.txt` (stderr of rejected command
@@ -103,6 +106,8 @@ CASES = [
      ["verify", "so-model", "--depth", "16", "--seed", "79"]),
     ("verify_so_model_depth2_seed18446744073709551617.json",
      ["verify", "so-model", "--depth", "2", "--seed", "18446744073709551617"]),
+    ("verify_groups_depth16.json", ["verify", "groups", "--depth", "16"]),
+    ("verify_all_depth2.csv", ["verify", "all", "--depth", "2", "--format", "csv"]),
 ]
 for fam in FAMILIES:
     CASES += [
