@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import re
 import sys
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from . import groups, ktypes, scalars, so_model, spherical, tensor
@@ -155,9 +158,25 @@ class Report:
             raise UsageError(f"result {key} has too many digits to render") from None
         self.results[key] = rendered
 
-    def check(self, check_id: str, ok: bool | None, instance: str = ""):
-        status = "n/a" if ok is None else ("pass" if ok else "fail")
-        self.checks.append({"id": check_id, "instance": instance, "status": status})
+    def check(self, check_id: str, ok: bool, instance: str):
+        self.checks.append({"id": check_id, "instance": instance,
+                            "status": "pass" if ok else "fail"})
+
+    def check_each(self, check_id: str, instance: str, cases: Iterable, holds: Callable):
+        """One check that passes iff holds(case) is true for every case.
+
+        Every case is tried, also after a failing one.  A case whose
+        computation breaks one of the library's own invariants (it raises
+        AlgorithmViolation or AssertionError) fails, and the run goes on;
+        any other exception propagates.
+        """
+        ok = True
+        for case in cases:
+            try:
+                ok = bool(holds(case)) and ok
+            except (tensor.AlgorithmViolation, AssertionError):
+                ok = False
+        self.check(check_id, ok, instance)
 
     @property
     def status(self) -> str:
@@ -305,134 +324,98 @@ def verify_groups(rep: Report, depth: int, tolerance: float, seed: int):
     fams = ([groups.so(n) for n in range(2, 11)] + [groups.su(n) for n in range(2, 9)]
             + [groups.sp(n) for n in range(2, 7)] + [groups.f4()])
     for fam in fams:
-        scanned = groups.exceptional_in_interval(fam, -2 * bound)
-        closed = []
-        ell = 0
-        while True:
-            t = 2 * groups.exceptional_mu(fam, ell).mu_H
-            if t < -2 * bound:
-                break
-            if t <= 0:
-                closed.append(t)
-            ell += 1
-        rep.check("exceptional-dual-route", sorted(scanned) == sorted(closed), str(fam))
-        sd = groups.structural_data(fam)
-        rep.check("rho-bookkeeping", 2 * sd.rho_H == sd.m_alpha + 2 * sd.m_2alpha, str(fam))
+        # 2 mu_ell(H) <= 0 falls by at least 2 per step, so the first bound + 1
+        # parameters hold every one in [-2 bound, 0]
+        closed = [t for t in groups.exceptional_doubled(fam, bound + 1) if t >= -2 * bound]
+        rep.check_each("exceptional-dual-route", str(fam), [fam],
+                       lambda f: groups.exceptional_in_interval(f, -2 * bound)[::-1] == closed)
+        rep.check_each("rho-bookkeeping", str(fam), [groups.structural_data(fam)],
+                       lambda sd: 2 * sd.rho_H == sd.m_alpha + 2 * sd.m_2alpha)
 
 
 def verify_tensor(rep: Report, depth: int, tolerance: float, seed: int):
     for fam in _tensor_families():
-        ok_closed = ok_dim = ok_free = ok_sym = True
-        decs = {}
-        for lab in ktypes.labels(fam, depth):
-            try:
-                dec = tensor.racah_speiser(fam, lab)
-            except (tensor.AlgorithmViolation, AssertionError):
-                ok_closed = False  # no decomposition at this label
-                continue
-            decs[lab] = dec
-            ok_closed &= dec.weights() == tensor.expected_summand_labels(fam, lab)
-            ok_dim &= tensor.dimension_sum_check(dec)
-            ok_free &= all(s.multiplicity == 1 for s in dec.summands)
-        for lab, dec in decs.items():
-            for s in dec.summands:
-                other = s.label
-                if other is not None and other in decs:
-                    ok_sym &= dec.source in decs[other].weights()
-        rep.check("tensor-closed-form", ok_closed, str(fam))
-        rep.check("tensor-dimension-sum", ok_dim, str(fam))
-        rep.check("tensor-multiplicity-free", ok_free, str(fam))
-        rep.check("tensor-adjacency-symmetry", ok_sym, str(fam))
+        decs = {}  # the labels that decompose, each with its decomposition
+
+        def closed_form(lab):
+            dec = decs[lab] = tensor.racah_speiser(fam, lab)
+            return dec.weights() == tensor.expected_summand_labels(fam, lab)
+
+        rep.check_each("tensor-closed-form", str(fam), ktypes.labels(fam, depth), closed_form)
+        rep.check_each("tensor-dimension-sum", str(fam), decs.values(),
+                       tensor.dimension_sum_check)
+        rep.check_each("tensor-multiplicity-free", str(fam), decs.values(),
+                       lambda dec: all(s.multiplicity == 1 for s in dec.summands))
+        rep.check_each("tensor-adjacency-symmetry", str(fam),
+                       [(dec, s.label) for dec in decs.values() for s in dec.summands
+                        if s.label in decs],
+                       lambda pair: pair[0].source in decs[pair[1]].weights())
         rank = {"SO": (fam.n or 0) // 2, "SU": fam.n, "Sp": (fam.n or 0) + 1, "F4": 4}[fam.variant]
         if rank <= 4:
-            ok_oracle = True
             # labels at min(depth, 4) are a subset of those at depth; a label
-            # missing from decs has no decomposition to compare, so it fails
-            for lab in ktypes.labels(fam, min(depth, 4)):
-                if lab not in decs:
-                    ok_oracle = False
-                    continue
-                try:
-                    ok_oracle &= (tensor.character_oracle(fam, lab).weights()
-                                  == decs[lab].weights())
-                except (tensor.AlgorithmViolation, AssertionError):
-                    # the oracle's own consistency checks failed at this label
-                    ok_oracle = False
-            rep.check("tensor-character-oracle", ok_oracle, str(fam))
-
-
-def _memo(table: dict, fn, family: GroupFamily, lab: ktypes.KTypeLabel):
-    """fn(family, lab), computed once per label in a table local to one sweep."""
-    if lab not in table:
-        table[lab] = fn(family, lab)
-    return table[lab]
+            # that did not decompose has nothing to compare, so it fails
+            rep.check_each("tensor-character-oracle", str(fam), ktypes.labels(fam, min(depth, 4)),
+                           lambda lab: lab in decs and (tensor.character_oracle(fam, lab).weights()
+                                                        == decs[lab].weights()))
 
 
 def verify_spherical(rep: Report, depth: int, tolerance: float, seed: int):
     for fam in _tensor_families():
-        ok_identity = ok_sum = ok_rec = ok_adj = True
         # each omega row, Weyl dimension and radial factor is built once per family
-        rows: dict = {}
-        dims: dict = {}
+        row = functools.cache(functools.partial(spherical.omega_h_expand, fam))
+        dim = functools.cache(functools.partial(ktypes.weyl_dim, fam))
         radials: dict = {}
-        for lab in ktypes.labels(fam, depth):
-            row = _memo(rows, spherical.omega_h_expand, fam, lab)
-            ok_sum &= sum(c for _, c in row.terms) == 1 and all(c >= 0 for _, c in row.terms)
-            ok_identity &= spherical.verify_omega_identity(fam, lab, row, radials)
-            dim = _memo(dims, ktypes.weyl_dim, fam, lab)
-            for tgt, lam in row.terms:
-                ok_rec &= (lam * dim == _memo(rows, spherical.omega_h_expand, fam, tgt).coefficient(lab)
-                           * _memo(dims, ktypes.weyl_dim, fam, tgt))
-        for lab in ktypes.labels(fam, min(depth, 8)):
-            try:
-                dec = tensor.racah_speiser(fam, lab)
-            except (tensor.AlgorithmViolation, AssertionError):
-                ok_adj = False  # no decomposition to compare the row with
-                continue
-            neighbours = {t for t, _ in rows[lab].terms}
-            spherical_summands = dec.spherical_labels()
+        labs = ktypes.labels(fam, depth)
+        rep.check_each("omega-recurrence-identity", str(fam), labs,
+                       lambda lab: spherical.verify_omega_identity(fam, lab, row(lab), radials))
+        rep.check_each("lambda-row-convexity", str(fam), labs,
+                       lambda lab: (sum(c for _, c in row(lab).terms) == 1
+                                    and all(c >= 0 for _, c in row(lab).terms)))
+        rep.check_each("lambda-dim-reciprocity", str(fam), labs,
+                       lambda lab: all(lam * dim(lab) == row(tgt).coefficient(lab) * dim(tgt)
+                                       for tgt, lam in row(lab).terms))
+
+        def adjacency(lab):
+            spherical_summands = tensor.racah_speiser(fam, lab).spherical_labels()
             if fam.variant == "SO" and fam.n == 3:
                 spherical_summands = spherical_summands - {lab}
-            ok_adj &= neighbours == spherical_summands
-        rep.check("omega-recurrence-identity", ok_identity, str(fam))
-        rep.check("lambda-row-convexity", ok_sum, str(fam))
-        rep.check("lambda-dim-reciprocity", ok_rec, str(fam))
-        rep.check("omega-vs-tensor-adjacency", ok_adj, str(fam))
+            return {t for t, _ in row(lab).terms} == spherical_summands
+
+        rep.check_each("omega-vs-tensor-adjacency", str(fam), ktypes.labels(fam, min(depth, 8)),
+                       adjacency)
 
 
 def verify_scalars(rep: Report, depth: int, tolerance: float, seed: int):
     for fam in _tensor_families():
-        rep.check("scalar-vanishing-table", scalars.vanishing_table_check(fam, depth), str(fam))
+        rep.check_each("scalar-vanishing-table", str(fam), [depth],
+                       functools.partial(scalars.vanishing_table_check, fam))
         (triv,) = ktypes.labels(fam, 0)
-        ok_root = all(scalars.t_root(fam, y, triv) == groups.rho_H(fam)
-                      for y, _ in spherical.omega_h_expand(fam, triv).terms)
-        rep.check("trivial-route-root-at-rho", ok_root, str(fam))
+        rep.check_each("trivial-route-root-at-rho", str(fam), [triv],
+                       lambda v: all(scalars.t_root(fam, y, v) == groups.rho_H(fam)
+                                     for y, _ in spherical.omega_h_expand(fam, v).terms))
     for fam in [groups.su(2), groups.su(3), groups.sp(2), groups.sp(3), groups.f4()]:
-        ok_growth = True
-        for ell in range(4):
-            for steps in (1, 7, min(40, 4 * depth)):
-                product, closed = scalars.growth_product(fam, ell, steps)
-                ok_growth &= product == closed
-        rep.check("growth-product-closed-form", ok_growth, str(fam))
-        rep.check("growth-order",
-                  scalars.growth_order_estimate(fam, 1) == scalars.growth_order_stated(fam, 1),
-                  str(fam))
+        rep.check_each("growth-product-closed-form", str(fam),
+                       [(ell, steps) for ell in range(4) for steps in (1, 7, min(40, 4 * depth))],
+                       lambda case: operator.eq(*scalars.growth_product(fam, *case)))
+        rep.check_each("growth-order", str(fam), [1],
+                       lambda ell: (scalars.growth_order_estimate(fam, ell)
+                                    == scalars.growth_order_stated(fam, ell)))
 
 
 def verify_so_model(rep: Report, depth: int, tolerance: float, seed: int):
     for n in (3, 4, 5):
-        ok_l2 = all(so_model.zonal_l2_norm(n, k)
-                    == Fraction(1, ktypes.weyl_dim(groups.so(n), ktypes.label(groups.so(n), k)))
-                    for k in range(min(depth, 8) + 1))
-        rep.check("zonal-l2-inverse-dim", ok_l2, f"n={n}")
-        ok_harm = all(so_model.harmonic_extension_is_harmonic(n, k) for k in range(depth + 1))
-        rep.check("zonal-harmonicity", ok_harm, f"n={n}")
+        fam = groups.so(n)
+        rep.check_each("zonal-l2-inverse-dim", f"n={n}", range(min(depth, 8) + 1),
+                       lambda k: (so_model.zonal_l2_norm(n, k)
+                                  == Fraction(1, ktypes.weyl_dim(fam, ktypes.label(fam, k)))))
+        rep.check_each("zonal-harmonicity", f"n={n}", range(depth + 1),
+                       functools.partial(so_model.harmonic_extension_is_harmonic, n))
     for n in (3, 4, 5):
         err = so_model.iwasawa_roundtrip_error(n, samples=100, seed=seed)
         rep.check("iwasawa-roundtrip", err <= 1e-9, f"n={n} err={err:.2e}")
-    rep.check("reproducing-exact",
-              all(so_model.reproducing_check(3, k, so_model.pythagorean_rotation(3, 0, 1))
-                  for k in range(min(depth, 6) + 1)), "n=3")
+    rotation = so_model.pythagorean_rotation(3, 0, 1)
+    rep.check_each("reproducing-exact", "n=3", range(min(depth, 6) + 1),
+                   lambda k: so_model.reproducing_check(3, k, rotation))
     mus = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
     worst = 0.0
     for n in (3, 4):
@@ -445,7 +428,7 @@ def verify_so_model(rep: Report, depth: int, tolerance: float, seed: int):
     vanish = max(so_model.exceptional_vanishing_residual(n, ell, seed=seed)
                  for n in (3, 4) for ell in (0, 1, 2))
     rep.check("exceptional-coefficient-vanishing", vanish <= tolerance, f"max={vanish:.2e}")
-    rep.check("bracket-half-sum", all(so_model.check_2rho(n) for n in range(2, 7)), "n=2..6")
+    rep.check_each("bracket-half-sum", "n=2..6", range(2, 7), so_model.check_2rho)
 
 
 # every suite takes (report, depth, tolerance, seed)

@@ -183,24 +183,25 @@ def growth_closed_form(family: GroupFamily, ell: int, steps: int, fixed: int) ->
     raise UnsupportedFamilyError("growth products exist for SU, Sp and F4 only")
 
 
-def growth_product(family: GroupFamily, ell: int, steps: int,
-                   fixed_coord: int | None = None) -> tuple[Fraction, Fraction]:
+def growth_product(family: GroupFamily, ell: int, steps: int) -> tuple[Fraction, Fraction]:
     """(iterated step-ratio product, factorial closed form); both must agree.
 
-    `steps` counts multiplicative steps; fixed_coord is the frozen second
-    label coordinate (default ell + 1), ignored for F4.
+    `steps` counts multiplicative steps; the frozen second label coordinate
+    is ell + 1 (F4 has none).
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    fixed = ell + 1 if fixed_coord is None else fixed_coord
     product = Fraction(1)
     for r in range(2, steps + 2):
-        product *= growth_step_ratio(family, ell, r, fixed)
-    return product, growth_closed_form(family, ell, steps, fixed)
+        product *= growth_step_ratio(family, ell, r, ell + 1)
+    return product, growth_closed_form(family, ell, steps, ell + 1)
 
 
-def growth_order_estimate(family: GroupFamily, ell: int, max_steps: int = 512) -> int:
-    """Rounded log-log slope of the growth product over the top half of the range.
+ORDER_STEPS = 512
+
+
+def growth_order_estimate(family: GroupFamily, ell: int) -> int:
+    """Rounded log-log slope of the growth product over steps ORDER_STEPS/2 .. ORDER_STEPS.
 
     SU uses the full closed form; Sp and F4 use the factorial factor alone
     (their dimension ratios are reported separately by the stated orders).
@@ -209,13 +210,11 @@ def growth_order_estimate(family: GroupFamily, ell: int, max_steps: int = 512) -
     This is the single place the package touches floating point outside the
     Lorentz model.
     """
-    if max_steps < 64:
-        raise ValueError("max_steps must be at least 64")
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     ys = []
     xs = []
-    for m in range(max_steps // 2, max_steps + 1):
+    for m in range(ORDER_STEPS // 2, ORDER_STEPS + 1):
         if family.variant == "Sp":
             val = _sp_factorial_part(family.n, ell, m)
         else:

@@ -125,24 +125,19 @@ def _poly_in_direction(z: Poly, v: Sequence, n: int) -> dict[tuple[int, ...], ob
     return out
 
 
-def reproducing_check(n: int, k: int, rotation, tol: float = 1e-10) -> bool:
+def reproducing_check(n: int, k: int, rotation) -> bool:
     """Reproducing identity Z_k((R e1)_1)/dim = <Z_k, Z_k(R^-1 .)> on the sphere.
 
-    Exact rational arithmetic when `rotation` has Fraction entries (then the
-    comparison is equality); floating point with tolerance otherwise.
+    Exact: `rotation` has rational (Fraction or int) entries, such as a product
+    of `pythagorean_rotation`s, and the two sides must be equal.
     """
     if n < 3:
         raise ValueError("needs n >= 3")
-    exact = isinstance(rotation[0][0], Fraction)
     v = [rotation[i][0] for i in range(n)]  # R e1
     z = zonal_coeffs(n, k)
-    if not exact:
-        z = [float(c) for c in z]
-        v = [float(x) for x in v]
-    dim = weyl_dim(so(n), label(so(n), k))
-    lhs = peval(z, v[0]) / dim if exact else _feval(z, v[0]) / dim
+    lhs = peval(z, v[0]) / weyl_dim(so(n), label(so(n), k))
     moments: dict[tuple[int, ...], Fraction] = {}
-    rhs = Fraction(0) if exact else 0.0
+    rhs = Fraction(0)
     for exps, coef in _poly_in_direction(z, v, n).items():
         for m, c in enumerate(z):
             if c == 0:
@@ -150,11 +145,8 @@ def reproducing_check(n: int, k: int, rotation, tol: float = 1e-10) -> bool:
             key = (exps[0] + m,) + exps[1:]
             if key not in moments:
                 moments[key] = sphere_moment(n, key)
-            mom = moments[key] if exact else float(moments[key])
-            rhs += coef * c * mom
-    if exact:
-        return lhs == rhs
-    return abs(lhs - rhs) <= tol
+            rhs += coef * c * moments[key]
+    return lhs == rhs
 
 
 def _feval(p, x):
@@ -200,14 +192,14 @@ def _metric(n: int) -> np.ndarray:
     return j
 
 
-def is_lorentz(g: np.ndarray, tol: float = 1e-10) -> bool:
-    """g preserves J, has det +1 and lies in the identity component.
+def is_lorentz(g: np.ndarray) -> bool:
+    """g preserves J up to 1e-10 per entry, has det +1 and lies in the identity component.
 
     On a stack of matrices: every one of them does.
     """
     n = g.shape[-1] - 1
     j = _metric(n)
-    if not np.all(np.abs(np.swapaxes(g, -1, -2) @ j @ g - j) <= tol):
+    if not np.all(np.abs(np.swapaxes(g, -1, -2) @ j @ g - j) <= 1e-10):
         return False
     return bool(np.all(np.linalg.det(g) > 0) and np.all(g[..., n, n] > 0))
 
@@ -378,14 +370,13 @@ def expected_combination(n: int, k: int, mu: SpectralParam, points: np.ndarray) 
 
 
 def verify_intertwining(n: int, k: int, mu: SpectralParam, step_h: float = 1e-4,
-                        tolerance: float = 1e-5, num_points: int = 50,
-                        seed: int = 0) -> IntertwiningReport:
+                        num_points: int = 50, seed: int = 0) -> IntertwiningReport:
     """Finite-difference check of the gradient identity against the exact scalars.
 
     The omega-weighted sum of derivatives of the delta Poisson transform along
     an orthonormal basis of p must reproduce the exact rational scalar
-    combination of the two neighbouring zonal functions.  Returns max
-    deviations; the caller judges them against `tolerance`.
+    combination of the two neighbouring zonal functions.  Returns the max
+    deviations; judging them against a tolerance is the caller's part.
     """
     if n < 3:
         raise ValueError("needs n >= 3")

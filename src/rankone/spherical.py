@@ -46,26 +46,6 @@ class RadialFactor:
         return trim([(-1) ** j * c for j, c in enumerate(self.series.coeffs)])
 
 
-@dataclass(frozen=True)
-class PhiSpec:
-    """Symbolic description of the normalized M-spherical function of a K-type."""
-
-    family: GroupFamily
-    label: KTypeLabel
-    radial: RadialFactor
-    azimuthal: str  # "none" | "circle:<m>" | "chebyshev:<q>" | "gegenbauer:<l>"
-    azimuthal_radial: Optional[RadialFactor] = None  # F4 only
-    normalization: Fraction = Fraction(1)
-
-    def base_point_value(self) -> Fraction:
-        value = self.radial.series.coeffs[0] * self.normalization
-        if self.azimuthal.startswith("chebyshev:"):
-            value *= int(self.azimuthal.split(":")[1]) + 1
-        if self.azimuthal_radial is not None:
-            value *= self.azimuthal_radial.series.coeffs[0]
-        return value
-
-
 def radial_factor(family: GroupFamily, coords: tuple[int, ...]) -> RadialFactor:
     """The xi-dependent hypergeometric factor of the spherical function at label coordinates.
 
@@ -110,28 +90,6 @@ def chebyshev_u(q: int) -> Poly:
     for j in range(q // 2 + 1):
         out[q - 2 * j] += (-1) ** j * comb(q - j, j) * 2 ** (q - 2 * j)
     return trim(out)
-
-
-def phi(family: GroupFamily, lab: KTypeLabel) -> PhiSpec:
-    """Symbolic spherical function, normalized to 1 at the base point."""
-    _check_supported(family)
-    rad = radial_factor(family, lab.coords)
-    if family.variant == "SO":
-        spec = PhiSpec(family, lab, rad, "none")
-    elif family.variant == "SU":
-        p, q = lab.coords
-        spec = PhiSpec(family, lab, rad, f"circle:{p - q}")
-    elif family.variant == "Sp":
-        a, b = lab.coords
-        spec = PhiSpec(family, lab, rad, f"chebyshev:{a - b}",
-                       normalization=Fraction(1, a - b + 1))
-    else:
-        m, k = lab.coords
-        spec = PhiSpec(family, lab, rad, f"gegenbauer:{k}",
-                       azimuthal_radial=zonal_factor(_F4_ANGLES.n, k))
-    if spec.base_point_value() != 1:
-        raise AssertionError("spherical function must equal 1 at the base point")
-    return spec
 
 
 # -- the omega(H) recurrence rows ---------------------------------------------
@@ -333,8 +291,8 @@ def verify_omega_identity(family: GroupFamily, lab: KTypeLabel, row: RecurrenceR
 
 
 __all__ = [
-    "PhiSpec", "RadialFactor", "RecurrenceRow",
-    "phi", "radial_factor", "zonal_factor", "chebyshev_u",
+    "RadialFactor", "RecurrenceRow",
+    "radial_factor", "zonal_factor", "chebyshev_u",
     "chebyshev_three_term", "omega_h_expand", "lambda_scalar",
     "ingredient_identities", "verify_omega_identity",
 ]

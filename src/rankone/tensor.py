@@ -184,7 +184,11 @@ def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tu
     return tuple(sorted(mult.items()))
 
 
-def character_oracle(family: GroupFamily, lab: KTypeLabel, max_peel: int = 512) -> Decomposition:
+# more peeled summands than this means the peeling is not terminating
+MAX_PEEL = 512
+
+
+def character_oracle(family: GroupFamily, lab: KTypeLabel) -> Decomposition:
     """Decompose by character arithmetic on the dominant chamber; intended for small labels.
 
     Characters are W-invariant, so each is held by its multiplicities at
@@ -218,7 +222,7 @@ def character_oracle(family: GroupFamily, lab: KTypeLabel, max_peel: int = 512) 
         if m < 0:
             raise AlgorithmViolation(f"negative residual multiplicity at doubled weight "
                                      f"{top} while peeling")
-        if len(acc) == max_peel:
+        if len(acc) == MAX_PEEL:
             raise AlgorithmViolation("character peeling did not terminate")
         acc[top] = m
         for w, mw in _dominant_multiplicities(variant, n, top):

@@ -460,6 +460,86 @@ def test_verify_spherical_reports_a_failing_racah_speiser(capsys, monkeypatch, e
     assert failed_checks(out) == [("omega-vs-tensor-adjacency", "SU(3,1)")]
 
 
+def test_verify_tensor_fails_only_the_checks_that_need_the_broken_decomposition(capsys,
+                                                                              monkeypatch):
+    _racah_speiser_raises_at(monkeypatch, so(5), label(so(5), 2), tensor.AlgorithmViolation)
+    code, out = run(capsys, ["verify", "tensor", "--depth", "3"])
+    assert code == 1
+    # the dimension, multiplicity and symmetry checks read the labels that decompose
+    assert failed_checks(out) == [("tensor-closed-form", "SO(5,1)"),
+                                  ("tensor-character-oracle", "SO(5,1)")]
+
+
+def test_verify_tensor_reports_a_broken_closed_form_as_a_failed_check(capsys, monkeypatch):
+    real = tensor.expected_summand_labels
+
+    def failing(family, lab):
+        if family == so(5) and lab.coords == (2,):
+            raise AssertionError(f"injected at {lab}")
+        return real(family, lab)
+
+    monkeypatch.setattr(tensor, "expected_summand_labels", failing)
+    code, out = run(capsys, ["verify", "tensor", "--depth", "3"])
+    assert code == 1
+    assert failed_checks(out) == [("tensor-closed-form", "SO(5,1)")]
+
+
+# Report.check_each is the one place that folds the cases of a check and holds
+# the exception policy of every verify suite.
+
+
+def test_check_each_tries_every_case_after_a_failure():
+    rep = cli.Report("verify", {})
+    seen = []
+
+    def holds(case):
+        seen.append(case)
+        if case == 1:
+            raise tensor.AlgorithmViolation("broken invariant")
+        return case != 2
+
+    rep.check_each("demo", "x", [0, 1, 2, 3], holds)
+    rep.check_each("empty", "y", [], holds)
+    assert seen == [0, 1, 2, 3]
+    assert rep.checks == [{"id": "demo", "instance": "x", "status": "fail"},
+                          {"id": "empty", "instance": "y", "status": "pass"}]
+
+
+def test_check_each_fails_a_case_that_breaks_an_assertion():
+    def holds(case):
+        if not case:
+            raise AssertionError("broken invariant")
+        return True
+
+    rep = cli.Report("verify", {})
+    rep.check_each("demo", "x", [1, 0, 1], holds)
+    assert rep.status == "fail"
+
+
+def test_check_each_lets_other_exceptions_propagate():
+    rep = cli.Report("verify", {})
+    with pytest.raises(ZeroDivisionError):
+        rep.check_each("demo", "x", [1, 0], lambda case: 1 / case)
+    assert rep.checks == []
+
+
+def test_verify_suites_record_through_check_each():
+    """Only the checks whose instance text carries a measured maximum call
+    Report.check directly; every other check of a suite goes through check_each,
+    and the exception tuple of its policy is named once."""
+    text = Path(cli.__file__).read_text()
+    direct = set()
+    for fn in ast.parse(text).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("verify_"):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "check"):
+                    direct.add(node.args[0].value)
+    assert direct == {"iwasawa-roundtrip", "intertwining-residual",
+                      "exceptional-coefficient-vanishing"}
+    assert text.count("(tensor.AlgorithmViolation, AssertionError)") == 1
+
+
 # The CLI calls each kernel through its public entry, so a fault injected there
 # shows in the report.
 
@@ -522,7 +602,7 @@ FAMILY_LITERALS = {"SO", "SU", "Sp", "F4"}
 # literals: formulas and one side of a paired route, kept per family on purpose.
 FAMILY_CHAINS = {
     "ktypes.langlands", "scalars.growth_step_ratio", "scalars.growth_closed_form",
-    "spherical.radial_factor", "spherical.phi", "spherical._raw_row",
+    "spherical.radial_factor", "spherical._raw_row",
     "spherical._factorisation", "spherical.ingredient_identities", "tensor._p_weights",
     "weyl.k_root_system",
 }
@@ -565,10 +645,11 @@ def test_family_chains_do_not_creep_back():
     a family chain.  The lattice rows of `ktypes.LATTICE_SPECS` and the growth
     orders of `scalars.GROWTH_ORDERS` took the count from 18 chains and 62
     comparisons to 12 and 43, and the nu and vanishing rows
-    `scalars.NU_ROWS` and `scalars.VANISHING_ROWS` to 10 and 37.  The chains
-    left are FAMILY_CHAINS: `ktypes.langlands`, `scalars.growth_step_ratio`
-    and `scalars.growth_closed_form`, `spherical.radial_factor`,
-    `spherical.phi`, `spherical._raw_row`, `spherical._factorisation`,
+    `scalars.NU_ROWS` and `scalars.VANISHING_ROWS` to 10 and 37, and deleting
+    the unused `spherical.phi` to 9 and 34.  The chains left are
+    FAMILY_CHAINS: `ktypes.langlands`, `scalars.growth_step_ratio` and
+    `scalars.growth_closed_form`, `spherical.radial_factor`,
+    `spherical._raw_row`, `spherical._factorisation`,
     `spherical.ingredient_identities`, `tensor._p_weights` and
     `weyl.k_root_system`.  A new chain fails here; removing one should remove
     it from FAMILY_CHAINS too.
@@ -578,7 +659,7 @@ def test_family_chains_do_not_creep_back():
         counts.update(_family_comparisons(ast.parse(path.read_text()), path.stem))
     chains = {name for name, k in counts.items() if k >= 2}
     assert chains == FAMILY_CHAINS
-    assert sum(counts.values()) <= 37
+    assert sum(counts.values()) <= 34
 
 
 def test_python_dash_m_rankone():

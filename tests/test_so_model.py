@@ -64,11 +64,12 @@ def test_reproducing_identity():
     for k in range(7):
         assert M.reproducing_check(3, k, M.pythagorean_rotation(3, 0, 1))
     assert M.reproducing_check(4, 2, M.pythagorean_rotation(4, 0, 2))
-    rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] *= -1
-    assert M.reproducing_check(4, 2, q)
+    # a generic rotation: R e1 = (9/25, 12/25, 4/5, 0) has three nonzero coordinates
+    a, b = M.pythagorean_rotation(4, 0, 1), M.pythagorean_rotation(4, 0, 2)
+    r = [[sum(a[i][m] * b[m][j] for m in range(4)) for j in range(4)] for i in range(4)]
+    assert [row[0] for row in r] == [Q(9, 25), Q(12, 25), Q(4, 5), 0]
+    for k in range(4):
+        assert M.reproducing_check(4, k, r)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -7,33 +7,17 @@ import pytest
 from rankone import cli, spherical
 from rankone.groups import UnsupportedFamilyError, f4, so, sp, su
 from rankone.ktypes import label, labels, weyl_dim
-from rankone.poly import padd, peval, pmul, ppow, pscale
+from rankone.poly import padd, pmul, ppow, pscale
 from rankone.spherical import (chebyshev_three_term, chebyshev_u, ingredient_identities,
-                               lambda_scalar, omega_h_expand, phi,
+                               lambda_scalar, omega_h_expand,
                                radial_factor, verify_omega_identity)
 from rankone.tensor import racah_speiser
 from tests.test_tensor import FAMILIES
 
 
-def test_phi_base_point_and_shapes():
-    # Y_0 is the constant 1; Y_1 reduces to cos since one series parameter is 0
-    spec = phi(so(7), label(so(7), 0))
-    assert spec.radial.cos_power == 0 and spec.radial.series.coeffs == (1,)
-    spec = phi(so(7), label(so(7), 1))
-    assert spec.radial.cos_power == 1 and spec.radial.series.coeffs == (1,)
-    # Sp V_{1,0}: (1/2) U_1(cos t) cos(xi) with a constant series
-    spec = phi(sp(3), label(sp(3), 1, 0))
-    assert spec.azimuthal == "chebyshev:1" and spec.normalization == Q(1, 2)
-    assert spec.radial.series.coeffs == (1,)
-    assert peval(chebyshev_u(1), 1) == 2
-    for fam in (so(4), su(2), sp(2), f4()):
-        for lab in labels(fam, 4):
-            assert phi(fam, lab).base_point_value() == 1
-
-
-def test_phi_unsupported_family():
+def test_omega_h_expand_unsupported_family():
     with pytest.raises(UnsupportedFamilyError):
-        phi(so(2), label(so(2), 1))
+        omega_h_expand(so(2), label(so(2), 1))
 
 
 def test_chebyshev():
@@ -235,3 +219,25 @@ def test_swapped_stated_row_fails_only_its_family(monkeypatch, capsys, fam, coor
     identity = {c["instance"]: c["status"] for c in checks if c["id"] == "omega-recurrence-identity"}
     assert identity.pop(str(fam)) == "fail"
     assert identity and all(status == "pass" for status in identity.values()), identity
+
+
+@pytest.mark.parametrize("argv", [["verify", "spherical", "--depth", "4"],
+                                  ["verify", "scalars", "--depth", "3"]], ids=lambda a: a[1])
+def test_non_convex_stated_row_fails_only_its_family(monkeypatch, capsys, argv):
+    """A stated row that is not a convex combination breaks an invariant of
+    omega_h_expand; the suite still prints its report, and only the checks of
+    that family fail."""
+    fam, coords = su(3), (2, 1)
+    real = spherical._raw_row
+
+    def widened(family, c):
+        den, raw = real(family, c)
+        return (den + 1 if family == fam and c == coords else den), raw
+
+    monkeypatch.setattr(spherical, "_raw_row", widened)
+    with pytest.raises(AssertionError, match="not a convex combination"):
+        omega_h_expand(fam, label(fam, *coords))
+    assert cli.main(argv) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = {c["instance"] for c in checks if c["status"] == "fail"}
+    assert failed == {str(fam)}
