@@ -444,12 +444,15 @@ def _racah_speiser_raises_at(monkeypatch, fam, lab, exc):
 
 @pytest.mark.parametrize("exc", [tensor.AlgorithmViolation, AssertionError])
 def test_verify_tensor_reports_a_failing_racah_speiser(capsys, monkeypatch, exc):
-    _racah_speiser_raises_at(monkeypatch, su(3), label(su(3), 2, 1), exc)
-    code, out = run(capsys, ["verify", "tensor", "--depth", "3"])
-    assert code == 1
-    # the label has no decomposition, so neither the closed form nor the oracle matches it
-    assert failed_checks(out) == [("tensor-closed-form", "SU(3,1)"),
-                                  ("tensor-character-oracle", "SU(3,1)")]
+    for fam, lab in [(su(3), label(su(3), 2, 1)), (so(5), label(so(5), 2))]:
+        with monkeypatch.context() as patch:
+            _racah_speiser_raises_at(patch, fam, lab, exc)
+            code, out = run(capsys, ["verify", "tensor", "--depth", "3"])
+        assert code == 1
+        # the label has no decomposition, so neither the closed form nor the
+        # oracle matches it; the other checks read the labels that decompose
+        assert failed_checks(out) == [("tensor-closed-form", str(fam)),
+                                      ("tensor-character-oracle", str(fam))]
 
 
 @pytest.mark.parametrize("exc", [tensor.AlgorithmViolation, AssertionError])
@@ -458,16 +461,6 @@ def test_verify_spherical_reports_a_failing_racah_speiser(capsys, monkeypatch, e
     code, out = run(capsys, ["verify", "spherical", "--depth", "3"])
     assert code == 1
     assert failed_checks(out) == [("omega-vs-tensor-adjacency", "SU(3,1)")]
-
-
-def test_verify_tensor_fails_only_the_checks_that_need_the_broken_decomposition(capsys,
-                                                                              monkeypatch):
-    _racah_speiser_raises_at(monkeypatch, so(5), label(so(5), 2), tensor.AlgorithmViolation)
-    code, out = run(capsys, ["verify", "tensor", "--depth", "3"])
-    assert code == 1
-    # the dimension, multiplicity and symmetry checks read the labels that decompose
-    assert failed_checks(out) == [("tensor-closed-form", "SO(5,1)"),
-                                  ("tensor-character-oracle", "SO(5,1)")]
 
 
 def test_verify_tensor_reports_a_broken_closed_form_as_a_failed_check(capsys, monkeypatch):
@@ -496,24 +489,14 @@ def test_check_each_tries_every_case_after_a_failure():
         seen.append(case)
         if case == 1:
             raise tensor.AlgorithmViolation("broken invariant")
+        if case == 3:
+            raise AssertionError("broken invariant")
         return case != 2
 
-    rep.check_each("demo", "x", [0, 1, 2, 3], holds)
-    rep.check_each("empty", "y", [], holds)
-    assert seen == [0, 1, 2, 3]
-    assert rep.checks == [{"id": "demo", "instance": "x", "status": "fail"},
-                          {"id": "empty", "instance": "y", "status": "pass"}]
-
-
-def test_check_each_fails_a_case_that_breaks_an_assertion():
-    def holds(case):
-        if not case:
-            raise AssertionError("broken invariant")
-        return True
-
-    rep = cli.Report("verify", {})
-    rep.check_each("demo", "x", [1, 0, 1], holds)
-    assert rep.status == "fail"
+    for cases in ([0, 1, 4], [2, 4], [3, 4], [0, 4], []):
+        rep.check_each("demo", str(cases), cases, holds)
+    assert seen == [0, 1, 4, 2, 4, 3, 4, 0, 4]
+    assert [c["status"] for c in rep.checks] == ["fail", "fail", "fail", "pass", "pass"]
 
 
 def test_check_each_lets_other_exceptions_propagate():
