@@ -47,8 +47,6 @@ def _fmt(value):
         return value
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, SpectralParam):
-        return str(value.mu_H)
     if isinstance(value, ktypes.KTypeLabel):
         return str(value)
     if isinstance(value, (list, tuple)):

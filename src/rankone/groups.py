@@ -125,26 +125,6 @@ def _gamma_numerators(sd: StructuralData, t):
     return sd.m_alpha + 2 + t, sd.m_alpha + 2 * sd.m_2alpha + t
 
 
-def e_inverse_gamma_args(family: GroupFamily, mu: SpectralParam) -> tuple[Fraction, Fraction]:
-    """Arguments of the two Gamma factors of 1/e at the simple restricted root.
-
-    The reciprocal of the Harish-Chandra e-function is a product of Gamma
-    values; its zeros (poles of Gamma) are exactly the exceptional parameters.
-    """
-    a1, a2 = _gamma_numerators(structural_data(family), 2 * mu.mu_H)
-    return Fraction(a1, 4), Fraction(a2, 4)
-
-
-def _is_nonpositive_integer(q: Fraction) -> bool:
-    return q.denominator == 1 and q <= 0
-
-
-def is_exceptional(family: GroupFamily, mu: SpectralParam) -> bool:
-    """True iff mu is a zero of the e-function (a Gamma argument hits a pole)."""
-    a1, a2 = e_inverse_gamma_args(family, mu)
-    return _is_nonpositive_integer(a1) or _is_nonpositive_integer(a2)
-
-
 def _exceptional_t(sd: StructuralData, variant: str, ell: int) -> int:
     """2 mu_ell(H) = -2 rho(H) - 2 (c ell + d), an integer since 2 rho(H) = m_alpha + 2 m_2alpha is.
 
@@ -172,8 +152,8 @@ def exceptional_doubled(family: GroupFamily, count: int) -> list[int]:
     return [_exceptional_t(sd, family.variant, ell) for ell in range(count)]
 
 
-def exceptional_in_interval(family: GroupFamily, lo: int, hi: int = 0) -> list[int]:
-    """The integers t = 2 mu(H) in [lo, hi], ascending, where 1/e has a Gamma pole.
+def exceptional_in_interval(family: GroupFamily, lo: int) -> list[int]:
+    """The integers t = 2 mu(H) in [lo, 0], ascending, where 1/e has a Gamma pole.
 
     The integer grid of t holds every possible zero: a Gamma argument
     (m_alpha/2 + c + mu(H))/2 is integral only for mu(H) in a coset of 2Z
@@ -182,7 +162,7 @@ def exceptional_in_interval(family: GroupFamily, lo: int, hi: int = 0) -> list[i
     """
     sd = structural_data(family)
     out = []
-    for t in range(lo, hi + 1):
+    for t in range(lo, 1):
         a1, a2 = _gamma_numerators(sd, t)
         if (a1 % 4 == 0 and a1 <= 0) or (a2 % 4 == 0 and a2 <= 0):
             out.append(t)

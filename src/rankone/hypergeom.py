@@ -2,9 +2,9 @@
 
 Only the polynomial regime is supported: F(a,b,c,z) with a or b a nonpositive
 integer.  A series is stored as integer numerators over one common
-denominator, built by an integer Pochhammer recursion; its `coeffs` are the
-exact `Fraction`s.  The contiguous relations are verified as polynomial
-identities in Z[z] after clearing denominators once, never numerically.
+denominator, built by an integer Pochhammer recursion.  The contiguous
+relations are verified as polynomial identities in Z[z] after clearing
+denominators once, never numerically.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .poly import Poly, pclear, pderiv, peval, pmul
+from .poly import Poly, pclear, pderiv, pmul
 
 
 def _terminating_degree(a: Fraction, b: Fraction) -> int:
@@ -36,27 +36,9 @@ class F21Poly:
     nums: tuple[int, ...]
     den: int
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.nums)
-
-    @property
-    def degree(self) -> int:
-        return len(self.nums) - 1
-
-    def eval(self, z) -> Fraction:
-        return Fraction(peval(self.nums, Fraction(z)), self.den)
-
     def negated_nums(self) -> list[int]:
         """Numerators of F(a,b,c,-z) over the same denominator: (-1)^j nums[j]."""
         return [-x if j % 2 else x for j, x in enumerate(self.nums)]
-
-    def derivative(self) -> Poly:
-        """Exact formal d/dz as a coefficient list."""
-        return pderiv(list(self.coeffs))
-
-    def poly(self) -> Poly:
-        return list(self.coeffs)
 
 
 def f21(a, b, c) -> F21Poly:

@@ -16,7 +16,7 @@ from itertools import product
 from typing import NamedTuple, Optional
 
 from .groups import GroupFamily, SpectralParam, exceptional_mu, rho_H
-from .weyl import Weight2, k_root_system, w_dot
+from .weyl import Weight2, k_root_system
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -157,18 +157,6 @@ def weyl_dim(family: GroupFamily, lam) -> int:
     return k_root_system(family.variant, family.n).weyl_dim(lam)
 
 
-def mintype_norm(family: GroupFamily, lam) -> Fraction:
-    """Squared Euclidean norm of lam + 2 rho_c, the minimal-K-type height.
-
-    lam is a label or a doubled weight w = 2 lam; the norm is |w + 4 rho_c|^2 / 4.
-    """
-    if isinstance(lam, KTypeLabel):
-        lam = highest_weight(lam)
-    two_rho = k_root_system(family.variant, family.n).two_rho
-    shifted = tuple(x + 2 * r for x, r in zip(lam, two_rho, strict=True))
-    return Fraction(w_dot(shifted, shifted), 4)
-
-
 # -- socle of the reducible spherical principal series -----------------------
 
 
@@ -214,23 +202,19 @@ class InconclusiveTruncationError(RuntimeError):
 SEARCH_WIDTH = 8
 
 
-def minimal_ktype(family: GroupFamily, ell: int, search_bound: int | None = None) -> KTypeLabel:
+def minimal_ktype(family: GroupFamily, ell: int) -> KTypeLabel:
     """Socle K-type minimizing the (lam + 2 rho_c)-norm, found by bounded search.
 
-    The search box has width w = search_bound - max(corner) past the socle
-    corner, so its cost does not depend on ell; search_bound stays an
-    absolute bound on the coordinates and defaults to max(corner) +
-    SEARCH_WIDTH.  The search compares the integer
-    4 |lam + 2 rho_c|^2 = |2 lam + 4 rho_c|^2 on doubled weights, which
-    orders labels exactly as `mintype_norm` does.  The truncation is
-    certified by checking that every label on the outer shell of the box
-    (some |coordinate| >= corner_i + w - 1) exceeds the interior minimum (the
-    norm is a convex quadratic in the label, so it keeps growing outward).
+    The search box has width w = SEARCH_WIDTH past the socle corner, so its
+    cost does not depend on ell.  The search compares the integer
+    4 |lam + 2 rho_c|^2 = |2 lam + 4 rho_c|^2 on doubled weights.  The
+    truncation is certified by checking that every label on the outer shell
+    of the box (some |coordinate| >= corner_i + w - 1) exceeds the interior
+    minimum (the norm is a convex quadratic in the label, so it keeps growing
+    outward).
     """
     corner = socle_corner(family, ell)
-    if search_bound is None:
-        search_bound = max(corner) + SEARCH_WIDTH
-    width = search_bound - max(corner)
+    width = SEARCH_WIDTH
     box = labels(family, width, corner)
     if lattice(family).spec.signed:
         # the signed lattice adds the mirror box, -k in [corner, corner + width]
@@ -255,7 +239,7 @@ def minimal_ktype(family: GroupFamily, ell: int, search_bound: int | None = None
             best = (nrm, tie_key(lab), lab)
     if best is None or shell_min is None or shell_min <= best[0]:
         raise InconclusiveTruncationError(
-            f"search_bound={search_bound} too small for {family} at ell={ell}")
+            f"search width {width} too small for {family} at ell={ell}")
     return best[2]
 
 
@@ -322,6 +306,6 @@ def casimir_scalar(family: GroupFamily, mu: SpectralParam) -> Fraction:
 __all__ = [
     "KTypeLabel", "LanglandsRecord", "InconclusiveTruncationError", "LatticeSpec",
     "LATTICE_SPECS", "Lattice", "lattice", "label", "labels", "label_from_weight", "highest_weight",
-    "weyl_dim", "mintype_norm", "socle_condition", "socle_contains", "socle_corner",
+    "weyl_dim", "socle_condition", "socle_contains", "socle_corner",
     "minimal_ktype", "minimal_ktype_closed", "langlands", "casimir_scalar",
 ]

@@ -26,10 +26,6 @@ def padd(p: Poly, q: Poly) -> Poly:
     return trim(out)
 
 
-def pscale(p: Poly, c) -> Poly:
-    return trim([c * x for x in p])
-
-
 def pmul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return []
@@ -42,19 +38,13 @@ def pmul(p: Poly, q: Poly) -> Poly:
     return trim(out)
 
 
-def ppow(p: Poly, k: int) -> Poly:
-    out: Poly = [1]
-    for _ in range(k):
-        out = pmul(out, p)
-    return out
-
-
 def binomial_row(k: int) -> Poly:
     """(1 + u)^k as its integer binomial coefficients."""
     return [comb(k, i) for i in range(k + 1)]
 
 
 def peval(p: Poly, x):
+    """Horner evaluation at x; a float array x is evaluated elementwise."""
     acc = 0
     for c in reversed(p):
         acc = acc * x + c

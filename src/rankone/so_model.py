@@ -149,14 +149,6 @@ def reproducing_check(n: int, k: int, rotation) -> bool:
     return lhs == rhs
 
 
-def _feval(p, x):
-    """Horner evaluation at a float, or elementwise over a float array."""
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * x + float(c)
-    return acc
-
-
 def pythagorean_rotation(n: int, i: int, j: int) -> list[list[Fraction]]:
     """A rational rotation by the (3,4,5) angle in the (i, j) plane."""
     r = [[Fraction(1) if a == b else Fraction(0) for b in range(n)] for a in range(n)]
@@ -320,18 +312,13 @@ def _boost_frames(n: int, step_h: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _delta_at(n: int, z, mu: SpectralParam, axis: np.ndarray, s: float,
               points: np.ndarray) -> np.ndarray:
-    factor = math.exp(-s * float(mu.mu_H + rho_H(so(n))))
-    return factor * _feval(z, points @ axis)
+    """The delta-distribution Poisson transform at sphere points, for g with frame (axis, s).
 
-
-def poisson_delta(n: int, z: list[float], mu: SpectralParam, g: np.ndarray,
-                  points: np.ndarray) -> np.ndarray:
-    """Values of the delta-distribution Poisson transform at sphere points.
-
-    a_I(g^-1)^{-(mu+rho)} Z_k evaluated along the rotated axis k_I(g^-1) e1,
-    where z holds the coefficients of Z_k (`zonal_coeffs`) converted to float.
+    a_I(g^-1)^{-(mu+rho)} Z_k along the rotated axis k_I(g^-1) e1, where
+    (axis, s) = `_frame(n, g)` and z holds the float coefficients of Z_k.
     """
-    return _delta_at(n, z, mu, *_frame(n, g), points)
+    factor = math.exp(-s * float(mu.mu_H + rho_H(so(n))))
+    return factor * peval(z, points @ axis)
 
 
 @dataclass(frozen=True)
@@ -365,7 +352,7 @@ def expected_combination(n: int, k: int, mu: SpectralParam, points: np.ndarray) 
     out = np.zeros(len(points))
     for y, lam in omega_h_expand(fam, src).terms:  # Y_{k-1} (for k > 0), then Y_{k+1}
         coeff = float(t_scalar(fam, src, y, mu, lam))
-        out += coeff * _feval(_zonal_floats(n, y.coords[0]), points[:, 0])
+        out += coeff * peval(_zonal_floats(n, y.coords[0]), points[:, 0])
     return out
 
 
@@ -383,7 +370,7 @@ def verify_intertwining(n: int, k: int, mu: SpectralParam, step_h: float = 1e-4,
     points = sphere_points(n, num_points, seed)
     combined, d_h = _gradient_sum(n, k, mu, points, step_h)
     expected = expected_combination(n, k, mu, points)
-    target_h = float(mu.mu_H + rho_H(so(n))) * _feval(_zonal_floats(n, k), points[:, 0])
+    target_h = float(mu.mu_H + rho_H(so(n))) * peval(_zonal_floats(n, k), points[:, 0])
     coeffs = _fit_zonal(n, (k - 1, k, k + 1), points, combined)
     return IntertwiningReport(
         residual=float(np.max(np.abs(combined - expected))),
@@ -398,7 +385,7 @@ def _fit_zonal(n: int, degrees, points: np.ndarray, values: np.ndarray) -> dict:
     for d in degrees:
         if d < 0:
             continue
-        cols.append(_feval(_zonal_floats(n, d), points[:, 0]))
+        cols.append(peval(_zonal_floats(n, d), points[:, 0]))
         keys.append(d)
     a = np.array(cols).T
     sol, *_ = np.linalg.lstsq(a, values, rcond=None)
@@ -407,7 +394,8 @@ def _fit_zonal(n: int, degrees, points: np.ndarray, values: np.ndarray) -> dict:
 
 def exceptional_vanishing_residual(n: int, ell: int, step_h: float = 1e-4,
                                    num_points: int = 50, seed: int = 0) -> float:
-    """|fitted Z_{ell+1} component| of the combined gradient at mu = -rho - ell.
+    """|fitted Z_{ell+1} component| of the combined gradient at mu = -rho - ell,
+    as `verify_intertwining` fits it.
 
     At the exceptional parameter the exact scalar coupling Y_ell into Y_{ell+1}
     vanishes, so the numerically projected component must vanish too; this is
@@ -419,10 +407,8 @@ def exceptional_vanishing_residual(n: int, ell: int, step_h: float = 1e-4,
     v, y = label(fam, ell), label(fam, ell + 1)
     if t_scalar(fam, v, y, mu, lambda_scalar(fam, v, y)) != 0:
         raise AssertionError(f"T(Y_{ell}, Y_{ell + 1}) must vanish at mu(H) = {mu.mu_H}")
-    points = sphere_points(n, num_points, seed)
-    combined, _ = _gradient_sum(n, ell, mu, points, step_h)
-    coeffs = _fit_zonal(n, (ell - 1, ell, ell + 1), points, combined)
-    return abs(float(coeffs[ell + 1]))
+    report = verify_intertwining(n, ell, mu, step_h, num_points, seed)
+    return abs(float(report.coefficients[ell + 1]))
 
 
 # -- exact bracket identity for the half-sum of roots --------------------------
@@ -479,7 +465,7 @@ __all__ = [
     "zonal_coeffs", "harmonic_extension_is_harmonic",
     "sphere_moment", "zonal_l2_norm", "reproducing_check", "pythagorean_rotation",
     "is_lorentz", "boost", "rotation", "nilpotent", "lorentz_inverse", "iwasawa",
-    "random_lorentz", "iwasawa_roundtrip_error", "sphere_points", "poisson_delta",
+    "random_lorentz", "iwasawa_roundtrip_error", "sphere_points",
     "expected_combination", "verify_intertwining", "exceptional_vanishing_residual",
     "check_2rho",
 ]

@@ -41,10 +41,6 @@ class RadialFactor:
     cos_power: int
     series: F21Poly
 
-    def poly_in_u(self) -> Poly:
-        """Coefficients of F(.., -u) as a polynomial in u = tan^2 xi."""
-        return trim([(-1) ** j * c for j, c in enumerate(self.series.coeffs)])
-
 
 def radial_factor(family: GroupFamily, coords: tuple[int, ...]) -> RadialFactor:
     """The xi-dependent hypergeometric factor of the spherical function at label coordinates.

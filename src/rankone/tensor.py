@@ -73,15 +73,6 @@ def _p_weights(variant: str, n: Optional[int]) -> tuple[Weight2, ...]:
                  for i in range(n) for s in (2, -2) for t in (2, -2))
 
 
-def weights_of_p(family: GroupFamily) -> Counter:
-    """Doubled weight multiset of the isotropy representation p; all multiplicities are 1."""
-    _check_supported(family)
-    ws = _p_weights(family.variant, family.n)
-    if len(ws) != structural_data(family).dim_p:
-        raise AssertionError("weight count must equal dim p")
-    return Counter(ws)
-
-
 def _decomposition(family: GroupFamily, source: Weight2, acc: Counter) -> Decomposition:
     """Summands of the positive entries of a multiplicity Counter, highest weight first."""
     summands = []
@@ -278,6 +269,6 @@ def expected_summand_labels(family: GroupFamily, lab: KTypeLabel) -> set[Weight2
 
 __all__ = [
     "Decomposition", "Summand", "AlgorithmViolation",
-    "weights_of_p", "racah_speiser", "racah_speiser_weight",
+    "racah_speiser", "racah_speiser_weight",
     "character_oracle", "dimension_sum_check", "expected_summand_labels",
 ]

@@ -10,8 +10,8 @@ weight format, the doubled weight `Weight2`: the int tuple 2w.  `ktypes`,
 `tensor` and every RootSystem method take and return doubled weights; only a
 report halves them for display.  The Weyl groups are all signed-permutation
 groups, so each root system is stated by its kind and rank alone: 2 rho has a
-closed form per kind, orbits are enumerated directly rather than closed under
-reflections, and the Weyl dimension multiplies only the factors of the roots
+closed form per kind, orbit sizes are |W| over the stabiliser rather than
+counted, and the Weyl dimension multiplies only the factors of the roots
 e_i +- e_j, e_i, 2 e_i that meet the support of the weight (Fulton-Harris,
 Representation Theory, Lecture 24), O(rank) for the weights of bounded
 support that the families use.  The positive roots themselves, stored sparsely
@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial, prod
 
 Weight2 = tuple[int, ...]  # doubled-integer weight 2w
@@ -168,22 +168,8 @@ class RootSystem:
             out[-1] = -out[-1]
         return tuple(out) + tuple(tail)
 
-    def orbit(self, w: Weight2) -> set[Weight2]:
-        """Full Weyl orbit of w, enumerated as signed permutations of the head."""
-        head, tail = w[: self.rank], tuple(w[self.rank:])
-        if self.kind == "A":
-            return {p + tail for p in _distinct_perms(head)}
-        signed = [v for p in _distinct_perms([abs(x) for x in head])
-                  for v in product(*((x, -x) if x else (x,) for x in p))]
-        if self.kind == "D" and all(head):
-            parity = sum(x < 0 for x in head) % 2
-            signed = [v for v in signed if sum(x < 0 for x in v) % 2 == parity]
-        if self.kind == "CC":
-            return {v + (t,) for v in signed for t in {tail[0], -tail[0]}}
-        return {v + tail for v in signed}
-
     def orbit_size(self, w: Weight2) -> int:
-        """len(self.orbit(w)), as |W| over the order of the stabiliser of w.
+        """The size of the Weyl orbit of w, as |W| over the order of the stabiliser of w.
 
         Among signed permutations the stabiliser permutes equal |w_i| and flips
         the signs of zero coordinates.  D keeps only the even sign changes, which
@@ -249,23 +235,6 @@ class RootSystem:
         if rem:
             raise ValueError(f"Weyl dimension of doubled weight {lam} is not integral")
         return d
-
-
-def _distinct_perms(values):
-    """Each distinct permutation of `values` once, in increasing lex order."""
-    a = sorted(values)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = reversed(a[i + 1:])
 
 
 def _sort_sign(values) -> int:

@@ -1,0 +1,125 @@
+"""Reference constructions that the library does not run but the tests compare against.
+
+Each is the plain form of something `rankone` computes another way: full Weyl
+orbits (the library only counts them, `RootSystem.orbit_size`), the Gamma
+arguments of 1/e in Fractions (the library scans integer numerators,
+`groups.exceptional_in_interval`), the Fraction norm that `ktypes.minimal_ktype`
+minimises in doubled integers, Fraction polynomial powers and scalings, and the
+`Fraction` coefficients of a terminating 2F1 that `hypergeom.F21Poly` stores as
+integer numerators over one denominator.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+
+from rankone.groups import GroupFamily, SpectralParam, structural_data
+from rankone.hypergeom import F21Poly
+from rankone.ktypes import KTypeLabel, highest_weight
+from rankone.poly import Poly, pderiv, peval, pmul, trim
+from rankone.weyl import RootSystem, Weight2, k_root_system, w_dot
+
+# -- Weyl orbits ----------------------------------------------------------------
+
+
+def distinct_perms(values):
+    """Each distinct permutation of `values` once, in increasing lex order."""
+    a = sorted(values)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def orbit(rs: RootSystem, w: Weight2) -> set[Weight2]:
+    """Full Weyl orbit of w, enumerated as signed permutations of the head."""
+    head, tail = w[: rs.rank], tuple(w[rs.rank:])
+    if rs.kind == "A":
+        return {p + tail for p in distinct_perms(head)}
+    signed = [v for p in distinct_perms([abs(x) for x in head])
+              for v in product(*((x, -x) if x else (x,) for x in p))]
+    if rs.kind == "D" and all(head):
+        parity = sum(x < 0 for x in head) % 2
+        signed = [v for v in signed if sum(x < 0 for x in v) % 2 == parity]
+    if rs.kind == "CC":
+        return {v + (t,) for v in signed for t in {tail[0], -tail[0]}}
+    return {v + tail for v in signed}
+
+
+# -- the e-function -------------------------------------------------------------
+
+
+def e_inverse_gamma_args(family: GroupFamily, mu: SpectralParam) -> tuple[Fraction, Fraction]:
+    """Arguments (m_alpha/2 + 1 + mu(H))/2 and (m_alpha/2 + m_2alpha + mu(H))/2 of the
+    two Gamma factors of 1/e at the simple restricted root.
+
+    The reciprocal of the Harish-Chandra e-function is a product of Gamma
+    values; its zeros (poles of Gamma) are exactly the exceptional parameters.
+    """
+    sd = structural_data(family)
+    half = Fraction(sd.m_alpha, 2)
+    return (half + 1 + mu.mu_H) / 2, (half + sd.m_2alpha + mu.mu_H) / 2
+
+
+def is_nonpositive_integer(q: Fraction) -> bool:
+    return q.denominator == 1 and q <= 0
+
+
+def is_exceptional(family: GroupFamily, mu: SpectralParam) -> bool:
+    """True iff mu is a zero of the e-function (a Gamma argument hits a pole)."""
+    return any(map(is_nonpositive_integer, e_inverse_gamma_args(family, mu)))
+
+
+# -- K-types --------------------------------------------------------------------
+
+
+def mintype_norm(family: GroupFamily, lam) -> Fraction:
+    """Squared Euclidean norm of lam + 2 rho_c, the minimal-K-type height.
+
+    lam is a label or a doubled weight w = 2 lam; the norm is |w + 4 rho_c|^2 / 4.
+    """
+    if isinstance(lam, KTypeLabel):
+        lam = highest_weight(lam)
+    two_rho = k_root_system(family.variant, family.n).two_rho
+    shifted = tuple(x + 2 * r for x, r in zip(lam, two_rho, strict=True))
+    return Fraction(w_dot(shifted, shifted), 4)
+
+
+# -- polynomials ----------------------------------------------------------------
+
+
+def pscale(p: Poly, c) -> Poly:
+    return trim([c * x for x in p])
+
+
+def ppow(p: Poly, k: int) -> Poly:
+    out: Poly = [1]
+    for _ in range(k):
+        out = pmul(out, p)
+    return out
+
+
+def coeffs(series: F21Poly) -> tuple[Fraction, ...]:
+    """The exact coefficients (a)_j (b)_j / ((c)_j j!) = nums[j] / den."""
+    return tuple(Fraction(x, series.den) for x in series.nums)
+
+
+def degree(series: F21Poly) -> int:
+    return len(series.nums) - 1
+
+
+def f21_eval(series: F21Poly, z) -> Fraction:
+    return Fraction(peval(series.nums, Fraction(z)), series.den)
+
+
+def derivative(series: F21Poly) -> Poly:
+    """Exact formal d/dz as a coefficient list."""
+    return pderiv(list(coeffs(series)))

@@ -544,7 +544,7 @@ def test_verify_spherical_goes_through_verify_omega_identity(capsys, monkeypatch
 def test_exceptional_goes_through_exceptional_in_interval(capsys, monkeypatch):
     real = groups.exceptional_in_interval
     monkeypatch.setattr(groups, "exceptional_in_interval",
-                        lambda family, lo, hi=0: real(family, lo, hi)[1:])  # drop one pole
+                        lambda family, lo: real(family, lo)[1:])  # drop one pole
     code, out = run(capsys, ["exceptional", "SO", "5", "--count", "8"])
     assert code == 1
     assert failed_checks(out) == [("exceptional-dual-route", "SO(5,1)")]
@@ -643,6 +643,123 @@ def test_family_chains_do_not_creep_back():
     chains = {name for name, k in counts.items() if k >= 2}
     assert chains == FAMILY_CHAINS
     assert sum(counts.values()) <= 34
+
+
+# Every function, method and class of src/rankone is named somewhere in
+# src/rankone, so each is reached from what a command runs.  A reference that
+# only the tests compare against lives in tests/references.py.  The contiguous
+# relations are kept for `verify spherical` to run.
+ORPHANS_ALLOWED = {"hypergeom.check_contiguous"}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree, module: str) -> dict[str, str]:
+    """{qualified name: name} of every function, method and class, nested ones too."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out[f"{prefix}.{child.name}"] = child.name
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return out
+
+
+def _named(tree) -> set[str]:
+    """Every name a module mentions: a Name, an Attribute, or an import and its alias."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(filter(None, (node.name, node.asname)))
+    return out
+
+
+def _orphans(trees: dict[str, ast.Module]) -> set[str]:
+    named = set().union(*map(_named, trees.values()))
+    return {qual for module, tree in trees.items()
+            for qual, name in _definitions(tree, module).items()
+            if name not in named and not _is_dunder(name)}
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names a module imports and never uses; `__all__` entries count as uses."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                source = "." * node.level + (f"{node.module}." if node.module else "")
+                bound[alias.asname or alias.name] = source + alias.name
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(e.value for e in node.value.elts)
+    return sorted(full for name, full in bound.items() if name not in used)
+
+
+def _src_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(rankone.__file__).parent.glob("*.py"))}
+
+
+RULE_SNIPPET = """
+from __future__ import annotations
+import json
+from typing import Sequence
+
+
+class Box:
+    def __init__(self, items: Sequence):
+        self.items = items
+
+    def reached(self):
+        return json.dumps(self.items)
+
+    def orphan_method(self):
+        return 0
+
+
+def orphan():
+    return Box([1]).reached()
+"""
+
+
+def test_the_two_ast_rules_on_a_snippet():
+    tree = ast.parse(RULE_SNIPPET)
+    # orphan() and orphan_method() are named nowhere; reached() only as an
+    # attribute and the class by a call; the dunder is exempt
+    assert _orphans({"snip": tree}) == {"snip.orphan", "snip.Box.orphan_method"}
+    # Sequence appears only in an annotation, which still counts as a use
+    assert _unused_imports(tree) == []
+    assert _unused_imports(ast.parse("import os.path\nfrom .x import y as z\n")) \
+        == [".x.y", "os.path"]
+
+
+def test_every_definition_in_src_is_named_in_src():
+    """A ratchet on dead code: a function, method or class that nothing in
+    src/rankone names is reached by no command.  Delete it, or move it into
+    tests/references.py if the tests compare against it."""
+    assert _orphans(_src_trees()) == ORPHANS_ALLOWED
+
+
+def test_src_modules_use_every_name_they_import():
+    unused = {module: names for module, tree in _src_trees().items()
+              if (names := _unused_imports(tree))}
+    assert unused == {}
 
 
 def test_python_dash_m_rankone():

@@ -6,6 +6,7 @@ import pytest
 
 from rankone import groups
 from rankone.groups import GroupFamily, SpectralParam, f4, so, sp, su
+from tests.references import e_inverse_gamma_args, is_exceptional
 
 # One literal row per instance: (m_alpha, m_2alpha, rho_H, dim_p, sphere_dim).
 STRUCTURE_TABLE = {
@@ -43,17 +44,23 @@ def test_family_validation():
 
 def test_gamma_args_by_direct_substitution():
     # (m_alpha/2 + 1 + mu)/2 and (m_alpha/2 + m_2alpha + mu)/2
-    assert groups.e_inverse_gamma_args(so(3), SpectralParam(Q(0))) == (Q(1), Q(1, 2))
-    assert groups.e_inverse_gamma_args(su(2), SpectralParam(Q(-2))) == (Q(0), Q(0))
-    assert groups.e_inverse_gamma_args(sp(2), SpectralParam(Q(-3))) == (Q(0), Q(1))
-    assert groups.e_inverse_gamma_args(f4(), SpectralParam(Q(-5))) == (Q(0), Q(3))
+    assert e_inverse_gamma_args(so(3), SpectralParam(Q(0))) == (Q(1), Q(1, 2))
+    assert e_inverse_gamma_args(su(2), SpectralParam(Q(-2))) == (Q(0), Q(0))
+    assert e_inverse_gamma_args(sp(2), SpectralParam(Q(-3))) == (Q(0), Q(1))
+    assert e_inverse_gamma_args(f4(), SpectralParam(Q(-5))) == (Q(0), Q(3))
+    # the integer numerators the scan tests are these arguments times 4
+    for fam in (so(2), so(5), su(3), sp(2), f4()):
+        sd = groups.structural_data(fam)
+        for t in range(-40, 5):
+            a1, a2 = groups._gamma_numerators(sd, t)
+            assert (Q(a1, 4), Q(a2, 4)) == e_inverse_gamma_args(fam, SpectralParam(Q(t, 2)))
 
 
 @pytest.mark.parametrize("fam", [so(2), so(3), so(6), su(2), su(4), sp(2), sp(3), f4()])
 def test_unitary_axis_and_positive_chamber_not_exceptional(fam):
-    assert not groups.is_exceptional(fam, SpectralParam(Q(0)))
+    assert not is_exceptional(fam, SpectralParam(Q(0)))
     rho = groups.rho_H(fam)
-    a1, a2 = groups.e_inverse_gamma_args(fam, SpectralParam(rho))
+    a1, a2 = e_inverse_gamma_args(fam, SpectralParam(rho))
     assert a1 > 0 and a2 > 0
 
 
@@ -63,9 +70,13 @@ def closed_mus(fam, count):
 
 
 def scan(fam, lower, upper=Q(0)):
-    """mu(H) in [lower, upper] flagged by the Gamma-pole scan over t = 2 mu(H)."""
-    return [Q(t, 2) for t in groups.exceptional_in_interval(fam, math.ceil(2 * lower),
-                                                             math.floor(2 * upper))]
+    """mu(H) in [lower, upper] flagged by the Gamma-pole scan over t = 2 mu(H).
+
+    The scan ends at t = 0; no Gamma argument is a pole for t >= 0, which
+    `scan_reference` confirms wherever upper > 0.
+    """
+    hi = math.floor(2 * upper)
+    return [Q(t, 2) for t in groups.exceptional_in_interval(fam, math.ceil(2 * lower)) if t <= hi]
 
 
 def test_exceptional_closed_forms():
@@ -98,7 +109,7 @@ def test_dual_route_agreement(fam):
         ell += 1
     assert sorted(scanned) == sorted(closed)
     for mu in closed:
-        assert groups.is_exceptional(fam, SpectralParam(mu))
+        assert is_exceptional(fam, SpectralParam(mu))
 
 
 @pytest.mark.parametrize("fam", [so(4), su(3), sp(5), f4()])
@@ -119,7 +130,7 @@ def test_exceptional_params_decreasing():
 def scan_reference(fam, lower, upper):
     """The Fraction predicate at every half-integer of [lower, upper], in increasing order."""
     lo, hi = math.ceil(2 * lower), math.floor(2 * upper)
-    return [Q(t, 2) for t in range(lo, hi + 1) if groups.is_exceptional(fam, SpectralParam(Q(t, 2)))]
+    return [Q(t, 2) for t in range(lo, hi + 1) if is_exceptional(fam, SpectralParam(Q(t, 2)))]
 
 
 def test_scan_from_off_grid_lower_bound():

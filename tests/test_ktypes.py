@@ -9,8 +9,9 @@ from rankone import ktypes
 from rankone.groups import exceptional_mu, f4, rho_H, so, sp, su, SpectralParam
 from rankone.ktypes import (KTypeLabel, casimir_scalar, highest_weight, label,
                             label_from_weight, labels, langlands, minimal_ktype,
-                            minimal_ktype_closed, mintype_norm, socle_contains, weyl_dim)
+                            minimal_ktype_closed, socle_contains, weyl_dim)
 from rankone.weyl import k_root_system
+from tests.references import mintype_norm
 
 
 # Closed-form dimensions used as independent oracles.
@@ -289,9 +290,10 @@ def test_minimal_ktype_matches_fraction_brute_force(fam):
         assert minimal_ktype(fam, ell) == brute
 
 
-def test_minimal_ktype_truncation_guard():
+def test_minimal_ktype_truncation_guard(monkeypatch):
+    monkeypatch.setattr(ktypes, "SEARCH_WIDTH", 0)
     with pytest.raises(ktypes.InconclusiveTruncationError):
-        minimal_ktype(su(3), 4, search_bound=5)
+        minimal_ktype(su(3), 4)
 
 
 LARGE_ELL_FAMILIES = ([so(n) for n in (3, 17, 30)] + [su(n) for n in (2, 3, 17, 30)]

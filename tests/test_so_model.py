@@ -258,29 +258,48 @@ def test_nilpotent_is_lorentz_and_unipotent():
 
 
 def test_poisson_delta_special_cases():
+    # a_I(g^-1)^{-(mu+rho)} Z_k along the rotated axis k_I(g^-1) e1
     n, k = 3, 2
     pts = M.sphere_points(n, 20, seed=2)
     z = [float(c) for c in M.zonal_coeffs(n, k)]
-    base = np.array([M._feval(z, p[0]) for p in pts])
+
+    def delta(mu, g):
+        return M._delta_at(n, z, SP(mu), *M._frame(n, g), pts)
+
+    base = np.array([peval(z, p[0]) for p in pts])
     # at the identity: the zonal function itself
-    assert np.allclose(M.poisson_delta(n, z, SP(Q(1, 2)), np.eye(n + 1), pts), base)
+    assert np.allclose(delta(Q(1, 2), np.eye(n + 1)), base)
     # on the horospherical subgroup: unchanged
     g = M.nilpotent(n, np.array([0.4, -0.1]))
-    assert np.max(np.abs(M.poisson_delta(n, z, SP(Q(1, 2)), g, pts) - base)) < 1e-12
+    assert np.max(np.abs(delta(Q(1, 2), g) - base)) < 1e-12
     # along exp(sH): scales by exp(s (mu+rho)(H))
     mu = Q(-1, 2)
-    got = M.poisson_delta(n, z, SP(mu), M.boost(n, 0, 0.3), pts)
+    got = delta(mu, M.boost(n, 0, 0.3))
     assert np.allclose(got, math.exp(0.3 * float(mu + rho_H(so(n)))) * base)
 
 
+def float_horner(p, x):
+    """Horner evaluation seeded with the float 0.0, as the model once evaluated."""
+    acc = 0.0
+    for c in reversed(p):
+        acc = acc * x + float(c)
+    return acc
+
+
 def test_array_horner_equals_the_per_point_loop():
-    # the same float operations in the same order, so equal bit for bit
+    # the same float operations in the same order, so equal bit for bit; peval's
+    # int seed 0 gives the same floats as a 0.0 seed, along pts[:, 0] and pts @ axis
+    rng = np.random.default_rng(5)
     for n in (3, 4, 5):
         pts = M.sphere_points(n, 50, seed=n)
-        for k in range(8):
-            z = [float(c) for c in M.zonal_coeffs(n, k)]
-            loop = np.array([M._feval(z, float(p[0])) for p in pts])
-            assert np.array_equal(M._feval(z, pts[:, 0]), loop), (n, k)
+        axis = rng.normal(size=n)
+        axis /= np.linalg.norm(axis)
+        for k in range(10):
+            z = M._zonal_floats(n, k)
+            loop = np.array([peval(z, float(p[0])) for p in pts])
+            assert np.array_equal(peval(z, pts[:, 0]), loop), (n, k)
+            for x in (pts[:, 0], pts @ axis):
+                assert np.array_equal(peval(z, x), float_horner(z, x)), (n, k)
 
 
 def test_matrix_product_axis_is_within_roundoff_of_row_dots():

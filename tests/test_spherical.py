@@ -7,11 +7,12 @@ import pytest
 from rankone import cli, spherical
 from rankone.groups import UnsupportedFamilyError, f4, so, sp, su
 from rankone.ktypes import label, labels, weyl_dim
-from rankone.poly import padd, pmul, ppow, pscale
+from rankone.poly import padd, pmul
 from rankone.spherical import (chebyshev_three_term, chebyshev_u, ingredient_identities,
                                lambda_scalar, omega_h_expand,
                                radial_factor, verify_omega_identity)
 from rankone.tensor import racah_speiser
+from tests.references import coeffs, ppow, pscale
 from tests.test_tensor import FAMILIES
 
 
@@ -150,6 +151,11 @@ def test_radial_factor_parameters():
     assert (r.series.a, r.series.b, r.series.c) == (-1, -7, 4)
 
 
+def poly_in_u(radial):
+    """Coefficients of F(.., -u) as a polynomial in u = tan^2 xi."""
+    return [(-1) ** j * c for j, c in enumerate(coeffs(radial.series))]
+
+
 def reference_clear_cos(terms):
     """The Fraction route, kept as the reference: terms are (cos power, coeff, F(u) over Q)."""
     top = max(p for p, _, _ in terms)
@@ -168,7 +174,7 @@ def test_integer_clear_cos_matches_fraction_reference(fam):
         factors = [(Q(-1), radial_factor(fam, lab.coords), 1)]
         factors += [(Q(rng.randint(-9, 9), rng.randint(1, 7)), radial_factor(fam, t.coords), 0)
                     for t, _ in omega_h_expand(fam, lab).terms]
-        ref = reference_clear_cos([(r.cos_power + extra, c, r.poly_in_u()) for c, r, extra in factors])
+        ref = reference_clear_cos([(r.cos_power + extra, c, poly_in_u(r)) for c, r, extra in factors])
         got = spherical._clear_cos([(r.cos_power + extra, c.numerator, c.denominator * r.series.den,
                                      r.series.negated_nums()) for c, r, extra in factors])
         assert all(type(x) is int for x in got)
