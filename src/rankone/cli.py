@@ -409,7 +409,7 @@ def verify_so_model(rep: Report, depth: int, tolerance: float, seed: int):
         rep.check_each("zonal-harmonicity", f"n={n}", range(depth + 1),
                        functools.partial(so_model.harmonic_extension_is_harmonic, n))
     for n in (3, 4, 5):
-        err = so_model.iwasawa_roundtrip_error(n, samples=100, seed=seed)
+        err = so_model.iwasawa_roundtrip_error(n, seed)
         rep.check("iwasawa-roundtrip", err <= 1e-9, f"n={n} err={err:.2e}")
     rotation = so_model.pythagorean_rotation(3, 0, 1)
     rep.check_each("reproducing-exact", "n=3", range(min(depth, 6) + 1),
@@ -419,11 +419,11 @@ def verify_so_model(rep: Report, depth: int, tolerance: float, seed: int):
     for n in (3, 4):
         for k in range(min(depth, 3) + 1):
             for mu in mus:
-                report = so_model.verify_intertwining(n, k, SpectralParam(mu), seed=seed)
+                report = so_model.verify_intertwining(n, k, SpectralParam(mu), seed)
                 worst = max(worst, report.residual, report.gradient_h_residual)
     rep.result("intertwining_max_residual", f"{worst:.3e}")
     rep.check("intertwining-residual", worst <= tolerance, f"max={worst:.2e}")
-    vanish = max(so_model.exceptional_vanishing_residual(n, ell, seed=seed)
+    vanish = max(so_model.exceptional_vanishing_residual(n, ell, seed)
                  for n in (3, 4) for ell in (0, 1, 2))
     rep.check("exceptional-coefficient-vanishing", vanish <= tolerance, f"max={vanish:.2e}")
     rep.check_each("bracket-half-sum", "n=2..6", range(2, 7), so_model.check_2rho)

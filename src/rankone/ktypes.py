@@ -265,7 +265,6 @@ class LanglandsRecord:
     discrete_series: bool
     limit_of_discrete_series: bool
     nu_H: Optional[Fraction] = None
-    omega_weight: Optional[Weight2] = None
     omega_expr: Optional[str] = None
 
     def __post_init__(self):
@@ -277,24 +276,22 @@ class LanglandsRecord:
             raise ValueError("discrete and limit-of-discrete are exclusive")
 
 
+# variant: ((a, b), omega_expr at ell) with 2 nu(H) = a n + b; F4 and n = 2 are tempered.
+LANGLANDS_ROWS = {"SO": ((2, -3), "{k} e1"), "SU": ((2, -4), "{k}(eps2 - eps{n})"),
+                  "Sp": ((4, -6), "{k}(eps2 + eps3)")}
+
+
 def langlands(family: GroupFamily, ell: int) -> LanglandsRecord:
     """Langlands record of the socle at the exceptional parameter mu_ell."""
-    v, n = family.variant, family.n
-    tempered = v == "F4" or n == 2
-    if tempered:
+    n = family.n
+    row = LANGLANDS_ROWS.get(family.variant) if n != 2 else None
+    if row is None:
         mu = exceptional_mu(family, ell).mu_H
         discrete = mu <= -rho_H(family)
         return LanglandsRecord("G", True, discrete, not discrete)
-    if v == "SO":
-        omega = (2 * (ell + 1),) + (0,) * ((n - 1) // 2 - 1)
-        return LanglandsRecord("P", False, False, False,
-                               nu_H=Fraction(2 * n - 3, 2), omega_weight=omega,
-                               omega_expr=f"{ell + 1} e1")
-    if v == "SU":
-        return LanglandsRecord("P", False, False, False, nu_H=Fraction(n - 2),
-                               omega_expr=f"{ell + 1}(eps2 - eps{n})")
-    return LanglandsRecord("P", False, False, False, nu_H=Fraction(2 * n - 3),
-                           omega_expr=f"{ell + 1}(eps2 + eps3)")
+    (a, b), omega = row
+    return LanglandsRecord("P", False, False, False, nu_H=Fraction(a * n + b, 2),
+                           omega_expr=omega.format(k=ell + 1, n=n))
 
 
 def casimir_scalar(family: GroupFamily, mu: SpectralParam) -> Fraction:

@@ -55,10 +55,6 @@ def pderiv(p: Poly) -> Poly:
     return trim([i * c for i, c in enumerate(p)][1:])
 
 
-def peq(p: Poly, q: Poly) -> bool:
-    return trim(list(p)) == trim(list(q))
-
-
 def pclear(terms) -> Poly:
     """L * sum(num / den * p) in Z[u], for (int num, int den, integer poly p) terms.
 

@@ -267,9 +267,12 @@ def random_lorentz(n: int, rng: np.random.Generator,
     return g
 
 
-def iwasawa_roundtrip_error(n: int, samples: int = 100, seed: int = 0) -> float:
-    """Worst entry of k a n - g and of k^T k - 1 over seeded random Lorentz g."""
-    g = random_lorentz(n, np.random.default_rng(seed), (samples,))
+SAMPLES = 100  # random Lorentz matrices per round trip
+
+
+def iwasawa_roundtrip_error(n: int, seed: int) -> float:
+    """Worst entry of k a n - g and of k^T k - 1 over SAMPLES seeded random Lorentz g."""
+    g = random_lorentz(n, np.random.default_rng(seed), (SAMPLES,))
     k, s, u = iwasawa(g)
     back = k @ boost(n, 0, s) @ nilpotent(n, u)
     blk = k[..., :n, :n]
@@ -279,9 +282,12 @@ def iwasawa_roundtrip_error(n: int, samples: int = 100, seed: int = 0) -> float:
 
 # -- Poisson transform of the delta distribution -------------------------------
 
+STEP_H = 1e-4  # central-difference step along each boost X_j
+NUM_POINTS = 50  # sphere points each gradient identity is sampled at
+
 
 @lru_cache(maxsize=None)
-def sphere_points(n: int, count: int, seed: int = 0) -> np.ndarray:
+def sphere_points(n: int, count: int, seed: int) -> np.ndarray:
     """Seeded uniform points on S^(n-1), one per row; built once, read-only."""
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(count, n))
@@ -302,9 +308,9 @@ def _frame(n: int, g: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 @lru_cache(maxsize=None)
-def _boost_frames(n: int, step_h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Frames of the boosts exp(+-step_h X_j), j < n, indexed [j, 0 for +, 1 for -]."""
-    t = np.array([step_h, -step_h])
+def _boost_frames(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frames of the boosts exp(+-STEP_H X_j), j < n, indexed [j, 0 for +, 1 for -]."""
+    t = np.array([STEP_H, -STEP_H])
     axes, s = _frame(n, np.stack([boost(n, j, t) for j in range(n)]))
     axes.flags.writeable = s.flags.writeable = False
     return axes, s
@@ -328,17 +334,17 @@ class IntertwiningReport:
     coefficients: dict  # least-squares zonal coefficients of the combined function
 
 
-def _gradient_sum(n: int, k: int, mu: SpectralParam, points: np.ndarray,
-                  step_h: float) -> tuple[np.ndarray, np.ndarray]:
+def _gradient_sum(n: int, k: int, mu: SpectralParam,
+                  points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(combined omega-weighted derivative, derivative along H) at the identity."""
     z = _zonal_floats(n, k)
-    axes, s = _boost_frames(n, step_h)
+    axes, s = _boost_frames(n)
     combined = np.zeros(len(points))
     d_h = None
     for j in range(n):
         plus = _delta_at(n, z, mu, axes[j, 0], s[j, 0], points)
         minus = _delta_at(n, z, mu, axes[j, 1], s[j, 1], points)
-        deriv = (plus - minus) / (2 * step_h)
+        deriv = (plus - minus) / (2 * STEP_H)
         if j == 0:
             d_h = deriv
         combined += points[:, j] * deriv
@@ -356,8 +362,7 @@ def expected_combination(n: int, k: int, mu: SpectralParam, points: np.ndarray) 
     return out
 
 
-def verify_intertwining(n: int, k: int, mu: SpectralParam, step_h: float = 1e-4,
-                        num_points: int = 50, seed: int = 0) -> IntertwiningReport:
+def verify_intertwining(n: int, k: int, mu: SpectralParam, seed: int) -> IntertwiningReport:
     """Finite-difference check of the gradient identity against the exact scalars.
 
     The omega-weighted sum of derivatives of the delta Poisson transform along
@@ -367,8 +372,8 @@ def verify_intertwining(n: int, k: int, mu: SpectralParam, step_h: float = 1e-4,
     """
     if n < 3:
         raise ValueError("needs n >= 3")
-    points = sphere_points(n, num_points, seed)
-    combined, d_h = _gradient_sum(n, k, mu, points, step_h)
+    points = sphere_points(n, NUM_POINTS, seed)
+    combined, d_h = _gradient_sum(n, k, mu, points)
     expected = expected_combination(n, k, mu, points)
     target_h = float(mu.mu_H + rho_H(so(n))) * peval(_zonal_floats(n, k), points[:, 0])
     coeffs = _fit_zonal(n, (k - 1, k, k + 1), points, combined)
@@ -392,8 +397,7 @@ def _fit_zonal(n: int, degrees, points: np.ndarray, values: np.ndarray) -> dict:
     return dict(zip(keys, sol))
 
 
-def exceptional_vanishing_residual(n: int, ell: int, step_h: float = 1e-4,
-                                   num_points: int = 50, seed: int = 0) -> float:
+def exceptional_vanishing_residual(n: int, ell: int, seed: int) -> float:
     """|fitted Z_{ell+1} component| of the combined gradient at mu = -rho - ell,
     as `verify_intertwining` fits it.
 
@@ -407,7 +411,7 @@ def exceptional_vanishing_residual(n: int, ell: int, step_h: float = 1e-4,
     v, y = label(fam, ell), label(fam, ell + 1)
     if t_scalar(fam, v, y, mu, lambda_scalar(fam, v, y)) != 0:
         raise AssertionError(f"T(Y_{ell}, Y_{ell + 1}) must vanish at mu(H) = {mu.mu_H}")
-    report = verify_intertwining(n, ell, mu, step_h, num_points, seed)
+    report = verify_intertwining(n, ell, mu, seed)
     return abs(float(report.coefficients[ell + 1]))
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 from .groups import GroupFamily, UnsupportedFamilyError, so
 from .hypergeom import F21Poly, f21
 from .ktypes import KTypeLabel, label
-from .poly import Poly, binomial_row, padd, pclear, peq, pmul, trim
+from .poly import Poly, binomial_row, padd, pclear, pmul, trim
 
 
 def _check_supported(family: GroupFamily):
@@ -183,7 +183,7 @@ def _radial_identity(lhs: RadialFactor, rhs: list[tuple[Fraction, RadialFactor]]
 
 def chebyshev_three_term(q: int) -> bool:
     """2 cos(t) U_q = U_{q+1} + U_{q-1} as exact polynomials in cos t."""
-    return peq(pmul([0, 2], chebyshev_u(q)), padd(chebyshev_u(q + 1), chebyshev_u(q - 1)))
+    return pmul([0, 2], chebyshev_u(q)) == padd(chebyshev_u(q + 1), chebyshev_u(q - 1))
 
 
 # (identity name, azimuthal weight w, {target coordinates: radial coefficient c})

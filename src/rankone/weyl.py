@@ -286,14 +286,16 @@ def type_c_c1(n: int) -> RootSystem:
     return RootSystem("CC", n, n + 1, tuple(range(2 * n, 0, -2)) + (2,))
 
 
+KINDS = {"B": type_b, "D": type_d, "A": type_a_u, "CC": type_c_c1}
+
+# variant: (kind for even n, for odd n, a, b), rank (a n) // 2 + b; F4 reads n as 0, SO(2) is D1.
+K_ROWS = {"SO": ("D", "B", 1, 0), "SU": ("A", "A", 2, 0), "Sp": ("CC", "CC", 2, 0),
+          "F4": ("B", "B", 0, 4)}
+
+
+@lru_cache(maxsize=None)
 def k_root_system(variant: str, n: int | None) -> RootSystem:
     """Root system of K for one family instance."""
-    if variant == "SO":
-        # SO(2)'s root system is D1: one coordinate and no roots
-        m = n // 2
-        return type_b(m) if n % 2 == 1 else type_d(m)
-    if variant == "SU":
-        return type_a_u(n)
-    if variant == "Sp":
-        return type_c_c1(n)
-    return type_b(4)
+    even, odd, a, b = K_ROWS[variant]
+    n = n or 0
+    return KINDS[odd if n % 2 else even]((a * n) // 2 + b)

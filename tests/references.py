@@ -6,18 +6,21 @@ arguments of 1/e in Fractions (the library scans integer numerators,
 `groups.exceptional_in_interval`), the Fraction norm that `ktypes.minimal_ktype`
 minimises in doubled integers, Fraction polynomial powers and scalings, and the
 `Fraction` coefficients of a terminating 2F1 that `hypergeom.F21Poly` stores as
-integer numerators over one denominator.
+integer numerators over one denominator.  The per-family branches of K's root
+system and of the socle's Langlands record are kept here as the if-chains that
+`weyl.K_ROWS` and `ktypes.LANGLANDS_ROWS` replaced.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
 
-from rankone.groups import GroupFamily, SpectralParam, structural_data
+from rankone.groups import GroupFamily, SpectralParam, exceptional_mu, rho_H, structural_data
 from rankone.hypergeom import F21Poly
-from rankone.ktypes import KTypeLabel, highest_weight
+from rankone.ktypes import KTypeLabel, LanglandsRecord, highest_weight
 from rankone.poly import Poly, pderiv, peval, pmul, trim
-from rankone.weyl import RootSystem, Weight2, k_root_system, w_dot
+from rankone.weyl import (RootSystem, Weight2, k_root_system, type_a_u, type_b, type_c_c1,
+                          type_d, w_dot)
 
 # -- Weyl orbits ----------------------------------------------------------------
 
@@ -81,6 +84,37 @@ def is_exceptional(family: GroupFamily, mu: SpectralParam) -> bool:
 # -- K-types --------------------------------------------------------------------
 
 
+def k_root_system_chain(variant: str, n: int | None) -> RootSystem:
+    """Root system of K for one family instance, one branch per variant."""
+    if variant == "SO":
+        # SO(2)'s root system is D1: one coordinate and no roots
+        m = n // 2
+        return type_b(m) if n % 2 == 1 else type_d(m)
+    if variant == "SU":
+        return type_a_u(n)
+    if variant == "Sp":
+        return type_c_c1(n)
+    return type_b(4)
+
+
+def langlands_chain(family: GroupFamily, ell: int) -> LanglandsRecord:
+    """Langlands record of the socle at mu_ell, one branch per variant."""
+    v, n = family.variant, family.n
+    tempered = v == "F4" or n == 2
+    if tempered:
+        mu = exceptional_mu(family, ell).mu_H
+        discrete = mu <= -rho_H(family)
+        return LanglandsRecord("G", True, discrete, not discrete)
+    if v == "SO":
+        return LanglandsRecord("P", False, False, False, nu_H=Fraction(2 * n - 3, 2),
+                               omega_expr=f"{ell + 1} e1")
+    if v == "SU":
+        return LanglandsRecord("P", False, False, False, nu_H=Fraction(n - 2),
+                               omega_expr=f"{ell + 1}(eps2 - eps{n})")
+    return LanglandsRecord("P", False, False, False, nu_H=Fraction(2 * n - 3),
+                           omega_expr=f"{ell + 1}(eps2 + eps3)")
+
+
 def mintype_norm(family: GroupFamily, lam) -> Fraction:
     """Squared Euclidean norm of lam + 2 rho_c, the minimal-K-type height.
 
@@ -94,6 +128,11 @@ def mintype_norm(family: GroupFamily, lam) -> Fraction:
 
 
 # -- polynomials ----------------------------------------------------------------
+
+
+def peq(p: Poly, q: Poly) -> bool:
+    """Equality up to trailing zero coefficients."""
+    return trim(list(p)) == trim(list(q))
 
 
 def pscale(p: Poly, c) -> Poly:

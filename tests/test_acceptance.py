@@ -176,17 +176,17 @@ def test_criterion_10_so_model_numerics():
             for k in range(9):
                 assert so_model.zonal_l2_norm(n, k) \
                     == Q(1, weyl_dim(so(n), label(so(n), k)))
+        assert (so_model.SAMPLES, so_model.STEP_H, so_model.NUM_POINTS) == (100, 1e-4, 50)
         for n in (3, 4, 5):
-            assert so_model.iwasawa_roundtrip_error(n, samples=100, seed=0) <= 1e-9
+            assert so_model.iwasawa_roundtrip_error(n, 0) <= 1e-9
         worst = 0.0
         for n in (3, 4):
             for k in range(4):
                 for mu in (Q(-2), Q(-1), Q(-1, 2), Q(0), Q(1, 2), Q(1)):
-                    rep = so_model.verify_intertwining(n, k, SpectralParam(mu),
-                                                       step_h=1e-4, num_points=50)
+                    rep = so_model.verify_intertwining(n, k, SpectralParam(mu), 0)
                     worst = max(worst, rep.residual, rep.gradient_h_residual)
         assert worst <= 1e-5
-        vanish = max(so_model.exceptional_vanishing_residual(n, ell)
+        vanish = max(so_model.exceptional_vanishing_residual(n, ell, 0)
                      for n in (3, 4) for ell in range(3))
         assert vanish <= 1e-5
         for n in range(2, 7):

@@ -584,10 +584,9 @@ FAMILY_LITERALS = {"SO", "SU", "Sp", "F4"}
 # The functions of src/rankone that still compare against two or more family
 # literals: formulas and one side of a paired route, kept per family on purpose.
 FAMILY_CHAINS = {
-    "ktypes.langlands", "scalars.growth_step_ratio", "scalars.growth_closed_form",
+    "scalars.growth_step_ratio", "scalars.growth_closed_form",
     "spherical.radial_factor", "spherical._raw_row",
     "spherical._factorisation", "spherical.ingredient_identities", "tensor._p_weights",
-    "weyl.k_root_system",
 }
 
 
@@ -629,12 +628,12 @@ def test_family_chains_do_not_creep_back():
     orders of `scalars.GROWTH_ORDERS` took the count from 18 chains and 62
     comparisons to 12 and 43, and the nu and vanishing rows
     `scalars.NU_ROWS` and `scalars.VANISHING_ROWS` to 10 and 37, and deleting
-    the unused `spherical.phi` to 9 and 34.  The chains left are
-    FAMILY_CHAINS: `ktypes.langlands`, `scalars.growth_step_ratio` and
-    `scalars.growth_closed_form`, `spherical.radial_factor`,
-    `spherical._raw_row`, `spherical._factorisation`,
-    `spherical.ingredient_identities`, `tensor._p_weights` and
-    `weyl.k_root_system`.  A new chain fails here; removing one should remove
+    the unused `spherical.phi` to 9 and 34, and the rows `weyl.K_ROWS` and
+    `ktypes.LANGLANDS_ROWS` to 7 and 28.  The chains left are FAMILY_CHAINS:
+    `scalars.growth_step_ratio` and `scalars.growth_closed_form`,
+    `spherical.radial_factor`, `spherical._raw_row`,
+    `spherical._factorisation`, `spherical.ingredient_identities` and
+    `tensor._p_weights`.  A new chain fails here; removing one should remove
     it from FAMILY_CHAINS too.
     """
     counts = {}
@@ -642,7 +641,59 @@ def test_family_chains_do_not_creep_back():
         counts.update(_family_comparisons(ast.parse(path.read_text()), path.stem))
     chains = {name for name, k in counts.items() if k >= 2}
     assert chains == FAMILY_CHAINS
-    assert sum(counts.values()) <= 34
+    assert sum(counts.values()) <= 28
+
+
+# The parameters of src/rankone that carry a default, each used with more than
+# one value; a parameter every caller passes the same value to is a constant.
+DEFAULTED_PARAMETERS = {
+    "cli.main(argv)", "hypergeom._term(factor)", "ktypes.labels(corner)",
+    "so_model.random_lorentz(shape)", "spherical.ingredient_identities(splits)",
+    "weyl.RootSystem.is_dominant(strict)",
+}
+
+
+def _defaulted_parameters(tree, module: str) -> set[str]:
+    """`module.qualname(parameter)` for every parameter with a default, nested ones too."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    a = child.args
+                    positional = a.posonlyargs + a.args
+                    with_default = positional[len(positional) - len(a.defaults):]
+                    with_default += [p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+                    out.update(f"{name}({p.arg})" for p in with_default)
+                visit(child, name)
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return out
+
+
+def test_defaulted_parameters_do_not_creep_back():
+    """A ratchet on defaults: the Lorentz model's samples, step_h, num_points
+    and seed defaults became the constants `so_model.SAMPLES`, `STEP_H` and
+    `NUM_POINTS` and required seeds, which took the count from 15 to 6."""
+    found = set().union(*(_defaulted_parameters(tree, module)
+                          for module, tree in _src_trees().items()))
+    assert found == DEFAULTED_PARAMETERS
+
+
+def test_only_the_lorentz_model_imports_numpy():
+    """Floats stay in the Lorentz model: no other module of src/rankone imports numpy."""
+    importers = set()
+    for module, tree in _src_trees().items():
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                importers.add(module)
+    assert importers == {"so_model"}
 
 
 # Every function, method and class of src/rankone is named somewhere in

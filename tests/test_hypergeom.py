@@ -6,8 +6,7 @@ import pytest
 
 from rankone import hypergeom
 from rankone.hypergeom import RELATION_IDS, check_contiguous, f21
-from rankone.poly import peq
-from tests.references import coeffs, degree, derivative, f21_eval, pscale
+from tests.references import coeffs, degree, derivative, f21_eval, peq, pscale
 
 
 def pochhammer(q, n: int) -> Q:

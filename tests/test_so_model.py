@@ -98,7 +98,7 @@ def test_iwasawa_rejects_non_lorentz():
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_iwasawa_roundtrip(n):
-    assert M.iwasawa_roundtrip_error(n, samples=100, seed=11) <= 1e-9
+    assert M.iwasawa_roundtrip_error(n, 11) <= 1e-9
 
 
 # -- the stacked Lorentz model against the one-matrix-at-a-time reference -------
@@ -166,8 +166,7 @@ def _ref_roundtrip_error(n, samples, seed):
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_stacked_roundtrip_error_equals_the_per_matrix_loop(n):
     for seed in range(10):
-        assert M.iwasawa_roundtrip_error(n, samples=100, seed=seed) \
-            == _ref_roundtrip_error(n, 100, seed), seed
+        assert M.iwasawa_roundtrip_error(n, seed) == _ref_roundtrip_error(n, M.SAMPLES, seed), seed
 
 
 def test_one_matrix_helpers_equal_the_reference():
@@ -215,15 +214,15 @@ def test_stacked_iwasawa_rejects_one_bad_matrix():
 
 def test_boost_frames_equal_the_per_boost_factorisation():
     for n in (3, 4):
-        axes, s = M._boost_frames(n, 1e-4)
+        axes, s = M._boost_frames(n)
         for j in range(n):
-            for side, t in enumerate((1e-4, -1e-4)):
+            for side, t in enumerate((M.STEP_H, -M.STEP_H)):
                 k_inv, s_j, _ = M.iwasawa(M.lorentz_inverse(M.boost(n, j, t)))
                 assert np.array_equal(axes[j, side], k_inv[:n, 0]) and s[j, side] == s_j
 
 
 def test_cached_model_inputs_are_read_only():
-    axes, s = M._boost_frames(3, 1e-4)
+    axes, s = M._boost_frames(3)
     for arr in (axes, s, M.sphere_points(3, 50, 0)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -322,15 +321,14 @@ def test_intertwining_grid(n):
     worst = 0.0
     for k in range(4):
         for mu in GRID_MUS:
-            rep = M.verify_intertwining(n, k, SpectralParam(mu),
-                                        step_h=1e-4, num_points=50, seed=0)
+            rep = M.verify_intertwining(n, k, SpectralParam(mu), 0)
             worst = max(worst, rep.residual, rep.gradient_h_residual)
     assert worst <= 1e-5
 
 
 def test_intertwining_k0_explicit():
     # for the trivial type the combined gradient is (mu+rho)(H) Z_1 exactly
-    rep = M.verify_intertwining(3, 0, SP(Q(1, 2)))
+    rep = M.verify_intertwining(3, 0, SP(Q(1, 2)), 0)
     assert rep.residual <= 1e-5
     assert abs(rep.coefficients[1] - 1.5) <= 1e-6  # (1/2 + 1) lambda(Y_0,Y_1)
 
@@ -338,7 +336,7 @@ def test_intertwining_k0_explicit():
 def test_gradient_coefficients_match_scalars():
     n, k = 4, 2
     mu = SP(Q(1, 2))
-    rep = M.verify_intertwining(n, k, mu)
+    rep = M.verify_intertwining(n, k, mu, 0)
     fam = so(n)
     for tgt in (k - 1, k + 1):
         v, y = label(fam, k), label(fam, tgt)
@@ -350,7 +348,7 @@ def test_gradient_coefficients_match_scalars():
 @pytest.mark.parametrize("n", (3, 4))
 def test_exceptional_vanishing(n):
     for ell in range(3):
-        assert M.exceptional_vanishing_residual(n, ell) <= 1e-5
+        assert M.exceptional_vanishing_residual(n, ell, 0) <= 1e-5
 
 
 def test_exceptional_scalar_is_exactly_zero():

@@ -19,7 +19,7 @@ from rankone import ktypes, weyl
 from rankone.cli import main
 from rankone.groups import so, su
 from rankone.weyl import k_root_system, type_a_u, type_b, type_c_c1, type_d, w_add, w_dot
-from tests.references import orbit
+from tests.references import k_root_system_chain, orbit
 
 
 def wt(*coords):
@@ -177,6 +177,12 @@ def test_so2_compact_root_system_is_d1():
         assert ktypes.weyl_dim(fam, ktypes.label(fam, k)) == 1
 
 
+def test_k_root_system_rows_match_the_chain():
+    cases = [(v, n) for v in ("SO", "SU", "Sp") for n in range(2, 201)] + [("F4", None)]
+    for variant, n in cases:
+        assert k_root_system(variant, n) is k_root_system_chain(variant, n), (variant, n)
+
+
 def test_weyl_dim_every_family():
     for variant, n in [("SO", 3), ("SO", 6), ("SO", 9), ("SU", 5), ("Sp", 4), ("F4", None)]:
         rs = k_root_system(variant, n)
@@ -196,16 +202,13 @@ def test_weyl_dim_rejects_non_dominant_and_non_integral():
         type_d(2).weyl_dim((1, 0))
 
 
-KINDS = {"B": type_b, "D": type_d, "A": type_a_u, "CC": type_c_c1}
-
-
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", weyl.KINDS)
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(data=st.data())
 def test_weyl_dim_over_the_support_matches_every_root(kind, data):
     # a dominant weight with at most 4 nonzero permuted coordinates, as every
     # family but F4 uses, at ranks far past the sweeps
-    rs = KINDS[kind](data.draw(st.integers(1, 40), label="rank"))
+    rs = weyl.KINDS[kind](data.draw(st.integers(1, 40), label="rank"))
     places = data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=4, unique=True))
     # one draw in four has half-integer coordinates, mostly outside the weight lattice
     odd = data.draw(st.sampled_from([0, 0, 0, 1]))
@@ -224,12 +227,12 @@ def test_weyl_dim_over_the_support_matches_every_root(kind, data):
     assert rs.weyl_dim(lam) == expected
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", weyl.KINDS)
 def test_closed_form_two_rho_is_the_sum_of_positive_roots(kind):
     counts = {"B": lambda r: r * r, "D": lambda r: r * (r - 1),
               "A": lambda r: r * (r - 1) // 2, "CC": lambda r: r * r + 1}
     for rank in range(1, 13):
-        rs = KINDS[kind](rank)
+        rs = weyl.KINDS[kind](rank)
         total = [0] * rs.dim
         for root in rs.positive_roots:
             for i, c in root:
