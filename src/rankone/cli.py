@@ -400,6 +400,21 @@ def verify_scalars(rep: Report, depth: int, tolerance: float, seed: int):
                                     == scalars.growth_order_stated(fam, ell)))
 
 
+def _or_inf(measure: Callable[..., float], *args) -> float:
+    """measure(*args), or inf when so_model.iwasawa refuses a matrix of the
+    Lorentz model (ValueError: outside the identity component or its K A N
+    chart), so that the measured check fails and the suite goes on."""
+    try:
+        return measure(*args)
+    except ValueError:
+        return math.inf
+
+
+def _intertwining_residual(n: int, k: int, mu: Fraction, seed: int) -> float:
+    report = so_model.verify_intertwining(n, k, SpectralParam(mu), seed)
+    return max(report.residual, report.gradient_h_residual)
+
+
 def verify_so_model(rep: Report, depth: int, tolerance: float, seed: int):
     for n in (3, 4, 5):
         fam = groups.so(n)
@@ -409,21 +424,17 @@ def verify_so_model(rep: Report, depth: int, tolerance: float, seed: int):
         rep.check_each("zonal-harmonicity", f"n={n}", range(depth + 1),
                        functools.partial(so_model.harmonic_extension_is_harmonic, n))
     for n in (3, 4, 5):
-        err = so_model.iwasawa_roundtrip_error(n, seed)
+        err = _or_inf(so_model.iwasawa_roundtrip_error, n, seed)
         rep.check("iwasawa-roundtrip", err <= 1e-9, f"n={n} err={err:.2e}")
     rotation = so_model.pythagorean_rotation(3, 0, 1)
     rep.check_each("reproducing-exact", "n=3", range(min(depth, 6) + 1),
                    lambda k: so_model.reproducing_check(3, k, rotation))
     mus = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
-    worst = 0.0
-    for n in (3, 4):
-        for k in range(min(depth, 3) + 1):
-            for mu in mus:
-                report = so_model.verify_intertwining(n, k, SpectralParam(mu), seed)
-                worst = max(worst, report.residual, report.gradient_h_residual)
+    worst = max(_or_inf(_intertwining_residual, n, k, mu, seed)
+                for n in (3, 4) for k in range(min(depth, 3) + 1) for mu in mus)
     rep.result("intertwining_max_residual", f"{worst:.3e}")
     rep.check("intertwining-residual", worst <= tolerance, f"max={worst:.2e}")
-    vanish = max(so_model.exceptional_vanishing_residual(n, ell, seed)
+    vanish = max(_or_inf(so_model.exceptional_vanishing_residual, n, ell, seed)
                  for n in (3, 4) for ell in (0, 1, 2))
     rep.check("exceptional-coefficient-vanishing", vanish <= tolerance, f"max={vanish:.2e}")
     rep.check_each("bracket-half-sum", "n=2..6", range(2, 7), so_model.check_2rho)

@@ -12,6 +12,10 @@ Every weight, in the API and inside, is a doubled-integer weight 2w
 (`weyl.Weight2`), the one weight format of the library.  The two routes share
 no kernel: Racah-Speiser uses to_dominant_chamber, the oracle Freudenthal and
 dominant_rep, with orbit_size (|W| over the stabiliser) in its dimension checks.
+The oracle's state lives in two memos that grow only with the distinct weights
+a process touches: the Freudenthal tables of `_dominant_multiplicities`, and
+the dominant representatives and orbit sizes each RootSystem keeps; nothing on
+the Racah-Speiser route reads either.
 """
 from __future__ import annotations
 
@@ -122,7 +126,8 @@ def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tu
     positive roots; each is reached from lam through dominant weights by
     subtracting one positive root at a time (Stembridge, "The partial order of
     dominant weights", 1998).  Multiplicities of non-dominant weights are
-    looked up through their dominant orbit representative.
+    looked up through their dominant orbit representative, which the root
+    system memoises across tables.
     """
     rs = k_root_system(variant, n)
     top_norm = w_dot(lam, lam)
@@ -140,7 +145,6 @@ def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tu
     lam_rho = w_add(lam, rs.two_rho)
     c_top = w_dot(lam_rho, lam_rho)
     roots = [(alpha, sum(c * c for _, c in alpha)) for alpha in rs.positive_roots]
-    reps: dict[Weight2, Weight2] = {}  # dominant_rep, once per weight of the table
     mult: dict[Weight2, int] = {lam: 1}
     for w in sorted(candidates, key=lambda w: w_dot(w, rs.two_rho), reverse=True):
         if w == lam:
@@ -158,10 +162,7 @@ def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tu
             while (norm := norm + 4 * (p + aa)) <= top_norm:  # the ||lam|| ball
                 up = shift(up, alpha, 2)
                 p += 2 * aa
-                rep = reps.get(up)
-                if rep is None:
-                    rep = reps[up] = rs.dominant_rep(up)
-                m_up = mult.get(rep)
+                m_up = mult.get(rs.dominant_rep(up))
                 if m_up:
                     total += m_up * 2 * p  # <up, 2 alpha> in doubled units
         m, rem = divmod(2 * total, denom)

@@ -16,7 +16,13 @@ e_i +- e_j, e_i, 2 e_i that meet the support of the weight (Fulton-Harris,
 Representation Theory, Lecture 24), O(rank) for the weights of bounded
 support that the families use.  The positive roots themselves, stored sparsely
 as ((index, coefficient), ...) with int coefficients, are enumerated only on
-first access, which only the Freudenthal oracle makes.
+first access, which only the Freudenthal oracle makes.  The oracle also asks
+for the same dominant representatives and orbit sizes many times, so each
+RootSystem memoises `dominant_rep` and `orbit_size` in a dict of its own,
+which grows only with the distinct weights a process asks about;
+`to_dominant_chamber`, the Racah-Speiser kernel, is not memoised.  w_add,
+w_sub and w_dot run through `map`, which stops at the shorter argument, so they
+check the lengths first.
 """
 from __future__ import annotations
 
@@ -25,21 +31,28 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial, prod
+from operator import add, ge, gt, mul, sub
 
 Weight2 = tuple[int, ...]  # doubled-integer weight 2w
 Root = tuple[tuple[int, int], ...]  # sparse: ((index, coefficient), ...)
 
 
 def w_add(a, b):
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"weights of lengths {len(a)} and {len(b)}")
+    return tuple(map(add, a, b))
 
 
 def w_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"weights of lengths {len(a)} and {len(b)}")
+    return tuple(map(sub, a, b))
 
 
 def w_dot(a, b):
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"weights of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def pair(w, alpha: Root):
@@ -93,23 +106,20 @@ class RootSystem:
     # -- chamber tests ------------------------------------------------------
 
     def is_dominant(self, w: Weight2, strict: bool = False) -> bool:
+        """w is in the closed (strict: open) dominant chamber: the head decreases,
+        for D down to |last| (D1 has no roots), for B and CC down to 0, and CC's
+        last coordinate is nonnegative too."""
+        cmp = gt if strict else ge
         head = w[: self.rank]
-        pairs = zip(head, head[1:])
-        if self.kind == "A":
-            return all((x > y if strict else x >= y) for x, y in pairs)
         if self.kind == "D":
-            if self.rank < 2:  # D1 has no roots, so every weight is dominant
+            if self.rank < 2:
                 return True
-            body = all((x > y if strict else x >= y) for x, y in zip(head, head[1:-1]))
-            edge = head[-2] > abs(head[-1]) if strict else head[-2] >= abs(head[-1])
-            return body and edge
-        # B / CC: decreasing and nonnegative
-        ok = all((x > y if strict else x >= y) for x, y in pairs)
-        ok = ok and (head[-1] > 0 if strict else head[-1] >= 0)
-        if self.kind == "CC":
-            tail = w[-1]
-            ok = ok and (tail > 0 if strict else tail >= 0)
-        return ok
+            head = head[:-1] + (abs(head[-1]),)
+        elif self.kind != "A":
+            head += (0,)
+            if self.kind == "CC" and not cmp(w[-1], 0):
+                return False
+        return all(map(cmp, head, head[1:]))
 
     # -- orbit normalization -------------------------------------------------
 
@@ -152,24 +162,45 @@ class RootSystem:
             out[-1] = -out[-1]
         return tuple(out) + tuple(tail), _sort_sign(absd)
 
+    # the memos of dominant_rep and orbit_size, built on first access like
+    # positive_roots.  They key weights by value, and Fraction(2) == 2, so a
+    # caller passing Fractions would share entries with the int weights.
+
+    @cached_property
+    def _reps(self) -> dict[Weight2, Weight2]:
+        return {}
+
+    @cached_property
+    def _orbit_sizes(self) -> dict[Weight2, int]:
+        return {}
+
     def dominant_rep(self, w: Weight2) -> Weight2:
-        """The dominant element of the Weyl orbit of w (no sign tracking)."""
-        head = list(w[: self.rank])
-        tail = list(w[self.rank:])
+        """The dominant element of the Weyl orbit of w (no sign tracking), memoised."""
+        rep = self._reps.get(w)
+        if rep is None:
+            rep = self._reps[w] = self._dominant_rep(w)
+        return rep
+
+    def _dominant_rep(self, w: Weight2) -> Weight2:
+        head, tail = w[: self.rank], w[self.rank:]
         if self.kind == "A":
-            return tuple(sorted(head, reverse=True)) + tuple(tail)
+            return tuple(sorted(head, reverse=True)) + tail
         if self.kind == "CC":
-            tail[0] = abs(tail[0])
-        if self.kind in ("B", "CC"):
-            return tuple(sorted((abs(x) for x in head), reverse=True)) + tuple(tail)
-        flips = sum(1 for x in head if x < 0)
-        out = sorted((abs(x) for x in head), reverse=True)
-        if flips % 2 == 1 and out[-1] != 0:
+            tail = (abs(tail[0]),)
+        out = sorted(map(abs, head), reverse=True)
+        if self.kind == "D" and out[-1] and sum(x < 0 for x in head) % 2:
             out[-1] = -out[-1]
-        return tuple(out) + tuple(tail)
+        return tuple(out) + tail
 
     def orbit_size(self, w: Weight2) -> int:
-        """The size of the Weyl orbit of w, as |W| over the order of the stabiliser of w.
+        """The size of the Weyl orbit of w, memoised."""
+        size = self._orbit_sizes.get(w)
+        if size is None:
+            size = self._orbit_sizes[w] = self._orbit_size(w)
+        return size
+
+    def _orbit_size(self, w: Weight2) -> int:
+        """|W| over the order of the stabiliser of w.
 
         Among signed permutations the stabiliser permutes equal |w_i| and flips
         the signs of zero coordinates.  D keeps only the even sign changes, which
@@ -179,7 +210,7 @@ class RootSystem:
         head = w[: self.rank]
         if self.kind == "A":
             return factorial(self.rank) // prod(factorial(k) for k in Counter(head).values())
-        counts = Counter(abs(x) for x in head)
+        counts = Counter(map(abs, head))
         zeros = counts.pop(0, 0)
         order = 2 ** self.rank * factorial(self.rank)
         stab = prod(factorial(k) for k in counts.values()) * factorial(zeros) * 2 ** zeros

@@ -8,7 +8,9 @@ minimises in doubled integers, Fraction polynomial powers and scalings, and the
 `Fraction` coefficients of a terminating 2F1 that `hypergeom.F21Poly` stores as
 integer numerators over one denominator.  The per-family branches of K's root
 system and of the socle's Langlands record are kept here as the if-chains that
-`weyl.K_ROWS` and `ktypes.LANGLANDS_ROWS` replaced.
+`weyl.K_ROWS` and `ktypes.LANGLANDS_ROWS` replaced, and the chamber test and
+dominant representative as the pairwise generator forms that
+`RootSystem.is_dominant` and the memoised `RootSystem.dominant_rep` replaced.
 """
 from __future__ import annotations
 
@@ -55,6 +57,44 @@ def orbit(rs: RootSystem, w: Weight2) -> set[Weight2]:
     if rs.kind == "CC":
         return {v + (t,) for v in signed for t in {tail[0], -tail[0]}}
     return {v + tail for v in signed}
+
+
+def is_dominant(rs: RootSystem, w: Weight2, strict: bool = False) -> bool:
+    """The chamber test of rs, one rule per kind, pair by pair."""
+    head = w[: rs.rank]
+    pairs = zip(head, head[1:])
+    if rs.kind == "A":
+        return all((x > y if strict else x >= y) for x, y in pairs)
+    if rs.kind == "D":
+        if rs.rank < 2:  # D1 has no roots, so every weight is dominant
+            return True
+        body = all((x > y if strict else x >= y) for x, y in zip(head, head[1:-1]))
+        edge = head[-2] > abs(head[-1]) if strict else head[-2] >= abs(head[-1])
+        return body and edge
+    # B / CC: decreasing and nonnegative
+    ok = all((x > y if strict else x >= y) for x, y in pairs)
+    ok = ok and (head[-1] > 0 if strict else head[-1] >= 0)
+    if rs.kind == "CC":
+        tail = w[-1]
+        ok = ok and (tail > 0 if strict else tail >= 0)
+    return ok
+
+
+def dominant_rep(rs: RootSystem, w: Weight2) -> Weight2:
+    """The dominant element of the Weyl orbit of w, recomputed on every call."""
+    head = list(w[: rs.rank])
+    tail = list(w[rs.rank:])
+    if rs.kind == "A":
+        return tuple(sorted(head, reverse=True)) + tuple(tail)
+    if rs.kind == "CC":
+        tail[0] = abs(tail[0])
+    if rs.kind in ("B", "CC"):
+        return tuple(sorted((abs(x) for x in head), reverse=True)) + tuple(tail)
+    flips = sum(1 for x in head if x < 0)
+    out = sorted((abs(x) for x in head), reverse=True)
+    if flips % 2 == 1 and out[-1] != 0:
+        out[-1] = -out[-1]
+    return tuple(out) + tuple(tail)
 
 
 # -- the e-function -------------------------------------------------------------

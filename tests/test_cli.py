@@ -1,5 +1,6 @@
 import argparse
 import ast
+import functools
 import importlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import rankone
-from rankone import cli, groups, scalars, spherical, tensor
+from rankone import cli, groups, scalars, so_model, spherical, tensor
 from rankone.cli import _fmt, _half, main, parse_family, parse_label, UsageError
 from rankone.groups import f4, so, sp, su
 from rankone.ktypes import highest_weight, label
@@ -475,6 +476,21 @@ def test_verify_tensor_reports_a_broken_closed_form_as_a_failed_check(capsys, mo
     code, out = run(capsys, ["verify", "tensor", "--depth", "3"])
     assert code == 1
     assert failed_checks(out) == [("tensor-closed-form", "SO(5,1)")]
+
+
+def test_verify_so_model_reports_a_matrix_outside_the_chart(capsys, monkeypatch):
+    # so_model.iwasawa refuses every matrix; the boost frames are cached, so the
+    # test gives them a fresh cache that sees the refusal too
+    monkeypatch.setattr(so_model, "is_lorentz", lambda g: False)
+    monkeypatch.setattr(so_model, "_boost_frames",
+                        functools.lru_cache(so_model._boost_frames.__wrapped__))
+    code, out = run(capsys, ["verify", "so-model", "--depth", "1"])
+    assert code == 1
+    report = json.loads(out)
+    assert [c["id"] for c in report["checks"]].count("iwasawa-roundtrip") == 3
+    assert report["results"]["checks_total"] == len(report["checks"]) == 13
+    assert failed_checks(out) == [("iwasawa-roundtrip", f"n={n} err=inf") for n in (3, 4, 5)] + [
+        ("intertwining-residual", "max=inf"), ("exceptional-coefficient-vanishing", "max=inf")]
 
 
 # Report.check_each is the one place that folds the cases of a check and holds

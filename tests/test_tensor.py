@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone import tensor
+from rankone import tensor, weyl
 from rankone.groups import UnsupportedFamilyError, f4, so, sp, structural_data, su
 from rankone.ktypes import highest_weight, label, labels, weyl_dim
 from rankone.tensor import (AlgorithmViolation, character_oracle, dimension_sum_check,
@@ -210,6 +210,19 @@ def test_racah_speiser_beyond_the_bound_box(fam):
         rs = racah_speiser(fam, lab)
         assert rs.summands == character_oracle(fam, lab).summands, lab
         assert rs.weights() == expected_summand_labels(fam, lab), lab
+
+
+def test_racah_speiser_reads_no_oracle_kernel(monkeypatch):
+    # the two routes are checked against each other, so Racah-Speiser and the
+    # closed form must not go through the oracle's memoised chamber kernels
+    def refuse(rs, w):
+        raise AssertionError(f"oracle kernel called on {w}")
+
+    for name in ("dominant_rep", "_dominant_rep", "orbit_size", "_orbit_size"):
+        monkeypatch.setattr(weyl.RootSystem, name, refuse)
+    for fam in FAMILIES:
+        for lab in labels(fam, 3):
+            assert racah_speiser(fam, lab).weights() == expected_summand_labels(fam, lab), lab
 
 
 @pytest.mark.parametrize("fam", [so(4), so(5), so(6), su(2), su(3), sp(2), f4()])

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone import ktypes, weyl
+from rankone import ktypes, tensor, weyl
 from rankone.cli import main
 from rankone.groups import so, su
-from rankone.weyl import k_root_system, type_a_u, type_b, type_c_c1, type_d, w_add, w_dot
+from rankone.weyl import (k_root_system, type_a_u, type_b, type_c_c1, type_d, w_add, w_dot,
+                          w_sub)
+from tests import references
 from tests.references import k_root_system_chain, orbit
 
 
@@ -139,6 +141,61 @@ def test_orbit_size_counts_the_orbit(rs, data):
     assert rs.orbit_size(w) == len(orbit(rs, w)), w
 
 
+# The chamber kernels against the pairwise generator forms they replaced.  The
+# memo keys weights by value, so the library is only ever handed int weights.
+
+CHAMBER_SYSTEMS = SYSTEMS + [type_d(1), type_b(5), type_d(5), type_a_u(6), type_c_c1(4)]
+CHAMBER_IDS = IDS + ["D1", "B5", "D5", "A6", "CC4"]
+
+
+@pytest.mark.parametrize("rs", CHAMBER_SYSTEMS, ids=CHAMBER_IDS)
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_chamber_kernels_match_the_references(rs, data):
+    # few coordinate values, so that walls (equal or zero coordinates) are common
+    w = data.draw(st.tuples(*[st.integers(-4, 4)] * rs.dim))
+    rep = references.dominant_rep(rs, w)
+    first = rs.dominant_rep(w)
+    assert first == rep and rs.dominant_rep(w) is first  # a repeat reads the memo
+    assert rs.orbit_size(w) == rs.orbit_size(w) == rs.orbit_size(rep)
+    for v in (w, rep):  # rep is dominant, so True answers are as common as False
+        for strict in (False, True):
+            assert rs.is_dominant(v, strict) is references.is_dominant(rs, v, strict), (v, strict)
+
+
+@pytest.mark.parametrize("kernel", [w_add, w_sub, w_dot])
+def test_weight_kernels_refuse_different_lengths(kernel):
+    # map stops at the shorter argument, so the kernel must check the lengths itself
+    for a, b in [((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ((), (0,))]:
+        with pytest.raises(ValueError, match="weights of lengths"):
+            kernel(a, b)
+
+
+def test_the_chamber_kernel_runs_once_per_distinct_weight(capsys, monkeypatch):
+    """A ratchet on the dominant_rep memo: over one `verify tensor --depth 3`
+    from cold caches, the uncached kernel runs exactly once per distinct
+    (root system, weight) that the oracle asks about."""
+    for cached in (k_root_system, *weyl.KINDS.values(), tensor._dominant_multiplicities):
+        cached.cache_clear()
+    asked, computed = [], []
+    public, kernel = weyl.RootSystem.dominant_rep, weyl.RootSystem._dominant_rep
+
+    def counted_public(rs, w):
+        asked.append((id(rs), w))
+        return public(rs, w)
+
+    def counted_kernel(rs, w):
+        computed.append((id(rs), w))
+        return kernel(rs, w)
+
+    monkeypatch.setattr(weyl.RootSystem, "dominant_rep", counted_public)
+    monkeypatch.setattr(weyl.RootSystem, "_dominant_rep", counted_kernel)
+    assert main(["verify", "tensor", "--depth", "3"]) == 0
+    capsys.readouterr()
+    assert computed
+    assert len(computed) == len(set(computed)) == len(set(asked))
+
+
 @pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
 def test_regular_orbit_has_weyl_group_order(rs):
     # a strictly dominant weight has a trivial stabiliser, so |orbit| = |W| / 1
@@ -153,14 +210,14 @@ def test_weyl_dim_matches_fraction_formula(rs):
     rng = random.Random(rs.dim * 17 + rs.rank)
     checked = 0
     for _ in range(200):
-        lam = rs.dominant_rep(tuple(rng.choice(HALF_INTEGERS) for _ in range(rs.dim)))
+        lam = rs.dominant_rep(double(tuple(rng.choice(HALF_INTEGERS) for _ in range(rs.dim))))
         try:
-            expected = reference_weyl_dim(rs, lam)
+            expected = reference_weyl_dim(rs, halve(lam))
         except ValueError:
             with pytest.raises(ValueError):
-                rs.weyl_dim(double(lam))
+                rs.weyl_dim(lam)
             continue
-        assert rs.weyl_dim(double(lam)) == expected
+        assert rs.weyl_dim(lam) == expected
         checked += 1
     assert checked > 0
 
@@ -188,8 +245,8 @@ def test_weyl_dim_every_family():
         rs = k_root_system(variant, n)
         rng = random.Random(n or 0)
         for _ in range(30):
-            lam = rs.dominant_rep(tuple(Q(rng.randrange(-6, 7)) for _ in range(rs.dim)))
-            assert rs.weyl_dim(double(lam)) == reference_weyl_dim(rs, lam)
+            lam = rs.dominant_rep(tuple(2 * rng.randrange(-6, 7) for _ in range(rs.dim)))
+            assert rs.weyl_dim(lam) == reference_weyl_dim(rs, halve(lam))
 
 
 def test_weyl_dim_rejects_non_dominant_and_non_integral():
