@@ -34,7 +34,9 @@ by `verify so-model --depth 16 --seed 79` (the depth cap) and `--depth 2
 --seed 18446744073709551617`, a seed above 2**64.  The check order, ids and
 instances of every suite are pinned by `verify groups --depth 16` (the
 exceptional dual route at the depth cap) and the combined CSV report of
-`verify all --depth 2`.
+`verify all --depth 2`.  The Gamma-pole scan at the `exceptional` n cap,
+where the poles start far below zero, is pinned by `exceptional SO 100000
+--count 8` and the CSV report of `exceptional Sp 100000 --count 5`.
 
 The argument parser is pinned by `help_*.txt` (stdout of `rankone -h` and of
 `rankone <command> -h`, exit 0) and `usage_*.txt` (stderr of rejected command
@@ -108,6 +110,9 @@ CASES = [
      ["verify", "so-model", "--depth", "2", "--seed", "18446744073709551617"]),
     ("verify_groups_depth16.json", ["verify", "groups", "--depth", "16"]),
     ("verify_all_depth2.csv", ["verify", "all", "--depth", "2", "--format", "csv"]),
+    ("exceptional_SO_100000_count8.json", ["exceptional", "SO", "100000", "--count", "8"]),
+    ("exceptional_Sp_100000_count5.csv",
+     ["exceptional", "Sp", "100000", "--count", "5", "--format", "csv"]),
 ]
 for fam in FAMILIES:
     CASES += [
