@@ -26,13 +26,20 @@ class UsageError(ValueError):
     pass
 
 
-# one encoder for every CSV cell; json.dumps would build a new one per call
+# one encoder for every scalar of a report, JSON or CSV; json.dumps would
+# build a new one per call
 _CELL_ENCODER = json.JSONEncoder(sort_keys=True)
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 # An int of at most this many bits has fewer than 640 decimal digits, the least
 # value `sys.set_int_max_str_digits` accepts, so it always renders.
 _INT_STR_SAFE_BITS = 2000
+
+
+def _all_str(items) -> bool:
+    # isinstance(item, str) for every item, without a Python-level loop
+    return all(map(str.__instancecheck__, items))
 
 
 def _fmt(value):
@@ -50,10 +57,35 @@ def _fmt(value):
     if isinstance(value, ktypes.KTypeLabel):
         return str(value)
     if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
+        # an already rendered list is copied in C
+        return list(value) if _all_str(value) else [_fmt(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _fmt(v) for k, v in value.items()}
     return str(value)
+
+
+def _emit(value, pad: str) -> str:
+    """The bytes of `json.dumps(value, indent=2, sort_keys=True)` for a report
+    value with str keys, `pad` being the indent of the line value starts on.
+
+    json's indented encoder is pure Python; here every scalar goes through
+    the C encoder and a list of strings is one join.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join([f"{_encode_str(k)}: {_emit(v, inner)}"
+                                      for k, v in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = map(_encode_str, value) if _all_str(value) else [_emit(v, inner) for v in value]
+        body = (",\n" + inner).join(items)
+        return f"[\n{inner}{body}\n{pad}]"
+    return _CELL_ENCODER.encode(value)
 
 
 def _half(t: int) -> str:
@@ -187,7 +219,7 @@ class Report:
                 "results": self.results, "checks": self.checks, "status": self.status}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _emit(self.to_dict(), "")
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -220,7 +252,7 @@ def cmd_structure(family: GroupFamily) -> Report:
     c, d = groups.FAMILY_SPECS[family.variant].shift
     shift = ("ell" if c == 1 else f"{c} ell") + (f" - {-d}" if d else "")
     rep.result("exceptional_closed_form", f"mu_ell(H) = -rho(H) - ({shift})")
-    rep.result("first_exceptional", [_half(t) for t in groups.exceptional_doubled(family, 4)])
+    rep.result("first_exceptional", list(map(_half, groups.exceptional_doubled(family, 4))))
     rep.check("structure-consistency",
               sd.rho_H == Fraction(sd.m_alpha, 2) + sd.m_2alpha
               and sd.dim_p == sd.m_alpha + sd.m_2alpha + 1
@@ -233,10 +265,10 @@ def cmd_exceptional(family: GroupFamily, count: int) -> Report:
     # both routes run on the integers t = 2 mu(H); each value renders once
     closed = groups.exceptional_doubled(family, count)
     scanned = groups.exceptional_in_interval(family, closed[-1])[::-1]
-    closed_text = [_half(t) for t in closed]
+    closed_text = list(map(_half, closed))
     rep.result("closed_form", closed_text)
     rep.result("gamma_pole_scan",
-               closed_text if scanned == closed else [_half(t) for t in scanned])
+               closed_text if scanned == closed else list(map(_half, scanned)))
     rep.check("exceptional-dual-route", closed == scanned, str(family))
     return rep
 
@@ -553,10 +585,12 @@ def _parse(argv: list[str]) -> tuple[argparse.ArgumentParser, argparse.Namespace
 
 # Caps on the size arguments, each set so that a query inside them answers in
 # about 2 s or less (measured at the slowest family, Sp, on a 2-vCPU host):
-# tensor adds each of the ~4n weights of p to a weight of length n, the Weyl
+# tensor adds each of the ~4n weights of p to a weight of length n, and the Weyl
 # dimension of a weight supported on a few coordinates multiplies O(n) factors
-# into an integer of O(n) digits, and the Gamma-pole scan of exceptional runs
-# over about n + count grid points.
+# into an integer of O(n) digits.  exceptional costs O(count) at any n, since
+# its closed form and its Gamma-pole scan both step through arithmetic
+# progressions; its n cap is no time limit, and stays until a report at a
+# larger n is pinned by a golden.
 MAX_N = {"exceptional": 100_000, "socle": 10_000, "tensor": 1000}
 MAX_COUNT = 200_000
 MAX_ELL = 100  # the minimal-K-type search costs the same at every ell

@@ -145,25 +145,28 @@ def exceptional_mu(family: GroupFamily, ell: int) -> SpectralParam:
 
 
 def exceptional_doubled(family: GroupFamily, count: int) -> list[int]:
-    """The integers 2 mu_ell(H) of the first `count` exceptional parameters, decreasing."""
+    """The integers 2 mu_ell(H) of the first `count` exceptional parameters, decreasing.
+
+    They step by -2c from the ell = 0 value, c from the family's `FamilySpec.shift`.
+    """
     if count < 1:
         raise ValueError("count must be positive")
-    sd = structural_data(family)
-    return [_exceptional_t(sd, family.variant, ell) for ell in range(count)]
+    step = 2 * FAMILY_SPECS[family.variant].shift[0]
+    first = _exceptional_t(structural_data(family), family.variant, 0)
+    return list(range(first, first - step * count, -step))
 
 
 def exceptional_in_interval(family: GroupFamily, lo: int) -> list[int]:
     """The integers t = 2 mu(H) in [lo, 0], ascending, where 1/e has a Gamma pole.
 
-    The integer grid of t holds every possible zero: a Gamma argument
-    (m_alpha/2 + c + mu(H))/2 is integral only for mu(H) in a coset of 2Z
-    shifted by an integer or half-integer.  A Gamma argument is integral and
-    nonpositive iff its numerator over 4 is a nonpositive multiple of 4.
+    Gamma has its poles at the nonpositive integers, so a Gamma argument
+    (a0 + t)/4, with a0 + t one of the `_gamma_numerators`, is a pole exactly
+    at t = -a0, -a0 - 4, -a0 - 8, ...  Both a0 are positive (m_alpha >= 1), so
+    each numerator's poles in [lo, 0] are one progression of step -4 from
+    t = -a0, and the scan costs what its output costs.  SU's two numerators
+    coincide, so the union lists each double pole once.
     """
-    sd = structural_data(family)
-    out = []
-    for t in range(lo, 1):
-        a1, a2 = _gamma_numerators(sd, t)
-        if (a1 % 4 == 0 and a1 <= 0) or (a2 % 4 == 0 and a2 <= 0):
-            out.append(t)
-    return out
+    poles = set()
+    for a0 in _gamma_numerators(structural_data(family), 0):
+        poles.update(range(-a0, lo - 1, -4))
+    return sorted(poles)

@@ -2,7 +2,8 @@
 
 Each is the plain form of something `rankone` computes another way: full Weyl
 orbits (the library only counts them, `RootSystem.orbit_size`), the Gamma
-arguments of 1/e in Fractions (the library scans integer numerators,
+arguments of 1/e in Fractions and the walk over every integer t = 2 mu(H) of
+an interval (the library steps through the poles of the integer numerators,
 `groups.exceptional_in_interval`), the Fraction norm that `ktypes.minimal_ktype`
 minimises in doubled integers, Fraction polynomial powers and scalings, and the
 `Fraction` coefficients of a terminating 2F1 that `hypergeom.F21Poly` stores as
@@ -17,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from rankone.groups import GroupFamily, SpectralParam, exceptional_mu, rho_H, structural_data
+from rankone.groups import (GroupFamily, SpectralParam, _gamma_numerators, exceptional_mu, rho_H,
+                            structural_data)
 from rankone.hypergeom import F21Poly
 from rankone.ktypes import KTypeLabel, LanglandsRecord, highest_weight
 from rankone.poly import Poly, pderiv, peval, pmul, trim
@@ -110,6 +112,22 @@ def e_inverse_gamma_args(family: GroupFamily, mu: SpectralParam) -> tuple[Fracti
     sd = structural_data(family)
     half = Fraction(sd.m_alpha, 2)
     return (half + 1 + mu.mu_H) / 2, (half + sd.m_2alpha + mu.mu_H) / 2
+
+
+def exceptional_grid_walk(family: GroupFamily, lo: int) -> list[int]:
+    """The integers t = 2 mu(H) in [lo, 0], ascending, where 1/e has a Gamma pole,
+    found by testing every integer of [lo, 0].
+
+    A Gamma argument is integral and nonpositive iff its numerator over 4 is a
+    nonpositive multiple of 4.
+    """
+    sd = structural_data(family)
+    out = []
+    for t in range(lo, 1):
+        a1, a2 = _gamma_numerators(sd, t)
+        if (a1 % 4 == 0 and a1 <= 0) or (a2 % 4 == 0 and a2 <= 0):
+            out.append(t)
+    return out
 
 
 def is_nonpositive_integer(q: Fraction) -> bool:

@@ -11,10 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rankone
 from rankone import cli, groups, scalars, so_model, spherical, tensor
-from rankone.cli import _fmt, _half, main, parse_family, parse_label, UsageError
+from rankone.cli import _emit, _fmt, _half, main, parse_family, parse_label, UsageError
 from rankone.groups import f4, so, sp, su
 from rankone.ktypes import highest_weight, label
 
@@ -199,6 +200,16 @@ def test_exceptional_routes_agree(capsys):
     assert doc["status"] == "pass"
 
 
+def test_exceptional_with_a_shifted_gamma_numerator_fails_the_dual_route(capsys, monkeypatch):
+    # the scan reads the Gamma numerators, never the closed form's shift
+    real = groups._gamma_numerators
+    monkeypatch.setattr(groups, "_gamma_numerators",
+                        lambda sd, t: (real(sd, t)[0] + 1, real(sd, t)[1]))
+    code, out = run(capsys, ["exceptional", "SU", "3", "--count", "7"])
+    assert code == 1
+    assert failed_checks(out) == [("exceptional-dual-route", "SU(3,1)")]
+
+
 def test_socle_report(capsys):
     code, out = run(capsys, ["socle", "SU", "2", "--ell", "1"])
     assert code == 0
@@ -222,6 +233,35 @@ def test_half_renders_as_the_fraction():
     # the tensor report renders each doubled weight coordinate t through _half
     for t in list(range(-2001, 2002)) + [10 ** 30 + 1, -(10 ** 30 + 1)]:
         assert _half(t) == _fmt(Fraction(t, 2)), t
+
+
+# report scalars: strings with quotes, backslashes, control characters and
+# non-ASCII text, ints past 64 bits, every float json writes (inf, nan, -0.0)
+_SCALARS = (st.text(alphabet=st.sampled_from('ab"\\/\x00\x1f\n\t\x7fé€😀\ud800'))
+            | st.text() | st.integers(-10 ** 40, 10 ** 40) | st.floats()
+            | st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0])
+            | st.booleans() | st.none())
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.lists(st.text(), max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_VALUES)
+def test_emit_writes_the_bytes_of_indented_json_dumps(value):
+    assert _emit(value, "") == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_emit_refuses_an_int_past_the_digit_limit():
+    big = 10 ** (sys.get_int_max_str_digits() + 1)
+    for value in (big, [big], {"k": [1, -big]}):
+        with pytest.raises(ValueError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(ValueError):
+            _emit(value, "")
 
 
 def test_so2_recurrences_unsupported(capsys):
@@ -710,6 +750,43 @@ def test_only_the_lorentz_model_imports_numpy():
             if any(name.partition(".")[0] == "numpy" for name in names):
                 importers.add(module)
     assert importers == {"so_model"}
+
+
+def _json_calls_with_indent(tree) -> list[int]:
+    """Lines of the calls into json (`json.dumps`, `json.encoder.JSONEncoder`, a
+    name imported from json, ...) that pass `indent=`."""
+    json_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            json_names.update(alias.asname or alias.name.partition(".")[0] for alias in node.names
+                              if alias.name.partition(".")[0] == "json")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "json":
+            json_names.update(alias.asname or alias.name for alias in node.names)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords):
+            root = node.func
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in json_names:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_json_indent_rule_on_a_snippet():
+    snippet = ("import json\nimport json.encoder as je\nfrom json import JSONEncoder as E\n"
+               "json.dumps(x, indent=2)\nje.JSONEncoder(indent=1)\nE(indent=4)\n"
+               "json.dumps(x, sort_keys=True)\nother.dumps(x, indent=2)\n")
+    assert _json_calls_with_indent(ast.parse(snippet)) == [4, 5, 6]
+
+
+def test_no_json_call_in_src_passes_indent():
+    """A ratchet on the report encoder: `indent=` sends json down its
+    pure-Python encoder, so reports are indented by `cli._emit`, which writes
+    the same bytes with every scalar and string list encoded in C."""
+    found = {module: lines for module, tree in _src_trees().items()
+             if (lines := _json_calls_with_indent(tree))}
+    assert found == {}
 
 
 # Every function, method and class of src/rankone is named somewhere in

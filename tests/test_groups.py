@@ -6,7 +6,7 @@ import pytest
 
 from rankone import groups
 from rankone.groups import GroupFamily, SpectralParam, f4, so, sp, su
-from tests.references import e_inverse_gamma_args, is_exceptional
+from tests.references import e_inverse_gamma_args, exceptional_grid_walk, is_exceptional
 
 # One literal row per instance: (m_alpha, m_2alpha, rho_H, dim_p, sphere_dim).
 STRUCTURE_TABLE = {
@@ -162,3 +162,24 @@ def test_integer_route_matches_fraction_routes():
         scanned = groups.exceptional_in_interval(fam, doubled[-1])
         assert scanned[::-1] == doubled
         assert [Q(t, 2) for t in scanned] == scan_reference(fam, Q(doubled[-1], 2), Q(0))
+
+
+def test_pole_progressions_match_the_grid_walk():
+    # every family up to n = 200; lo at -2000, at 5, above the first pole, at
+    # it, between the first two poles and at seeded points of [-2000, 5]
+    rng = random.Random(22)
+    fams = [GroupFamily(v, n) for v in ("SO", "SU", "Sp") for n in range(2, 201)] + [f4()]
+    for fam in fams:
+        first = groups.exceptional_doubled(fam, 1)[0]
+        los = {-2000, 5, first + 1, first, first - 1, *(rng.randint(-2000, 5) for _ in range(3))}
+        for lo in sorted(los):
+            assert groups.exceptional_in_interval(fam, lo) == exceptional_grid_walk(fam, lo), (fam, lo)
+
+
+@pytest.mark.parametrize("fam", [so(10 ** 9), su(10 ** 9), sp(10 ** 9)], ids=str)
+def test_scan_at_a_rank_the_grid_walk_cannot_reach(fam):
+    # the poles start at or below 1 - 10**9: a walk over [lo, 0] would test
+    # every one of those 10**9 integers
+    closed = groups.exceptional_doubled(fam, 6)
+    assert closed[0] <= 1 - 10 ** 9
+    assert groups.exceptional_in_interval(fam, closed[-1]) == closed[::-1]
