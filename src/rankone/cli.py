@@ -391,13 +391,12 @@ def verify_tensor(rep: Report, depth: int, tolerance: float, seed: int):
 
 def verify_spherical(rep: Report, depth: int, tolerance: float, seed: int):
     for fam in _tensor_families():
-        # each omega row, Weyl dimension and radial factor is built once per family
+        # each omega row and Weyl dimension is built once per family
         row = functools.cache(functools.partial(spherical.omega_h_expand, fam))
         dim = functools.cache(functools.partial(ktypes.weyl_dim, fam))
-        radials: dict = {}
         labs = ktypes.labels(fam, depth)
         rep.check_each("omega-recurrence-identity", str(fam), labs,
-                       lambda lab: spherical.verify_omega_identity(fam, lab, row(lab), radials))
+                       lambda lab: spherical.verify_omega_identity(fam, lab, row(lab)))
         rep.check_each("lambda-row-convexity", str(fam), labs,
                        lambda lab: (sum(c for _, c in row(lab).terms) == 1
                                     and all(c >= 0 for _, c in row(lab).terms)))

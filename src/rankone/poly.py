@@ -17,15 +17,6 @@ def trim(p: Poly) -> Poly:
     return p
 
 
-def padd(p: Poly, q: Poly) -> Poly:
-    out = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
 def pmul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return []

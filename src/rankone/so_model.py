@@ -103,12 +103,12 @@ def zonal_l2_norm(n: int, k: int) -> Fraction:
 
 
 def _poly_in_direction(z: Poly, v: Sequence, n: int) -> dict[tuple[int, ...], object]:
-    """Expand Z(v . x) as a dict {exponent multi-index: coefficient}."""
+    """Expand Z(v . x) as a dict {exponent multi-index: coefficient} over the support of v."""
     out: dict[tuple[int, ...], object] = {}
     for m, c in enumerate(z):
         if c == 0:
             continue
-        for combo in combinations_with_replacement(range(n), m):
+        for combo in combinations_with_replacement([i for i in range(n) if v[i]], m):
             exps = [0] * n
             coef = c
             for i in combo:

@@ -1,8 +1,9 @@
 """Zonal M-spherical functions, the omega(H)-multiplication recurrences and lambda scalars.
 
 Each spherical function factors into a radial part cos^p(xi) F(a,b,c,-tan^2 xi)
-and, for SU / Sp / F4, an azimuthal factor (a circle character, a Chebyshev
-ratio sin((q+1)t)/sin(t), or a second hypergeometric factor).  Multiplying by
+and, for SU / Sp / F4, an azimuthal factor: a circle character, or the
+zonal function of a smaller sphere (S^3 for Sp, whose degree-q zonal function
+is the Chebyshev ratio sin((q+1)t)/((q+1) sin t); S^7 for F4).  Multiplying by
 omega(H) re-expands in neighbouring K-types with rational coefficients.  The
 row is stated once as a formula (`_raw_row`) and once as a factorisation
 (`_factorisation`): per label, the azimuthal split weights and, per split,
@@ -20,13 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Optional
+from functools import lru_cache
 
 from .groups import GroupFamily, UnsupportedFamilyError, so
 from .hypergeom import F21Poly, f21
 from .ktypes import KTypeLabel, label
-from .poly import Poly, binomial_row, padd, pclear, pmul, trim
+from .poly import Poly, binomial_row, pclear, pmul
 
 
 def _check_supported(family: GroupFamily):
@@ -42,12 +42,14 @@ class RadialFactor:
     series: F21Poly
 
 
+@lru_cache(maxsize=None)
 def radial_factor(family: GroupFamily, coords: tuple[int, ...]) -> RadialFactor:
     """The xi-dependent hypergeometric factor of the spherical function at label coordinates.
 
     The ingredient identities also evaluate it just outside the lattice, at
     Sp (a, a+1) and (a-1, a) and at F4 (m+-1, -1), so it takes coordinates
-    rather than a label.
+    rather than a label.  Neighbouring labels share most factors, so each is
+    built once per process; a factor is frozen, so sharing it is safe.
     """
     _check_supported(family)
     n = family.n
@@ -73,19 +75,18 @@ def zonal_factor(n: int, k: int) -> RadialFactor:
     return RadialFactor(k, f21(Fraction(-k, 2), Fraction(1 - k, 2), Fraction(n - 1, 2)))
 
 
-# F4's azimuthal factor lives on the sphere of angles S^7: it is the SO(8,1)
-# radial factor, and its omega(H) split is the SO(8,1) radial split.
-_F4_ANGLES = so(8)
+# The azimuthal factor of Sp and F4 is a zonal function on a smaller sphere:
+# the SO(4,1) radial factor of degree a - b (U_q/(q+1) on S^3) and the SO(8,1)
+# radial factor of degree k (on S^7).  Its omega(H) split is that family's
+# radial split.  Per variant: the sphere's family and the degree as the form
+# x * c[0] + y * c[-1] in the label coordinates c.
+_AZIMUTHS = {"Sp": (so(4), (1, -1)), "F4": (so(8), (0, 1))}
 
 
-def chebyshev_u(q: int) -> Poly:
-    """U_q(c) = sin((q+1)t)/sin(t) with c = cos t, from the explicit closed form."""
-    if q < 0:
-        return []
-    out = [0] * (q + 1)
-    for j in range(q // 2 + 1):
-        out[q - 2 * j] += (-1) ** j * comb(q - j, j) * 2 ** (q - 2 * j)
-    return trim(out)
+def _azimuth(family: GroupFamily, coords: tuple[int, ...]) -> tuple[GroupFamily, tuple[int]]:
+    """The sphere family and coordinates of the azimuthal factor at coords."""
+    sphere, (x, y) = _AZIMUTHS[family.variant]
+    return sphere, (x * coords[0] + y * coords[-1],)
 
 
 # -- the omega(H) recurrence rows ---------------------------------------------
@@ -181,11 +182,6 @@ def _radial_identity(lhs: RadialFactor, rhs: list[tuple[Fraction, RadialFactor]]
     return not _clear_cos(terms)
 
 
-def chebyshev_three_term(q: int) -> bool:
-    """2 cos(t) U_q = U_{q+1} + U_{q-1} as exact polynomials in cos t."""
-    return pmul([0, 2], chebyshev_u(q)) == padd(chebyshev_u(q + 1), chebyshev_u(q - 1))
-
-
 # (identity name, azimuthal weight w, {target coordinates: radial coefficient c})
 Split = tuple[str, Fraction, dict[tuple[int, ...], Fraction]]
 
@@ -219,65 +215,55 @@ def _factorisation(family: GroupFamily, coords: tuple[int, ...]) -> list[Split]:
         return [("raise_p", half, _terms(den, (p + n - 1, (p + 1, q)), (q, (p, q - 1)))),
                 ("raise_q", half, _terms(den, (q + n - 1, (p, q + 1)), (p, (p - 1, q))))]
     if family.variant == "Sp":
-        # 2 cos(t) U_q = U_{q+1} + U_{q-1}, with the 1/(q+1) normalizations.
         # Both radial splittings hold as formulas for every a >= b, also on
-        # the boundary labels where the lower Chebyshev branch has weight 0.
+        # the boundary labels where the lower azimuthal branch has weight 0.
         a, b = coords
-        q = a - b
         den = 2 * n + a + b - 1
-        return [("lower_pair", Fraction(q, 2 * (q + 1)),
-                 _terms(den, (2 * n - 2 + b, (a, b + 1)), (a + 1, (a - 1, b)))),
-                ("raise_pair", Fraction(q + 2, 2 * (q + 1)),
-                 _terms(den, (2 * n - 1 + a, (a + 1, b)), (b, (a, b - 1))))]
-    m, k = coords
-    ((_, _, angles),) = _factorisation(_F4_ANGLES, (k,))
-    den = 14 + 2 * m
-    return [("lower_pair", angles.get((k - 1,), Fraction(0)),
-             _terms(den, (8 + m - k, (m + 1, k - 1)), (m + k + 6, (m - 1, k - 1)))),
-            ("raise_pair", angles[(k + 1,)],
-             _terms(den, (14 + m + k, (m + 1, k + 1)), (m - k, (m - 1, k + 1))))]
+        lower = _terms(den, (2 * n - 2 + b, (a, b + 1)), (a + 1, (a - 1, b)))
+        upper = _terms(den, (2 * n - 1 + a, (a + 1, b)), (b, (a, b - 1)))
+    else:
+        m, k = coords
+        den = 14 + 2 * m
+        lower = _terms(den, (8 + m - k, (m + 1, k - 1)), (m + k + 6, (m - 1, k - 1)))
+        upper = _terms(den, (14 + m + k, (m + 1, k + 1)), (m - k, (m - 1, k + 1)))
+    # the azimuthal weights are the sphere's radial coefficients
+    sphere, (q,) = _azimuth(family, coords)
+    ((_, _, weights),) = _factorisation(sphere, (q,))
+    return [("lower_pair", weights.get((q - 1,), Fraction(0)), lower),
+            ("raise_pair", weights[(q + 1,)], upper)]
 
 
-def ingredient_identities(family: GroupFamily, coords: tuple[int, ...], radials: dict,
-                          splits: Optional[list[Split]] = None) -> dict[str, bool]:
-    """The per-factor identities whose combination yields the omega(H) row at coords.
+def _checked_splits(family: GroupFamily,
+                    coords: tuple[int, ...]) -> tuple[list[Split], dict[str, bool]]:
+    """_factorisation(family, coords) and the identities of its factors.
 
-    `splits` is _factorisation(family, coords), built here unless the caller
-    already holds it.  `radials` maps label coordinates to the radial factor
-    there; it holds F4's azimuthal factors under SO(8,1) coordinates (k,),
-    which no F4 label has.  A sweep passes one dict for all labels of a
-    family, since neighbouring labels share most factors; each factor is
-    built at most once.
+    For Sp and F4 the "azimuthal" identity is the sphere's radial identity at
+    the azimuthal degree; each split adds its own radial identity.
     """
-    def rad(c: tuple[int, ...]) -> RadialFactor:
-        if c not in radials:
-            radials[c] = radial_factor(family, c)
-        return radials[c]
-
+    splits = _factorisation(family, coords)
     out: dict[str, bool] = {}
-    if family.variant == "Sp":
-        out["chebyshev"] = chebyshev_three_term(coords[0] - coords[1])
-    elif family.variant == "F4":
-        out["azimuthal"] = ingredient_identities(_F4_ANGLES, (coords[1],), radials)["radial"]
-    if splits is None:
-        splits = _factorisation(family, coords)
-    lhs = rad(coords)
+    if family.variant in _AZIMUTHS:
+        out["azimuthal"] = ingredient_identities(*_azimuth(family, coords))["radial"]
+    lhs = radial_factor(family, coords)
     for name, _, terms in splits:
-        out[name] = _radial_identity(lhs, [(c, rad(t)) for t, c in terms.items()])
-    return out
+        out[name] = _radial_identity(lhs, [(c, radial_factor(family, t)) for t, c in terms.items()])
+    return splits, out
 
 
-def verify_omega_identity(family: GroupFamily, lab: KTypeLabel, row: RecurrenceRow,
-                          radials: dict) -> bool:
+def ingredient_identities(family: GroupFamily, coords: tuple[int, ...]) -> dict[str, bool]:
+    """The per-factor identities whose combination yields the omega(H) row at coords."""
+    return _checked_splits(family, coords)[1]
+
+
+def verify_omega_identity(family: GroupFamily, lab: KTypeLabel, row: RecurrenceRow) -> bool:
     """Exact check of the full omega(H) recurrence for one label.
 
     True iff every ingredient identity holds as a polynomial identity and the
     assembled coefficients reproduce `row`, the stated recurrence row of lab
-    (`omega_h_expand`).  A sweep passes the row it already holds and one
-    `radials` dict for all labels of a family (see ingredient_identities).
+    (`omega_h_expand`), which a sweep already holds.
     """
-    splits = _factorisation(family, lab.coords)
-    if not all(ingredient_identities(family, lab.coords, radials, splits).values()):
+    splits, identities = _checked_splits(family, lab.coords)
+    if not all(identities.values()):
         return False
     assembled = {}
     for _, weight, terms in splits:
@@ -288,7 +274,6 @@ def verify_omega_identity(family: GroupFamily, lab: KTypeLabel, row: RecurrenceR
 
 __all__ = [
     "RadialFactor", "RecurrenceRow",
-    "radial_factor", "zonal_factor", "chebyshev_u",
-    "chebyshev_three_term", "omega_h_expand", "lambda_scalar",
+    "radial_factor", "zonal_factor", "omega_h_expand", "lambda_scalar",
     "ingredient_identities", "verify_omega_identity",
 ]

@@ -12,11 +12,16 @@ system and of the socle's Langlands record are kept here as the if-chains that
 `weyl.K_ROWS` and `ktypes.LANGLANDS_ROWS` replaced, and the chamber test and
 dominant representative as the pairwise generator forms that
 `RootSystem.is_dominant` and the memoised `RootSystem.dominant_rep` replaced.
+The Chebyshev closed form U_q and its three-term recurrence are what
+`spherical` read Sp's azimuthal factor from before it became the SO(4,1)
+zonal function, and the dense expansion of Z(v . x) over every coordinate is
+what `so_model._poly_in_direction` ran before it kept to the support of v.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import comb, factorial
 
 from rankone.groups import (GroupFamily, SpectralParam, _gamma_numerators, exceptional_mu, rho_H,
                             structural_data)
@@ -197,6 +202,15 @@ def pscale(p: Poly, c) -> Poly:
     return trim([c * x for x in p])
 
 
+def padd(p: Poly, q: Poly) -> Poly:
+    out = [0] * max(len(p), len(q))
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return trim(out)
+
+
 def ppow(p: Poly, k: int) -> Poly:
     out: Poly = [1]
     for _ in range(k):
@@ -220,3 +234,40 @@ def f21_eval(series: F21Poly, z) -> Fraction:
 def derivative(series: F21Poly) -> Poly:
     """Exact formal d/dz as a coefficient list."""
     return pderiv(list(coeffs(series)))
+
+
+def chebyshev_u(q: int) -> Poly:
+    """U_q(c) = sin((q+1)t)/sin(t) with c = cos t, from the explicit closed form."""
+    if q < 0:
+        return []
+    out = [0] * (q + 1)
+    for j in range(q // 2 + 1):
+        out[q - 2 * j] += (-1) ** j * comb(q - j, j) * 2 ** (q - 2 * j)
+    return trim(out)
+
+
+def chebyshev_three_term(q: int) -> bool:
+    """2 cos(t) U_q = U_{q+1} + U_{q-1} as exact polynomials in cos t."""
+    return pmul([0, 2], chebyshev_u(q)) == padd(chebyshev_u(q + 1), chebyshev_u(q - 1))
+
+
+def poly_in_direction_dense(z: Poly, v, n: int) -> dict[tuple[int, ...], object]:
+    """Z(v . x) as {exponent multi-index: coefficient}, expanded over all n coordinates."""
+    out: dict[tuple[int, ...], object] = {}
+    for m, c in enumerate(z):
+        if c == 0:
+            continue
+        for combo in combinations_with_replacement(range(n), m):
+            exps = [0] * n
+            coef = c
+            for i in combo:
+                exps[i] += 1
+            mult = factorial(m)
+            for e in exps:
+                mult //= factorial(e)
+            for i, e in enumerate(exps):
+                if e:
+                    coef = coef * v[i] ** e
+            key = tuple(exps)
+            out[key] = out.get(key, 0) + mult * coef
+    return out

@@ -112,7 +112,7 @@ def test_criterion_05_recurrence_identities():
     with _Timed("criterion 5: omega(H) recurrences as exact identities", 60):
         for fam in SWEEP_FAMILIES:
             for lab in labels(fam, 10):
-                assert verify_omega_identity(fam, lab, omega_h_expand(fam, lab), {}), (fam, lab)
+                assert verify_omega_identity(fam, lab, omega_h_expand(fam, lab)), (fam, lab)
 
 
 def test_criterion_06_hypergeometric_relations():

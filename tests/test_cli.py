@@ -586,10 +586,10 @@ def test_verify_suites_record_through_check_each():
 def test_verify_spherical_goes_through_verify_omega_identity(capsys, monkeypatch):
     real = spherical.verify_omega_identity
 
-    def failing(family, lab, row, radials):
+    def failing(family, lab, row):
         if family == sp(2) and lab.coords == (2, 1):
             return False
-        return real(family, lab, row, radials)
+        return real(family, lab, row)
 
     monkeypatch.setattr(spherical, "verify_omega_identity", failing)
     code, out = run(capsys, ["verify", "spherical", "--depth", "3"])
@@ -641,8 +641,8 @@ FAMILY_LITERALS = {"SO", "SU", "Sp", "F4"}
 # literals: formulas and one side of a paired route, kept per family on purpose.
 FAMILY_CHAINS = {
     "scalars.growth_step_ratio", "scalars.growth_closed_form",
-    "spherical.radial_factor", "spherical._raw_row",
-    "spherical._factorisation", "spherical.ingredient_identities", "tensor._p_weights",
+    "spherical.radial_factor", "spherical._raw_row", "spherical._factorisation",
+    "tensor._p_weights",
 }
 
 
@@ -685,11 +685,12 @@ def test_family_chains_do_not_creep_back():
     comparisons to 12 and 43, and the nu and vanishing rows
     `scalars.NU_ROWS` and `scalars.VANISHING_ROWS` to 10 and 37, and deleting
     the unused `spherical.phi` to 9 and 34, and the rows `weyl.K_ROWS` and
-    `ktypes.LANGLANDS_ROWS` to 7 and 28.  The chains left are FAMILY_CHAINS:
+    `ktypes.LANGLANDS_ROWS` to 7 and 28, and reading Sp's azimuthal split
+    from SO(4,1) as F4's from SO(8,1), through `spherical._AZIMUTHS`, to 6
+    and 26.  The chains left are FAMILY_CHAINS:
     `scalars.growth_step_ratio` and `scalars.growth_closed_form`,
     `spherical.radial_factor`, `spherical._raw_row`,
-    `spherical._factorisation`, `spherical.ingredient_identities` and
-    `tensor._p_weights`.  A new chain fails here; removing one should remove
+    `spherical._factorisation` and `tensor._p_weights`.  A new chain fails here; removing one should remove
     it from FAMILY_CHAINS too.
     """
     counts = {}
@@ -697,15 +698,14 @@ def test_family_chains_do_not_creep_back():
         counts.update(_family_comparisons(ast.parse(path.read_text()), path.stem))
     chains = {name for name, k in counts.items() if k >= 2}
     assert chains == FAMILY_CHAINS
-    assert sum(counts.values()) <= 28
+    assert sum(counts.values()) <= 26
 
 
 # The parameters of src/rankone that carry a default, each used with more than
 # one value; a parameter every caller passes the same value to is a constant.
 DEFAULTED_PARAMETERS = {
     "cli.main(argv)", "hypergeom._term(factor)", "ktypes.labels(corner)",
-    "so_model.random_lorentz(shape)", "spherical.ingredient_identities(splits)",
-    "weyl.RootSystem.is_dominant(strict)",
+    "so_model.random_lorentz(shape)", "weyl.RootSystem.is_dominant(strict)",
 }
 
 
@@ -734,7 +734,9 @@ def _defaulted_parameters(tree, module: str) -> set[str]:
 def test_defaulted_parameters_do_not_creep_back():
     """A ratchet on defaults: the Lorentz model's samples, step_h, num_points
     and seed defaults became the constants `so_model.SAMPLES`, `STEP_H` and
-    `NUM_POINTS` and required seeds, which took the count from 15 to 6."""
+    `NUM_POINTS` and required seeds, which took the count from 15 to 6, and
+    the memoised `spherical.radial_factor`, which let
+    `spherical.ingredient_identities` drop its `splits` default, to 5."""
     found = set().union(*(_defaulted_parameters(tree, module)
                           for module, tree in _src_trees().items()))
     assert found == DEFAULTED_PARAMETERS

@@ -21,11 +21,12 @@ PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, 
 
 
 @st.composite
-def family_and_label(draw):
-    """A supported family (SO(n,1) with n >= 3, SU, Sp, F4) and a valid label of it."""
+def family_and_label(draw, bound=BIG):
+    """A supported family (SO(n,1) with n >= 3, SU, Sp, F4) and a valid label of it,
+    with coordinates up to `bound`."""
     variant = draw(st.sampled_from(["SO", "SU", "Sp", "F4"]))
-    x = draw(st.integers(0, BIG))
-    y = draw(st.integers(0, BIG))
+    x = draw(st.integers(0, bound))
+    y = draw(st.integers(0, bound))
     if variant == "SO":
         fam = so(draw(st.integers(3, 60)))
         return fam, label(fam, x)

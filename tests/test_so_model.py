@@ -12,6 +12,7 @@ from rankone.ktypes import label, weyl_dim
 from rankone.poly import peval
 from rankone.scalars import t_scalar
 from rankone.spherical import lambda_scalar
+from tests.references import poly_in_direction_dense
 
 
 def SP(x):
@@ -70,6 +71,29 @@ def test_reproducing_identity():
     assert [row[0] for row in r] == [Q(9, 25), Q(12, 25), Q(4, 5), 0]
     for k in range(4):
         assert M.reproducing_check(4, k, r)
+
+
+def _product(n, planes):
+    """The product of the pythagorean rotations in the given (i, j) planes."""
+    r = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    for i, j in planes:
+        g = M.pythagorean_rotation(n, i, j)
+        r = [[sum(r[a][m] * g[m][b] for m in range(n)) for b in range(n)] for a in range(n)]
+    return r
+
+
+@pytest.mark.parametrize("n,planes", [
+    (3, []), (3, [(0, 1)]), (5, [(0, 2)]), (6, [(0, 1), (0, 4)]), (7, [(0, 3), (3, 5), (1, 2)]),
+    (5, [(0, 1), (0, 2), (0, 3), (0, 4)])])
+def test_poly_in_direction_keeps_to_the_support(n, planes):
+    """Expanding Z(v . x) over the support of v = R e1 gives the dense expansion
+    over all n coordinates, less its zero monomials."""
+    v = [row[0] for row in _product(n, planes)]
+    for k in range(6):
+        z = M.zonal_coeffs(n, k)
+        dense = {e: c for e, c in poly_in_direction_dense(z, v, n).items() if c}
+        assert {e: c for e, c in M._poly_in_direction(z, v, n).items() if c} == dense, (n, k)
+        assert M.reproducing_check(n, k, _product(n, planes)), (n, k)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

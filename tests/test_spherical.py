@@ -7,12 +7,12 @@ import pytest
 from rankone import cli, spherical
 from rankone.groups import UnsupportedFamilyError, f4, so, sp, su
 from rankone.ktypes import label, labels, weyl_dim
-from rankone.poly import padd, pmul
-from rankone.spherical import (chebyshev_three_term, chebyshev_u, ingredient_identities,
-                               lambda_scalar, omega_h_expand,
+from rankone.poly import pmul
+from rankone.so_model import zonal_coeffs
+from rankone.spherical import (ingredient_identities, lambda_scalar, omega_h_expand,
                                radial_factor, verify_omega_identity)
 from rankone.tensor import racah_speiser
-from tests.references import coeffs, ppow, pscale
+from tests.references import chebyshev_three_term, chebyshev_u, coeffs, padd, ppow, pscale
 from tests.test_tensor import FAMILIES
 
 
@@ -27,6 +27,13 @@ def test_chebyshev():
     assert chebyshev_u(2) == [-1, 0, 4]
     for q in range(12):
         assert chebyshev_three_term(q)
+
+
+def test_so4_zonal_function_is_the_chebyshev_ratio():
+    """Sp's azimuthal factor U_q(cos t)/(q+1) is the degree-q zonal function on S^3,
+    which spherical reads as the SO(4,1) radial factor."""
+    for q in range(41):
+        assert zonal_coeffs(4, q) == [Q(c, q + 1) for c in chebyshev_u(q)], q
 
 
 # Lemma coefficient tables, written out independently of the implementation.
@@ -105,16 +112,15 @@ def test_dim_reciprocity(fam):
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_omega_identity_sweep(fam):
     for lab in labels(fam, 10):
-        assert verify_omega_identity(fam, lab, omega_h_expand(fam, lab), {}), lab
+        assert verify_omega_identity(fam, lab, omega_h_expand(fam, lab)), lab
 
 
 def test_ingredient_identities_reported_individually():
-    keys = ingredient_identities(su(3), (2, 1), {})
+    keys = ingredient_identities(su(3), (2, 1))
     assert set(keys) == {"raise_p", "raise_q"} and all(keys.values())
-    keys = ingredient_identities(f4(), (3, 1), {})
-    assert set(keys) == {"azimuthal", "lower_pair", "raise_pair"} and all(keys.values())
-    keys = ingredient_identities(sp(2), (2, 2), {})
-    assert all(keys.values())
+    for fam, coords in [(f4(), (3, 1)), (sp(2), (2, 2)), (sp(3), (4, 1))]:
+        keys = ingredient_identities(fam, coords)
+        assert set(keys) == {"azimuthal", "lower_pair", "raise_pair"} and all(keys.values())
 
 
 @pytest.mark.parametrize("fam", [so(3), so(5), so(6), su(2), su(4), sp(2), sp(3), f4()])
@@ -189,7 +195,7 @@ def test_integer_clear_cos_matches_fraction_reference(fam):
 def test_radial_identity_fails_with_a_moved_coefficient(monkeypatch, fam, coords):
     """Moving the first right-hand coefficient by 1/den must break every radial identity."""
     lab = label(fam, *coords)
-    assert all(ingredient_identities(fam, coords, {}).values())
+    assert all(ingredient_identities(fam, coords).values())
     real = spherical._radial_identity
 
     def moved(lhs, rhs):
@@ -197,9 +203,9 @@ def test_radial_identity_fails_with_a_moved_coefficient(monkeypatch, fam, coords
         return real(lhs, [(c + Q(1, c.denominator), r)] + rest)
 
     monkeypatch.setattr(spherical, "_radial_identity", moved)
-    checks = ingredient_identities(fam, coords, {})
-    assert not any(ok for key, ok in checks.items() if key != "chebyshev"), checks
-    assert not verify_omega_identity(fam, lab, omega_h_expand(fam, lab), {})
+    checks = ingredient_identities(fam, coords)
+    assert not any(checks.values()), checks
+    assert not verify_omega_identity(fam, lab, omega_h_expand(fam, lab))
 
 
 @pytest.mark.parametrize("fam,coords,neighbour", [
@@ -218,8 +224,8 @@ def test_swapped_stated_row_fails_only_its_family(monkeypatch, capsys, fam, coor
 
     monkeypatch.setattr(spherical, "_raw_row", swapped)
     lab, other = label(fam, *coords), label(fam, *neighbour)
-    assert not verify_omega_identity(fam, lab, omega_h_expand(fam, lab), {})
-    assert verify_omega_identity(fam, other, omega_h_expand(fam, other), {})
+    assert not verify_omega_identity(fam, lab, omega_h_expand(fam, lab))
+    assert verify_omega_identity(fam, other, omega_h_expand(fam, other))
     assert cli.main(["verify", "spherical", "--depth", "4"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     identity = {c["instance"]: c["status"] for c in checks if c["id"] == "omega-recurrence-identity"}
@@ -247,3 +253,38 @@ def test_non_convex_stated_row_fails_only_its_family(monkeypatch, capsys, argv):
     checks = json.loads(capsys.readouterr().out)["checks"]
     failed = {c["instance"] for c in checks if c["status"] == "fail"}
     assert failed == {str(fam)}
+
+
+@pytest.mark.parametrize("variant", ["Sp", "F4"])
+def test_wrong_azimuthal_degree_fails_only_its_families(monkeypatch, capsys, variant):
+    """Reading the azimuthal degree as c[0] instead of its form moves the split
+    weights, so the assembled row leaves the stated one for that variant only."""
+    sphere, _ = spherical._AZIMUTHS[variant]
+    monkeypatch.setitem(spherical._AZIMUTHS, variant, (sphere, (1, 0)))
+    assert cli.main(["verify", "spherical", "--depth", "4"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = {(c["id"], c["instance"]) for c in checks if c["status"] == "fail"}
+    expected = {str(f) for f in cli._tensor_families() if f.variant == variant}
+    assert expected and failed == {("omega-recurrence-identity", f) for f in expected}
+
+
+def test_broken_so4_split_fails_the_sp_azimuthal_identity(monkeypatch):
+    """Moving the SO(4,1) radial coefficients breaks Sp's azimuthal identity,
+    and with it the weights its omega(H) row is assembled from."""
+    real = spherical._factorisation
+
+    def moved(family, coords):
+        splits = real(family, coords)
+        if family == so(4):
+            ((name, w, terms),) = splits
+            splits = [(name, w, {t: c + Q(1, 7) for t, c in terms.items()})]
+        return splits
+
+    monkeypatch.setattr(spherical, "_factorisation", moved)
+    for coords in [(1, 0), (2, 2), (4, 1)]:
+        checks = ingredient_identities(sp(2), coords)
+        assert checks["azimuthal"] is False, (coords, checks)
+        assert checks["lower_pair"] and checks["raise_pair"]
+        lab = label(sp(2), *coords)
+        assert not verify_omega_identity(sp(2), lab, omega_h_expand(sp(2), lab))
+    assert all(ingredient_identities(f4(), (3, 1)).values())
