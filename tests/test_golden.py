@@ -23,7 +23,9 @@ Sp 8, F4, SO 8 and SO 2, and the integer exceptional route by `exceptional
 Sp 7 --count 3028` and the CSV report of `exceptional SU 8 --count 1610`.
 The K-type dimensions at the size caps, up to ~35 digits, are pinned by
 `tensor Sp 300 V6,2`, `tensor SU 300 Y3,5` and `socle Sp 800 --ell 100`, and
-the tensor cap itself by `tensor SO 1000 Y3`.  The integer nu and vanishing
+the tensor cap itself by `tensor SO 1000 Y3`, `tensor Sp 1000 V6,2` and
+`tensor SU 1000 Y3,5`; the Racah-Speiser sweep at the depth cap by `verify
+tensor --depth 16`.  The integer nu and vanishing
 rows and the cancelled growth quotients are pinned by `verify scalars --depth
 16` (the depth cap) and by one lowering query per family, where nu involves
 rho: `scalars SO 999 Y6 Y5`, `SO 1000 Y6 Y5`, `SU 1000 Y3,2 Y2,2`, `Sp 1000
@@ -102,6 +104,9 @@ CASES = [
     ("tensor_SU_300_Y3_5.json", ["tensor", "SU", "300", "Y3,5"]),
     ("socle_Sp_800_ell100.json", ["socle", "Sp", "800", "--ell", "100"]),
     ("tensor_SO_1000_Y3.json", ["tensor", "SO", "1000", "Y3"]),
+    ("tensor_Sp_1000_V6_2.json", ["tensor", "Sp", "1000", "V6,2"]),
+    ("tensor_SU_1000_Y3_5.json", ["tensor", "SU", "1000", "Y3,5"]),
+    ("verify_tensor_depth16.json", ["verify", "tensor", "--depth", "16"]),
     ("verify_scalars_depth16.json", ["verify", "scalars", "--depth", "16"]),
     ("verify_so_model_depth6_seed0.json", ["verify", "so-model", "--depth", "6", "--seed", "0"]),
     ("verify_so_model_depth16_seed79.json",
