@@ -9,13 +9,19 @@ peels the highest weights in one descending pass.  p and p* are identified as
 K-modules.
 
 Every weight, in the API and inside, is a doubled-integer weight 2w
-(`weyl.Weight2`), the one weight format of the library.  The two routes share
-no kernel: Racah-Speiser uses to_dominant_chamber, the oracle Freudenthal and
-dominant_rep, with orbit_size (|W| over the stabiliser) in its dimension checks.
-The oracle's state lives in two memos that grow only with the distinct weights
-a process touches: the Freudenthal tables of `_dominant_multiplicities`, and
-the dominant representatives and orbit sizes each RootSystem keeps; nothing on
-the Racah-Speiser route reads either.
+(`weyl.Weight2`), the one weight format of the library.  The weights of p are
+stated once, as sparse shifts ((index, delta), ...) like the roots.  The two
+routes share no chamber kernel.  Racah-Speiser hands lam + 2 rho and each
+weight of p to `RootSystem.to_dominant_chamber`, which costs O(1) per weight
+of p, and builds a dense weight only for each surviving summand.  The oracle
+runs Freudenthal over `RootSystem.dominant_weights_below` and looks weights up
+through `dominant_rep`, with `orbit_size` (|W| over the stabiliser) in its
+dimension checks.  The closed form shifts lam by each weight of p and keeps
+the dominant ones with its own `is_dominant`.  The oracle's state lives in
+memos that grow only with the distinct weights a process touches: the
+Freudenthal tables of `_dominant_multiplicities`, and the dominant
+representatives, orbit sizes and dominant children that each RootSystem
+keeps; nothing on the Racah-Speiser route reads any of them.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from typing import Optional
 
 from .groups import GroupFamily, UnsupportedFamilyError, structural_data
 from .ktypes import KTypeLabel, highest_weight, label_from_weight, weyl_dim
-from .weyl import Weight2, k_root_system, pair, shift, w_add, w_dot, w_sub
+from .weyl import Root, Weight2, k_root_system, pair, shift, w_add, w_dot
 
 
 class AlgorithmViolation(RuntimeError):
@@ -61,20 +67,17 @@ def _check_supported(family: GroupFamily):
 
 
 @lru_cache(maxsize=None)
-def _p_weights(variant: str, n: Optional[int]) -> tuple[Weight2, ...]:
-    """Doubled weights of p, each once: +-e_i (and 0 for odd n) for SO,
-    +-(e_i - e_{n+1}) for SU, +-e_i +- e_{n+1} for Sp, (+-1/2, ..., +-1/2) for F4."""
+def _p_weights(variant: str, n: Optional[int]) -> tuple[Root, ...]:
+    """Doubled weights of p, each once, as sparse shifts ((index, delta), ...)
+    like a root: +-e_i (and 0 for odd n) for SO, +-(e_i - e_{n+1}) for SU,
+    +-e_i +- e_{n+1} for Sp, (+-1/2, ..., +-1/2) for F4."""
     if variant == "F4":
-        return tuple(product((1, -1), repeat=4))
+        return tuple(tuple(enumerate(signs)) for signs in product((1, -1), repeat=4))
     if variant == "SO":
-        zero = (0,) * (n // 2)
-        units = tuple(shift(zero, ((i, s),), 1) for i in range(n // 2) for s in (2, -2))
-        return units + (zero,) * (n % 2)
-    zero = (0,) * (n + 1)
+        return tuple(((i, s),) for i in range(n // 2) for s in (2, -2)) + ((),) * (n % 2)
     if variant == "SU":
-        return tuple(shift(zero, ((i, s), (n, -s)), 1) for i in range(n) for s in (2, -2))
-    return tuple(shift(zero, ((i, s), (n, t)), 1)
-                 for i in range(n) for s in (2, -2) for t in (2, -2))
+        return tuple(((i, s), (n, -s)) for i in range(n) for s in (2, -2))
+    return tuple(((i, s), (n, t)) for i in range(n) for s in (2, -2) for t in (2, -2))
 
 
 def _decomposition(family: GroupFamily, source: Weight2, acc: Counter) -> Decomposition:
@@ -95,12 +98,9 @@ def racah_speiser_weight(family: GroupFamily, lam: Weight2) -> Decomposition:
     lam_rho = w_add(lam, rs.two_rho)
     acc: Counter = Counter()
     for beta in _p_weights(family.variant, family.n):
-        dom, sign = rs.to_dominant_chamber(w_add(lam_rho, beta))
-        if dom is None:
-            continue
-        if not rs.is_dominant(dom, strict=True):
-            raise AssertionError("regular orbit representative must be strictly dominant")
-        acc[w_sub(dom, rs.two_rho)] += sign
+        moves, sign = rs.to_dominant_chamber(lam_rho, beta)
+        if moves is not None:
+            acc[shift(lam, moves, 1)] += sign
     if any(m < 0 for m in acc.values()):
         raise AlgorithmViolation(f"negative multiplicity in {family} at doubled weight "
                                  f"{lam}: {acc}")
@@ -123,48 +123,41 @@ def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tu
     """Multiplicities of the dominant weights of V_lam via Freudenthal's formula.
 
     The dominant weights of V_lam are the dominant mu with lam - mu a sum of
-    positive roots; each is reached from lam through dominant weights by
-    subtracting one positive root at a time (Stembridge, "The partial order of
-    dominant weights", 1998).  Multiplicities of non-dominant weights are
-    looked up through their dominant orbit representative, which the root
-    system memoises across tables.
+    positive roots, `RootSystem.dominant_weights_below(lam)`, which the root
+    system walks once per dominant weight across all tables.  Multiplicities
+    of non-dominant weights are looked up through their dominant orbit
+    representative, which the root system memoises across tables too.
     """
     rs = k_root_system(variant, n)
+    two_rho = rs.two_rho
     top_norm = w_dot(lam, lam)
-    candidates = {lam}
-    frontier = [lam]
-    while frontier:
-        mu = frontier.pop()
-        for alpha in rs.positive_roots:
-            nu = shift(mu, alpha, -2)
-            if nu not in candidates and rs.is_dominant(nu):
-                if w_dot(nu, nu) > top_norm:
-                    raise AssertionError("dominant weights below lam must lie in the ||lam|| ball")
-                candidates.add(nu)
-                frontier.append(nu)
-    lam_rho = w_add(lam, rs.two_rho)
-    c_top = w_dot(lam_rho, lam_rho)
-    roots = [(alpha, sum(c * c for _, c in alpha)) for alpha in rs.positive_roots]
+    # the denominator |lam + 2 rho|^2 - |w + 2 rho|^2 with the |2 rho|^2 of both
+    # sides cancelled, from |w|^2 and the height <w, 2 rho> that orders the walk
+    c_top = top_norm + 2 * w_dot(lam, two_rho)
     mult: dict[Weight2, int] = {lam: 1}
-    for w in sorted(candidates, key=lambda w: w_dot(w, rs.two_rho), reverse=True):
+    rep, known = rs.dominant_rep, mult.get
+    for height, w in sorted(((w_dot(w, two_rho), w) for w in rs.dominant_weights_below(lam)),
+                            reverse=True):
         if w == lam:
             continue
-        w_rho = w_add(w, rs.two_rho)
-        denom = c_top - w_dot(w_rho, w_rho)
+        w_norm = w_dot(w, w)
+        denom = c_top - w_norm - 2 * height
         if denom <= 0:
             raise AssertionError("Freudenthal denominator must be positive below lam")
         total = 0
-        w_norm = w_dot(w, w)
-        for alpha, aa in roots:
-            # walk up = w + 2k alpha (doubled) with norm = |up|^2 and p = <up, alpha>:
+        for alpha, aa in rs.root_norms:
+            # walk up = w + 2k alpha (doubled) with norm = |up|^2 and p = <up, alpha>
+            # inside the ||lam|| ball, which skips a root whose first step leaves it:
             # one step adds 4 (p + |alpha|^2) to the norm and 2 |alpha|^2 to p
-            up, norm, p = w, w_norm, pair(w, alpha)
-            while (norm := norm + 4 * (p + aa)) <= top_norm:  # the ||lam|| ball
+            p = pair(w, alpha)
+            norm, up = w_norm + 4 * (p + aa), w
+            while norm <= top_norm:
                 up = shift(up, alpha, 2)
                 p += 2 * aa
-                m_up = mult.get(rs.dominant_rep(up))
+                m_up = known(rep(up))
                 if m_up:
                     total += m_up * 2 * p  # <up, 2 alpha> in doubled units
+                norm += 4 * (p + aa)
         m, rem = divmod(2 * total, denom)
         if rem or m < 0:
             raise AssertionError(f"non-integral Freudenthal multiplicity "
@@ -196,8 +189,9 @@ def character_oracle(family: GroupFamily, lab: KTypeLabel) -> Decomposition:
     betas = _p_weights(variant, n)
     m_lam = dict(_dominant_multiplicities(variant, n, lam))
     char: dict[Weight2, int] = {}
-    for mu in {rs.dominant_rep(w_add(nu, beta)) for nu in m_lam for beta in betas}:
-        m = sum(m_lam.get(rs.dominant_rep(w_sub(mu, beta)), 0) for beta in betas)
+    rep = rs.dominant_rep
+    for mu in {rep(shift(nu, beta, 1)) for nu in m_lam for beta in betas}:
+        m = sum(m_lam.get(rep(shift(mu, beta, -1)), 0) for beta in betas)
         if m:
             char[mu] = m
     if (sum(m * rs.orbit_size(mu) for mu, m in char.items())
@@ -264,7 +258,7 @@ def expected_summand_labels(family: GroupFamily, lab: KTypeLabel) -> set[Weight2
     else:
         lam = highest_weight(lab)
         for beta in _p_weights(family.variant, family.n):
-            push(w_add(lam, beta))
+            push(shift(lam, beta, 1))
     return out
 
 

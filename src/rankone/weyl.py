@@ -14,15 +14,20 @@ closed form per kind, orbit sizes are |W| over the stabiliser rather than
 counted, and the Weyl dimension multiplies only the factors of the roots
 e_i +- e_j, e_i, 2 e_i that meet the support of the weight (Fulton-Harris,
 Representation Theory, Lecture 24), O(rank) for the weights of bounded
-support that the families use.  The positive roots themselves, stored sparsely
-as ((index, coefficient), ...) with int coefficients, are enumerated only on
-first access, which only the Freudenthal oracle makes.  The oracle also asks
-for the same dominant representatives and orbit sizes many times, so each
-RootSystem memoises `dominant_rep` and `orbit_size` in a dict of its own,
-which grows only with the distinct weights a process asks about;
-`to_dominant_chamber`, the Racah-Speiser kernel, is not memoised.  w_add,
-w_sub and w_dot run through `map`, which stops at the shorter argument, so they
-check the lengths first.
+support that the families use.
+
+The two routes of `tensor` read different kernels here.  Racah-Speiser reads
+only `to_dominant_chamber`, which takes the base lam + 2 rho and one weight of
+p as a sparse shift and compares the moved coordinates with their neighbours,
+O(1) per weight of p, and is not memoised.  The Freudenthal oracle reads the
+positive roots, stored sparsely as ((index, coefficient), ...) with int
+coefficients and enumerated only on first access, which only the oracle makes,
+with their squared lengths in `root_norms`; and it asks for the same dominant
+representatives, orbit sizes and dominant weights below a highest weight many
+times, so each RootSystem memoises `dominant_rep`, `orbit_size` and the
+dominant children that the walk of `dominant_weights_below` expands, in dicts
+of its own, which grow only with the distinct weights a process asks about.  w_add and w_dot run through `map`,
+which stops at the shorter argument, so they check the lengths first.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial, prod
-from operator import add, ge, gt, mul, sub
+from operator import add, ge, gt, mul
 
 Weight2 = tuple[int, ...]  # doubled-integer weight 2w
 Root = tuple[tuple[int, int], ...]  # sparse: ((index, coefficient), ...)
@@ -43,12 +48,6 @@ def w_add(a, b):
     return tuple(map(add, a, b))
 
 
-def w_sub(a, b):
-    if len(a) != len(b):
-        raise ValueError(f"weights of lengths {len(a)} and {len(b)}")
-    return tuple(map(sub, a, b))
-
-
 def w_dot(a, b):
     if len(a) != len(b):
         raise ValueError(f"weights of lengths {len(a)} and {len(b)}")
@@ -57,7 +56,10 @@ def w_dot(a, b):
 
 def pair(w, alpha: Root):
     """<w, alpha> for a sparse root."""
-    return sum(c * w[i] for i, c in alpha)
+    total = 0
+    for i, c in alpha:  # a loop, not sum over a generator: a root has one or two entries
+        total += c * w[i]
+    return total
 
 
 def shift(w, alpha: Root, k: int):
@@ -103,6 +105,11 @@ class RootSystem:
             roots += [((i, 2),) for i in range(self.rank + 1)]
         return tuple(roots)
 
+    @cached_property
+    def root_norms(self) -> tuple[tuple[Root, int], ...]:
+        """(alpha, |alpha|^2) for every positive root alpha, in that order."""
+        return tuple((alpha, sum(c * c for _, c in alpha)) for alpha in self.positive_roots)
+
     # -- chamber tests ------------------------------------------------------
 
     def is_dominant(self, w: Weight2, strict: bool = False) -> bool:
@@ -121,50 +128,56 @@ class RootSystem:
                 return False
         return all(map(cmp, head, head[1:]))
 
-    # -- orbit normalization -------------------------------------------------
+    # -- Racah-Speiser kernel -------------------------------------------------
 
-    def to_dominant_chamber(self, w: Weight2):
-        """Unique chamber representative of w with the sign of the Weyl element.
+    def to_dominant_chamber(self, base: Weight2, beta: Root):
+        """The chamber representative of base + beta with the sign of the Weyl
+        element, for a sparse shift beta of a Racah-Speiser base.
 
-        Returns (dominant weight, sign) or (None, 0) when w lies on a wall,
-        i.e. is fixed by some reflection.
+        base must be lam + 2 rho for a dominant lam: its permuted coordinates
+        are then at least 2 apart, B's last is at least 1 and D's second-last
+        at least 2 above |last|.  Every weight of p moves a coordinate by at
+        most 2 and two neighbours apart by at most 2, so a moved coordinate can
+        only land on its neighbour (a wall: B and CC compare the last coordinate
+        and the Sp(1) coordinate with 0, D its second-last with |last|) or, for
+        B, pass 0, which the reflection in e_rank undoes with sign -1.  Each
+        beta costs O(|beta|) comparisons and no dense weight: returns (moves,
+        sign) with base + moves (sparse, like a root) the representative, or
+        (None, 0) on a wall.  A coordinate that would pass its neighbour breaks
+        the precondition and raises AssertionError.
         """
-        head = list(w[: self.rank])
-        tail = list(w[self.rank:])
+        rank, kind = self.rank, self.kind
+        last = rank - 1
+        moved = {i: base[i] + d for i, d in beta}
         sign = 1
-        if self.kind == "A":
-            if len(set(head)) < len(head):
-                return None, 0
-            sign = _sort_sign(head)
-            return tuple(sorted(head, reverse=True)) + tuple(tail), sign
-        if self.kind == "CC":
-            if tail[0] == 0:
-                return None, 0
-            if tail[0] < 0:
-                tail[0] = -tail[0]
-                sign = -sign
-        if self.kind in ("B", "CC"):
-            if any(x == 0 for x in head):
-                return None, 0
-            flips = sum(1 for x in head if x < 0)
-            head = [abs(x) for x in head]
-            if len(set(head)) < len(head):
-                return None, 0
-            sign *= (-1) ** flips * _sort_sign(head)
-            return tuple(sorted(head, reverse=True)) + tuple(tail), sign
-        # D: sign changes come in pairs; a zero coordinate absorbs parity
-        absd = [abs(x) for x in head]
-        if len(set(absd)) < len(absd):
+        if kind == "B" and moved.get(last, 0) < 0:  # the reflection in e_rank
+            moved[last] = -moved[last]
+            sign = -1
+        at = moved.get
+        gap = 1  # the least distance from a moved coordinate's upper side to its lower one
+        for i, x in moved.items():
+            if i > last:  # CC's Sp(1) coordinate stays above 0, A's central one is free
+                if kind == "CC":
+                    gap = min(gap, x)
+                continue
+            if i:  # the coordinate above, which D compares with |last|
+                upper = at(i - 1, base[i - 1])
+                gap = min(gap, upper - (abs(x) if kind == "D" and i == last else x))
+            if i < last:  # the coordinate below
+                lower = at(i + 1, base[i + 1])
+                gap = min(gap, x - (abs(lower) if kind == "D" and i + 1 == last else lower))
+            elif kind in ("B", "CC"):  # the last stays above 0
+                gap = min(gap, x)
+        if gap < 0:
+            raise AssertionError("regular orbit representative must be strictly dominant")
+        if gap == 0:
             return None, 0
-        flips = sum(1 for x in head if x < 0)
-        out = sorted(absd, reverse=True)
-        if flips % 2 == 1 and out[-1] != 0:
-            out[-1] = -out[-1]
-        return tuple(out) + tuple(tail), _sort_sign(absd)
+        return tuple((i, x - base[i]) for i, x in moved.items()), sign
 
-    # the memos of dominant_rep and orbit_size, built on first access like
-    # positive_roots.  They key weights by value, and Fraction(2) == 2, so a
-    # caller passing Fractions would share entries with the int weights.
+    # the memos of dominant_rep, orbit_size and the dominant_weights_below walk,
+    # built on first access like positive_roots.  They key weights by value, and
+    # Fraction(2) == 2, so a caller passing Fractions would share entries with
+    # the int weights.
 
     @cached_property
     def _reps(self) -> dict[Weight2, Weight2]:
@@ -172,6 +185,10 @@ class RootSystem:
 
     @cached_property
     def _orbit_sizes(self) -> dict[Weight2, int]:
+        return {}
+
+    @cached_property
+    def _children(self) -> dict[Weight2, list[Weight2]]:
         return {}
 
     def dominant_rep(self, w: Weight2) -> Weight2:
@@ -224,6 +241,46 @@ class RootSystem:
                 stab *= 2
         return order // stab
 
+    def dominant_weights_below(self, mu: Weight2) -> set[Weight2]:
+        """The dominant weights nu <= mu of the dominant weight mu.
+
+        Each is reached from mu through dominant weights by subtracting one
+        positive root at a time (Stembridge, "The partial order of dominant
+        weights", 1998).  The walk runs from an explicit stack and memoises the
+        dominant children mu - alpha of each weight it expands, so each
+        dominant weight is expanded once per root system, whichever highest
+        weight first reached it; the memo holds the edges of the walk, not a
+        set per weight, which would grow with the square of its depth.
+        """
+        children = self._children
+        seen = {mu}
+        stack = [mu]
+        while stack:
+            top = stack.pop()
+            below = children.get(top)
+            if below is None:
+                below = children[top] = self._dominant_children(top)
+            for nu in below:
+                if nu not in seen:
+                    seen.add(nu)
+                    stack.append(nu)
+        return seen
+
+    def _dominant_children(self, mu: Weight2) -> list[Weight2]:
+        """The dominant mu - alpha over the positive roots alpha.  Dominant
+        nu <= mu have |nu| <= |mu|, since |mu|^2 - |nu|^2 = <mu - nu, mu + nu>;
+        each child is checked for it, so every dominant weight below a highest
+        weight lies in its ball."""
+        norm = w_dot(mu, mu)
+        out = []
+        for alpha in self.positive_roots:
+            nu = shift(mu, alpha, -2)
+            if self.is_dominant(nu):
+                if w_dot(nu, nu) > norm:
+                    raise AssertionError("dominant weights below lam must lie in the ||lam|| ball")
+                out.append(nu)
+        return out
+
     # -- Weyl dimension formula ---------------------------------------------
 
     def weyl_dim(self, lam: Weight2) -> int:
@@ -266,25 +323,6 @@ class RootSystem:
         if rem:
             raise ValueError(f"Weyl dimension of doubled weight {lam} is not integral")
         return d
-
-
-def _sort_sign(values) -> int:
-    """Parity of the permutation sorting `values` into decreasing order."""
-    order = sorted(range(len(values)), key=lambda i: values[i], reverse=True)
-    seen = [False] * len(order)
-    sign = 1
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = order[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # 2 rho, the sum of the positive roots, per kind (coordinate i counted from 0):

@@ -12,24 +12,31 @@ system and of the socle's Langlands record are kept here as the if-chains that
 `weyl.K_ROWS` and `ktypes.LANGLANDS_ROWS` replaced, and the chamber test and
 dominant representative as the pairwise generator forms that
 `RootSystem.is_dominant` and the memoised `RootSystem.dominant_rep` replaced.
-The Chebyshev closed form U_q and its three-term recurrence are what
+The Racah-Speiser route is kept as it ran before its kernel became sparse:
+every weight of p added to all of lam + 2 rho and sorted back into the
+chamber with the sign of the sorting permutation, where
+`RootSystem.to_dominant_chamber` now compares only the moved coordinates with
+their neighbours.  The Chebyshev closed form U_q and its three-term recurrence are what
 `spherical` read Sp's azimuthal factor from before it became the SO(4,1)
 zonal function, and the dense expansion of Z(v . x) over every coordinate is
 what `so_model._poly_in_direction` ran before it kept to the support of v.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial
+from operator import sub
 
 from rankone.groups import (GroupFamily, SpectralParam, _gamma_numerators, exceptional_mu, rho_H,
                             structural_data)
 from rankone.hypergeom import F21Poly
 from rankone.ktypes import KTypeLabel, LanglandsRecord, highest_weight
 from rankone.poly import Poly, pderiv, peval, pmul, trim
-from rankone.weyl import (RootSystem, Weight2, k_root_system, type_a_u, type_b, type_c_c1,
-                          type_d, w_dot)
+from rankone.tensor import _p_weights
+from rankone.weyl import (RootSystem, Weight2, k_root_system, shift, type_a_u, type_b, type_c_c1,
+                          type_d, w_add, w_dot)
 
 # -- Weyl orbits ----------------------------------------------------------------
 
@@ -102,6 +109,85 @@ def dominant_rep(rs: RootSystem, w: Weight2) -> Weight2:
     if flips % 2 == 1 and out[-1] != 0:
         out[-1] = -out[-1]
     return tuple(out) + tuple(tail)
+
+
+def to_dominant_chamber(rs: RootSystem, w: Weight2):
+    """Unique chamber representative of any w with the sign of the Weyl element,
+    by sorting the absolute values: (dominant weight, sign), or (None, 0) when
+    w lies on a wall, i.e. is fixed by some reflection."""
+    head = list(w[: rs.rank])
+    tail = list(w[rs.rank:])
+    sign = 1
+    if rs.kind == "A":
+        if len(set(head)) < len(head):
+            return None, 0
+        sign = _sort_sign(head)
+        return tuple(sorted(head, reverse=True)) + tuple(tail), sign
+    if rs.kind == "CC":
+        if tail[0] == 0:
+            return None, 0
+        if tail[0] < 0:
+            tail[0] = -tail[0]
+            sign = -sign
+    if rs.kind in ("B", "CC"):
+        if any(x == 0 for x in head):
+            return None, 0
+        flips = sum(1 for x in head if x < 0)
+        head = [abs(x) for x in head]
+        if len(set(head)) < len(head):
+            return None, 0
+        sign *= (-1) ** flips * _sort_sign(head)
+        return tuple(sorted(head, reverse=True)) + tuple(tail), sign
+    # D: sign changes come in pairs; a zero coordinate absorbs parity
+    absd = [abs(x) for x in head]
+    if len(set(absd)) < len(absd):
+        return None, 0
+    flips = sum(1 for x in head if x < 0)
+    out = sorted(absd, reverse=True)
+    if flips % 2 == 1 and out[-1] != 0:
+        out[-1] = -out[-1]
+    return tuple(out) + tuple(tail), _sort_sign(absd)
+
+
+def _sort_sign(values) -> int:
+    """Parity of the permutation sorting `values` into decreasing order."""
+    order = sorted(range(len(values)), key=lambda i: values[i], reverse=True)
+    seen = [False] * len(order)
+    sign = 1
+    for start in range(len(order)):
+        if seen[start]:
+            continue
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = order[i]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def w_sub(a, b):
+    """a - b, checked like `weyl.w_add`; the library subtracts sparse shifts instead."""
+    if len(a) != len(b):
+        raise ValueError(f"weights of lengths {len(a)} and {len(b)}")
+    return tuple(map(sub, a, b))
+
+
+def racah_speiser_dense(family: GroupFamily, lam: Weight2) -> Counter:
+    """The signed multiplicities of V_lam (x) p, by the dense route: each weight
+    beta of p added to all of lam + 2 rho and sorted back into the chamber."""
+    rs = k_root_system(family.variant, family.n)
+    lam_rho = w_add(lam, rs.two_rho)
+    acc: Counter = Counter()
+    for beta in _p_weights(family.variant, family.n):
+        dom, sign = to_dominant_chamber(rs, shift(lam_rho, beta, 1))
+        if dom is None:
+            continue
+        assert is_dominant(rs, dom, strict=True)
+        acc[w_sub(dom, rs.two_rho)] += sign
+    return acc
 
 
 # -- the e-function -------------------------------------------------------------

@@ -504,6 +504,21 @@ def test_verify_spherical_reports_a_failing_racah_speiser(capsys, monkeypatch, e
     assert failed_checks(out) == [("omega-vs-tensor-adjacency", "SU(3,1)")]
 
 
+@pytest.mark.parametrize("exc", [tensor.AlgorithmViolation, AssertionError])
+def test_tensor_query_reports_a_failing_racah_speiser(capsys, monkeypatch, exc):
+    lab = label(su(3), 2, 1)
+    _racah_speiser_raises_at(monkeypatch, su(3), lab, exc)
+    code = main(["tensor", "SU", "3", "Y2,1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "fail" and report["results"] == {}
+    assert failed_checks(captured.out) == [("tensor-racah-speiser", str(lab))]
+    # a label where nothing is injected keeps its report
+    assert run(capsys, ["tensor", "SU", "3", "Y1,1"])[0] == 0
+
+
 def test_verify_tensor_reports_a_broken_closed_form_as_a_failed_check(capsys, monkeypatch):
     real = tensor.expected_summand_labels
 

@@ -10,7 +10,8 @@ from rankone.groups import UnsupportedFamilyError, f4, so, sp, structural_data, 
 from rankone.ktypes import highest_weight, label, labels, weyl_dim
 from rankone.tensor import (AlgorithmViolation, character_oracle, dimension_sum_check,
                             expected_summand_labels, racah_speiser, racah_speiser_weight)
-from rankone.weyl import k_root_system, w_add, w_dot
+from rankone.weyl import k_root_system, shift, w_add, w_dot
+from tests import references
 from tests.references import orbit
 
 
@@ -24,7 +25,9 @@ ORACLE_FAMILIES = ([so(n) for n in range(3, 9)] + [su(n) for n in range(2, 5)]
 
 
 def p_weights(fam):
-    return tensor._p_weights(fam.variant, fam.n)
+    """The weights of p as dense doubled weights."""
+    zero = (0,) * k_root_system(fam.variant, fam.n).dim
+    return tuple(shift(zero, beta, 1) for beta in tensor._p_weights(fam.variant, fam.n))
 
 
 def test_weights_of_p_counts():
@@ -136,7 +139,7 @@ def reference_character_oracle(fam, lab):
     lam = highest_weight(lab)
     char = Counter()
     for w, m in full(lam).items():
-        for beta in tensor._p_weights(fam.variant, fam.n):
+        for beta in p_weights(fam):
             char[w_add(w, beta)] += m
     acc = Counter()
     for _ in range(512):
@@ -218,11 +221,76 @@ def test_racah_speiser_reads_no_oracle_kernel(monkeypatch):
     def refuse(rs, w):
         raise AssertionError(f"oracle kernel called on {w}")
 
-    for name in ("dominant_rep", "_dominant_rep", "orbit_size", "_orbit_size"):
+    def refuse_roots(rs):
+        raise AssertionError(f"oracle roots read on {rs.kind}{rs.rank}")
+
+    for name in ("dominant_rep", "_dominant_rep", "orbit_size", "_orbit_size",
+                 "dominant_weights_below", "_dominant_children"):
         monkeypatch.setattr(weyl.RootSystem, name, refuse)
+    # a property takes precedence over a value cached on the instance
+    for name in ("positive_roots", "root_norms"):
+        monkeypatch.setattr(weyl.RootSystem, name, property(refuse_roots))
     for fam in FAMILIES:
         for lab in labels(fam, 3):
             assert racah_speiser(fam, lab).weights() == expected_summand_labels(fam, lab), lab
+
+
+RS_FAMILIES = ([so(n) for n in (3, 4, 5, 6, 9, 40, 121)] + [su(n) for n in (2, 3, 7, 60)]
+               + [sp(n) for n in (2, 3, 8, 60)] + [f4()])
+
+
+@pytest.mark.parametrize("fam", RS_FAMILIES)
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_racah_speiser_matches_the_dense_route_on_random_dominant_weights(fam, data):
+    # any dominant weight, not only a label's: all-even or all-odd coordinates,
+    # often equal or zero, so that many weights of p land on walls
+    rs = k_root_system(fam.variant, fam.n)
+    w = data.draw(st.tuples(*[st.integers(-4, 4)] * rs.dim))
+    odd = data.draw(st.sampled_from([0, 1]))
+    lam = rs.dominant_rep(tuple(2 * x + odd for x in w))
+    expected = +references.racah_speiser_dense(fam, lam)
+    dec = racah_speiser_weight(fam, lam)
+    assert {s.weight: s.multiplicity for s in dec.summands} == expected, lam
+
+
+def test_racah_speiser_makes_no_dense_weight_operation_per_beta(monkeypatch):
+    """A ratchet on the sparse kernel: at Sp(1000,1), with 4n = 4000 weights of
+    p, racah_speiser_weight adds 2 rho to lam once, tests lam for dominance
+    once and builds one dense weight per surviving shift, so the dense
+    add-and-sort per weight of p cannot come back."""
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (tensor, weyl):
+        for name in ("w_add", "w_dot", "shift"):
+            counted(module, name)
+    for name in ("to_dominant_chamber", "is_dominant", "dominant_rep", "weyl_dim"):
+        counted(weyl.RootSystem, name)
+    fam = sp(1000)
+    dec = racah_speiser(fam, label(fam, 6, 2))
+    assert calls["to_dominant_chamber"] == len(tensor._p_weights("Sp", 1000)) == 4000
+    assert calls["w_add"] == calls["is_dominant"] == 1
+    assert calls["shift"] == len(dec.summands) == 10
+    assert calls["w_dot"] == calls["dominant_rep"] == calls["weyl_dim"] == 0
+
+
+def test_the_oracle_never_calls_the_racah_speiser_kernel(monkeypatch):
+    def refuse(rs, base, beta):
+        raise AssertionError(f"Racah-Speiser kernel called on {base}")
+
+    monkeypatch.setattr(weyl.RootSystem, "to_dominant_chamber", refuse)
+    for fam in ORACLE_FAMILIES:
+        for lab in labels(fam, 2):
+            assert character_oracle(fam, lab).weights() == expected_summand_labels(fam, lab), lab
 
 
 @pytest.mark.parametrize("fam", [so(4), so(5), so(6), su(2), su(3), sp(2), f4()])

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from rankone import ktypes, tensor, weyl
 from rankone.cli import main
 from rankone.groups import so, su
-from rankone.weyl import (k_root_system, type_a_u, type_b, type_c_c1, type_d, w_add, w_dot,
-                          w_sub)
+from rankone.weyl import (k_root_system, shift, type_a_u, type_b, type_c_c1, type_d, w_add,
+                          w_dot)
 from tests import references
-from tests.references import k_root_system_chain, orbit
+from tests.references import k_root_system_chain, orbit, w_sub
 
 
 def wt(*coords):
@@ -163,6 +163,61 @@ def test_chamber_kernels_match_the_references(rs, data):
             assert rs.is_dominant(v, strict) is references.is_dominant(rs, v, strict), (v, strict)
 
 
+# The sparse Racah-Speiser kernel against the dense sort-and-sign reference.
+# Its precondition is a base lam + 2 rho with lam dominant; the weights of p of
+# the family each kind belongs to, and F4's (+-1, +-1, +-1, +-1) on the first
+# four coordinates, all keep it.
+
+P_WEIGHTS = {"B": lambda r: tensor._p_weights("SO", 2 * r + 1),
+             "D": lambda r: tensor._p_weights("SO", 2 * r),
+             "A": lambda r: tensor._p_weights("SU", r),
+             "CC": lambda r: tensor._p_weights("Sp", r)}
+
+
+def random_dominant(rs, data):
+    """A dominant doubled weight whose coordinates are all even or all odd,
+    with equal and zero head coordinates common."""
+    odd = data.draw(st.sampled_from([0, 1]), label="odd")
+    gaps = data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank), label="gaps")
+    head = [odd + 2 * sum(gaps[i:]) for i in range(rs.rank)]
+    if rs.kind == "D" and data.draw(st.booleans(), label="negate last"):
+        head[-1] = -head[-1]
+    if rs.kind == "A":  # a U(n) weight may be negative
+        offset = 2 * data.draw(st.integers(0, 3), label="offset")
+        head = [x - offset for x in head]
+    tail = [odd + 2 * data.draw(st.integers(0 if rs.kind == "CC" else -3, 3), label="tail")
+            for _ in range(rs.dim - rs.rank)]
+    lam = tuple(head + tail)
+    assert rs.is_dominant(lam), lam
+    return lam
+
+
+@pytest.mark.parametrize("kind", weyl.KINDS)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_sparse_chamber_kernel_matches_the_dense_reference(kind, data):
+    rank = data.draw(st.integers(1, 60), label="rank")
+    rs = weyl.KINDS[kind](rank)
+    base = w_add(random_dominant(rs, data), rs.two_rho)
+    betas = P_WEIGHTS[kind](rank) + (tensor._p_weights("F4", None) if rank >= 4 else ())
+    for beta in betas:
+        moves, sign = rs.to_dominant_chamber(base, beta)
+        dom, expected_sign = references.to_dominant_chamber(rs, shift(base, beta, 1))
+        if dom is None:
+            assert (moves, sign) == (None, 0), (base, beta)
+        else:
+            assert (shift(base, moves, 1), sign) == (dom, expected_sign), (base, beta)
+
+
+def test_the_sparse_chamber_kernel_refuses_a_base_too_close_to_a_wall():
+    # (3, 2) is strictly dominant but not lam + 2 rho: moving 2 up by 2 would pass 3
+    for kind in ("A", "B", "D", "CC"):
+        rs = weyl.KINDS[kind](2)
+        base = (3, 2) + (1,) * (rs.dim - 2)
+        with pytest.raises(AssertionError, match="strictly dominant"):
+            rs.to_dominant_chamber(base, ((1, 2),))
+
+
 @pytest.mark.parametrize("kernel", [w_add, w_sub, w_dot])
 def test_weight_kernels_refuse_different_lengths(kernel):
     # map stops at the shorter argument, so the kernel must check the lengths itself
@@ -194,6 +249,39 @@ def test_the_chamber_kernel_runs_once_per_distinct_weight(capsys, monkeypatch):
     capsys.readouterr()
     assert computed
     assert len(computed) == len(set(computed)) == len(set(asked))
+
+
+def test_the_dominant_walk_expands_each_weight_once(capsys, monkeypatch):
+    """A ratchet on the dominant_weights_below memo: over one `verify tensor
+    --depth 3` from cold caches, the walk expands each distinct (root system,
+    dominant weight) exactly once, though every Freudenthal table reads the
+    dominant weights below its highest weight."""
+    for cached in (k_root_system, *weyl.KINDS.values(), tensor._dominant_multiplicities):
+        cached.cache_clear()
+    asked, expanded = [], []
+    public, kernel = weyl.RootSystem.dominant_weights_below, weyl.RootSystem._dominant_children
+
+    def counted_public(rs, mu):
+        asked.append((id(rs), mu))
+        return public(rs, mu)
+
+    def counted_kernel(rs, mu):
+        expanded.append((id(rs), mu))
+        return kernel(rs, mu)
+
+    monkeypatch.setattr(weyl.RootSystem, "dominant_weights_below", counted_public)
+    monkeypatch.setattr(weyl.RootSystem, "_dominant_children", counted_kernel)
+    assert main(["verify", "tensor", "--depth", "3"]) == 0
+    capsys.readouterr()
+    assert len(asked) == len(set(asked))  # one table per (root system, highest weight)
+    assert len(expanded) == len(set(expanded)) > len(asked)
+
+
+def test_the_dominant_walk_needs_no_recursion():
+    # B1's dominant weights below 2200 e_1 (doubled) are a chain of 1101, deeper
+    # than the default recursion limit; a fresh B1 keeps the memo out of the cache
+    rs = weyl.RootSystem("B", 1, 1, (1,))
+    assert rs.dominant_weights_below((2200,)) == {(x,) for x in range(0, 2201, 2)}
 
 
 @pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
