@@ -26,8 +26,9 @@ with their squared lengths in `root_norms`; and it asks for the same dominant
 representatives, orbit sizes and dominant weights below a highest weight many
 times, so each RootSystem memoises `dominant_rep`, `orbit_size` and the
 dominant children that the walk of `dominant_weights_below` expands, in dicts
-of its own, which grow only with the distinct weights a process asks about.  w_add and w_dot run through `map`,
-which stops at the shorter argument, so they check the lengths first.
+of its own, which grow only with the distinct weights a process asks about.
+w_add and w_dot run through `map`, which stops at the shorter argument, so
+they check the lengths first.
 """
 from __future__ import annotations
 
