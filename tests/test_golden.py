@@ -39,6 +39,9 @@ exceptional dual route at the depth cap) and the combined CSV report of
 `verify all --depth 2`.  The Gamma-pole scan at the `exceptional` n cap,
 where the poles start far below zero, is pinned by `exceptional SO 100000
 --count 8` and the CSV report of `exceptional Sp 100000 --count 5`.
+The omega rows shared by the spherical, scalars and so-model suites in one
+process are pinned by `verify all --depth 6` and `verify spherical --depth
+16` (the depth cap).
 
 The argument parser is pinned by `help_*.txt` (stdout of `rankone -h` and of
 `rankone <command> -h`, exit 0) and `usage_*.txt` (stderr of rejected command
@@ -115,6 +118,8 @@ CASES = [
      ["verify", "so-model", "--depth", "2", "--seed", "18446744073709551617"]),
     ("verify_groups_depth16.json", ["verify", "groups", "--depth", "16"]),
     ("verify_all_depth2.csv", ["verify", "all", "--depth", "2", "--format", "csv"]),
+    ("verify_all_depth6.json", ["verify", "all", "--depth", "6"]),
+    ("verify_spherical_depth16.json", ["verify", "spherical", "--depth", "16"]),
     ("exceptional_SO_100000_count8.json", ["exceptional", "SO", "100000", "--count", "8"]),
     ("exceptional_Sp_100000_count5.csv",
      ["exceptional", "Sp", "100000", "--count", "5", "--format", "csv"]),
