@@ -398,8 +398,7 @@ def verify_tensor(rep: Report, depth: int, tolerance: float, seed: int):
 
 def verify_spherical(rep: Report, depth: int, tolerance: float, seed: int):
     for fam in _tensor_families():
-        # each omega row and Weyl dimension is built once per family
-        row = functools.cache(functools.partial(spherical.omega_h_expand, fam))
+        row = functools.partial(spherical.omega_h_expand, fam)
         dim = functools.cache(functools.partial(ktypes.weyl_dim, fam))
         labs = ktypes.labels(fam, depth)
         rep.check_each("omega-recurrence-identity", str(fam), labs,
@@ -427,8 +426,8 @@ def verify_scalars(rep: Report, depth: int, tolerance: float, seed: int):
                        functools.partial(scalars.vanishing_table_check, fam))
         (triv,) = ktypes.labels(fam, 0)
         rep.check_each("trivial-route-root-at-rho", str(fam), [triv],
-                       lambda v: all(scalars.t_root(fam, y, v) == groups.rho_H(fam)
-                                     for y, _ in spherical.omega_h_expand(fam, v).terms))
+                       lambda t: all(-groups.rho_H(fam) - r == groups.rho_H(fam)
+                                     for _, y, _, r in scalars.edges(fam, 1) if y == t))
     for fam in [groups.su(2), groups.su(3), groups.sp(2), groups.sp(3), groups.f4()]:
         rep.check_each("growth-product-closed-form", str(fam),
                        [(ell, steps) for ell in range(4) for steps in (1, 7, min(40, 4 * depth))],

@@ -2,12 +2,13 @@
 
 For an omega-related pair (V, Y) the gradient from V-sections to Y-sections
 rescales Poisson transforms by T(V, Y, mu) = (mu + rho)(H) lambda(V, Y) +
-nu(V, Y).  nu_scalar and t_scalar take lambda(V, Y) from the caller, who
-already holds the omega row of V.  nu is tabulated per direction; its
-defining property is that T(V, Y, .) vanishes exactly at the parameter whose
-principal series has an invariant subspace containing Y but not V.  The
-growth products reproduce the norm-recursion estimates used for the
-Fourier-series convergence of the SU, Sp and F4 cases.
+nu(V, Y).  nu = r lambda is tabulated per direction; its defining property is
+that T(V, Y, .) vanishes exactly at the parameter whose principal series has
+an invariant subspace containing Y but not V.  `edges` states the K-type
+graph once, as (V, Y, lambda, r) per edge; nu_scalar and t_scalar take lambda
+from a caller who holds the omega row of V.  The growth products reproduce
+the norm-recursion estimates used for the Fourier-series convergence of the
+SU, Sp and F4 cases.
 """
 from __future__ import annotations
 
@@ -98,16 +99,18 @@ def vanishing_mu(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
     return _row_value(VANISHING_ROWS, family, v, y)
 
 
+def edges(family: GroupFamily, bound: int) -> list[tuple]:
+    """(V, Y, lambda(V, Y), r) for V in labels(family, bound) and (Y, lambda) in V's
+    omega row, with r = nu / lambda from NU_ROWS: T = lambda (mu + rho + r)."""
+    return [(v, y, lam, _nu_factor(family, v, y)) for v in labels(family, bound)
+            for y, lam in omega_h_expand(family, v).terms]
+
+
 def vanishing_table_check(family: GroupFamily, bound: int) -> bool:
-    """T(V, Y, mu_row) = 0 exactly for every direction and label within bound."""
-    for v in labels(family, bound):
-        for y, lam in omega_h_expand(family, v).terms:
-            mu = vanishing_mu(family, v, y)
-            if t_scalar(family, v, y, SpectralParam(mu), lam) != 0:
-                return False
-            if t_root(family, v, y) != mu:
-                return False
-    return True
+    """vanishing_mu is the T-root -rho - r on every edge within bound (a row keeps
+    only lambda != 0, so T(V, Y, vanishing_mu) = 0 is this same equation)."""
+    rho = rho_H(family)
+    return all(vanishing_mu(family, v, y) == -rho - r for v, y, _, r in edges(family, bound))
 
 
 # -- norm-recursion growth products -------------------------------------------
@@ -230,7 +233,7 @@ def growth_order_estimate(family: GroupFamily, ell: int) -> int:
 
 __all__ = [
     "NotOmegaRelatedError",
-    "nu_scalar", "t_scalar", "t_root", "vanishing_mu",
+    "edges", "nu_scalar", "t_scalar", "t_root", "vanishing_mu",
     "vanishing_table_check", "growth_product", "growth_step_ratio",
     "growth_closed_form", "growth_order_estimate", "growth_order_stated",
 ]

@@ -98,10 +98,7 @@ class RecurrenceRow:
     terms: tuple[tuple[KTypeLabel, Fraction], ...]
 
     def coefficient(self, target: KTypeLabel) -> Fraction:
-        for lab, c in self.terms:
-            if lab == target:
-                return c
-        return Fraction(0)
+        return dict(self.terms).get(target, Fraction(0))
 
 
 def _raw_row(family: GroupFamily, coords: tuple[int, ...]):
@@ -128,12 +125,13 @@ def _raw_row(family: GroupFamily, coords: tuple[int, ...]):
                                         ((m - 1, k - 1), k * (m + k + 6))]
 
 
+@lru_cache(maxsize=None)
 def omega_h_expand(family: GroupFamily, lab: KTypeLabel) -> RecurrenceRow:
     """Expansion of omega(H) * phi_lab over the neighbouring spherical functions.
 
     A coefficient vanishes exactly when its target label leaves the lattice;
     the surviving coefficients are nonnegative and sum to 1.  Each coefficient
-    equals lambda(source, target).
+    equals lambda(source, target).  The one row memo: every caller shares a frozen row.
     """
     _check_supported(family)
     den, raw = _raw_row(family, lab.coords)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial, prod
-from operator import add, ge, gt, mul
+from operator import add, ge, mul
 
 Weight2 = tuple[int, ...]  # doubled-integer weight 2w
 Root = tuple[tuple[int, int], ...]  # sparse: ((index, coefficient), ...)
@@ -113,11 +113,10 @@ class RootSystem:
 
     # -- chamber tests ------------------------------------------------------
 
-    def is_dominant(self, w: Weight2, strict: bool = False) -> bool:
-        """w is in the closed (strict: open) dominant chamber: the head decreases,
-        for D down to |last| (D1 has no roots), for B and CC down to 0, and CC's
-        last coordinate is nonnegative too."""
-        cmp = gt if strict else ge
+    def is_dominant(self, w: Weight2) -> bool:
+        """w is in the closed dominant chamber: the head weakly decreases, for D
+        down to |last| (D1 has no roots), for B and CC down to 0, and CC's last
+        coordinate is nonnegative too."""
         head = w[: self.rank]
         if self.kind == "D":
             if self.rank < 2:
@@ -125,9 +124,9 @@ class RootSystem:
             head = head[:-1] + (abs(head[-1]),)
         elif self.kind != "A":
             head += (0,)
-            if self.kind == "CC" and not cmp(w[-1], 0):
+            if self.kind == "CC" and w[-1] < 0:
                 return False
-        return all(map(cmp, head, head[1:]))
+        return all(map(ge, head, head[1:]))
 
     # -- Racah-Speiser kernel -------------------------------------------------
 

@@ -410,6 +410,39 @@ def test_verify_scalars_names_the_family_of_a_shifted_nu_row(capsys, monkeypatch
                                   for fam in cli._tensor_families() if fam.variant == key[0]]
 
 
+@pytest.mark.parametrize("key", [("SO", (1,)), ("SU", (1, 0)), ("Sp", (1, 0)), ("F4", (1, 1))],
+                         ids=lambda key: key[0])
+def test_verify_scalars_names_the_family_of_a_shifted_vanishing_row(capsys, monkeypatch, key):
+    row = scalars.VANISHING_ROWS[key]
+    monkeypatch.setitem(scalars.VANISHING_ROWS, key, row[:-1] + (row[-1] + 1,))
+    code, out = run(capsys, ["verify", "scalars", "--depth", "3"])
+    assert code == 1
+    assert failed_checks(out) == [("scalar-vanishing-table", str(fam))
+                                  for fam in cli._tensor_families() if fam.variant == key[0]]
+
+
+def test_each_omega_row_is_built_once_per_process(capsys, monkeypatch):
+    """omega_h_expand is the one row memo: a cold `verify all` builds each
+    (family, coords) once, and `verify scalars` after `verify spherical` in one
+    process builds none."""
+    built = []
+    real = spherical._raw_row
+
+    def counting(family, coords):
+        built.append((family, coords))
+        return real(family, coords)
+
+    monkeypatch.setattr(spherical, "_raw_row", counting)
+    spherical.omega_h_expand.cache_clear()
+    assert run(capsys, ["verify", "all", "--depth", "6"])[0] == 0
+    assert built and len(built) == len(set(built))
+    spherical.omega_h_expand.cache_clear()
+    assert run(capsys, ["verify", "spherical", "--depth", "6"])[0] == 0
+    built.clear()
+    assert run(capsys, ["verify", "scalars", "--depth", "6"])[0] == 0
+    assert built == []
+
+
 def test_structural_data_is_built_once_per_family(capsys):
     groups.structural_data.cache_clear()
     code, _ = run(capsys, ["verify", "scalars", "--depth", "6"])
@@ -720,7 +753,7 @@ def test_family_chains_do_not_creep_back():
 # one value; a parameter every caller passes the same value to is a constant.
 DEFAULTED_PARAMETERS = {
     "cli.main(argv)", "hypergeom._term(factor)", "ktypes.labels(corner)",
-    "so_model.random_lorentz(shape)", "weyl.RootSystem.is_dominant(strict)",
+    "so_model.random_lorentz(shape)",
 }
 
 
@@ -751,7 +784,9 @@ def test_defaulted_parameters_do_not_creep_back():
     and seed defaults became the constants `so_model.SAMPLES`, `STEP_H` and
     `NUM_POINTS` and required seeds, which took the count from 15 to 6, and
     the memoised `spherical.radial_factor`, which let
-    `spherical.ingredient_identities` drop its `splits` default, to 5."""
+    `spherical.ingredient_identities` drop its `splits` default, to 5, and
+    dropping the `strict` knob of `weyl.RootSystem.is_dominant`, which no
+    caller passed, to 4."""
     found = set().union(*(_defaulted_parameters(tree, module)
                           for module, tree in _src_trees().items()))
     assert found == DEFAULTED_PARAMETERS

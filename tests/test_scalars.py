@@ -189,6 +189,64 @@ def test_rows_match_the_per_family_formulas(case):
         assert (_nu_factor(fam, v, y), vanishing_mu(fam, v, y)) == expected, (fam, v, y)
 
 
+# -- the rows as affine forms in (2rho(H), V): identities for every n and label --
+
+
+def _folded(variant, row):
+    """F4's 2rho(H) is fixed, so its rho coefficient is folded into the constant."""
+    if variant != "F4":
+        return tuple(row)
+    c_rho, *coefs, c_0 = row
+    return (0, *coefs, c_rho * 2 * rho_H(f4()) + c_0)
+
+
+def _vanishing_identity_breaks(nu_rows, vanishing_rows):
+    """Keys whose vanishing row is not -2rho(H) - (nu row), coefficient by coefficient;
+    as affine forms, vanishing_mu = -rho - r = t_root on every edge of every n."""
+    return {(variant, d) for (variant, d), (c_rho, *coefs, c_0) in nu_rows.items()
+            if _folded(variant, vanishing_rows[(variant, d)])
+            != _folded(variant, (-1 - c_rho, *(-c for c in coefs), -c_0))}
+
+
+def _mirror_identity_breaks(nu_rows):
+    """Keys d whose nu row plus the nu row of -d shifted by d is not (-2, 0, ..., 0):
+    r(V, Y) + r(Y, V) = -2rho(H) on every edge of every n."""
+    out = set()
+    for (variant, d), row in nu_rows.items():
+        c_rho, *coefs, c_0 = nu_rows[(variant, tuple(-x for x in d))]
+        back = (c_rho, *coefs, c_0 + sum(c * x for c, x in zip(coefs, d)))
+        total = [a + b for a, b in zip(row, back)]
+        if _folded(variant, total) != _folded(variant, [-2] + [0] * (len(row) - 1)):
+            out.add((variant, d))
+    return out
+
+
+def test_vanishing_rows_are_the_t_root_of_the_nu_rows():
+    assert _vanishing_identity_breaks(NU_ROWS, VANISHING_ROWS) == set()
+
+
+def test_nu_rows_mirror_their_reverse_direction():
+    assert _mirror_identity_breaks(NU_ROWS) == set()
+
+
+ONE_KEY_PER_VARIANT = [("SO", (-1,)), ("SU", (0, 1)), ("Sp", (0, -1)), ("F4", (-1, 1))]
+
+
+@pytest.mark.parametrize("key", ONE_KEY_PER_VARIANT, ids=lambda key: key[0])
+def test_vanishing_identity_catches_a_moved_coefficient(key):
+    c_rho, c_1, *rest = VANISHING_ROWS[key]
+    moved = VANISHING_ROWS | {key: (c_rho, c_1 + 1, *rest)}
+    assert _vanishing_identity_breaks(NU_ROWS, moved) == {key}
+
+
+@pytest.mark.parametrize("key", ONE_KEY_PER_VARIANT, ids=lambda key: key[0])
+def test_mirror_identity_catches_a_shifted_constant(key):
+    row = NU_ROWS[key]
+    moved = NU_ROWS | {key: row[:-1] + (row[-1] + 1,)}
+    variant, d = key
+    assert _mirror_identity_breaks(moved) == {key, (variant, tuple(-x for x in d))}
+
+
 VANISH_FAMILIES = ([so(n) for n in range(3, 9)] + [su(n) for n in range(2, 6)]
                    + [sp(n) for n in range(2, 5)] + [f4()])
 

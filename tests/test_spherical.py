@@ -208,9 +208,23 @@ def test_radial_identity_fails_with_a_moved_coefficient(monkeypatch, fam, coords
     assert not verify_omega_identity(fam, lab, omega_h_expand(fam, lab))
 
 
+@pytest.fixture
+def stated_rows(monkeypatch):
+    """Installs a replacement for spherical._raw_row.  omega_h_expand memoises
+    its rows, so the memo is cleared after the patch and again after it is
+    undone: no row built before or under the patch outlives it."""
+    def install(raw_row):
+        monkeypatch.setattr(spherical, "_raw_row", raw_row)
+        omega_h_expand.cache_clear()
+
+    yield install
+    monkeypatch.undo()
+    omega_h_expand.cache_clear()
+
+
 @pytest.mark.parametrize("fam,coords,neighbour", [
     (so(5), (3,), (2,)), (su(3), (2, 1), (1, 1)), (sp(2), (3, 1), (2, 1)), (f4(), (4, 2), (3, 1))])
-def test_swapped_stated_row_fails_only_its_family(monkeypatch, capsys, fam, coords, neighbour):
+def test_swapped_stated_row_fails_only_its_family(stated_rows, capsys, fam, coords, neighbour):
     """Swapping the first two numerators of one stated row keeps it convex, so only
     the comparison with the factorisation can catch it."""
     real = spherical._raw_row
@@ -222,7 +236,7 @@ def test_swapped_stated_row_fails_only_its_family(monkeypatch, capsys, fam, coor
             raw = [(t0, n1), (t1, n0)] + rest
         return den, raw
 
-    monkeypatch.setattr(spherical, "_raw_row", swapped)
+    stated_rows(swapped)
     lab, other = label(fam, *coords), label(fam, *neighbour)
     assert not verify_omega_identity(fam, lab, omega_h_expand(fam, lab))
     assert verify_omega_identity(fam, other, omega_h_expand(fam, other))
@@ -235,7 +249,7 @@ def test_swapped_stated_row_fails_only_its_family(monkeypatch, capsys, fam, coor
 
 @pytest.mark.parametrize("argv", [["verify", "spherical", "--depth", "4"],
                                   ["verify", "scalars", "--depth", "3"]], ids=lambda a: a[1])
-def test_non_convex_stated_row_fails_only_its_family(monkeypatch, capsys, argv):
+def test_non_convex_stated_row_fails_only_its_family(stated_rows, capsys, argv):
     """A stated row that is not a convex combination breaks an invariant of
     omega_h_expand; the suite still prints its report, and only the checks of
     that family fail."""
@@ -246,7 +260,7 @@ def test_non_convex_stated_row_fails_only_its_family(monkeypatch, capsys, argv):
         den, raw = real(family, c)
         return (den + 1 if family == fam and c == coords else den), raw
 
-    monkeypatch.setattr(spherical, "_raw_row", widened)
+    stated_rows(widened)
     with pytest.raises(AssertionError, match="not a convex combination"):
         omega_h_expand(fam, label(fam, *coords))
     assert cli.main(argv) == 1

@@ -159,8 +159,7 @@ def test_chamber_kernels_match_the_references(rs, data):
     assert first == rep and rs.dominant_rep(w) is first  # a repeat reads the memo
     assert rs.orbit_size(w) == rs.orbit_size(w) == rs.orbit_size(rep)
     for v in (w, rep):  # rep is dominant, so True answers are as common as False
-        for strict in (False, True):
-            assert rs.is_dominant(v, strict) is references.is_dominant(rs, v, strict), (v, strict)
+        assert rs.is_dominant(v) is references.is_dominant(rs, v), v
 
 
 # The sparse Racah-Speiser kernel against the dense sort-and-sign reference.
@@ -288,7 +287,7 @@ def test_the_dominant_walk_needs_no_recursion():
 def test_regular_orbit_has_weyl_group_order(rs):
     # a strictly dominant weight has a trivial stabiliser, so |orbit| = |W| / 1
     w = tuple([2 * (rs.rank - i) + 1 for i in range(rs.rank)] + [3] * (rs.dim - rs.rank))
-    assert rs.is_dominant(w, strict=True)
+    assert references.is_dominant(rs, w, strict=True)
     assert len(orbit(rs, w)) == rs.orbit_size(w) == weyl_order(rs)
     assert len(reference_orbit(rs, halve(w))) == weyl_order(rs)
 
@@ -316,8 +315,7 @@ def test_so2_compact_root_system_is_d1():
     assert rs is type_d(1) and rs.positive_roots == () and rs.two_rho == (0,)
     fam = so(2)
     for k in range(-6, 7):
-        for strict in (False, True):
-            assert rs.is_dominant((2 * k,), strict)
+        assert rs.is_dominant((2 * k,))
         assert rs.weyl_dim((2 * k,)) == 1
         assert ktypes.weyl_dim(fam, ktypes.label(fam, k)) == 1
 
