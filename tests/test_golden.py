@@ -39,6 +39,10 @@ exceptional dual route at the depth cap) and the combined CSV report of
 `verify all --depth 2`.  The Gamma-pole scan at the `exceptional` n cap,
 where the poles start far below zero, is pinned by `exceptional SO 100000
 --count 8` and the CSV report of `exceptional Sp 100000 --count 5`.
+The CSV cell quoting is pinned by the CSV reports of `socle SU 3 --ell 3` (a
+dict cell holding bools, and a check instance with a comma and a space),
+`structure SO 7` (plain int cells) and `scalars SU 3 Y1,2 Y2,2 --mu=-5/2`
+(a report without checks), beside the tensor, verify and exceptional ones.
 The omega rows shared by the spherical, scalars and so-model suites in one
 process are pinned by `verify all --depth 6` and `verify spherical --depth
 16` (the depth cap).
@@ -123,6 +127,10 @@ CASES = [
     ("exceptional_SO_100000_count8.json", ["exceptional", "SO", "100000", "--count", "8"]),
     ("exceptional_Sp_100000_count5.csv",
      ["exceptional", "Sp", "100000", "--count", "5", "--format", "csv"]),
+    ("socle_SU_3_ell3.csv", ["socle", "SU", "3", "--ell", "3", "--format", "csv"]),
+    ("structure_SO_7.csv", ["structure", "SO", "7", "--format", "csv"]),
+    ("scalars_SU_3_Y1_2_Y2_2_mu-5_2.csv",
+     ["scalars", "SU", "3", "Y1,2", "Y2,2", "--mu=-5/2", "--format", "csv"]),
 ]
 for fam in FAMILIES:
     CASES += [
