@@ -7,9 +7,7 @@ floats) or CSV tables for sweeps; `verify` exits 0 only if every check passes.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import operator
@@ -165,13 +163,31 @@ def _tolerance(token: str) -> float:
     raise argparse.ArgumentTypeError(f"tolerance must be a finite nonnegative number, got {token!r}")
 
 
+# a rational argument: an ASCII integer, a/b, or a decimal with an optional
+# exponent, with at most one leading minus; Fraction() alone also reads
+# underscores, a plus sign, surrounding whitespace and non-ASCII digits
+_RATIONAL = re.compile(r"-?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)")
+
+
 def parse_rational(token: str) -> Fraction:
-    try:
-        value = Fraction(token)
-        str(value)  # reports render it; too many digits raises ValueError here
-        return value
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad rational {token!r}") from None
+    if _RATIONAL.fullmatch(token):
+        try:
+            value = Fraction(token)
+            str(value)  # reports render it; too many digits raises ValueError here
+            return value
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise UsageError(f"bad rational {token!r}")
+
+
+# csv.writer(lineterminator="\n") quotes a field iff it holds the delimiter, the
+# quote character or the line terminator (a lone "\r" stays bare), and doubles
+# the quotes inside it
+_CSV_QUOTED = re.compile(r'[,"\n]')
+
+
+def _csv_cell(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
 
 
 # what a computation raises when it breaks one of the library's own invariants
@@ -226,20 +242,30 @@ class Report:
         return _emit(self.to_dict(), "")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["section", "key", "value"])
+        """The rows (section, key, value) as csv.writer(lineterminator="\n")
+        writes them, without its per-cell work: each value is JSON-encoded."""
+        rows = ["section,key,value"]
         for key in sorted(self.results):
             value = self.results[key]
             if isinstance(value, list):
-                for i, item in enumerate(value):
-                    writer.writerow(["results", f"{key}[{i}]", _CELL_ENCODER.encode(item)])
+                # "[", "]" and digits are never quoted, so key[i] is quoted iff key is
+                quote = '"' if _CSV_QUOTED.search(key) else ""
+                stem = "results," + quote + key.replace('"', '""')
+                if value and _all_str(value):
+                    # JSON-encoded strings hold no newline, so one pass doubles the
+                    # quotes of them all; each starts with a quote, so is quoted
+                    doubled = "\n".join(map(_encode_str, value)).replace('"', '""')
+                    rows += [f'{stem}[{i}]{quote},"{cell}"'
+                             for i, cell in enumerate(doubled.split("\n"))]
+                else:
+                    cells = map(_csv_cell, map(_CELL_ENCODER.encode, value))
+                    rows += [f"{stem}[{i}]{quote},{cell}" for i, cell in enumerate(cells)]
             else:
-                writer.writerow(["results", key, _CELL_ENCODER.encode(value)])
-        for c in self.checks:
-            writer.writerow(["checks", f"{c['id']}:{c['instance']}", c["status"]])
-        writer.writerow(["status", "", self.status])
-        return buf.getvalue()
+                rows.append(f"results,{_csv_cell(key)},{_csv_cell(_CELL_ENCODER.encode(value))}")
+        rows += [f"checks,{_csv_cell(c['id'] + ':' + c['instance'])},{c['status']}"
+                 for c in self.checks]
+        rows.append(f"status,,{self.status}\n")
+        return "\n".join(rows)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -566,20 +592,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand `name` alone, built as the full parser builds
+    its subparser and under the same prog, so its help and errors are the same.
+
+    It is built once per process and kept: parsing leaves no state on it
+    (parse_known_args returns a new Namespace, every default is immutable and
+    no action appends, extends or counts), and its help is wrapped to the
+    terminal width when it is printed, not when the parser is built.
+    """
+    parser = argparse.ArgumentParser(prog=f"rankone {name}")
+    _add_arguments(parser, name)
+    return parser
+
+
 def _parse(argv: list[str]) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
     """The parser that read argv, and what it read.
 
-    A command line that names a subcommand is read by a parser for that
-    subcommand alone, built as the full parser builds its subparser and under
-    the same prog, so its help and errors are the same.  The full parser is
-    built only for what it alone reports: the top-level help, a missing or
-    unknown command and tokens left over.  It re-reads the whole argv, so
-    those messages are the ones it always printed.
+    A command line that names a subcommand is read by that subcommand's own
+    parser.  The full parser is built only for what it alone reports: the
+    top-level help, a missing or unknown command and tokens left over.  It
+    re-reads the whole argv, so those messages are the ones it always printed.
     """
     if argv and argv[0] in COMMANDS:
         name = argv[0]
-        parser = argparse.ArgumentParser(prog=f"rankone {name}")
-        _add_arguments(parser, name)
+        parser = _subcommand_parser(name)
         args, extra = parser.parse_known_args(argv[1:])
         if not extra:
             args.command = name
@@ -655,7 +693,7 @@ def _attach_negative_mu(argv: list[str]) -> list[str]:
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--mu" and re.match(r"-[\d.]", token):
+        if out and out[-1] == "--mu" and re.match(r"-[0-9.]", token):
             out[-1] = f"--mu={token}"
         else:
             out.append(token)

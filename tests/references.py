@@ -20,9 +20,14 @@ their neighbours.  The Chebyshev closed form U_q and its three-term recurrence a
 `spherical` read Sp's azimuthal factor from before it became the SO(4,1)
 zonal function, and the dense expansion of Z(v . x) over every coordinate is
 what `so_model._poly_in_direction` ran before it kept to the support of v.
+The CSV report is kept as `csv.writer` wrote it, each value through
+`json.dumps`, where `cli.Report.to_csv` now quotes its cells itself.
 """
 from __future__ import annotations
 
+import csv
+import io
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -357,3 +362,24 @@ def poly_in_direction_dense(z: Poly, v, n: int) -> dict[tuple[int, ...], object]
             key = tuple(exps)
             out[key] = out.get(key, 0) + mult * coef
     return out
+
+
+# -- CSV reports -------------------------------------------------------------------
+
+
+def csv_report(report) -> str:
+    """The CSV bytes of a `cli.Report`, written row by row with csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["section", "key", "value"])
+    for key in sorted(report.results):
+        value = report.results[key]
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                writer.writerow(["results", f"{key}[{i}]", json.dumps(item, sort_keys=True)])
+        else:
+            writer.writerow(["results", key, json.dumps(value, sort_keys=True)])
+    for c in report.checks:
+        writer.writerow(["checks", f"{c['id']}:{c['instance']}", c["status"]])
+    writer.writerow(["status", "", report.status])
+    return buf.getvalue()

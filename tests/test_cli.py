@@ -2,6 +2,7 @@ import argparse
 import ast
 import functools
 import importlib
+import itertools
 import json
 import os
 import pkgutil
@@ -11,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rankone
 from rankone import cli, groups, scalars, so_model, spherical, tensor
@@ -19,6 +20,8 @@ from rankone.cli import _emit, _fmt, _half, main, parse_family, parse_label, Usa
 from rankone.groups import f4, so, sp, su
 from rankone.ktypes import highest_weight, label
 
+from . import references
+from .test_golden import CASES, GOLDEN, HELP_CASES, USAGE_CASES
 from .test_tensor import _corrupt_one_table
 
 
@@ -255,6 +258,25 @@ def test_emit_writes_the_bytes_of_indented_json_dumps(value):
     assert _emit(value, "") == json.dumps(value, indent=2, sort_keys=True)
 
 
+# keys and instances with every character csv.writer quotes for, a lone "\r"
+# (which it does not), and non-ASCII text
+_CSV_TEXT = st.text(alphabet=st.sampled_from(',"\n\r \tab:[]é€😀'), max_size=6) | st.text()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.dictionaries(_CSV_TEXT, _VALUES, max_size=4),
+       st.lists(st.tuples(_CSV_TEXT, _CSV_TEXT, st.booleans()), max_size=3))
+@example({"a,b": ["x", 'say "hi"'], 'q"': [], "c": [1, "x", None]}, [("id", "SU(3,1) ell=3", True)])
+@example({"\r": ["\r\n"], "": "", "d": {"k": True}}, [("", "", False)])
+def test_to_csv_writes_the_bytes_of_csv_writer(results, checks):
+    rep = cli.Report("q", {})
+    for key, value in results.items():
+        rep.result(key, value)
+    for check_id, instance, ok in checks:
+        rep.check(check_id, ok, instance)
+    assert rep.to_csv() == references.csv_report(rep)
+
+
 def test_emit_refuses_an_int_past_the_digit_limit():
     big = 10 ** (sys.get_int_max_str_digits() + 1)
     for value in (big, [big], {"k": [1, -big]}):
@@ -483,6 +505,38 @@ def test_unrenderable_mu_exits_2(capsys, mu):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "bad rational" in err
+
+
+# Fraction() reads all of these; an integer argument would refuse each
+REFUSED_MU = [["--mu=١/٢"], ["--mu=1_0"], ["--mu= 3/2 "], ["--mu=3 / 2"], ["--mu=+1/2"],
+              ["--mu=1e1_0"], ["--mu=٣"], ["--mu", "-١"], ["--mu=1/"], ["--mu="], ["--mu=1/0"]]
+
+
+@pytest.mark.parametrize("mu", REFUSED_MU, ids=[" ".join(m) for m in REFUSED_MU])
+def test_mu_reads_only_ascii_rationals(capsys, mu):
+    with pytest.raises(SystemExit) as exc:
+        main(["scalars", "SO", "5", "Y1", "Y2", *mu])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "bad rational" in err
+
+
+@pytest.mark.parametrize("token,value", [
+    ("-5/2", Fraction(-5, 2)), ("-1/2", Fraction(-1, 2)), ("-1e-3", Fraction(-1, 1000)),
+    ("-7", Fraction(-7)), ("3/4", Fraction(3, 4)), ("0.25", Fraction(1, 4)),
+    (".5", Fraction(1, 2)), ("2.", Fraction(2)), ("1E+2", Fraction(100))])
+def test_mu_reads_integers_quotients_and_decimals(token, value):
+    assert cli.parse_rational(token) == value
+    # a negative one is attached to --mu, or argparse would take it for an option
+    attached = [f"--mu={token}"] if token.startswith("-") else ["--mu", token]
+    assert cli._attach_negative_mu(["--mu", token]) == attached
+
+
+def test_only_an_ascii_negative_number_is_attached_to_mu():
+    assert cli._attach_negative_mu(["--mu", "-5/2", "-h"]) == ["--mu=-5/2", "-h"]
+    assert cli._attach_negative_mu(["--mu", "-.5"]) == ["--mu=-.5"]
+    assert cli._attach_negative_mu(["--mu", "-١/٢"]) == ["--mu", "-١/٢"]
 
 
 def test_unrenderable_result_exits_2(capsys):
@@ -1003,16 +1057,61 @@ def test_only_the_full_parser_reports_top_level_usage(monkeypatch, argv):
         main(argv)
 
 
-def test_each_query_builds_one_fresh_parser(capsys, monkeypatch):
+def test_each_subcommand_parser_is_built_once_per_process(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
-        built.append(self)
+        built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._subcommand_parser.cache_clear()
     for argv in FAST_PATH_QUERIES:
         assert run(capsys, argv)[0] == 0
-    # one per query: no second parser, and none kept from an earlier call
-    assert len(built) == len(FAST_PATH_QUERIES)
+    assert sorted(built) == sorted({f"rankone {argv[0]}" for argv in FAST_PATH_QUERIES})
+    built.clear()
+    for argv in FAST_PATH_QUERIES:
+        assert run(capsys, argv)[0] == 0
+    assert built == []
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of `rankone <argv>`."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# every CSV golden, and the light JSON ones (count 7, ell 0) of every family
+_LIGHT_REPORTS = [(name, argv) for name, argv in CASES
+                  if name.endswith(".csv") or name.endswith(("_count7.json", "_ell0.json"))]
+
+
+def test_cached_parsers_keep_no_state(capsys, monkeypatch, tmp_path):
+    for name in cli.COMMANDS:
+        for action in cli._subcommand_parser(name)._actions:
+            assert action.default is None or isinstance(action.default, (str, int, float, tuple))
+            assert action.choices is None or isinstance(action.choices, tuple)
+            assert not isinstance(action, (argparse._AppendAction, argparse._AppendConstAction,
+                                           argparse._CountAction))  # extend appends too
+
+    monkeypatch.setenv("COLUMNS", "80")  # the help and usage goldens' width
+    out_file = tmp_path / "report.csv"
+    out_query = ("structure_SO_7.csv",
+                 ["structure", "SO", "7", "--format", "csv", "--out", str(out_file)])
+    helps = [(argv, (0, (GOLDEN / name).read_text(), "")) for name, argv in HELP_CASES]
+    usages = [(argv, (2, "", (GOLDEN / name).read_text())) for name, argv in USAGE_CASES]
+    reports = [(argv, (0, (GOLDEN / name).read_text(), "")) for name, argv in _LIGHT_REPORTS]
+    outs = [(out_query[1], (0, "", ""))]
+    interleaved = [case for cases in itertools.zip_longest(helps, usages, outs, reports)
+                   for case in cases if case is not None]
+    for _ in range(2):
+        for argv, expected in interleaved:
+            out_file.unlink(missing_ok=True)
+            assert _outcome(capsys, argv) == expected, argv
+            if argv is out_query[1]:
+                assert out_file.read_text() == (GOLDEN / out_query[0]).read_text()
