@@ -19,8 +19,10 @@ spherical, hypergeometric and zonal layer is pinned by `verify spherical
 --depth 12`, `verify scalars --depth 6` and `verify so-model --depth 6
 --seed 3`, whose report carries the float intertwining residual as text.
 The anchored minimal-K-type search is pinned by `socle --ell 100` for SU 8,
-Sp 8, F4, SO 8 and SO 2, and the integer exceptional route by `exceptional
-Sp 7 --count 3028` and the CSV report of `exceptional SU 8 --count 1610`.
+Sp 8, F4, SO 8 and SO 2, by `socle Sp 8 --ell 20`, the CSV reports of `socle
+SO 8 --ell 20` and `socle SU 8 --ell 16`, and by `socle SO 2 --ell 5`, the
+signed box where the tie key decides; the integer exceptional route by
+`exceptional Sp 7 --count 3028` and the CSV report of `exceptional SU 8 --count 1610`.
 The K-type dimensions at the size caps, up to ~35 digits, are pinned by
 `tensor Sp 300 V6,2`, `tensor SU 300 Y3,5` and `socle Sp 800 --ell 100`, and
 the tensor cap itself by `tensor SO 1000 Y3`, `tensor Sp 1000 V6,2` and
@@ -131,6 +133,10 @@ CASES = [
     ("structure_SO_7.csv", ["structure", "SO", "7", "--format", "csv"]),
     ("scalars_SU_3_Y1_2_Y2_2_mu-5_2.csv",
      ["scalars", "SU", "3", "Y1,2", "Y2,2", "--mu=-5/2", "--format", "csv"]),
+    ("socle_Sp_8_ell20.json", ["socle", "Sp", "8", "--ell", "20"]),
+    ("socle_SO_8_ell20.csv", ["socle", "SO", "8", "--ell", "20", "--format", "csv"]),
+    ("socle_SU_8_ell16.csv", ["socle", "SU", "8", "--ell", "16", "--format", "csv"]),
+    ("socle_SO_2_ell5.json", ["socle", "SO", "2", "--ell", "5"]),
 ]
 for fam in FAMILIES:
     CASES += [
