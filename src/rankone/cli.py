@@ -685,7 +685,7 @@ def _dispatch(args) -> Report:
 
 
 def _attach_negative_mu(argv: list[str]) -> list[str]:
-    """Rewrite `--mu -5/2` as `--mu=-5/2`.
+    """Rewrite `--mu -5/2` as `--mu=-5/2`, and its abbreviation `--m -5/2` as `--m=-5/2`.
 
     argparse takes a token that starts with '-' and is not a plain negative
     decimal (such as -5/2 or -1e-3) for an option, so the separate-token form
@@ -693,8 +693,8 @@ def _attach_negative_mu(argv: list[str]) -> list[str]:
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--mu" and re.match(r"-[0-9.]", token):
-            out[-1] = f"--mu={token}"
+        if out and out[-1] in ("--m", "--mu") and re.match(r"-[0-9.]", token):
+            out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .groups import GroupFamily, SpectralParam, exceptional_mu, rho_H
 from .weyl import Weight2, k_root_system
@@ -160,24 +160,34 @@ def weyl_dim(family: GroupFamily, lam) -> int:
 # -- socle of the reducible spherical principal series -----------------------
 
 
-def _socle_floors(spec: LatticeSpec, ell: int) -> list[int]:
+def _socle_bounds(spec: LatticeSpec, ell: int) -> list[tuple[tuple[int, ...], int]]:
+    """(coeffs, floor) for each bound of the socle at mu_ell."""
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    return [scale * (ell + 1) for _, scale in spec.socle]
+    return [(coeffs, scale * (ell + 1)) for coeffs, scale in spec.socle]
+
+
+def socle_predicate(family: GroupFamily, ell: int) -> Callable[[tuple[int, ...]], bool]:
+    """Membership in the socle at the exceptional parameter mu_ell, as a test on
+    label coordinates: sum_i coeffs[i] |c[i]| >= floor for each bound."""
+    bounds = _socle_bounds(lattice(family).spec, ell)
+
+    def admits(coords: tuple[int, ...]) -> bool:
+        for coeffs, floor in bounds:  # loops, not generators: the search tests every label
+            total = 0
+            for a, x in zip(coeffs, coords):
+                total += a * abs(x)
+            if total < floor:
+                return False
+        return True
+
+    return admits
 
 
 def socle_condition(family: GroupFamily, ell: int) -> str:
     """The socle condition at mu_ell as reports write it."""
     spec = lattice(family).spec
-    return spec.socle_text.format(*_socle_floors(spec, ell))
-
-
-def socle_contains(family: GroupFamily, ell: int, lab: KTypeLabel) -> bool:
-    """Membership of a K-type in the socle at the exceptional parameter mu_ell."""
-    spec = lattice(family).spec
-    coords = [abs(c) for c in lab.coords]
-    return all(sum(a * x for a, x in zip(coeffs, coords, strict=True)) >= floor
-               for (coeffs, _), floor in zip(spec.socle, _socle_floors(spec, ell)))
+    return spec.socle_text.format(*[floor for _, floor in _socle_bounds(spec, ell)])
 
 
 def socle_corner(family: GroupFamily, ell: int) -> tuple[int, ...]:
@@ -188,9 +198,8 @@ def socle_corner(family: GroupFamily, ell: int) -> tuple[int, ...]:
     its floor and leaves the others free down to 0.
     """
     spec = lattice(family).spec
-    floors = _socle_floors(spec, ell)
-    return tuple(max([f for (coeffs, _), f in zip(spec.socle, floors) if coeffs[i] > 0],
-                     default=0)
+    bounds = _socle_bounds(spec, ell)
+    return tuple(max([f for coeffs, f in bounds if coeffs[i] > 0], default=0)
                  for i in range(spec.length))
 
 
@@ -202,18 +211,40 @@ class InconclusiveTruncationError(RuntimeError):
 SEARCH_WIDTH = 8
 
 
+def norm_form(family: GroupFamily) -> tuple[int, int, int, int, int, int]:
+    """(A, B, C, D, E, F) with |2 lam + 4 rho_c|^2 = A x^2 + B x y + C y^2 + D x + E y + F
+    for the label c with (x, y) = (c[0], c[-1]).
+
+    Each head and tail form (a, b) puts a x + b y + r beside its entry r of
+    4 rho_c, and each entry of the pad puts r alone.
+    """
+    spec = lattice(family).spec
+    rho4 = [2 * r for r in k_root_system(family.variant, family.n).two_rho]
+    nh, nt = len(spec.head), len(spec.tail)
+    a2 = ab = b2 = ar = br = 0
+    for (a, b), r in zip(spec.head + spec.tail, rho4[:nh] + rho4[len(rho4) - nt:], strict=True):
+        a2 += a * a
+        ab += a * b
+        b2 += b * b
+        ar += a * r
+        br += b * r
+    return a2, 2 * ab, b2, 2 * ar, 2 * br, sum(r * r for r in rho4)
+
+
 def minimal_ktype(family: GroupFamily, ell: int) -> KTypeLabel:
     """Socle K-type minimizing the (lam + 2 rho_c)-norm, found by bounded search.
 
     The search box has width w = SEARCH_WIDTH past the socle corner, so its
     cost does not depend on ell.  The search compares the integer
-    4 |lam + 2 rho_c|^2 = |2 lam + 4 rho_c|^2 on doubled weights.  The
-    truncation is certified by checking that every label on the outer shell
-    of the box (some |coordinate| >= corner_i + w - 1) exceeds the interior
-    minimum (the norm is a convex quadratic in the label, so it keeps growing
-    outward).
+    4 |lam + 2 rho_c|^2 = |2 lam + 4 rho_c|^2, which `norm_form` states as one
+    integer quadratic form in (c[0], c[-1]), so no label's highest weight is
+    built.  The truncation is certified by checking that every label on the
+    outer shell of the box (some |coordinate| >= corner_i + w - 1) exceeds the
+    interior minimum (the norm is a convex quadratic in the label, so it keeps
+    growing outward).
     """
     corner = socle_corner(family, ell)
+    admits = socle_predicate(family, ell)
     width = SEARCH_WIDTH
     box = labels(family, width, corner)
     if lattice(family).spec.signed:
@@ -224,23 +255,25 @@ def minimal_ktype(family: GroupFamily, ell: int) -> KTypeLabel:
         # prefer the positive representative when SO(2,1) norms tie
         return tuple(abs(c) for c in lab.coords) + tuple(-c for c in lab.coords)
 
-    rho4 = tuple(2 * c for c in k_root_system(family.variant, family.n).two_rho)
-    best = None
-    shell_min = None
+    qa, qb, qc, qd, qe, qf = norm_form(family)
+    edge_x, edge_y = corner[0] + width - 1, corner[-1] + width - 1
+    best = best_norm = shell_min = None
     for lab in box:
-        if not socle_contains(family, ell, lab):
+        c = lab.coords
+        if not admits(c):
             continue
-        nrm = sum((x + r) ** 2 for x, r in zip(highest_weight(lab), rho4, strict=True))
-        on_shell = any(abs(x) >= c + width - 1 for x, c in zip(lab.coords, corner))
-        if on_shell:
+        x, y = c[0], c[-1]
+        nrm = (qa * x + qb * y + qd) * x + (qc * y + qe) * y + qf
+        if abs(x) >= edge_x or abs(y) >= edge_y:
             if shell_min is None or nrm < shell_min:
                 shell_min = nrm
-        elif best is None or (nrm, tie_key(lab)) < best[:2]:
-            best = (nrm, tie_key(lab), lab)
-    if best is None or shell_min is None or shell_min <= best[0]:
+        elif (best is None or nrm < best_norm
+              or (nrm == best_norm and tie_key(lab) < tie_key(best))):
+            best, best_norm = lab, nrm
+    if best is None or shell_min is None or shell_min <= best_norm:
         raise InconclusiveTruncationError(
             f"search width {width} too small for {family} at ell={ell}")
-    return best[2]
+    return best
 
 
 def minimal_ktype_closed(family: GroupFamily, ell: int) -> KTypeLabel:
@@ -303,6 +336,6 @@ def casimir_scalar(family: GroupFamily, mu: SpectralParam) -> Fraction:
 __all__ = [
     "KTypeLabel", "LanglandsRecord", "InconclusiveTruncationError", "LatticeSpec",
     "LATTICE_SPECS", "Lattice", "lattice", "label", "labels", "label_from_weight", "highest_weight",
-    "weyl_dim", "socle_condition", "socle_contains", "socle_corner",
-    "minimal_ktype", "minimal_ktype_closed", "langlands", "casimir_scalar",
+    "weyl_dim", "socle_condition", "socle_predicate", "socle_corner",
+    "norm_form", "minimal_ktype", "minimal_ktype_closed", "langlands", "casimir_scalar",
 ]

@@ -17,7 +17,8 @@ of p, and builds a dense weight only for each surviving summand.  The oracle
 runs Freudenthal over `RootSystem.dominant_weights_below` and looks weights up
 through `dominant_rep`, with `orbit_size` (|W| over the stabiliser) in its
 dimension checks.  The closed form shifts lam by each weight of p and keeps
-the dominant ones with its own `is_dominant`.  The oracle's state lives in
+the dominant ones with its own sparse chamber test, which compares only the
+coordinates each weight of p moves.  The oracle's state lives in
 memos that grow only with the distinct weights a process touches: the
 Freudenthal tables of `_dominant_multiplicities`, and the dominant
 representatives, orbit sizes and dominant children that each RootSystem
@@ -33,7 +34,7 @@ from typing import Optional
 
 from .groups import GroupFamily, UnsupportedFamilyError, structural_data
 from .ktypes import KTypeLabel, highest_weight, label_from_weight, weyl_dim
-from .weyl import Root, Weight2, k_root_system, pair, shift, w_add, w_dot
+from .weyl import Root, RootSystem, Weight2, k_root_system, pair, shift, w_add, w_dot
 
 
 class AlgorithmViolation(RuntimeError):
@@ -224,6 +225,33 @@ def dimension_sum_check(dec: Decomposition) -> bool:
     return total == structural_data(dec.family).dim_p * weyl_dim(dec.family, dec.source)
 
 
+def _stays_dominant(rs: RootSystem, lam: Weight2, beta: Root) -> bool:
+    """rs.is_dominant(lam + beta) for a dominant lam and a sparse shift beta.
+
+    lam already meets every chamber inequality, so only those that beta moves
+    can fail: each moved coordinate against its neighbours, D's second-last
+    against |last|, B's and CC's last against 0, and CC's Sp(1) coordinate
+    against 0.  Costs O(|beta|) and builds no dense weight.
+    """
+    rank, kind = rs.rank, rs.kind
+    last = rank - 1
+    moved = {i: lam[i] + d for i, d in beta}
+    for i, x in moved.items():
+        if i > last:  # CC's Sp(1) coordinate stays at or above 0, A's central one is free
+            if kind == "CC" and x < 0:
+                return False
+            continue
+        if i and moved.get(i - 1, lam[i - 1]) < (abs(x) if kind == "D" and i == last else x):
+            return False
+        if i < last:
+            lower = moved.get(i + 1, lam[i + 1])
+            if x < (abs(lower) if kind == "D" and i + 1 == last else lower):
+                return False
+        elif kind in ("B", "CC") and x < 0:
+            return False
+    return True
+
+
 def expected_summand_labels(family: GroupFamily, lab: KTypeLabel) -> set[Weight2]:
     """Stated closed-form decomposition of Y (x) p*, as a set of doubled highest weights.
 
@@ -258,7 +286,8 @@ def expected_summand_labels(family: GroupFamily, lab: KTypeLabel) -> set[Weight2
     else:
         lam = highest_weight(lab)
         for beta in _p_weights(family.variant, family.n):
-            push(shift(lam, beta, 1))
+            if _stays_dominant(rs, lam, beta):
+                out.add(shift(lam, beta, 1))
     return out
 
 

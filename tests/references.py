@@ -5,7 +5,10 @@ orbits (the library only counts them, `RootSystem.orbit_size`), the Gamma
 arguments of 1/e in Fractions and the walk over every integer t = 2 mu(H) of
 an interval (the library steps through the poles of the integer numerators,
 `groups.exceptional_in_interval`), the Fraction norm that `ktypes.minimal_ktype`
-minimises in doubled integers, Fraction polynomial powers and scalings, and the
+minimises in doubled integers, the search itself as it ran before it scored
+its box with one integer quadratic form (`minimal_ktype_by_weights`: a dense
+highest weight per socle label) and the label-level socle test it called
+there, Fraction polynomial powers and scalings, and the
 `Fraction` coefficients of a terminating 2F1 that `hypergeom.F21Poly` stores as
 integer numerators over one denominator.  The per-family branches of K's root
 system and of the socle's Langlands record are kept here as the if-chains that
@@ -37,7 +40,9 @@ from operator import sub
 from rankone.groups import (GroupFamily, SpectralParam, _gamma_numerators, exceptional_mu, rho_H,
                             structural_data)
 from rankone.hypergeom import F21Poly
-from rankone.ktypes import KTypeLabel, LanglandsRecord, highest_weight
+from rankone import ktypes
+from rankone.ktypes import (InconclusiveTruncationError, KTypeLabel, LanglandsRecord,
+                            highest_weight, labels, lattice, socle_corner, socle_predicate)
 from rankone.poly import Poly, pderiv, peval, pmul, trim
 from rankone.tensor import _p_weights
 from rankone.weyl import (RootSystem, Weight2, k_root_system, shift, type_a_u, type_b, type_c_c1,
@@ -279,6 +284,43 @@ def mintype_norm(family: GroupFamily, lam) -> Fraction:
     two_rho = k_root_system(family.variant, family.n).two_rho
     shifted = tuple(x + 2 * r for x, r in zip(lam, two_rho, strict=True))
     return Fraction(w_dot(shifted, shifted), 4)
+
+
+def socle_contains(family: GroupFamily, ell: int, lab: KTypeLabel) -> bool:
+    """Membership of a K-type in the socle at the exceptional parameter mu_ell."""
+    return socle_predicate(family, ell)(lab.coords)
+
+
+def minimal_ktype_by_weights(family: GroupFamily, ell: int) -> KTypeLabel:
+    """`ktypes.minimal_ktype` as it ran before the quadratic form: the same box,
+    shell certificate and SO(2,1) tie key, with each socle label's norm summed
+    over its dense doubled highest weight and the tie key built for every label."""
+    corner = socle_corner(family, ell)
+    width = ktypes.SEARCH_WIDTH
+    box = labels(family, width, corner)
+    if lattice(family).spec.signed:
+        box = labels(family, width, (-corner[0] - width,)) + box
+
+    def tie_key(lab):
+        return tuple(abs(c) for c in lab.coords) + tuple(-c for c in lab.coords)
+
+    rho4 = tuple(2 * c for c in k_root_system(family.variant, family.n).two_rho)
+    best = None
+    shell_min = None
+    for lab in box:
+        if not socle_contains(family, ell, lab):
+            continue
+        nrm = sum((x + r) ** 2 for x, r in zip(highest_weight(lab), rho4, strict=True))
+        on_shell = any(abs(x) >= c + width - 1 for x, c in zip(lab.coords, corner))
+        if on_shell:
+            if shell_min is None or nrm < shell_min:
+                shell_min = nrm
+        elif best is None or (nrm, tie_key(lab)) < best[:2]:
+            best = (nrm, tie_key(lab), lab)
+    if best is None or shell_min is None or shell_min <= best[0]:
+        raise InconclusiveTruncationError(
+            f"search width {width} too small for {family} at ell={ell}")
+    return best[2]
 
 
 # -- polynomials ----------------------------------------------------------------

@@ -533,6 +533,15 @@ def test_mu_reads_integers_quotients_and_decimals(token, value):
     assert cli._attach_negative_mu(["--mu", token]) == attached
 
 
+def test_negative_mu_after_the_abbreviation_m(capsys):
+    # argparse reads --m as --mu, so the separate negative token is attached after it too
+    assert cli._attach_negative_mu(["--m", "-5/2"]) == ["--m=-5/2"]
+    code, out = run(capsys, ["scalars", "SU", "3", "Y1,2", "Y2,2", "--m", "-5/2",
+                             "--format", "csv"])
+    assert code == 0
+    assert out == (GOLDEN / "scalars_SU_3_Y1_2_Y2_2_mu-5_2.csv").read_text()
+
+
 def test_only_an_ascii_negative_number_is_attached_to_mu():
     assert cli._attach_negative_mu(["--mu", "-5/2", "-h"]) == ["--mu=-5/2", "-h"]
     assert cli._attach_negative_mu(["--mu", "-.5"]) == ["--mu=-.5"]

@@ -194,3 +194,9 @@ def test_usage_error_matches_golden(capsys, monkeypatch, name, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert captured.err == (GOLDEN / name).read_text()
+
+
+def test_every_golden_is_checked_once():
+    named = [name for cases in (CASES, HELP_CASES, USAGE_CASES) for name, _ in cases]
+    assert len(named) == len(set(named))
+    assert set(named) == {path.name for path in GOLDEN.iterdir()}

@@ -3,15 +3,20 @@ from fractions import Fraction as Q
 from itertools import product
 from math import comb
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankone import ktypes
+from rankone.cli import MAX_ELL
 from rankone.groups import exceptional_mu, f4, rho_H, so, sp, su, SpectralParam
 from rankone.ktypes import (KTypeLabel, casimir_scalar, highest_weight, label,
                             label_from_weight, labels, langlands, minimal_ktype,
-                            minimal_ktype_closed, socle_contains, weyl_dim)
+                            minimal_ktype_closed, weyl_dim)
 from rankone.weyl import k_root_system
-from tests.references import langlands_chain, mintype_norm
+from tests.references import (langlands_chain, minimal_ktype_by_weights, mintype_norm,
+                              socle_contains)
 
 
 # Closed-form dimensions used as independent oracles.
@@ -307,21 +312,92 @@ def test_minimal_ktype_matches_closed_form_at_large_ell(fam):
 
 
 @pytest.mark.parametrize("fam", [su(8), sp(8), f4(), so(8)], ids=str)
-def test_minimal_ktype_highest_weights_do_not_grow_with_ell(monkeypatch, fam):
-    calls = []
+def test_minimal_ktype_scores_a_box_that_does_not_grow_with_ell(monkeypatch, fam):
+    scored, weights = [], []
+    predicate = ktypes.socle_predicate
 
-    def counting(lab):
-        calls.append(lab)
+    def counting_predicate(family, ell):
+        admits = predicate(family, ell)
+
+        def counting(coords):
+            inside = admits(coords)
+            if inside:
+                scored.append(coords)
+            return inside
+
+        return counting
+
+    def counting_weight(lab):
+        weights.append(lab)
         return highest_weight(lab)
 
-    monkeypatch.setattr(ktypes, "highest_weight", counting)
+    monkeypatch.setattr(ktypes, "socle_predicate", counting_predicate)
+    monkeypatch.setattr(ktypes, "highest_weight", counting_weight)
     counts = []
     for ell in (1, 100):
-        calls.clear()
+        scored.clear()
         minimal_ktype(fam, ell)
-        counts.append(len(calls))
-    # only socle labels get a highest weight, and the box does not grow with ell
+        counts.append(len(scored))
+    # every socle label of the box gets a norm, the box does not grow with ell,
+    # and the quadratic form builds no highest weight
     assert counts[0] == counts[1] > 0
+    assert weights == []
+
+
+@st.composite
+def lattice_families(draw, max_n):
+    """A family of each lattice row: SO (n >= 3), SO(2,1), SU, Sp or F4."""
+    row = draw(st.sampled_from(("SO", "SO(2,1)", "SU", "Sp", "F4")))
+    if row == "SO(2,1)":
+        return so(2)
+    if row == "F4":
+        return f4()
+    return {"SO": so, "SU": su, "Sp": sp}[row](draw(st.integers(3 if row == "SO" else 2, max_n)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(fam=lattice_families(60), ell=st.integers(0, MAX_ELL),
+       width=st.one_of(st.just(ktypes.SEARCH_WIDTH), st.integers(0, ktypes.SEARCH_WIDTH)))
+def test_minimal_ktype_matches_the_search_by_weights(fam, ell, width):
+    def outcome(search):
+        try:
+            return search(fam, ell)
+        except ktypes.InconclusiveTruncationError:
+            return "inconclusive"
+
+    with mock.patch.object(ktypes, "SEARCH_WIDTH", width):
+        assert outcome(minimal_ktype) == outcome(minimal_ktype_by_weights)
+
+
+@st.composite
+def large_labels(draw):
+    """A label of any lattice row with n <= 200 and |coordinates| <= 10**6."""
+    fam = draw(lattice_families(200))
+    spec = ktypes.lattice(fam).spec
+    bound = 10**6 - 1  # room for the parity fix below
+    c = draw(st.lists(st.integers(-bound if spec.signed else 0, bound),
+                      min_size=spec.length, max_size=spec.length))
+    if spec.ordered:
+        c.sort(reverse=True)
+    if spec.parity and (c[0] - c[1]) % 2:
+        c[0] += 1
+    return KTypeLabel(fam, tuple(c))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(lab=large_labels())
+def test_norm_form_is_the_norm_of_the_shifted_highest_weight(lab):
+    qa, qb, qc, qd, qe, qf = ktypes.norm_form(lab.family)
+    x, y = lab.coords[0], lab.coords[-1]
+    rho4 = [2 * r for r in k_root_system(lab.family.variant, lab.family.n).two_rho]
+    assert (qa * x * x + qb * x * y + qc * y * y + qd * x + qe * y + qf
+            == sum((h + r) ** 2 for h, r in zip(highest_weight(lab), rho4, strict=True)))
+
+
+def test_socle_bounds_have_the_label_length():
+    # the socle predicate zips each bound with the coordinates without a length check
+    for spec in ktypes.LATTICE_SPECS.values():
+        assert all(len(coeffs) == spec.length for coeffs, _ in spec.socle)
 
 
 @pytest.mark.parametrize("fam", SWEEP_FAMILIES, ids=str)

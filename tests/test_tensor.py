@@ -254,6 +254,24 @@ def test_racah_speiser_matches_the_dense_route_on_random_dominant_weights(fam, d
     assert {s.weight: s.multiplicity for s in dec.summands} == expected, lam
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_closed_form_chamber_test_matches_is_dominant(data):
+    # every kind at ranks 1..60 (SO gives B and D, F4 the half-spin weights of B4),
+    # dominant weights drawn as in the Racah-Speiser test above
+    variant, n = data.draw(st.one_of(
+        st.tuples(st.sampled_from(("SU", "Sp")), st.integers(1, 60)),
+        st.tuples(st.just("SO"), st.integers(2, 121)),
+        st.just(("F4", None))))
+    rs = k_root_system(variant, n)
+    w = data.draw(st.tuples(*[st.integers(-4, 4)] * rs.dim))
+    odd = data.draw(st.sampled_from([0, 1]))
+    lam = rs.dominant_rep(tuple(2 * x + odd for x in w))
+    for beta in tensor._p_weights(variant, n):
+        assert tensor._stays_dominant(rs, lam, beta) == rs.is_dominant(shift(lam, beta, 1)), \
+            (rs.kind, lam, beta)
+
+
 def test_racah_speiser_makes_no_dense_weight_operation_per_beta(monkeypatch):
     """A ratchet on the sparse kernel: at Sp(1000,1), with 4n = 4000 weights of
     p, racah_speiser_weight adds 2 rho to lam once, tests lam for dominance
