@@ -22,7 +22,8 @@ The anchored minimal-K-type search is pinned by `socle --ell 100` for SU 8,
 Sp 8, F4, SO 8 and SO 2, by `socle Sp 8 --ell 20`, the CSV reports of `socle
 SO 8 --ell 20` and `socle SU 8 --ell 16`, and by `socle SO 2 --ell 5`, the
 signed box where the tie key decides; the integer exceptional route by
-`exceptional Sp 7 --count 3028` and the CSV report of `exceptional SU 8 --count 1610`.
+`exceptional Sp 7 --count 3028` and the CSV report of `exceptional SU 8
+--count 1610`.
 The K-type dimensions at the size caps, up to ~35 digits, are pinned by
 `tensor Sp 300 V6,2`, `tensor SU 300 Y3,5` and `socle Sp 800 --ell 100`, and
 the tensor cap itself by `tensor SO 1000 Y3`, `tensor Sp 1000 V6,2` and
