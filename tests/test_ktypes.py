@@ -2,7 +2,6 @@ import random
 from fractions import Fraction as Q
 from itertools import product
 from math import comb
-
 from unittest import mock
 
 import pytest
