@@ -341,7 +341,7 @@ def cmd_tensor(family: GroupFamily, lab: ktypes.KTypeLabel) -> Report:
         dim = ktypes.weyl_dim(family, s.weight)
         total += s.multiplicity * dim
         rows.append({"weight": [_half(t) for t in s.weight], "multiplicity": s.multiplicity,
-                     "m_spherical": s.m_spherical,
+                     "m_spherical": s.label is not None,
                      "label": str(s.label) if s.label else None, "dim": dim})
     rep.result("summands", rows)
     expected = tensor.expected_summand_labels(family, lab)

@@ -40,6 +40,15 @@ class LatticeSpec:
     socle_text: str  # slot {i} holds the floor of bound i
     minimal: tuple[int, ...]  # the socle's minimal K-type is (ell + 1) * minimal
 
+    def error(self, c: tuple[int, ...]) -> Optional[str]:
+        """Why the coordinates c are not a label of this lattice, or None if they are."""
+        if len(c) != self.length:
+            return self.length_error
+        if ((not self.signed and min(c) < 0) or (self.ordered and c[0] < c[1])
+                or (self.parity and (c[0] - c[1]) % 2)):
+            return self.rule_error or self.length_error
+        return None
+
 
 # F4 labels count half-units of the Spin(9) weight.  Sp's socle bound a >= ell + 1
 # follows from a >= b but lets `socle_corner` read the bounds alone.
@@ -90,12 +99,9 @@ class KTypeLabel:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        c, spec = self.coords, lattice(self.family).spec
-        if len(c) != spec.length:
-            raise ValueError(spec.length_error)
-        if ((not spec.signed and min(c) < 0) or (spec.ordered and c[0] < c[1])
-                or (spec.parity and (c[0] - c[1]) % 2)):
-            raise ValueError(spec.rule_error or spec.length_error)
+        error = lattice(self.family).spec.error(self.coords)
+        if error:
+            raise ValueError(error)
 
     def __str__(self) -> str:
         return f"{lattice(self.family).spec.letter}[{','.join(map(str, self.coords))}]"
@@ -118,36 +124,19 @@ def label_from_weight(family: GroupFamily, w: Weight2) -> Optional[KTypeLabel]:
 
     The coordinates read back from w are accepted iff `highest_weight` maps them to w.
     """
-    coords = tuple(w[pos] // divisor for pos, divisor in lattice(family).readback)
-    try:
-        lab = KTypeLabel(family, coords)
-    except ValueError:
+    lat = lattice(family)
+    coords = tuple(w[pos] // divisor for pos, divisor in lat.readback)
+    if lat.spec.error(coords):
         return None
+    lab = KTypeLabel(family, coords)
     return lab if highest_weight(lab) == w else None
 
 
-def labels(family: GroupFamily, bound: int,
-           corner: Optional[tuple[int, ...]] = None) -> list[KTypeLabel]:
-    """Every label with coordinates in [0, bound] ([-bound, bound] for SO(2,1)), in lex order.
-
-    With a lower `corner`, coordinate i runs over [corner[i], corner[i] + bound]
-    instead.  The coordinate box is filtered through KTypeLabel's own
-    validation, so the lattice is stated once, in its row.
-    """
+def labels(family: GroupFamily, bound: int) -> list[KTypeLabel]:
+    """Every label with coordinates in [0, bound] ([-bound, bound] for SO(2,1)), in lex order."""
     spec = lattice(family).spec
-    if corner is None:
-        ranges = [range(-bound if spec.signed else 0, bound + 1)] * spec.length
-    elif len(corner) != spec.length:
-        raise ValueError(f"corner {corner} does not have the label rank {spec.length}")
-    else:
-        ranges = [range(c, c + bound + 1) for c in corner]
-    out = []
-    for coords in product(*ranges):
-        try:
-            out.append(KTypeLabel(family, coords))
-        except ValueError:
-            pass
-    return out
+    box = product(range(-bound if spec.signed else 0, bound + 1), repeat=spec.length)
+    return [KTypeLabel(family, c) for c in box if not spec.error(c)]
 
 
 def weyl_dim(family: GroupFamily, lam) -> int:
@@ -237,30 +226,30 @@ def minimal_ktype(family: GroupFamily, ell: int) -> KTypeLabel:
     The search box has width w = SEARCH_WIDTH past the socle corner, so its
     cost does not depend on ell.  The search compares the integer
     4 |lam + 2 rho_c|^2 = |2 lam + 4 rho_c|^2, which `norm_form` states as one
-    integer quadratic form in (c[0], c[-1]), so no label's highest weight is
-    built.  The truncation is certified by checking that every label on the
-    outer shell of the box (some |coordinate| >= corner_i + w - 1) exceeds the
-    interior minimum (the norm is a convex quadratic in the label, so it keeps
-    growing outward).
+    integer quadratic form in (c[0], c[-1]), so it scores coordinates and
+    builds one label, the winner's.  The truncation is certified by checking
+    that every label on the outer shell of the box (some |coordinate| >=
+    corner_i + w - 1) exceeds the interior minimum (the norm is a convex
+    quadratic in the label, so it keeps growing outward).
     """
     corner = socle_corner(family, ell)
     admits = socle_predicate(family, ell)
+    spec = lattice(family).spec
     width = SEARCH_WIDTH
-    box = labels(family, width, corner)
-    if lattice(family).spec.signed:
+    box = list(product(*[range(c, c + width + 1) for c in corner]))
+    if spec.signed:
         # the signed lattice adds the mirror box, -k in [corner, corner + width]
-        box = labels(family, width, (-corner[0] - width,)) + box
+        box += [(-k,) for (k,) in box]
 
-    def tie_key(lab):
+    def tie_key(c):
         # prefer the positive representative when SO(2,1) norms tie
-        return tuple(abs(c) for c in lab.coords) + tuple(-c for c in lab.coords)
+        return tuple(abs(x) for x in c) + tuple(-x for x in c)
 
     qa, qb, qc, qd, qe, qf = norm_form(family)
     edge_x, edge_y = corner[0] + width - 1, corner[-1] + width - 1
     best = best_norm = shell_min = None
-    for lab in box:
-        c = lab.coords
-        if not admits(c):
+    for c in box:
+        if spec.error(c) or not admits(c):
             continue
         x, y = c[0], c[-1]
         nrm = (qa * x + qb * y + qd) * x + (qc * y + qe) * y + qf
@@ -268,12 +257,12 @@ def minimal_ktype(family: GroupFamily, ell: int) -> KTypeLabel:
             if shell_min is None or nrm < shell_min:
                 shell_min = nrm
         elif (best is None or nrm < best_norm
-              or (nrm == best_norm and tie_key(lab) < tie_key(best))):
-            best, best_norm = lab, nrm
+              or (nrm == best_norm and tie_key(c) < tie_key(best))):
+            best, best_norm = c, nrm
     if best is None or shell_min is None or shell_min <= best_norm:
         raise InconclusiveTruncationError(
             f"search width {width} too small for {family} at ell={ell}")
-    return best
+    return KTypeLabel(family, best)
 
 
 def minimal_ktype_closed(family: GroupFamily, ell: int) -> KTypeLabel:

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .groups import GroupFamily, UnsupportedFamilyError, so
 from .hypergeom import F21Poly, f21
-from .ktypes import KTypeLabel, label
+from .ktypes import KTypeLabel, lattice
 from .poly import Poly, binomial_row, pclear, pmul
 
 
@@ -135,12 +135,10 @@ def omega_h_expand(family: GroupFamily, lab: KTypeLabel) -> RecurrenceRow:
     """
     _check_supported(family)
     den, raw = _raw_row(family, lab.coords)
+    spec = lattice(family).spec
     terms = []
     for coords, num in raw:
-        try:
-            target = label(family, *coords)
-        except ValueError:
-            target = None
+        target = None if spec.error(coords) else KTypeLabel(family, coords)
         if (num == 0) != (target is None):
             raise AssertionError(f"coefficient/validity mismatch at {lab} -> {coords}")
         if num:

@@ -45,8 +45,7 @@ class AlgorithmViolation(RuntimeError):
 class Summand:
     weight: Weight2
     multiplicity: int
-    m_spherical: bool
-    label: Optional[KTypeLabel]  # set iff m_spherical
+    label: Optional[KTypeLabel]  # set iff the summand is M-spherical
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class Decomposition:
         return {s.weight for s in self.summands}
 
     def spherical_labels(self) -> set[KTypeLabel]:
-        return {s.label for s in self.summands if s.m_spherical}
+        return {s.label for s in self.summands if s.label is not None}
 
 
 def _check_supported(family: GroupFamily):
@@ -83,11 +82,8 @@ def _p_weights(variant: str, n: Optional[int]) -> tuple[Root, ...]:
 
 def _decomposition(family: GroupFamily, source: Weight2, acc: Counter) -> Decomposition:
     """Summands of the positive entries of a multiplicity Counter, highest weight first."""
-    summands = []
-    for w in sorted(+acc, reverse=True):
-        lab = label_from_weight(family, w)
-        summands.append(Summand(w, acc[w], lab is not None, lab))
-    return Decomposition(family, source, tuple(summands))
+    return Decomposition(family, source, tuple(Summand(w, acc[w], label_from_weight(family, w))
+                                              for w in sorted(+acc, reverse=True)))
 
 
 def racah_speiser_weight(family: GroupFamily, lam: Weight2) -> Decomposition:

@@ -7,7 +7,8 @@ an interval (the library steps through the poles of the integer numerators,
 `groups.exceptional_in_interval`), the Fraction norm that `ktypes.minimal_ktype`
 minimises in doubled integers, the search itself as it ran before it scored
 its box with one integer quadratic form (`minimal_ktype_by_weights`: a dense
-highest weight per socle label) and the label-level socle test it called
+highest weight per socle label, over a box of `KTypeLabel`s admitted by
+constructing each, not by `LatticeSpec.error`) and the label-level socle test it called
 there, Fraction polynomial powers and scalings, and the
 `Fraction` coefficients of a terminating 2F1 that `hypergeom.F21Poly` stores as
 integer numerators over one denominator.  The per-family branches of K's root
@@ -42,7 +43,7 @@ from rankone.groups import (GroupFamily, SpectralParam, _gamma_numerators, excep
 from rankone.hypergeom import F21Poly
 from rankone import ktypes
 from rankone.ktypes import (InconclusiveTruncationError, KTypeLabel, LanglandsRecord,
-                            highest_weight, labels, lattice, socle_corner, socle_predicate)
+                            highest_weight, lattice, socle_corner, socle_predicate)
 from rankone.poly import Poly, pderiv, peval, pmul, trim
 from rankone.tensor import _p_weights
 from rankone.weyl import (RootSystem, Weight2, k_root_system, shift, type_a_u, type_b, type_c_c1,
@@ -291,15 +292,27 @@ def socle_contains(family: GroupFamily, ell: int, lab: KTypeLabel) -> bool:
     return socle_predicate(family, ell)(lab.coords)
 
 
+def _shifted_box(family: GroupFamily, width: int, corner: tuple[int, ...]) -> list[KTypeLabel]:
+    """The labels with coordinate i in [corner[i], corner[i] + width], in lex order,
+    admitted by constructing each `KTypeLabel` and dropping those it refuses."""
+    out = []
+    for coords in product(*(range(c, c + width + 1) for c in corner)):
+        try:
+            out.append(KTypeLabel(family, coords))
+        except ValueError:
+            pass
+    return out
+
+
 def minimal_ktype_by_weights(family: GroupFamily, ell: int) -> KTypeLabel:
     """`ktypes.minimal_ktype` as it ran before the quadratic form: the same box,
     shell certificate and SO(2,1) tie key, with each socle label's norm summed
     over its dense doubled highest weight and the tie key built for every label."""
     corner = socle_corner(family, ell)
     width = ktypes.SEARCH_WIDTH
-    box = labels(family, width, corner)
+    box = _shifted_box(family, width, corner)
     if lattice(family).spec.signed:
-        box = labels(family, width, (-corner[0] - width,)) + box
+        box = _shifted_box(family, width, (-corner[0] - width,)) + box
 
     def tie_key(lab):
         return tuple(abs(c) for c in lab.coords) + tuple(-c for c in lab.coords)

@@ -815,8 +815,7 @@ def test_family_chains_do_not_creep_back():
 # The parameters of src/rankone that carry a default, each used with more than
 # one value; a parameter every caller passes the same value to is a constant.
 DEFAULTED_PARAMETERS = {
-    "cli.main(argv)", "hypergeom._term(factor)", "ktypes.labels(corner)",
-    "so_model.random_lorentz(shape)",
+    "cli.main(argv)", "hypergeom._term(factor)", "so_model.random_lorentz(shape)",
 }
 
 
@@ -849,10 +848,58 @@ def test_defaulted_parameters_do_not_creep_back():
     the memoised `spherical.radial_factor`, which let
     `spherical.ingredient_identities` drop its `splits` default, to 5, and
     dropping the `strict` knob of `weyl.RootSystem.is_dominant`, which no
-    caller passed, to 4."""
+    caller passed, to 4, and dropping the `corner` knob of `ktypes.labels`,
+    which only the minimal-K-type search set, to 3."""
     found = set().union(*(_defaulted_parameters(tree, module)
                           for module, tree in _src_trees().items()))
     assert found == DEFAULTED_PARAMETERS
+
+
+# The functions of src/rankone with a handler that catches ValueError (by name,
+# through Exception or BaseException, or bare): the CLI's input parsers, the
+# report's rendering guard and the Lorentz model's refusal.
+VALUE_ERROR_CATCHERS = {
+    "cli.parse_family", "cli.parse_label", "cli._seed", "cli._tolerance", "cli.parse_rational",
+    "cli.Report.result", "cli._or_inf",
+}
+
+
+def _value_error_catchers(tree, module: str) -> set[str]:
+    """`module.qualname` of every function with a handler that would catch a ValueError."""
+    broad = {"ValueError", "Exception", "BaseException"}
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(t is None or (isinstance(t, ast.Name) and t.id in broad) for t in caught):
+                    out.add(prefix)
+            visit(child, prefix)
+
+    visit(tree, module)
+    return out
+
+
+def test_the_value_error_rule_on_a_snippet():
+    snippet = ("def a():\n    try: f()\n    except ValueError: pass\n"
+               "def b():\n    try: f()\n    except (KeyError, Exception): pass\n"
+               "class C:\n    def c(self):\n        try: f()\n        except: pass\n"
+               "def d():\n    try: f()\n    except KeyError: pass\n")
+    assert _value_error_catchers(ast.parse(snippet), "m") == {"m.a", "m.b", "m.C.c"}
+
+
+def test_value_error_catchers_do_not_creep_back():
+    """A ratchet on admission by exception: a K-type label is admitted by
+    `ktypes.LatticeSpec.error`, a test on coordinates, so `ktypes` and
+    `spherical` no longer build a `KTypeLabel` inside a try to find out.  Only
+    the functions of VALUE_ERROR_CATCHERS catch ValueError."""
+    found = set().union(*(_value_error_catchers(tree, module)
+                          for module, tree in _src_trees().items()))
+    assert found == VALUE_ERROR_CATCHERS
 
 
 def test_only_the_lorentz_model_imports_numpy():

@@ -330,13 +330,25 @@ def test_minimal_ktype_scores_a_box_that_does_not_grow_with_ell(monkeypatch, fam
         weights.append(lab)
         return highest_weight(lab)
 
+    built = []
+    post_init = KTypeLabel.__post_init__
+
+    def counting_post_init(lab):
+        built.append(lab.coords)
+        post_init(lab)
+
     monkeypatch.setattr(ktypes, "socle_predicate", counting_predicate)
     monkeypatch.setattr(ktypes, "highest_weight", counting_weight)
+    monkeypatch.setattr(KTypeLabel, "__post_init__", counting_post_init)
     counts = []
     for ell in (1, 100):
         scored.clear()
+        built.clear()
         minimal_ktype(fam, ell)
         counts.append(len(scored))
+        # the search scores only lattice coordinates and builds one label, the winner's
+        assert all(in_lattice(fam, c) for c in scored)
+        assert len(built) == 1
     # every socle label of the box gets a norm, the box does not grow with ell,
     # and the quadratic form builds no highest weight
     assert counts[0] == counts[1] > 0
@@ -393,6 +405,27 @@ def test_norm_form_is_the_norm_of_the_shifted_highest_weight(lab):
             == sum((h + r) ** 2 for h, r in zip(highest_weight(lab), rho4, strict=True)))
 
 
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(fam=lattice_families(60),
+       c=st.lists(st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6)), max_size=3))
+def test_the_coordinate_rule_admits_the_lattice(fam, c):
+    """`LatticeSpec.error` admits exactly what `in_lattice` admits at the row's
+    length, and `KTypeLabel` refuses everything else with the rule's text."""
+    spec, c = ktypes.lattice(fam).spec, tuple(c)
+    error = spec.error(c)
+    if len(c) != spec.length:
+        assert error == spec.length_error
+    else:
+        assert error in (None, spec.rule_error or spec.length_error)
+        assert (error is None) == in_lattice(fam, c)
+    if error is None:
+        assert KTypeLabel(fam, c).coords == c
+    else:
+        with pytest.raises(ValueError) as raised:
+            KTypeLabel(fam, c)
+        assert str(raised.value) == error
+
+
 def test_socle_bounds_have_the_label_length():
     # the socle predicate zips each bound with the coordinates without a length check
     for spec in ktypes.LATTICE_SPECS.values():
@@ -405,18 +438,6 @@ def test_socle_corner_is_the_least_socle_coordinate(fam):
         socle = [l for l in labels(fam, 4 * (ell + 2)) if socle_contains(fam, ell, l)]
         least = tuple(min(abs(l.coords[i]) for l in socle) for i in range(len(socle[0].coords)))
         assert ktypes.socle_corner(fam, ell) == least
-
-
-@pytest.mark.parametrize("fam", LATTICE_FAMILIES, ids=str)
-def test_labels_with_corner_are_the_shifted_box(fam):
-    rank = 1 if fam.variant == "SO" else 2
-    for corner in [(0,) * rank, (3,) * rank, (5, 0)[:rank], (2, 4)[:rank]]:
-        for b in range(5):
-            box = product(*(range(c, c + b + 1) for c in corner))
-            expected = [c for c in box if in_lattice(fam, c)]
-            assert [lab.coords for lab in labels(fam, b, corner)] == expected
-    with pytest.raises(ValueError):
-        labels(fam, 3, (1,) * (rank + 1))
 
 
 def test_langlands_records():

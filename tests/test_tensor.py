@@ -55,7 +55,7 @@ def test_so_odd_stated_form():
     for k in range(1, 8):
         dec = racah_speiser(fam, label(fam, k))
         assert dec.weights() == {(2 * k - 2, 0), (2 * k + 2, 0), (2 * k, 2)}
-        flags = {s.weight: s.m_spherical for s in dec.summands}
+        flags = {s.weight: s.label is not None for s in dec.summands}
         assert flags[(2 * k, 2)] is False
         assert flags[(2 * k - 2, 0)] and flags[(2 * k + 2, 0)]
 
@@ -85,7 +85,7 @@ def test_su_six_summand_form():
             v1 = (2 * q, 2, -2 * p, 2 * (p - q - 1))
             v2 = (2 * q, -2, -2 * p, 2 * (p - q + 1))
             assert dec.weights() == spherical | {v1, v2}
-            flags = {s.weight: s.m_spherical for s in dec.summands}
+            flags = {s.weight: s.label is not None for s in dec.summands}
             assert not flags[v1] and not flags[v2]
 
 
