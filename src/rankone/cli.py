@@ -430,17 +430,20 @@ def verify_spherical(rep: Report, depth: int, tolerance: float, seed: int):
         rep.check_each("omega-recurrence-identity", str(fam), labs,
                        lambda lab: spherical.verify_omega_identity(fam, lab, row(lab)))
         rep.check_each("lambda-row-convexity", str(fam), labs,
-                       lambda lab: (sum(c for _, c in row(lab).terms) == 1
-                                    and all(c >= 0 for _, c in row(lab).terms)))
-        rep.check_each("lambda-dim-reciprocity", str(fam), labs,
-                       lambda lab: all(lam * dim(lab) == row(tgt).coefficient(lab) * dim(tgt)
-                                       for tgt, lam in row(lab).terms))
+                       lambda lab: spherical.row_is_convex(row(lab)))
+
+        def reciprocity(lab):
+            row_v, dim_v = row(lab), dim(lab)
+            return all(spherical.lambda_dim_reciprocal(row_v, row(tgt), dim_v, dim(tgt))
+                       for tgt, _ in row_v.nums)
+
+        rep.check_each("lambda-dim-reciprocity", str(fam), labs, reciprocity)
 
         def adjacency(lab):
             spherical_summands = tensor.racah_speiser(fam, lab).spherical_labels()
             if fam.variant == "SO" and fam.n == 3:
                 spherical_summands = spherical_summands - {lab}
-            return {t for t, _ in row(lab).terms} == spherical_summands
+            return {t for t, _ in row(lab).nums} == spherical_summands
 
         rep.check_each("omega-vs-tensor-adjacency", str(fam), ktypes.labels(fam, min(depth, 8)),
                        adjacency)
@@ -451,9 +454,10 @@ def verify_scalars(rep: Report, depth: int, tolerance: float, seed: int):
         rep.check_each("scalar-vanishing-table", str(fam), [depth],
                        functools.partial(scalars.vanishing_table_check, fam))
         (triv,) = ktypes.labels(fam, 0)
+        two_rho = groups.two_rho_H(fam)
         rep.check_each("trivial-route-root-at-rho", str(fam), [triv],
-                       lambda t: all(-groups.rho_H(fam) - r == groups.rho_H(fam)
-                                     for _, y, _, r in scalars.edges(fam, 1) if y == t))
+                       lambda t: all(-two_rho - two_r == two_rho
+                                     for _, y, _, _, two_r in scalars.edges(fam, 1) if y == t))
     for fam in [groups.su(2), groups.su(3), groups.sp(2), groups.sp(3), groups.f4()]:
         rep.check_each("growth-product-closed-form", str(fam),
                        [(ell, steps) for ell in range(4) for steps in (1, 7, min(40, 4 * depth))],

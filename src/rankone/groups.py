@@ -117,6 +117,12 @@ def rho_H(family: GroupFamily) -> Fraction:
     return structural_data(family).rho_H
 
 
+def two_rho_H(family: GroupFamily) -> int:
+    """2rho(H) = m_alpha + 2 m_2alpha, the integer that the doubled scalar rows read."""
+    sd = structural_data(family)
+    return sd.m_alpha + 2 * sd.m_2alpha
+
+
 def _gamma_numerators(sd: StructuralData, t):
     """Numerators over 4 of the two Gamma arguments of 1/e at mu(H) = t/2.
 

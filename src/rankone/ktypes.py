@@ -111,25 +111,29 @@ def label(family: GroupFamily, *coords: int) -> KTypeLabel:
     return KTypeLabel(family, tuple(coords))
 
 
-def highest_weight(lab: KTypeLabel) -> Weight2:
-    """Doubled highest weight 2w of the labelled K-type in the e_i coordinates."""
-    lat, c = lattice(lab.family), lab.coords
+def _weight(lat: Lattice, c: tuple[int, ...]) -> Weight2:
+    """The doubled weight of a lattice's forms at coordinates c: head, pad, tail."""
     x, y = c[0], c[-1]
     return (tuple([a * x + b * y for a, b in lat.spec.head]) + lat.pad
             + tuple([a * x + b * y for a, b in lat.spec.tail]))
 
 
+def highest_weight(lab: KTypeLabel) -> Weight2:
+    """Doubled highest weight 2w of the labelled K-type in the e_i coordinates."""
+    return _weight(lattice(lab.family), lab.coords)
+
+
 def label_from_weight(family: GroupFamily, w: Weight2) -> Optional[KTypeLabel]:
     """The M-spherical label with doubled highest weight w, or None if w is not M-spherical.
 
-    The coordinates read back from w are accepted iff `highest_weight` maps them to w.
+    The coordinates read back from w are accepted iff they are a label and the
+    lattice's forms map them to w; only then is the label built.
     """
     lat = lattice(family)
     coords = tuple(w[pos] // divisor for pos, divisor in lat.readback)
-    if lat.spec.error(coords):
+    if lat.spec.error(coords) or _weight(lat, coords) != w:
         return None
-    lab = KTypeLabel(family, coords)
-    return lab if highest_weight(lab) == w else None
+    return KTypeLabel(family, coords)
 
 
 def labels(family: GroupFamily, bound: int) -> list[KTypeLabel]:

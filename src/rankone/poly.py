@@ -1,7 +1,7 @@
 """Dense univariate polynomials as coefficient lists (ascending powers).
 
 The helpers are generic over the coefficient ring: sums are seeded with the
-int 0, so int lists stay in Z[u] and `Fraction` lists stay in Q[u].  The exact
+int 0, so int lists stay in Z[z] and `Fraction` lists stay in Q[z].  The exact
 identities clear their denominators once with `pclear` and then run on ints.
 """
 from __future__ import annotations
@@ -30,8 +30,8 @@ def pmul(p: Poly, q: Poly) -> Poly:
 
 
 def binomial_row(k: int) -> Poly:
-    """(1 + u)^k as its integer binomial coefficients."""
-    return [comb(k, i) for i in range(k + 1)]
+    """(1 - z)^k as its signed integer binomial coefficients (-1)^i C(k, i)."""
+    return [-comb(k, i) if i % 2 else comb(k, i) for i in range(k + 1)]
 
 
 def peval(p: Poly, x):

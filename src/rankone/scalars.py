@@ -5,18 +5,19 @@ rescales Poisson transforms by T(V, Y, mu) = (mu + rho)(H) lambda(V, Y) +
 nu(V, Y).  nu = r lambda is tabulated per direction; its defining property is
 that T(V, Y, .) vanishes exactly at the parameter whose principal series has
 an invariant subspace containing Y but not V.  `edges` states the K-type
-graph once, as (V, Y, lambda, r) per edge; nu_scalar and t_scalar take lambda
-from a caller who holds the omega row of V.  The growth products reproduce
-the norm-recursion estimates used for the Fourier-series convergence of the
-SU, Sp and F4 cases.
+graph once, as (V, Y, lambda's numerator and denominator, 2r) per edge.  The
+tables are rows of doubled integers, and the sweep checks compare them as
+integers; nu_scalar, t_scalar and t_root halve once, and the first two take
+lambda from a caller who holds the omega row of V.  The growth
+products reproduce the norm-recursion estimates used for the Fourier-series
+convergence of the SU, Sp and F4 cases.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, log, perm
 
-from .groups import (GroupFamily, SpectralParam, UnsupportedFamilyError, rho_H,
-                     structural_data)
+from .groups import GroupFamily, SpectralParam, UnsupportedFamilyError, rho_H, two_rho_H
 from .ktypes import KTypeLabel, label, labels, weyl_dim
 from .spherical import omega_h_expand
 
@@ -54,21 +55,21 @@ VANISHING_ROWS = {
 }
 
 
-def _row_value(rows: dict, family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
-    """Half the row of (variant, direction V -> Y) evaluated at 2rho(H) and V."""
+def _row_value(rows: dict, family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> int:
+    """The row of (variant, direction V -> Y) evaluated at 2rho(H) and V: twice the
+    tabulated value."""
     row = rows.get((family.variant, _direction(v, y)))
     if row is None:
         raise NotOmegaRelatedError(f"{v} and {y} are not neighbours in {family}")
     c_rho, *coefs, c_0 = row
-    sd = structural_data(family)  # 2rho(H) = m_alpha + 2 m_2alpha, an integer
-    total = c_rho * (sd.m_alpha + 2 * sd.m_2alpha) + c_0
+    total = c_rho * two_rho_H(family) + c_0
     for c, x in zip(coefs, v.coords):
         total += c * x
-    return Fraction(total, 2)
+    return total
 
 
-def _nu_factor(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
-    """The rational multiple r with nu(V, Y) = r * lambda(V, Y), from NU_ROWS."""
+def _two_r(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> int:
+    """2r, with nu(V, Y) = r * lambda(V, Y), from NU_ROWS."""
     return _row_value(NU_ROWS, family, v, y)
 
 
@@ -76,7 +77,7 @@ def nu_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, lam: Fraction) 
     """nu(V, Y), the Poisson-transform scalar at mu = -rho, from lam = lambda(V, Y)."""
     if lam == 0:
         raise NotOmegaRelatedError(f"{v} and {y} are not omega-related in {family}")
-    return _nu_factor(family, v, y) * lam
+    return _two_r(family, v, y) * lam / 2
 
 
 def t_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, mu: SpectralParam,
@@ -86,31 +87,37 @@ def t_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, mu: SpectralPara
 
 
 def t_root(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
-    """The unique mu(H) where T(V, Y, .) vanishes."""
-    return -rho_H(family) - _nu_factor(family, v, y)
+    """The unique mu(H) where T(V, Y, .) vanishes: -rho - r."""
+    return Fraction(-two_rho_H(family) - _two_r(family, v, y), 2)
 
 
-def vanishing_mu(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
-    """Tabulated reducibility parameter for the direction V -> Y, from VANISHING_ROWS.
-
-    At this mu the principal series has an invariant subspace containing Y
-    but not V, forcing T(V, Y, mu) = 0.
-    """
-    return _row_value(VANISHING_ROWS, family, v, y)
-
-
-def edges(family: GroupFamily, bound: int) -> list[tuple]:
-    """(V, Y, lambda(V, Y), r) for V in labels(family, bound) and (Y, lambda) in V's
-    omega row, with r = nu / lambda from NU_ROWS: T = lambda (mu + rho + r)."""
-    return [(v, y, lam, _nu_factor(family, v, y)) for v in labels(family, bound)
-            for y, lam in omega_h_expand(family, v).terms]
+def edges(family: GroupFamily, bound: int) -> list[tuple[KTypeLabel, KTypeLabel, int, int, int]]:
+    """(V, Y, num, den, 2r) for V in labels(family, bound) and (Y, num) in V's omega
+    row over den, so lambda(V, Y) = num / den, with 2r = 2 nu / lambda from NU_ROWS:
+    T = lambda (mu + rho + r)."""
+    out = []
+    for v in labels(family, bound):
+        row = omega_h_expand(family, v)
+        out += [(v, y, num, row.den, _two_r(family, v, y)) for y, num in row.nums]
+    return out
 
 
 def vanishing_table_check(family: GroupFamily, bound: int) -> bool:
-    """vanishing_mu is the T-root -rho - r on every edge within bound (a row keeps
-    only lambda != 0, so T(V, Y, vanishing_mu) = 0 is this same equation)."""
-    rho = rho_H(family)
-    return all(vanishing_mu(family, v, y) == -rho - r for v, y, _, r in edges(family, bound))
+    """The tabulated reducibility parameter is the T-root -rho - r on every edge
+    within bound (a row keeps only lambda != 0, so T vanishing there is this
+    same equation).
+
+    VANISHING_ROWS gives 2mu(H) of the parameter for the direction V -> Y: at
+    it the principal series has an invariant subspace containing Y but not V,
+    forcing T(V, Y, mu) = 0.
+    """
+    return all(_vanishes_at_t_root(family, v, y, two_r)
+               for v, y, _, _, two_r in edges(family, bound))
+
+
+def _vanishes_at_t_root(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, two_r: int) -> bool:
+    """The VANISHING_ROWS value of V -> Y is -2rho(H) - 2r, in integers."""
+    return _row_value(VANISHING_ROWS, family, v, y) == -two_rho_H(family) - two_r
 
 
 # -- norm-recursion growth products -------------------------------------------
@@ -233,7 +240,7 @@ def growth_order_estimate(family: GroupFamily, ell: int) -> int:
 
 __all__ = [
     "NotOmegaRelatedError",
-    "edges", "nu_scalar", "t_scalar", "t_root", "vanishing_mu",
+    "edges", "nu_scalar", "t_scalar", "t_root",
     "vanishing_table_check", "growth_product", "growth_step_ratio",
     "growth_closed_form", "growth_order_estimate", "growth_order_stated",
 ]

@@ -32,8 +32,8 @@ def zonal_coeffs(n: int, k: int) -> Poly:
 
     Expansion of `spherical.zonal_factor(n, k)`, cos^k F(-k/2, (1-k)/2,
     (n-1)/2, -tan^2), with sin^2 = 1 - x1^2; normalized to 1 at x1 = 1.
-    Summed in Z[x1] over the series denominator, with (1 - x1^2)^j as a
-    signed binomial row.
+    Summed in Z[x1] over the series denominator, with (1 - x1^2)^j as the
+    signed binomial row of (1 - z)^j at z = x1^2.
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
@@ -41,7 +41,7 @@ def zonal_coeffs(n: int, k: int) -> Poly:
     out = [0] * (k + 1)
     for j, c in enumerate(series.negated_nums()):
         for i, b in enumerate(binomial_row(j)):
-            out[k - 2 * j + 2 * i] += -b * c if i % 2 else b * c
+            out[k - 2 * j + 2 * i] += b * c
     out = trim(out)
     if sum(out) != series.den:
         raise AssertionError("zonal polynomial must equal 1 at the base point")
@@ -356,8 +356,9 @@ def expected_combination(n: int, k: int, mu: SpectralParam, points: np.ndarray) 
     fam = so(n)
     src = label(fam, k)
     out = np.zeros(len(points))
-    for y, lam in omega_h_expand(fam, src).terms:  # Y_{k-1} (for k > 0), then Y_{k+1}
-        coeff = float(t_scalar(fam, src, y, mu, lam))
+    row = omega_h_expand(fam, src)
+    for y, _ in row.nums:  # Y_{k-1} (for k > 0), then Y_{k+1}
+        coeff = float(t_scalar(fam, src, y, mu, row.coefficient(y)))
         out += coeff * peval(_zonal_floats(n, y.coords[0]), points[:, 0])
     return out
 

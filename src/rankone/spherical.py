@@ -11,11 +11,14 @@ the terms of one radial identity.  The ingredient identities and the
 assembled row are both read from that one factorisation, so the assembled
 row uses exactly the coefficients whose identities were checked, and it must
 reproduce the stated row.  All identities are verified by exact polynomial
-algebra after the substitution u = tan^2, which turns every 1/cos^2 into
-(1 + u).  The algebra runs in Z[u]: a radial factor is an integer polynomial
-over one denominator, (1 + u)^k is a binomial row, and each identity clears
-its denominators once.  Rows, lambda and the recurrence coefficients stay
-`Fraction`s.
+algebra after the substitution z = -tan^2, the argument of every series,
+which turns every 1/cos^2 into (1 - z).  The algebra runs in Z[z]: a radial
+factor is its series' integer numerators over one denominator, (1 - z)^k is a
+signed binomial row, and each identity clears its denominators once.  The rows and the factorisation are integer numerators
+over their denominators too, and the assembled row meets the stated one by
+cross-multiplication; `RecurrenceRow.coefficient` and `lambda_scalar` are the
+only places where a coefficient becomes a `Fraction`, for the callers that
+want lambda itself.
 """
 from __future__ import annotations
 
@@ -94,11 +97,22 @@ def _azimuth(family: GroupFamily, coords: tuple[int, ...]) -> tuple[GroupFamily,
 
 @dataclass(frozen=True)
 class RecurrenceRow:
+    """omega(H) phi_source = sum num / den phi_target over the (target, num) pairs
+    of `nums`, each num nonzero: lambda(source, target) = num / den."""
+
     source: KTypeLabel
-    terms: tuple[tuple[KTypeLabel, Fraction], ...]
+    den: int
+    nums: tuple[tuple[KTypeLabel, int], ...]
+
+    def numerator(self, target: KTypeLabel) -> int:
+        """The numerator of lambda(source, target) over den; 0 when unrelated."""
+        for t, num in self.nums:
+            if t == target:
+                return num
+        return 0
 
     def coefficient(self, target: KTypeLabel) -> Fraction:
-        return dict(self.terms).get(target, Fraction(0))
+        return Fraction(self.numerator(target), self.den)
 
 
 def _raw_row(family: GroupFamily, coords: tuple[int, ...]):
@@ -136,16 +150,16 @@ def omega_h_expand(family: GroupFamily, lab: KTypeLabel) -> RecurrenceRow:
     _check_supported(family)
     den, raw = _raw_row(family, lab.coords)
     spec = lattice(family).spec
-    terms = []
+    nums = []
     for coords, num in raw:
         target = None if spec.error(coords) else KTypeLabel(family, coords)
         if (num == 0) != (target is None):
             raise AssertionError(f"coefficient/validity mismatch at {lab} -> {coords}")
         if num:
-            terms.append((target, Fraction(num, den)))
+            nums.append((target, num))
     if den <= 0 or any(num < 0 for _, num in raw) or sum(num for _, num in raw) != den:
         raise AssertionError(f"row at {lab} is not a convex combination")
-    return RecurrenceRow(lab, tuple(terms))
+    return RecurrenceRow(lab, den, tuple(nums))
 
 
 def lambda_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
@@ -153,38 +167,52 @@ def lambda_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction
     return omega_h_expand(family, v).coefficient(y)
 
 
+def row_is_convex(row: RecurrenceRow) -> bool:
+    """lambda >= 0 along the row and sums to 1: the numerators are nonnegative
+    and sum to the denominator."""
+    return sum(num for _, num in row.nums) == row.den and all(num >= 0 for _, num in row.nums)
+
+
+def lambda_dim_reciprocal(row_v: RecurrenceRow, row_y: RecurrenceRow, dim_v: int, dim_y: int) -> bool:
+    """lambda(V, Y) dim V == lambda(Y, V) dim Y for V and Y the sources of the rows,
+    cross-multiplied over the two denominators."""
+    return (row_v.numerator(row_y.source) * row_y.den * dim_v
+            == row_y.numerator(row_v.source) * row_v.den * dim_y)
+
+
 # -- exact verification of the recurrence identities --------------------------
 
 
 def _clear_cos(terms: list[tuple[int, int, int, Poly]]) -> Poly:
-    """Sum num/den * cos^p * F(u) terms, F in Z[u], as one polynomial in Z[u].
+    """Sum num/den * cos^p * F(z) terms, F in Z[z] and z = -tan^2, as one
+    polynomial in Z[z].
 
-    Each term is multiplied by (1+u)^((P - p)/2), P the maximal cos power, and
-    the denominators are cleared once; powers must share parity for the
-    identity to make sense.
+    Each term is multiplied by cos^(p - P) = (1 - z)^((P - p)/2), P the maximal
+    cos power, and the denominators are cleared once; powers must share parity
+    for the identity to make sense.
     """
     top = max(p for p, _, _, _ in terms)
     if any((top - p) % 2 for p, _, _, _ in terms):
         raise ValueError("cosine powers of different parity cannot be cleared")
-    return pclear([(num, den, f_of_u if p == top else pmul(binomial_row((top - p) // 2), f_of_u))
-                   for p, num, den, f_of_u in terms])
+    return pclear([(num, den, f_of_z if p == top else pmul(binomial_row((top - p) // 2), f_of_z))
+                   for p, num, den, f_of_z in terms])
 
 
-def _radial_identity(lhs: RadialFactor, rhs: list[tuple[Fraction, RadialFactor]]) -> bool:
-    """cos * lhs == sum coeff * rhs_i, as an exact identity in u = tan^2."""
-    terms = [(lhs.cos_power + 1, -1, lhs.series.den, lhs.series.negated_nums())]
-    terms += [(r.cos_power, c.numerator, c.denominator * r.series.den, r.series.negated_nums())
-              for c, r in rhs]
+def _radial_identity(lhs: RadialFactor, den: int, rhs: list[tuple[int, RadialFactor]]) -> bool:
+    """cos * lhs == sum num / den * rhs_i, as an exact identity in z = -tan^2."""
+    terms = [(lhs.cos_power + 1, -1, lhs.series.den, lhs.series.nums)]
+    terms += [(r.cos_power, num, den * r.series.den, r.series.nums) for num, r in rhs]
     return not _clear_cos(terms)
 
 
-# (identity name, azimuthal weight w, {target coordinates: radial coefficient c})
-Split = tuple[str, Fraction, dict[tuple[int, ...], Fraction]]
+# (identity name, azimuthal weight w as (num, den), den, {target coordinates: num});
+# the radial coefficient at a target is num / den
+Split = tuple[str, tuple[int, int], int, dict[tuple[int, ...], int]]
 
 
-def _terms(den: int, *terms: tuple[int, tuple[int, ...]]) -> dict[tuple[int, ...], Fraction]:
-    """{target: num/den} over the (num, target) pairs with a nonzero numerator."""
-    return {target: Fraction(num, den) for num, target in terms if num}
+def _terms(*terms: tuple[int, tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """{target: num} over the (num, target) pairs with a nonzero numerator."""
+    return {target: num for num, target in terms if num}
 
 
 def _factorisation(family: GroupFamily, coords: tuple[int, ...]) -> list[Split]:
@@ -193,40 +221,38 @@ def _factorisation(family: GroupFamily, coords: tuple[int, ...]) -> list[Split]:
     omega(H) is cos(xi) times a cosine on the azimuthal factor (none for SO).
     That cosine splits the azimuthal factor onto its neighbours with weights
     w, and on each split cos(xi) R(coords) = sum c R(target) is one radial
-    identity.  Returns one (identity name, w, {target: c}) per split, zero
-    terms dropped.  Different splits never share a target, so the omega(H)
-    coefficient at a target is w * c.
+    identity.  Returns one (identity name, w, den, {target: num}) per split,
+    with c = num / den and zero terms dropped.  Different splits never share a
+    target, so the omega(H) coefficient at a target is w * c.
     """
     n = family.n
     if family.variant == "SO":
         (k,) = coords
-        return [("radial", Fraction(1),
-                 _terms(n + 2 * k - 2, (n + k - 2, (k + 1,)), (k, (k - 1,))))]
+        return [("radial", (1, 1), n + 2 * k - 2, _terms((n + k - 2, (k + 1,)), (k, (k - 1,))))]
     if family.variant == "SU":
         # cos(phi) splits the circle character in half onto the two
         # neighbouring frequencies
         p, q = coords
         den = p + q + n - 1
-        half = Fraction(1, 2)
-        return [("raise_p", half, _terms(den, (p + n - 1, (p + 1, q)), (q, (p, q - 1)))),
-                ("raise_q", half, _terms(den, (q + n - 1, (p, q + 1)), (p, (p - 1, q))))]
+        return [("raise_p", (1, 2), den, _terms((p + n - 1, (p + 1, q)), (q, (p, q - 1)))),
+                ("raise_q", (1, 2), den, _terms((q + n - 1, (p, q + 1)), (p, (p - 1, q))))]
     if family.variant == "Sp":
         # Both radial splittings hold as formulas for every a >= b, also on
         # the boundary labels where the lower azimuthal branch has weight 0.
         a, b = coords
         den = 2 * n + a + b - 1
-        lower = _terms(den, (2 * n - 2 + b, (a, b + 1)), (a + 1, (a - 1, b)))
-        upper = _terms(den, (2 * n - 1 + a, (a + 1, b)), (b, (a, b - 1)))
+        lower = _terms((2 * n - 2 + b, (a, b + 1)), (a + 1, (a - 1, b)))
+        upper = _terms((2 * n - 1 + a, (a + 1, b)), (b, (a, b - 1)))
     else:
         m, k = coords
         den = 14 + 2 * m
-        lower = _terms(den, (8 + m - k, (m + 1, k - 1)), (m + k + 6, (m - 1, k - 1)))
-        upper = _terms(den, (14 + m + k, (m + 1, k + 1)), (m - k, (m - 1, k + 1)))
+        lower = _terms((8 + m - k, (m + 1, k - 1)), (m + k + 6, (m - 1, k - 1)))
+        upper = _terms((14 + m + k, (m + 1, k + 1)), (m - k, (m - 1, k + 1)))
     # the azimuthal weights are the sphere's radial coefficients
     sphere, (q,) = _azimuth(family, coords)
-    ((_, _, weights),) = _factorisation(sphere, (q,))
-    return [("lower_pair", weights.get((q - 1,), Fraction(0)), lower),
-            ("raise_pair", weights[(q + 1,)], upper)]
+    ((_, _, sphere_den, weights),) = _factorisation(sphere, (q,))
+    return [("lower_pair", (weights.get((q - 1,), 0), sphere_den), den, lower),
+            ("raise_pair", (weights[(q + 1,)], sphere_den), den, upper)]
 
 
 def _checked_splits(family: GroupFamily,
@@ -241,8 +267,9 @@ def _checked_splits(family: GroupFamily,
     if family.variant in _AZIMUTHS:
         out["azimuthal"] = ingredient_identities(*_azimuth(family, coords))["radial"]
     lhs = radial_factor(family, coords)
-    for name, _, terms in splits:
-        out[name] = _radial_identity(lhs, [(c, radial_factor(family, t)) for t, c in terms.items()])
+    for name, _, den, terms in splits:
+        out[name] = _radial_identity(lhs, den, [(num, radial_factor(family, t))
+                                                for t, num in terms.items()])
     return splits, out
 
 
@@ -259,17 +286,23 @@ def verify_omega_identity(family: GroupFamily, lab: KTypeLabel, row: RecurrenceR
     (`omega_h_expand`), which a sweep already holds.
     """
     splits, identities = _checked_splits(family, lab.coords)
-    if not all(identities.values()):
-        return False
+    return all(identities.values()) and _assembles_to(splits, row)
+
+
+def _assembles_to(splits: list[Split], row: RecurrenceRow) -> bool:
+    """The splits assemble `row`: the same targets, and at each one w * num / den
+    equals the stated num / row.den, cross-multiplied."""
     assembled = {}
-    for _, weight, terms in splits:
-        if weight:
-            assembled.update({t: weight * c for t, c in terms.items()})
-    return assembled == {t.coords: c for t, c in row.terms}
+    for _, (w_num, w_den), den, terms in splits:
+        if w_num:
+            assembled.update({t: (w_num * num, w_den * den) for t, num in terms.items()})
+    stated = {t.coords: num for t, num in row.nums}
+    return (assembled.keys() == stated.keys()
+            and all(num * row.den == stated[t] * den for t, (num, den) in assembled.items()))
 
 
 __all__ = [
     "RadialFactor", "RecurrenceRow",
     "radial_factor", "zonal_factor", "omega_h_expand", "lambda_scalar",
-    "ingredient_identities", "verify_omega_identity",
+    "row_is_convex", "lambda_dim_reciprocal", "ingredient_identities", "verify_omega_identity",
 ]

@@ -25,7 +25,13 @@ their neighbours.  The Chebyshev closed form U_q and its three-term recurrence a
 zonal function, and the dense expansion of Z(v . x) over every coordinate is
 what `so_model._poly_in_direction` ran before it kept to the support of v.
 The CSV report is kept as `csv.writer` wrote it, each value through
-`json.dumps`, where `cli.Report.to_csv` now quotes its cells itself.
+`json.dumps`, where `cli.Report.to_csv` now quotes its cells itself.  The
+omega-row sweeps are kept in `Fraction`s as they ran before the rows became
+integer numerators over one denominator: a row's lambdas, its convexity, lambda
+* dim reciprocity, the row assembled from its factorisation, and the nu and
+vanishing tables evaluated as halves, where `spherical` and `scalars` now
+compare integers by cross-multiplication; `vanishing_mu` reads the vanishing
+table as a parameter mu(H), which only the tests ask for.
 """
 from __future__ import annotations
 
@@ -41,10 +47,11 @@ from operator import sub
 from rankone.groups import (GroupFamily, SpectralParam, _gamma_numerators, exceptional_mu, rho_H,
                             structural_data)
 from rankone.hypergeom import F21Poly
-from rankone import ktypes
+from rankone import ktypes, scalars
 from rankone.ktypes import (InconclusiveTruncationError, KTypeLabel, LanglandsRecord,
                             highest_weight, lattice, socle_corner, socle_predicate)
 from rankone.poly import Poly, pderiv, peval, pmul, trim
+from rankone.spherical import omega_h_expand
 from rankone.tensor import _p_weights
 from rankone.weyl import (RootSystem, Weight2, k_root_system, shift, type_a_u, type_b, type_c_c1,
                           type_d, w_add, w_dot)
@@ -417,6 +424,64 @@ def poly_in_direction_dense(z: Poly, v, n: int) -> dict[tuple[int, ...], object]
             key = tuple(exps)
             out[key] = out.get(key, 0) + mult * coef
     return out
+
+
+# -- omega rows and scalar tables in Fractions -----------------------------------
+
+
+def fraction_terms(row) -> list[tuple[KTypeLabel, Fraction]]:
+    """The (target, lambda) pairs of a `spherical.RecurrenceRow`, each lambda = num / den."""
+    return [(t, Fraction(num, row.den)) for t, num in row.nums]
+
+
+def row_is_convex_fractions(row) -> bool:
+    """lambda >= 0 along the row and the lambdas sum to 1."""
+    lams = [lam for _, lam in fraction_terms(row)]
+    return sum(lams) == 1 and all(lam >= 0 for lam in lams)
+
+
+def lambda_dim_reciprocal_fractions(row_v, row_y, dim_v: int, dim_y: int) -> bool:
+    """lambda(V, Y) dim V == lambda(Y, V) dim Y, V and Y the sources of the rows."""
+    lam_vy = dict(fraction_terms(row_v)).get(row_y.source, Fraction(0))
+    lam_yv = dict(fraction_terms(row_y)).get(row_v.source, Fraction(0))
+    return lam_vy * dim_v == lam_yv * dim_y
+
+
+def assembles_to_fractions(splits, row) -> bool:
+    """The row assembled from `spherical._factorisation` splits at w * c, compared
+    with the stated row as a dict of Fractions."""
+    assembled = {}
+    for _, (w_num, w_den), den, terms in splits:
+        weight = Fraction(w_num, w_den)
+        if weight:
+            assembled.update({t: weight * Fraction(num, den) for t, num in terms.items()})
+    return assembled == {t.coords: lam for t, lam in fraction_terms(row)}
+
+
+def row_value_fraction(rows: dict, family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
+    """Half the row of (variant, direction V -> Y) at 2rho(H) and V, in Fractions."""
+    c_rho, *coefs, c_0 = rows[(family.variant, tuple(b - a for a, b in zip(v.coords, y.coords)))]
+    total = c_rho * 2 * rho_H(family) + c_0 + sum(c * x for c, x in zip(coefs, v.coords))
+    return Fraction(total) / 2
+
+
+def vanishing_mu(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
+    """The tabulated reducibility parameter mu(H) of the direction V -> Y, half its
+    `scalars.VANISHING_ROWS` value, which the library compares only doubled."""
+    return Fraction(scalars._row_value(scalars.VANISHING_ROWS, family, v, y), 2)
+
+
+def vanishes_at_t_root_fractions(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> bool:
+    """vanishing_mu(V, Y) == -rho - r, both tables read at call time and halved."""
+    return (row_value_fraction(scalars.VANISHING_ROWS, family, v, y)
+            == -rho_H(family) - row_value_fraction(scalars.NU_ROWS, family, v, y))
+
+
+def vanishing_table_check_fractions(family: GroupFamily, bound: int) -> bool:
+    """`scalars.vanishing_table_check` on Fractions, over the same box and rows."""
+    return all(vanishes_at_t_root_fractions(family, v, y)
+               for v in ktypes.labels(family, bound)
+               for y, _ in omega_h_expand(family, v).nums)
 
 
 # -- CSV reports -------------------------------------------------------------------

@@ -951,6 +951,69 @@ def test_no_json_call_in_src_passes_indent():
     assert found == {}
 
 
+# The omega-row and scalar-table sweeps run on integers: rows are numerators
+# over one denominator, the tables doubled integers, and the comparisons
+# cross-multiply.  A Fraction enters only where lambda or a scalar leaves for a
+# report or an API caller (`RecurrenceRow.coefficient`, `nu_scalar`, ...).
+INTEGER_SWEEP_FUNCTIONS = {
+    "spherical.RecurrenceRow.numerator", "spherical.row_is_convex",
+    "spherical.lambda_dim_reciprocal", "spherical.verify_omega_identity",
+    "spherical._assembles_to", "spherical._checked_splits", "spherical._radial_identity",
+    "spherical._factorisation",
+    "scalars._row_value", "scalars._two_r", "scalars.edges", "scalars.vanishing_table_check",
+    "scalars._vanishes_at_t_root",
+    "cli.verify_spherical", "cli.verify_scalars",
+}
+
+
+def _functions_naming_fraction(tree, module: str) -> dict[str, bool]:
+    """{qualified name: whether its body names Fraction} for every function of a
+    module, nested ones too; `fractions.Fraction` and an import alias count."""
+    aliases = {"Fraction"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            aliases.update(a.asname or a.name for a in node.names if a.name == "Fraction")
+
+    def names_fraction(node):
+        return any((isinstance(n, ast.Name) and n.id in aliases)
+                   or (isinstance(n, ast.Attribute) and n.attr == "Fraction") for n in ast.walk(node))
+
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    out[name] = names_fraction(child)
+                visit(child, name)
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return out
+
+
+def test_the_fraction_rule_on_a_snippet():
+    snippet = ("from fractions import Fraction as Q\nimport fractions\n"
+               "def a(x):\n    return Q(x, 2)\n"
+               "def b(x):\n    return fractions.Fraction(x)\n"
+               "def c(x) -> Fraction:\n    return x\n"
+               "class R:\n    def d(self):\n        return self.den * 2\n")
+    assert _functions_naming_fraction(ast.parse(snippet), "m") == {
+        "m.a": True, "m.b": True, "m.c": True, "m.R.d": False}
+
+
+def test_integer_sweeps_name_no_fraction():
+    """A ratchet on the integer omega-row layer: the sweep predicates,
+    `verify_omega_identity` and the suites that call them name no Fraction."""
+    found = {}
+    for module, tree in _src_trees().items():
+        found.update(_functions_naming_fraction(tree, module))
+    assert INTEGER_SWEEP_FUNCTIONS <= found.keys()
+    assert {name for name in INTEGER_SWEEP_FUNCTIONS if found[name]} == set()
+
+
 # Every function, method and class of src/rankone is named somewhere in
 # src/rankone, so each is reached from what a command runs.  A reference that
 # only the tests compare against lives in tests/references.py.  The contiguous

@@ -12,7 +12,8 @@ from rankone.so_model import zonal_coeffs
 from rankone.spherical import (ingredient_identities, lambda_scalar, omega_h_expand,
                                radial_factor, verify_omega_identity)
 from rankone.tensor import racah_speiser
-from tests.references import chebyshev_three_term, chebyshev_u, coeffs, padd, ppow, pscale
+from tests.references import (chebyshev_three_term, chebyshev_u, coeffs, fraction_terms, padd, ppow,
+                              pscale)
 from tests.test_tensor import FAMILIES
 
 
@@ -81,15 +82,15 @@ def stated_row(fam, lab):
 def test_rows_match_stated_coefficients(fam):
     for lab in labels(fam, 10):
         row = omega_h_expand(fam, lab)
-        assert {t.coords: c for t, c in row.terms} == stated_row(fam, lab), lab
+        assert {t.coords: c for t, c in fraction_terms(row)} == stated_row(fam, lab), lab
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_rows_are_convex(fam):
     for lab in labels(fam, 10):
-        row = omega_h_expand(fam, lab)
-        assert all(c > 0 for _, c in row.terms)
-        assert sum(c for _, c in row.terms) == 1
+        lams = [c for _, c in fraction_terms(omega_h_expand(fam, lab))]
+        assert all(c > 0 for c in lams)
+        assert sum(lams) == 1
 
 
 def test_lambda_values():
@@ -98,14 +99,13 @@ def test_lambda_values():
     a, b, n = 3, 1, 2
     assert lambda_scalar(sp(n), label(sp(n), a, b), label(sp(n), a + 1, b)) \
         == Q((a - b + 2) * (2 * n - 1 + a), 2 * (a - b + 1) * (2 * n - 1 + a + b))
-    assert omega_h_expand(so(4), label(so(4), 0)).terms \
-        == ((label(so(4), 1), Q(1)),)
+    assert fraction_terms(omega_h_expand(so(4), label(so(4), 0))) == [(label(so(4), 1), Q(1))]
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_dim_reciprocity(fam):
     for lab in labels(fam, 10):
-        for tgt, lam in omega_h_expand(fam, lab).terms:
+        for tgt, lam in fraction_terms(omega_h_expand(fam, lab)):
             assert lam * weyl_dim(fam, lab) == lambda_scalar(fam, tgt, lab) * weyl_dim(fam, tgt)
 
 
@@ -126,7 +126,7 @@ def test_ingredient_identities_reported_individually():
 @pytest.mark.parametrize("fam", [so(3), so(5), so(6), su(2), su(4), sp(2), sp(3), f4()])
 def test_omega_relation_is_spherical_tensor_adjacency(fam):
     for lab in labels(fam, 8):
-        neighbours = {t for t, _ in omega_h_expand(fam, lab).terms}
+        neighbours = {t for t, _ in omega_h_expand(fam, lab).nums}
         spherical = racah_speiser(fam, lab).spherical_labels()
         if fam.variant == "SO" and fam.n == 3:
             # Y_k appears in its own tensor square route but is not
@@ -139,13 +139,13 @@ def test_omega_relation_is_spherical_tensor_adjacency(fam):
 
 
 def test_boundary_rows_drop_only_invalid_targets():
-    assert {t.coords for t, _ in omega_h_expand(su(4), label(su(4), 0, 3)).terms} \
+    assert {t.coords for t, _ in omega_h_expand(su(4), label(su(4), 0, 3)).nums} \
         == {(1, 3), (0, 2), (0, 4)}
-    assert {t.coords for t, _ in omega_h_expand(sp(2), label(sp(2), 2, 2)).terms} \
+    assert {t.coords for t, _ in omega_h_expand(sp(2), label(sp(2), 2, 2)).nums} \
         == {(3, 2), (2, 1)}
-    assert {t.coords for t, _ in omega_h_expand(f4(), label(f4(), 3, 3)).terms} \
+    assert {t.coords for t, _ in omega_h_expand(f4(), label(f4(), 3, 3)).nums} \
         == {(4, 4), (4, 2), (2, 2)}
-    assert {t.coords for t, _ in omega_h_expand(f4(), label(f4(), 4, 0)).terms} \
+    assert {t.coords for t, _ in omega_h_expand(f4(), label(f4(), 4, 0)).nums} \
         == {(5, 1), (3, 1)}
 
 
@@ -174,33 +174,37 @@ def reference_clear_cos(terms):
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_integer_clear_cos_matches_fraction_reference(fam):
-    """Random combinations of a radial factor and its neighbours agree up to a positive scale."""
+    """Random combinations of a radial factor and its neighbours agree up to a positive
+    scale, the integer route in z = -u and the Fraction reference in u."""
     rng = random.Random(str(fam))
     for lab in labels(fam, 5):
         factors = [(Q(-1), radial_factor(fam, lab.coords), 1)]
         factors += [(Q(rng.randint(-9, 9), rng.randint(1, 7)), radial_factor(fam, t.coords), 0)
-                    for t, _ in omega_h_expand(fam, lab).terms]
+                    for t, _ in omega_h_expand(fam, lab).nums]
         ref = reference_clear_cos([(r.cos_power + extra, c, poly_in_u(r)) for c, r, extra in factors])
         got = spherical._clear_cos([(r.cos_power + extra, c.numerator, c.denominator * r.series.den,
-                                     r.series.negated_nums()) for c, r, extra in factors])
+                                     r.series.nums) for c, r, extra in factors])
         assert all(type(x) is int for x in got)
         if not ref:
             assert got == []
             continue
-        ratio = Q(got[-1]) / ref[-1]
-        assert ratio > 0 and [Q(x) for x in got] == [ratio * y for y in ref], lab
+        # got is in z = -u
+        ref_in_z = [-y if j % 2 else y for j, y in enumerate(ref)]
+        ratio = Q(got[-1]) / ref_in_z[-1]
+        assert ratio > 0 and [Q(x) for x in got] == [ratio * y for y in ref_in_z], lab
 
 
 @pytest.mark.parametrize("fam,coords", [(so(5), (3,)), (su(3), (2, 1)), (sp(2), (3, 1)), (f4(), (4, 2))])
 def test_radial_identity_fails_with_a_moved_coefficient(monkeypatch, fam, coords):
-    """Moving the first right-hand coefficient by 1/den must break every radial identity."""
+    """Moving the first right-hand numerator by one, so its coefficient by 1/den,
+    must break every radial identity."""
     lab = label(fam, *coords)
     assert all(ingredient_identities(fam, coords).values())
     real = spherical._radial_identity
 
-    def moved(lhs, rhs):
-        (c, r), *rest = rhs
-        return real(lhs, [(c + Q(1, c.denominator), r)] + rest)
+    def moved(lhs, den, rhs):
+        (num, r), *rest = rhs
+        return real(lhs, den, [(num + 1, r)] + rest)
 
     monkeypatch.setattr(spherical, "_radial_identity", moved)
     checks = ingredient_identities(fam, coords)
@@ -283,15 +287,16 @@ def test_wrong_azimuthal_degree_fails_only_its_families(monkeypatch, capsys, var
 
 
 def test_broken_so4_split_fails_the_sp_azimuthal_identity(monkeypatch):
-    """Moving the SO(4,1) radial coefficients breaks Sp's azimuthal identity,
-    and with it the weights its omega(H) row is assembled from."""
+    """Moving the SO(4,1) radial coefficients, each numerator by one unit of its
+    denominator, breaks Sp's azimuthal identity, and with it the weights its
+    omega(H) row is assembled from."""
     real = spherical._factorisation
 
     def moved(family, coords):
         splits = real(family, coords)
         if family == so(4):
-            ((name, w, terms),) = splits
-            splits = [(name, w, {t: c + Q(1, 7) for t, c in terms.items()})]
+            ((name, w, den, terms),) = splits
+            splits = [(name, w, den, {t: num + 1 for t, num in terms.items()})]
         return splits
 
     monkeypatch.setattr(spherical, "_factorisation", moved)
