@@ -55,14 +55,14 @@ VANISHING_ROWS = {
 }
 
 
-def _row_value(rows: dict, family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> int:
-    """The row of (variant, direction V -> Y) evaluated at 2rho(H) and V: twice the
-    tabulated value."""
+def _row_value(rows: dict, family: GroupFamily, v: KTypeLabel, y: KTypeLabel, two_rho: int) -> int:
+    """The row of (variant, direction V -> Y) evaluated at two_rho = 2rho(H) and V:
+    twice the tabulated value."""
     row = rows.get((family.variant, _direction(v, y)))
     if row is None:
         raise NotOmegaRelatedError(f"{v} and {y} are not neighbours in {family}")
     c_rho, *coefs, c_0 = row
-    total = c_rho * two_rho_H(family) + c_0
+    total = c_rho * two_rho + c_0
     for c, x in zip(coefs, v.coords):
         total += c * x
     return total
@@ -70,7 +70,7 @@ def _row_value(rows: dict, family: GroupFamily, v: KTypeLabel, y: KTypeLabel) ->
 
 def _two_r(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> int:
     """2r, with nu(V, Y) = r * lambda(V, Y), from NU_ROWS."""
-    return _row_value(NU_ROWS, family, v, y)
+    return _row_value(NU_ROWS, family, v, y, two_rho_H(family))
 
 
 def nu_scalar(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, lam: Fraction) -> Fraction:
@@ -95,10 +95,12 @@ def edges(family: GroupFamily, bound: int) -> list[tuple[KTypeLabel, KTypeLabel,
     """(V, Y, num, den, 2r) for V in labels(family, bound) and (Y, num) in V's omega
     row over den, so lambda(V, Y) = num / den, with 2r = 2 nu / lambda from NU_ROWS:
     T = lambda (mu + rho + r)."""
+    two_rho = two_rho_H(family)
     out = []
     for v in labels(family, bound):
         row = omega_h_expand(family, v)
-        out += [(v, y, num, row.den, _two_r(family, v, y)) for y, num in row.nums]
+        out += [(v, y, num, row.den, _row_value(NU_ROWS, family, v, y, two_rho))
+                for y, num in row.nums]
     return out
 
 
@@ -111,13 +113,16 @@ def vanishing_table_check(family: GroupFamily, bound: int) -> bool:
     it the principal series has an invariant subspace containing Y but not V,
     forcing T(V, Y, mu) = 0.
     """
-    return all(_vanishes_at_t_root(family, v, y, two_r)
+    two_rho = two_rho_H(family)
+    return all(_vanishes_at_t_root(family, v, y, two_r, two_rho)
                for v, y, _, _, two_r in edges(family, bound))
 
 
-def _vanishes_at_t_root(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, two_r: int) -> bool:
-    """The VANISHING_ROWS value of V -> Y is -2rho(H) - 2r, in integers."""
-    return _row_value(VANISHING_ROWS, family, v, y) == -two_rho_H(family) - two_r
+def _vanishes_at_t_root(family: GroupFamily, v: KTypeLabel, y: KTypeLabel, two_r: int,
+                        two_rho: int) -> bool:
+    """The VANISHING_ROWS value of V -> Y is -2rho(H) - 2r, in integers, with
+    two_rho = 2rho(H) read once per family by the caller."""
+    return _row_value(VANISHING_ROWS, family, v, y, two_rho) == -two_rho - two_r
 
 
 # -- norm-recursion growth products -------------------------------------------

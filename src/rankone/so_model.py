@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
@@ -327,11 +327,20 @@ def _delta_at(n: int, z, mu: SpectralParam, axis: np.ndarray, s: float,
     return factor * peval(z, points @ axis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntertwiningReport:
     residual: float  # max |combined gradient - exact scalar combination|
     gradient_h_residual: float  # max |d/ds at e along H - (mu+rho)(H) Z_k|
-    coefficients: dict  # least-squares zonal coefficients of the combined function
+    n: int
+    k: int
+    points: np.ndarray  # the sphere points the gradients were sampled at
+    combined: np.ndarray  # the combined gradient at the points
+
+    @cached_property
+    def coefficients(self) -> dict:
+        """Least-squares coefficients of the combined function in Z_{k-1}, Z_k and
+        Z_{k+1}, fitted on first read: the residuals do not need the fit."""
+        return _fit_zonal(self.n, (self.k - 1, self.k, self.k + 1), self.points, self.combined)
 
 
 def _gradient_sum(n: int, k: int, mu: SpectralParam,
@@ -369,7 +378,8 @@ def verify_intertwining(n: int, k: int, mu: SpectralParam, seed: int) -> Intertw
     The omega-weighted sum of derivatives of the delta Poisson transform along
     an orthonormal basis of p must reproduce the exact rational scalar
     combination of the two neighbouring zonal functions.  Returns the max
-    deviations; judging them against a tolerance is the caller's part.
+    deviations; judging them against a tolerance is the caller's part.  The
+    report fits the zonal coefficients only when `coefficients` is read.
     """
     if n < 3:
         raise ValueError("needs n >= 3")
@@ -377,11 +387,10 @@ def verify_intertwining(n: int, k: int, mu: SpectralParam, seed: int) -> Intertw
     combined, d_h = _gradient_sum(n, k, mu, points)
     expected = expected_combination(n, k, mu, points)
     target_h = float(mu.mu_H + rho_H(so(n))) * peval(_zonal_floats(n, k), points[:, 0])
-    coeffs = _fit_zonal(n, (k - 1, k, k + 1), points, combined)
     return IntertwiningReport(
         residual=float(np.max(np.abs(combined - expected))),
         gradient_h_residual=float(np.max(np.abs(d_h - target_h))),
-        coefficients=coeffs,
+        n=n, k=k, points=points, combined=combined,
     )
 
 

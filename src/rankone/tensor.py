@@ -15,8 +15,11 @@ routes share no chamber kernel.  Racah-Speiser hands lam + 2 rho and each
 weight of p to `RootSystem.to_dominant_chamber`, which costs O(1) per weight
 of p, and builds a dense weight only for each surviving summand.  The oracle
 runs Freudenthal over `RootSystem.dominant_weights_below` and looks weights up
-through `dominant_rep`, with `orbit_size` (|W| over the stabiliser) in its
-dimension checks.  The closed form shifts lam by each weight of p and keeps
+through `dominant_rep`.  It convolves with p in one pass over the pairs
+(nu, beta) of a dominant weight of V_lam and a weight of p
+(`_product_character`), counting the product's weights per Weyl orbit with
+`orbit_size` (|W| over the stabiliser), which its dimension checks read too.
+The closed form shifts lam by each weight of p and keeps
 the dominant ones with its own sparse chamber test, which compares only the
 coordinates each weight of p moves.  The oracle's state lives in
 memos that grow only with the distinct weights a process touches: the
@@ -166,6 +169,37 @@ def _dominant_multiplicities(variant: str, n: Optional[int], lam: Weight2) -> tu
     return tuple(sorted(mult.items()))
 
 
+def _product_character(variant: str, n: Optional[int], lam: Weight2) -> dict[Weight2, int]:
+    """Multiplicities of V_lam (x) p at its dominant weights, in one pass.
+
+    For every pair (nu, beta) of a dominant weight nu of V_lam and a weight
+    beta of p, m_lam(nu) |W nu| is added to count[dominant_rep(nu + beta)],
+    and the multiplicity of the dominant weight mu is count[mu] / |W mu|.
+    The weights of p are W-stable, so every nu' in W nu has as many beta with
+    nu' + beta in W mu as nu has; the whole orbit W nu therefore contributes
+    |W nu| times the pairs of nu alone, and count[mu] is the number of weights
+    of the product in W mu.  A division that is not exact raises
+    AssertionError naming mu.
+    """
+    rs = k_root_system(variant, n)
+    betas = _p_weights(variant, n)
+    rep = rs.dominant_rep
+    count: dict[Weight2, int] = {}
+    get = count.get
+    for nu, m in _dominant_multiplicities(variant, n, lam):
+        weight = m * rs.orbit_size(nu)
+        for beta in betas:
+            mu = rep(shift(nu, beta, 1))
+            count[mu] = get(mu, 0) + weight
+    char: dict[Weight2, int] = {}
+    for mu, c in count.items():
+        char[mu], rem = divmod(c, rs.orbit_size(mu))
+        if rem:
+            raise AssertionError(f"{c} weights of V_lam (x) p in the orbit of doubled weight "
+                                 f"{mu} are not a multiple of its orbit size")
+    return char
+
+
 # more peeled summands than this means the peeling is not terminating
 MAX_PEEL = 512
 
@@ -174,23 +208,15 @@ def character_oracle(family: GroupFamily, lab: KTypeLabel) -> Decomposition:
     """Decompose by character arithmetic on the dominant chamber; intended for small labels.
 
     Characters are W-invariant, so each is held by its multiplicities at
-    dominant weights.  For dominant mu, the multiplicity of mu in V_lam (x) p
-    is the sum over the weights beta of p of m_lam(dominant_rep(mu - beta)),
-    and every dominant weight of the product is dominant_rep(nu + beta) for a
-    dominant weight nu of V_lam.
+    dominant weights: the product character by `_product_character`, one
+    pass that counts the weights of V_lam (x) p per Weyl orbit, and each
+    peeled summand by its Freudenthal table.
     """
     _check_supported(family)
     variant, n = family.variant, family.n
     rs = k_root_system(variant, n)
     lam = highest_weight(lab)
-    betas = _p_weights(variant, n)
-    m_lam = dict(_dominant_multiplicities(variant, n, lam))
-    char: dict[Weight2, int] = {}
-    rep = rs.dominant_rep
-    for mu in {rep(shift(nu, beta, 1)) for nu in m_lam for beta in betas}:
-        m = sum(m_lam.get(rep(shift(mu, beta, -1)), 0) for beta in betas)
-        if m:
-            char[mu] = m
+    char = _product_character(variant, n, lam)
     if (sum(m * rs.orbit_size(mu) for mu, m in char.items())
             != structural_data(family).dim_p * rs.weyl_dim(lam)):
         raise AssertionError("the character of V_lam (x) p must have dimension dim p * dim V_lam")

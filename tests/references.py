@@ -20,10 +20,13 @@ The Racah-Speiser route is kept as it ran before its kernel became sparse:
 every weight of p added to all of lam + 2 rho and sorted back into the
 chamber with the sign of the sorting permutation, where
 `RootSystem.to_dominant_chamber` now compares only the moved coordinates with
-their neighbours.  The Chebyshev closed form U_q and its three-term recurrence are what
-`spherical` read Sp's azimuthal factor from before it became the SO(4,1)
-zonal function, and the dense expansion of Z(v . x) over every coordinate is
-what `so_model._poly_in_direction` ran before it kept to the support of v.
+their neighbours.  The oracle's product character is kept as it was
+convolved before it counted weights per Weyl orbit in one pass: a candidate
+set of dominant weights, then a sum over the weights of p for each.  The
+Chebyshev closed form U_q and its three-term recurrence are what `spherical`
+read Sp's azimuthal factor from before it became the SO(4,1) zonal function,
+and the dense expansion of Z(v . x) over every coordinate is what
+`so_model._poly_in_direction` ran before it kept to the support of v.
 The CSV report is kept as `csv.writer` wrote it, each value through
 `json.dumps`, where `cli.Report.to_csv` now quotes its cells itself.  The
 omega-row sweeps are kept in `Fraction`s as they ran before the rows became
@@ -45,9 +48,9 @@ from math import comb, factorial
 from operator import sub
 
 from rankone.groups import (GroupFamily, SpectralParam, _gamma_numerators, exceptional_mu, rho_H,
-                            structural_data)
+                            structural_data, two_rho_H)
 from rankone.hypergeom import F21Poly
-from rankone import ktypes, scalars
+from rankone import ktypes, scalars, tensor
 from rankone.ktypes import (InconclusiveTruncationError, KTypeLabel, LanglandsRecord,
                             highest_weight, lattice, socle_corner, socle_predicate)
 from rankone.poly import Poly, pderiv, peval, pmul, trim
@@ -206,6 +209,24 @@ def racah_speiser_dense(family: GroupFamily, lam: Weight2) -> Counter:
         assert is_dominant(rs, dom, strict=True)
         acc[w_sub(dom, rs.two_rho)] += sign
     return acc
+
+
+# -- the character oracle's convolution --------------------------------------------
+
+
+def product_character_two_pass(family: GroupFamily, lam: Weight2) -> dict[Weight2, int]:
+    """The dominant multiplicities of V_lam (x) p in two passes: the candidates
+    dominant_rep(nu + beta), for every dominant weight nu of V_lam and weight
+    beta of p, then m(mu) = sum over beta of m_lam(dominant_rep(mu - beta))."""
+    rs = k_root_system(family.variant, family.n)
+    betas = _p_weights(family.variant, family.n)
+    m_lam = dict(tensor._dominant_multiplicities(family.variant, family.n, lam))
+    char = {}
+    for mu in {dominant_rep(rs, shift(nu, beta, 1)) for nu in m_lam for beta in betas}:
+        m = sum(m_lam.get(dominant_rep(rs, shift(mu, beta, -1)), 0) for beta in betas)
+        if m:
+            char[mu] = m
+    return char
 
 
 # -- the e-function -------------------------------------------------------------
@@ -468,7 +489,7 @@ def row_value_fraction(rows: dict, family: GroupFamily, v: KTypeLabel, y: KTypeL
 def vanishing_mu(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> Fraction:
     """The tabulated reducibility parameter mu(H) of the direction V -> Y, half its
     `scalars.VANISHING_ROWS` value, which the library compares only doubled."""
-    return Fraction(scalars._row_value(scalars.VANISHING_ROWS, family, v, y), 2)
+    return Fraction(scalars._row_value(scalars.VANISHING_ROWS, family, v, y, two_rho_H(family)), 2)
 
 
 def vanishes_at_t_root_fractions(family: GroupFamily, v: KTypeLabel, y: KTypeLabel) -> bool:

@@ -14,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rankone import scalars  # noqa: E402
-from rankone.groups import SpectralParam, f4, so, sp, su  # noqa: E402
+from rankone.groups import SpectralParam, f4, so, sp, su, two_rho_H  # noqa: E402
 from rankone.ktypes import label  # noqa: E402
 from rankone.scalars import NotOmegaRelatedError, nu_scalar, t_root, t_scalar  # noqa: E402
 from rankone.spherical import omega_h_expand  # noqa: E402
@@ -68,7 +68,7 @@ def test_zero_lambda_is_not_omega_related(case, mu):
 
 
 def _integer_verdict(fam, v, y) -> bool:
-    return scalars._vanishes_at_t_root(fam, v, y, scalars._two_r(fam, v, y))
+    return scalars._vanishes_at_t_root(fam, v, y, scalars._two_r(fam, v, y), two_rho_H(fam))
 
 
 @PROPERTY_SETTINGS

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankone import groups, scalars
+from rankone.cli import main
 from rankone.groups import SpectralParam, exceptional_mu, f4, rho_H, so, sp, su
 from rankone.ktypes import KTypeLabel, label, weyl_dim
 from rankone.scalars import (NU_ROWS, VANISHING_ROWS, NotOmegaRelatedError, _two_r,
@@ -254,6 +257,23 @@ VANISH_FAMILIES = ([so(n) for n in range(3, 9)] + [su(n) for n in range(2, 6)]
 @pytest.mark.parametrize("fam", VANISH_FAMILIES)
 def test_vanishing_table(fam):
     assert vanishing_table_check(fam, 10) is vanishing_table_check_fractions(fam, 10) is True
+
+
+def test_the_scalar_sweep_reads_two_rho_once_per_family_and_caller(capsys, monkeypatch):
+    """2rho(H) is read per family, not per edge: `edges`, `vanishing_table_check`
+    and the CLI's trivial-route check each read it once."""
+    calls = Counter()
+    true = groups.two_rho_H
+
+    def counted(fam):
+        calls[fam] += 1
+        return true(fam)
+
+    monkeypatch.setattr(groups, "two_rho_H", counted)
+    monkeypatch.setattr(scalars, "two_rho_H", counted)
+    assert main(["verify", "scalars", "--depth", "6"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 14 and max(calls.values()) <= 4, calls
 
 
 def test_vanishing_rows_explicit():

@@ -369,6 +369,25 @@ def test_gradient_coefficients_match_scalars():
     assert abs(rep.coefficients[k]) <= 1e-6  # no middle component
 
 
+def test_the_zonal_fit_runs_only_when_its_coefficients_are_read(capsys, monkeypatch):
+    fits = []
+    true = M._fit_zonal
+
+    def counted(*args):
+        fits.append(args[:2])
+        return true(*args)
+
+    monkeypatch.setattr(M, "_fit_zonal", counted)
+    rep = M.verify_intertwining(4, 2, SP(Q(1, 2)), 0)
+    assert rep.residual <= 1e-5 and not fits
+    assert rep.coefficients is rep.coefficients and fits == [(4, (1, 2, 3))]
+    fits.clear()
+    assert main(["verify", "so-model", "--depth", "6"]) == 0
+    capsys.readouterr()
+    # only exceptional_vanishing_residual reads a fit: n in (3, 4), ell in (0, 1, 2)
+    assert len(fits) == 6
+
+
 @pytest.mark.parametrize("n", (3, 4))
 def test_exceptional_vanishing(n):
     for ell in range(3):

@@ -193,15 +193,44 @@ def test_oracle_rejects_a_wrong_summand_multiplicity(monkeypatch):
         character_oracle(fam, lab)
 
 
+def test_oracle_rejects_a_weight_of_p_counted_twice(monkeypatch):
+    """With one weight of p listed twice the weights of p are no longer W-stable
+    and number dim p + 1: the orbit counts stop dividing, or the dimension
+    check fails."""
+    true = tensor._p_weights
+    monkeypatch.setattr(tensor, "_p_weights",
+                        lambda variant, n: true(variant, n) + true(variant, n)[:1])
+    caught_by_dim_p = set()
+    for fam in ORACLE_FAMILIES:
+        for lab in labels(fam, 2):
+            with pytest.raises(AssertionError, match="multiple of its orbit size|dim p") as err:
+                character_oracle(fam, lab)
+            caught_by_dim_p.add("dim p" in str(err.value))
+    assert caught_by_dim_p == {False, True}  # each check catches some label
+
+
+def _random_label(fam, data):
+    box = {lab.coords: lab for lab in labels(fam, 12)}
+    width = len(next(iter(box)))
+    coords = data.draw(st.tuples(*[st.integers(0, 12)] * width).filter(box.__contains__))
+    return box[coords]
+
+
 @pytest.mark.parametrize("fam", ORACLE_FAMILIES)
 @settings(derandomize=True, database=None, max_examples=6, deadline=None)
 @given(data=st.data())
 def test_character_oracle_agrees_on_random_labels(fam, data):
-    box = {lab.coords: lab for lab in labels(fam, 12)}
-    width = len(next(iter(box)))
-    coords = data.draw(st.tuples(*[st.integers(0, 12)] * width).filter(box.__contains__))
-    lab = box[coords]
+    lab = _random_label(fam, data)
     assert character_oracle(fam, lab).summands == racah_speiser(fam, lab).summands, lab
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_the_one_pass_product_character_is_the_two_pass_one(fam, data):
+    lam = highest_weight(_random_label(fam, data))
+    assert (tensor._product_character(fam.variant, fam.n, lam)
+            == references.product_character_two_pass(fam, lam)), lam
 
 
 @pytest.mark.parametrize("fam", ORACLE_FAMILIES)

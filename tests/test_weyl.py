@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rankone import ktypes, tensor, weyl
 from rankone.cli import main
-from rankone.groups import so, su
+from rankone.groups import f4, so, sp, su
 from rankone.weyl import (k_root_system, shift, type_a_u, type_b, type_c_c1, type_d, w_add,
                           w_dot)
 from tests import references
@@ -274,6 +274,29 @@ def test_the_dominant_walk_expands_each_weight_once(capsys, monkeypatch):
     capsys.readouterr()
     assert len(asked) == len(set(asked))  # one table per (root system, highest weight)
     assert len(expanded) == len(set(expanded)) > len(asked)
+
+
+def test_the_oracle_convolution_asks_one_dominant_rep_per_pair(monkeypatch):
+    """A ratchet on the oracle's convolution: once the Freudenthal tables are
+    built, one `character_oracle` call asks `dominant_rep` once per pair of a
+    dominant weight of V_lam and a weight of p, and never again for a second
+    lookup pass over the product's dominant weights."""
+    asked = []
+    public = weyl.RootSystem.dominant_rep
+
+    def counted(rs, w):
+        asked.append(w)
+        return public(rs, w)
+
+    monkeypatch.setattr(weyl.RootSystem, "dominant_rep", counted)
+    for fam, coords in [(so(5), (3,)), (so(8), (2,)), (su(3), (2, 1)), (sp(2), (3, 1)),
+                        (f4(), (2, 2))]:
+        lab = ktypes.label(fam, *coords)
+        tensor.character_oracle(fam, lab)  # builds every table the call reads
+        table = tensor._dominant_multiplicities(fam.variant, fam.n, ktypes.highest_weight(lab))
+        asked.clear()
+        tensor.character_oracle(fam, lab)
+        assert len(asked) == len(table) * len(tensor._p_weights(fam.variant, fam.n)), (fam, lab)
 
 
 def test_the_dominant_walk_needs_no_recursion():
