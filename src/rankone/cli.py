@@ -54,7 +54,8 @@ def _fmt(value):
         return str(value)
     if isinstance(value, ktypes.KTypeLabel):
         return str(value)
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
+        # exact types: a record (a NamedTuple) renders through str below;
         # an already rendered list is copied in C
         return list(value) if _all_str(value) else [_fmt(v) for v in value]
     if isinstance(value, dict):

@@ -7,10 +7,10 @@ to the exceptional parameters work on the integers t = 2 mu(H).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from itertools import chain
+from typing import NamedTuple, Optional
 
 VARIANTS = ("SO", "SU", "Sp", "F4")
 
@@ -19,22 +19,32 @@ class UnsupportedFamilyError(ValueError):
     """Operation not available for the requested family instance."""
 
 
-@dataclass(frozen=True, order=True)
-class GroupFamily:
-    """One of SO(n,1), SU(n,1), Sp(n,1) or F4(-20), tagged by variant and n."""
-
+class _GroupFamilyFields(NamedTuple):
     variant: str
     n: Optional[int] = None
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.variant == "F4":
-            if self.n is not None:
+
+class GroupFamily(_GroupFamilyFields):
+    """One of SO(n,1), SU(n,1), Sp(n,1) or F4(-20), tagged by variant and n.
+
+    A value type: a tuple of its fields, validated when built.  `_make` and
+    `_replace` build through tuple alone and skip the validation.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        variant, n = self
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+        if variant == "F4":
+            if n is not None:
                 raise ValueError("F4 carries no free parameter n")
         else:
-            if not isinstance(self.n, int) or self.n < 2:
-                raise ValueError(f"{self.variant} requires an integer n >= 2, got {self.n!r}")
+            if not isinstance(n, int) or n < 2:
+                raise ValueError(f"{variant} requires an integer n >= 2, got {n!r}")
+        return self
 
     def __str__(self) -> str:
         if self.variant == "F4":
@@ -58,8 +68,7 @@ def f4() -> GroupFamily:
     return GroupFamily("F4")
 
 
-@dataclass(frozen=True)
-class StructuralData:
+class StructuralData(NamedTuple):
     """Multiplicities of the restricted roots and derived constants.
 
     rho_H is the half-sum of positive restricted roots (with multiplicity)
@@ -74,8 +83,7 @@ class StructuralData:
     sphere_dim: int
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Per-variant constants: m_alpha = a n + b, m_2alpha, and the shift c ell + d
     of the exceptional parameters mu_ell(H) = -rho(H) - (c ell + d)."""
 
@@ -92,8 +100,7 @@ FAMILY_SPECS = {
 }
 
 
-@dataclass(frozen=True)
-class SpectralParam:
+class SpectralParam(NamedTuple):
     """mu in a*, stored as the exact rational mu(H)."""
 
     mu_H: Fraction
@@ -169,10 +176,13 @@ def exceptional_in_interval(family: GroupFamily, lo: int) -> list[int]:
     (a0 + t)/4, with a0 + t one of the `_gamma_numerators`, is a pole exactly
     at t = -a0, -a0 - 4, -a0 - 8, ...  Both a0 are positive (m_alpha >= 1), so
     each numerator's poles in [lo, 0] are one progression of step -4 from
-    t = -a0, and the scan costs what its output costs.  SU's two numerators
-    coincide, so the union lists each double pole once.
+    t = -a0, and the scan costs what its output costs.  Two numerators of one
+    residue mod 4 have nested progressions (SU's coincide, Sp's and F4's
+    overlap), so only the lower is kept, each pole is listed once, and the
+    union is a merge of at most two ascending runs.
     """
-    poles = set()
-    for a0 in _gamma_numerators(structural_data(family), 0):
-        poles.update(range(-a0, lo - 1, -4))
-    return sorted(poles)
+    low, high = sorted(_gamma_numerators(structural_data(family), 0))
+    runs = [range(-low, lo - 1, -4)[::-1]]
+    if (high - low) % 4:
+        runs.append(range(-high, lo - 1, -4)[::-1])
+    return sorted(chain(*runs))

@@ -8,9 +8,9 @@ denominators once, never numerically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .poly import Poly, pclear, pderiv, pmul
 
@@ -22,8 +22,7 @@ def _terminating_degree(a: Fraction, b: Fraction) -> int:
     return min(degrees)
 
 
-@dataclass(frozen=True)
-class F21Poly:
+class F21Poly(NamedTuple):
     """F(a,b,c,z) as a polynomial: coeffs[j] = (a)_j (b)_j / ((c)_j j!) = nums[j] / den.
 
     The numerators and the positive denominator share no common factor, and

@@ -9,7 +9,6 @@ testing the family.  Highest weights are doubled-integer weights 2w (`weyl.Weigh
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -19,26 +18,26 @@ from .groups import GroupFamily, SpectralParam, exceptional_mu, rho_H
 from .weyl import Weight2, k_root_system
 
 
-@dataclass(frozen=True, kw_only=True)
-class LatticeSpec:
+class LatticeSpec(NamedTuple):
     """One family's K-type lattice.  The doubled highest weight of a label c is
     the forms `head`, zeros up to K's weight length, then the forms `tail`, each
     a pair (a, b) read as a c[0] + b c[-1].  The socle at mu_ell is
-    sum_i coeffs[i] |c[i]| >= scale (ell + 1) for each (coeffs, scale) in `socle`."""
+    sum_i coeffs[i] |c[i]| >= scale (ell + 1) for each (coeffs, scale) in `socle`.
+    Rows are built by keyword; the defaulted fields come last."""
 
     length: int  # number of label coordinates
-    signed: bool = False  # c may be negative
-    ordered: bool = False  # c[0] >= c[1]
-    parity: bool = False  # c[0] = c[1] mod 2
     length_error: str
-    rule_error: str = ""  # a broken sign, order or parity rule, if not length_error
     letter: str  # reports print letter[c]
     head: tuple[tuple[int, int], ...]
-    tail: tuple[tuple[int, int], ...] = ()
     readback: tuple[int, ...]  # the weight position of each c[i], negative from the end
     socle: tuple[tuple[tuple[int, ...], int], ...]
     socle_text: str  # slot {i} holds the floor of bound i
     minimal: tuple[int, ...]  # the socle's minimal K-type is (ell + 1) * minimal
+    signed: bool = False  # c may be negative
+    ordered: bool = False  # c[0] >= c[1]
+    parity: bool = False  # c[0] = c[1] mod 2
+    rule_error: str = ""  # a broken sign, order or parity rule, if not length_error
+    tail: tuple[tuple[int, int], ...] = ()
 
     def error(self, c: tuple[int, ...]) -> Optional[str]:
         """Why the coordinates c are not a label of this lattice, or None if they are."""
@@ -58,7 +57,7 @@ _SO = LatticeSpec(
     head=((2, 0),), readback=(0,), socle=(((1,), 1),), socle_text="k >= {0}", minimal=(1,))
 LATTICE_SPECS = {
     "SO": _SO,
-    "SO(2,1)": replace(_SO, signed=True, socle_text="|k| >= {0}"),
+    "SO(2,1)": _SO._replace(signed=True, socle_text="|k| >= {0}"),
     "SU": LatticeSpec(
         length=2, length_error="SU label is a pair (p, q) with p, q >= 0", letter="Y",
         head=((0, 2),), tail=((-2, 0), (2, -2)), readback=(-2, 0),
@@ -93,15 +92,26 @@ def lattice(family: GroupFamily) -> Lattice:
                    tuple((pos, forms[pos][i]) for i, pos in enumerate(spec.readback)))
 
 
-@dataclass(frozen=True, order=True)
-class KTypeLabel:
+class _KTypeLabelFields(NamedTuple):
     family: GroupFamily
     coords: tuple[int, ...]
 
-    def __post_init__(self):
+
+class KTypeLabel(_KTypeLabelFields):
+    """A K-type of L^2(K/M): a family and coordinates on its lattice.
+
+    A value type: a tuple of its fields, validated when built.  `_make` and
+    `_replace` build through tuple alone and skip the validation.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         error = lattice(self.family).spec.error(self.coords)
         if error:
             raise ValueError(error)
+        return self
 
     def __str__(self) -> str:
         return f"{lattice(self.family).spec.letter}[{','.join(map(str, self.coords))}]"
@@ -277,15 +287,7 @@ def minimal_ktype_closed(family: GroupFamily, ell: int) -> KTypeLabel:
 # -- Langlands data -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LanglandsRecord:
-    """Langlands parameters of the socle at mu_ell.
-
-    S = "G" means tempered (discrete series or a limit thereof); S = "P" means
-    induced from the proper parabolic with M-type omega and parameter nu.
-    omega_expr for SU/Sp is copied branching data, not re-derived here.
-    """
-
+class _LanglandsFields(NamedTuple):
     S: str
     tempered: bool
     discrete_series: bool
@@ -293,13 +295,28 @@ class LanglandsRecord:
     nu_H: Optional[Fraction] = None
     omega_expr: Optional[str] = None
 
-    def __post_init__(self):
+
+class LanglandsRecord(_LanglandsFields):
+    """Langlands parameters of the socle at mu_ell.
+
+    S = "G" means tempered (discrete series or a limit thereof); S = "P" means
+    induced from the proper parabolic with M-type omega and parameter nu.
+    omega_expr for SU/Sp is copied branching data, not re-derived here.
+    A value type: a tuple of its fields, validated when built.  `_make` and
+    `_replace` build through tuple alone and skip the validation.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if (self.S == "G") != self.tempered:
             raise ValueError("S = G must hold exactly for tempered records")
         if self.discrete_series and not self.tempered:
             raise ValueError("discrete series must be tempered")
         if self.discrete_series and self.limit_of_discrete_series:
             raise ValueError("discrete and limit-of-discrete are exclusive")
+        return self
 
 
 # variant: ((a, b), omega_expr at ell) with 2 nu(H) = a n + b; F4 and n = 2 are tempered.

@@ -10,7 +10,6 @@ Sum_j [X~_j, (X_j)_k] = 2 rho(H) H in integer matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -327,14 +326,15 @@ def _delta_at(n: int, z, mu: SpectralParam, axis: np.ndarray, s: float,
     return factor * peval(z, points @ axis)
 
 
-@dataclass(frozen=True, eq=False)
 class IntertwiningReport:
-    residual: float  # max |combined gradient - exact scalar combination|
-    gradient_h_residual: float  # max |d/ds at e along H - (mu+rho)(H) Z_k|
-    n: int
-    k: int
-    points: np.ndarray  # the sphere points the gradients were sampled at
-    combined: np.ndarray  # the combined gradient at the points
+    def __init__(self, residual: float, gradient_h_residual: float, n: int, k: int,
+                 points: np.ndarray, combined: np.ndarray):
+        self.residual = residual  # max |combined gradient - exact scalar combination|
+        self.gradient_h_residual = gradient_h_residual  # max |d/ds at e along H - (mu+rho)(H) Z_k|
+        self.n = n
+        self.k = k
+        self.points = points  # the sphere points the gradients were sampled at
+        self.combined = combined  # the combined gradient at the points
 
     @cached_property
     def coefficients(self) -> dict:

@@ -22,9 +22,9 @@ want lambda itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .groups import GroupFamily, UnsupportedFamilyError, so
 from .hypergeom import F21Poly, f21
@@ -37,8 +37,7 @@ def _check_supported(family: GroupFamily):
         raise UnsupportedFamilyError("spherical recurrences are not defined for SO(2,1)")
 
 
-@dataclass(frozen=True)
-class RadialFactor:
+class RadialFactor(NamedTuple):
     """cos^cos_power(xi) * F(a, b, c, -tan^2 xi)."""
 
     cos_power: int
@@ -95,8 +94,7 @@ def _azimuth(family: GroupFamily, coords: tuple[int, ...]) -> tuple[GroupFamily,
 # -- the omega(H) recurrence rows ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecurrenceRow:
+class RecurrenceRow(NamedTuple):
     """omega(H) phi_source = sum num / den phi_target over the (target, num) pairs
     of `nums`, each num nonzero: lambda(source, target) = num / den."""
 

@@ -30,10 +30,9 @@ keeps; nothing on the Racah-Speiser route reads any of them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .groups import GroupFamily, UnsupportedFamilyError, structural_data
 from .ktypes import KTypeLabel, highest_weight, label_from_weight, weyl_dim
@@ -44,15 +43,13 @@ class AlgorithmViolation(RuntimeError):
     """Signed multiplicities failed to cancel to a nonnegative decomposition."""
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     weight: Weight2
     multiplicity: int
     label: Optional[KTypeLabel]  # set iff the summand is M-spherical
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     family: GroupFamily
     source: Weight2
     summands: tuple[Summand, ...]

@@ -33,7 +33,6 @@ they check the lengths first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial, prod
@@ -71,7 +70,6 @@ def shift(w, alpha: Root, k: int):
     return tuple(v)
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """The root system of K, stated by its kind, rank and 2 rho, with the
     signed-permutation Weyl action.
@@ -85,12 +83,22 @@ class RootSystem:
               independent sign flip on the last one (Sp(n) x Sp(1)).
     The positive roots are e_i - e_j (i < j < rank), plus e_i + e_j for B, D
     and CC, e_i for B, and 2 e_i (i <= rank, the last one the Sp(1) root) for CC.
+
+    A plain class holding its memos: the factories below build each system
+    once, so it compares and hashes by identity.
     """
 
-    kind: str
-    rank: int  # number of permuted coordinates
-    dim: int  # total coordinate length
-    two_rho: Weight2
+    def __init__(self, kind: str, rank: int, dim: int, two_rho: Weight2):
+        self.kind = kind
+        self.rank = rank  # number of permuted coordinates
+        self.dim = dim  # total coordinate length
+        self.two_rho = two_rho
+        # the memos of dominant_rep, orbit_size and the dominant_weights_below
+        # walk.  They key weights by value, and Fraction(2) == 2, so a caller
+        # passing Fractions would share entries with the int weights.
+        self._reps: dict[Weight2, Weight2] = {}
+        self._orbit_sizes: dict[Weight2, int] = {}
+        self._children: dict[Weight2, list[Weight2]] = {}
 
     @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
@@ -173,23 +181,6 @@ class RootSystem:
         if gap == 0:
             return None, 0
         return tuple((i, x - base[i]) for i, x in moved.items()), sign
-
-    # the memos of dominant_rep, orbit_size and the dominant_weights_below walk,
-    # built on first access like positive_roots.  They key weights by value, and
-    # Fraction(2) == 2, so a caller passing Fractions would share entries with
-    # the int weights.
-
-    @cached_property
-    def _reps(self) -> dict[Weight2, Weight2]:
-        return {}
-
-    @cached_property
-    def _orbit_sizes(self) -> dict[Weight2, int]:
-        return {}
-
-    @cached_property
-    def _children(self) -> dict[Weight2, list[Weight2]]:
-        return {}
 
     def dominant_rep(self, w: Weight2) -> Weight2:
         """The dominant element of the Weyl orbit of w (no sign tracking), memoised."""

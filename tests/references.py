@@ -4,7 +4,8 @@ Each is the plain form of something `rankone` computes another way: full Weyl
 orbits (the library only counts them, `RootSystem.orbit_size`), the Gamma
 arguments of 1/e in Fractions and the walk over every integer t = 2 mu(H) of
 an interval (the library steps through the poles of the integer numerators,
-`groups.exceptional_in_interval`), the Fraction norm that `ktypes.minimal_ktype`
+`groups.exceptional_in_interval`), the union of those poles as a sorted set,
+as the scan built it before it merged two ascending runs, the Fraction norm that `ktypes.minimal_ktype`
 minimises in doubled integers, the search itself as it ran before it scored
 its box with one integer quadratic form (`minimal_ktype_by_weights`: a dense
 highest weight per socle label, over a box of `KTypeLabel`s admitted by
@@ -258,6 +259,15 @@ def exceptional_grid_walk(family: GroupFamily, lo: int) -> list[int]:
         if (a1 % 4 == 0 and a1 <= 0) or (a2 % 4 == 0 and a2 <= 0):
             out.append(t)
     return out
+
+
+def exceptional_in_interval_set(family: GroupFamily, lo: int) -> list[int]:
+    """`groups.exceptional_in_interval` as a sorted set: every numerator's progression
+    of poles in [lo, 0], duplicates and nested progressions included."""
+    poles = set()
+    for a0 in _gamma_numerators(structural_data(family), 0):
+        poles.update(range(-a0, lo - 1, -4))
+    return sorted(poles)
 
 
 def is_nonpositive_integer(q: Fraction) -> bool:

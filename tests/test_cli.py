@@ -238,6 +238,13 @@ def test_half_renders_as_the_fraction():
         assert _half(t) == _fmt(Fraction(t, 2)), t
 
 
+def test_fmt_renders_records_with_str():
+    # a record is a NamedTuple, a tuple subclass; only exact lists and tuples are sequences
+    assert _fmt(so(3)) == "SO(3,1)"
+    assert _fmt(groups.SpectralParam(Fraction(1, 2))) == "1/2"
+    assert _fmt([so(3), label(so(3), 2), (Fraction(1, 2),)]) == ["SO(3,1)", "Y[2]", ["1/2"]]
+
+
 # report scalars: strings with quotes, backslashes, control characters and
 # non-ASCII text, ints past 64 bits, every float json writes (inf, nan, -0.0)
 _SCALARS = (st.text(alphabet=st.sampled_from('ab"\\/\x00\x1f\n\t\x7fé€😀\ud800'))
@@ -912,6 +919,29 @@ def test_only_the_lorentz_model_imports_numpy():
             if any(name.partition(".")[0] == "numpy" for name in names):
                 importers.add(module)
     assert importers == {"so_model"}
+
+
+def test_no_src_module_imports_dataclasses():
+    """Records are NamedTuples and the memo holders plain classes: building a
+    dataclass generates its methods with exec at import, and a frozen one sets
+    each field through object.__setattr__ and hashes and compares in Python."""
+    importers = set()
+    for module, tree in _src_trees().items():
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in names:
+                importers.add(module)
+    assert importers == set()
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys, rankone.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root,
+                          env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def _json_calls_with_indent(tree) -> list[int]:

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankone import groups
 from rankone.groups import GroupFamily, SpectralParam, f4, so, sp, su
-from tests.references import e_inverse_gamma_args, exceptional_grid_walk, is_exceptional
+from tests.references import (e_inverse_gamma_args, exceptional_grid_walk,
+                              exceptional_in_interval_set, is_exceptional)
 
 # One literal row per instance: (m_alpha, m_2alpha, rho_H, dim_p, sphere_dim).
 STRUCTURE_TABLE = {
@@ -174,6 +176,15 @@ def test_pole_progressions_match_the_grid_walk():
         los = {-2000, 5, first + 1, first, first - 1, *(rng.randint(-2000, 5) for _ in range(3))}
         for lo in sorted(los):
             assert groups.exceptional_in_interval(fam, lo) == exceptional_grid_walk(fam, lo), (fam, lo)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(variant=st.sampled_from(groups.VARIANTS), n=st.integers(2, 300), lo=st.integers(-4000, 5))
+def test_pole_runs_merge_to_the_sorted_union(variant, n, lo):
+    # at most two ascending runs, one per residue mod 4, against the set of
+    # every numerator's progression
+    fam = f4() if variant == "F4" else GroupFamily(variant, n)
+    assert groups.exceptional_in_interval(fam, lo) == exceptional_in_interval_set(fam, lo)
 
 
 @pytest.mark.parametrize("fam", [so(10 ** 9), su(10 ** 9), sp(10 ** 9)], ids=str)

@@ -331,15 +331,16 @@ def test_minimal_ktype_scores_a_box_that_does_not_grow_with_ell(monkeypatch, fam
         return highest_weight(lab)
 
     built = []
-    post_init = KTypeLabel.__post_init__
+    new = KTypeLabel.__new__
 
-    def counting_post_init(lab):
+    def counting_new(cls, *args, **kwargs):
+        lab = new(cls, *args, **kwargs)
         built.append(lab.coords)
-        post_init(lab)
+        return lab
 
     monkeypatch.setattr(ktypes, "socle_predicate", counting_predicate)
     monkeypatch.setattr(ktypes, "highest_weight", counting_weight)
-    monkeypatch.setattr(KTypeLabel, "__post_init__", counting_post_init)
+    monkeypatch.setattr(KTypeLabel, "__new__", counting_new)
     counts = []
     for ell in (1, 100):
         scored.clear()

@@ -7,7 +7,6 @@ the sweeps (convexity, reciprocity, the assembled row) must equal their
 Fraction forms in `tests.references`, on the stated row and on the row with one
 numerator moved by one, where both must be False.
 """
-from dataclasses import replace
 
 import pytest
 
@@ -43,7 +42,7 @@ def moved_rows(row):
     for i, (target, num) in enumerate(row.nums):
         for delta in (1, -1):
             nums = row.nums[:i] + ((target, num + delta),) + row.nums[i + 1:]
-            yield target, replace(row, nums=nums)
+            yield target, row._replace(nums=nums)
 
 
 @PROPERTY_SETTINGS
