@@ -167,15 +167,21 @@ def _tolerance(token: str) -> float:
 # a rational argument: an ASCII integer, a/b, or a decimal with an optional
 # exponent, with at most one leading minus; Fraction() alone also reads
 # underscores, a plus sign, surrounding whitespace and non-ASCII digits
-_RATIONAL = re.compile(r"-?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)")
+_RATIONAL = re.compile(r"-?(?:[0-9]+/[0-9]+|([0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE]([-+]?[0-9]+))?)")
 
 
 def parse_rational(token: str) -> Fraction:
-    if _RATIONAL.fullmatch(token):
+    match = _RATIONAL.fullmatch(token)
+    if match:
         try:
-            value = Fraction(token)
-            str(value)  # reports render it; too many digits raises ValueError here
-            return value
+            # Fraction builds 10**|e| first, seconds at 10**7; past the digit limit
+            # plus the mantissa's digits a nonzero value has too many to render
+            limit = sys.get_int_max_str_digits()
+            exponent = abs(int(match[2] or 0))
+            if not limit or exponent <= limit + len((match[1] or "").replace(".", "")):
+                value = Fraction(token)
+                str(value)  # reports render it; too many digits raises ValueError here
+                return value
         except (ValueError, ZeroDivisionError):
             pass
     raise UsageError(f"bad rational {token!r}")
@@ -464,7 +470,7 @@ def verify_scalars(rep: Report, depth: int, tolerance: float, seed: int):
                        [(ell, steps) for ell in range(4) for steps in (1, 7, min(40, 4 * depth))],
                        lambda case: operator.eq(*scalars.growth_product(fam, *case)))
         rep.check_each("growth-order", str(fam), [1],
-                       lambda ell: (scalars.growth_order_estimate(fam, ell)
+                       lambda ell: (scalars.growth_order(fam, ell)
                                     == scalars.growth_order_stated(fam, ell)))
 
 
@@ -638,8 +644,8 @@ def _parse(argv: list[str]) -> tuple[argparse.ArgumentParser, argparse.Namespace
 # into an integer of O(n) digits.  exceptional costs O(count) at any n, since
 # its closed form and its Gamma-pole scan both step through arithmetic
 # progressions; its n cap is no time limit, and stays until a report at a
-# larger n is pinned by a golden.
-MAX_N = {"exceptional": 100_000, "socle": 10_000, "tensor": 1000}
+# larger n is pinned by a golden.  scalars reads labels on a K-type lattice of length ~n.
+MAX_N = {"exceptional": 100_000, "socle": 10_000, "tensor": 1000, "scalars": 10**6}
 MAX_COUNT = 200_000
 MAX_ELL = 100  # the minimal-K-type search costs the same at every ell
 MAX_DEPTH = 16  # `verify all`, the five suites in turn, is the slowest

@@ -143,14 +143,14 @@ def label_from_weight(family: GroupFamily, w: Weight2) -> Optional[KTypeLabel]:
     coords = tuple(w[pos] // divisor for pos, divisor in lat.readback)
     if lat.spec.error(coords) or _weight(lat, coords) != w:
         return None
-    return KTypeLabel(family, coords)
+    return KTypeLabel._make((family, coords))
 
 
 def labels(family: GroupFamily, bound: int) -> list[KTypeLabel]:
     """Every label with coordinates in [0, bound] ([-bound, bound] for SO(2,1)), in lex order."""
     spec = lattice(family).spec
     box = product(range(-bound if spec.signed else 0, bound + 1), repeat=spec.length)
-    return [KTypeLabel(family, c) for c in box if not spec.error(c)]
+    return [KTypeLabel._make((family, c)) for c in box if not spec.error(c)]
 
 
 def weyl_dim(family: GroupFamily, lam) -> int:

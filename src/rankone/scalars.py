@@ -15,7 +15,7 @@ convergence of the SU, Sp and F4 cases.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, log, perm
+from math import factorial, perm
 
 from .groups import GroupFamily, SpectralParam, UnsupportedFamilyError, rho_H, two_rho_H
 from .ktypes import KTypeLabel, label, labels, weyl_dim
@@ -212,40 +212,32 @@ def growth_product(family: GroupFamily, ell: int, steps: int) -> tuple[Fraction,
     return product, growth_closed_form(family, ell, steps, ell + 1)
 
 
-ORDER_STEPS = 512
-
-
-def growth_order_estimate(family: GroupFamily, ell: int) -> int:
-    """Rounded log-log slope of the growth product over steps ORDER_STEPS/2 .. ORDER_STEPS.
-
-    SU uses the full closed form; Sp and F4 use the factorial factor alone
-    (their dimension ratios are reported separately by the stated orders).
-    Each value is an exact Fraction of falling-factorial products; the slope
-    takes logs of its integer numerator and denominator, which overflow float.
-    This is the single place the package touches floating point outside the
-    Lorentz model.
+def growth_order(family: GroupFamily, ell: int) -> int:
+    """Exact degree in m of the growth product after m - 1 steps, never read from
+    GROWTH_ORDERS.  SU's closed form and Sp's and F4's factorial factor (their
+    dimension ratios are stated apart) are falling factorials perm(x + m, k) over
+    constants, of total length 2n + ell (SU), 2n - 1 + 2ell (Sp) or 5 + 2ell (F4),
+    so the degree d is at most K = 2n + 2ell + 8.  At m = 1 .. K + 2 the d-th
+    finite differences are a nonzero constant and the (d + 1)-th vanish.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    ys = []
-    xs = []
-    for m in range(ORDER_STEPS // 2, ORDER_STEPS + 1):
-        if family.variant == "Sp":
-            val = _sp_factorial_part(family.n, ell, m)
-        else:
-            val = growth_closed_form(family, ell, m - 1, ell + 1)
-        xs.append(log(m))
-        ys.append(log(val.numerator) - log(val.denominator))
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    slope = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-             / sum((x - xbar) ** 2 for x in xs))
-    return round(slope)
+    bound = 2 * (family.n or 0) + 2 * ell + 8
+    row = [_sp_factorial_part(family.n, ell, m) if family.variant == "Sp"
+           else growth_closed_form(family, ell, m - 1, ell + 1) for m in range(1, bound + 3)]
+    for degree in range(-1, bound + 1):
+        if not any(row):
+            return degree
+        row = [b - a for a, b in zip(row, row[1:])]
+    raise AssertionError(f"growth of {family} at ell={ell} has degree above {bound}")
+
+
+growth_order_estimate = growth_order  # the former name, which bench/tracing.py wraps
 
 
 __all__ = [
     "NotOmegaRelatedError",
     "edges", "nu_scalar", "t_scalar", "t_root",
     "vanishing_table_check", "growth_product", "growth_step_ratio",
-    "growth_closed_form", "growth_order_estimate", "growth_order_stated",
+    "growth_closed_form", "growth_order", "growth_order_stated",
 ]

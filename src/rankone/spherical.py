@@ -150,7 +150,7 @@ def omega_h_expand(family: GroupFamily, lab: KTypeLabel) -> RecurrenceRow:
     spec = lattice(family).spec
     nums = []
     for coords, num in raw:
-        target = None if spec.error(coords) else KTypeLabel(family, coords)
+        target = None if spec.error(coords) else KTypeLabel._make((family, coords))
         if (num == 0) != (target is None):
             raise AssertionError(f"coefficient/validity mismatch at {lab} -> {coords}")
         if num:

@@ -16,7 +16,7 @@ from rankone.groups import (SpectralParam, exceptional_in_interval, exceptional_
 from rankone.ktypes import (label, labels, langlands, minimal_ktype, minimal_ktype_closed,
                             weyl_dim)
 from rankone.hypergeom import RELATION_IDS, check_contiguous
-from rankone.scalars import (growth_order_estimate, growth_order_stated, growth_product,
+from rankone.scalars import (growth_order, growth_order_stated, growth_product,
                              t_root, t_scalar, vanishing_table_check)
 from rankone.spherical import lambda_scalar, omega_h_expand, verify_omega_identity
 from rankone.tensor import (character_oracle, dimension_sum_check, expected_summand_labels,
@@ -145,12 +145,12 @@ def test_criterion_08_growth_products():
                 for steps in (1, 5, 13, 40):
                     product, closed = growth_product(fam, ell, steps)
                     assert product == closed, (fam, ell, steps)
-        assert growth_order_estimate(su(3), 1) == 2 * 3 + 1
-        assert growth_order_estimate(sp(2), 0) == 2 * 2 - 1
-        assert growth_order_estimate(f4(), 0) == 5
+        assert growth_order(su(3), 1) == 2 * 3 + 1
+        assert growth_order(sp(2), 0) == 2 * 2 - 1
+        assert growth_order(f4(), 0) == 5
         for fam in (su(2), su(4), sp(3), f4()):
             for ell in (0, 2):
-                assert growth_order_estimate(fam, ell) == growth_order_stated(fam, ell)
+                assert growth_order(fam, ell) == growth_order_stated(fam, ell)
 
 
 def test_criterion_09_socle_and_langlands():

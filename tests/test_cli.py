@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -364,6 +365,9 @@ BEYOND_THE_CAPS = [
     (["exceptional", "SO", "999999999999999999999", "--count", "3"],
      "n must be at most 100000 for exceptional"),
     (["verify", "spherical", "--depth", "200"], "depth must be at most 16"),
+    (["scalars", "SU", "99999999999999999999", "Y1,1", "Y2,1"],
+     "n must be at most 1000000 for scalars"),
+    (["scalars", "Sp", str(2 ** 62), "V1,1", "V2,1"], "n must be at most 1000000 for scalars"),
 ]
 
 
@@ -373,7 +377,8 @@ def test_sizes_beyond_the_caps_exit_2_before_any_work(capsys, monkeypatch, argv,
     def refuse(*args):
         raise AssertionError("a query beyond the caps reached its command")
 
-    for name in ("cmd_exceptional", "cmd_socle", "cmd_tensor", "cmd_verify"):
+    for name in ("cmd_exceptional", "cmd_socle", "cmd_tensor", "cmd_scalars", "cmd_verify",
+                 "parse_label"):
         monkeypatch.setattr(cli, name, refuse)
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -385,6 +390,7 @@ CAP_EDGES = [  # (command, argv with {} where the capped value goes, cap)
     ("exceptional", ["exceptional", "SO", "{}"], cli.MAX_N["exceptional"]),
     ("socle", ["socle", "SO", "{}", "--ell", "1"], cli.MAX_N["socle"]),
     ("tensor", ["tensor", "SO", "{}", "Y1"], cli.MAX_N["tensor"]),
+    ("scalars", ["scalars", "SO", "{}", "Y1", "Y2"], cli.MAX_N["scalars"]),
     ("exceptional", ["exceptional", "F4", "--count", "{}"], cli.MAX_COUNT),
     ("socle", ["socle", "SU", "8", "--ell", "{}"], cli.MAX_ELL),
     ("verify", ["verify", "spherical", "--depth", "{}"], cli.MAX_DEPTH),
@@ -512,6 +518,34 @@ def test_unrenderable_mu_exits_2(capsys, mu):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "bad rational" in err
+
+
+@pytest.mark.parametrize("mu", ["1e10000000", "-1e-10000000", "0e10000000", "1.5e+10000000"])
+def test_a_huge_mu_exponent_exits_2_at_once(capsys, mu):
+    # Fraction would build 10**(10**7) first, about 10 s of work
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["scalars", "SO", "5", "Y1", "Y2", f"--mu={mu}"])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: bad rational {mu!r}\n"
+
+
+def test_mu_exponents_up_to_the_digit_limit_plus_the_mantissa_are_read():
+    limit = sys.get_int_max_str_digits()
+    assert cli.parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    # the mantissa's digits count: 0.001e(limit + 1) is 10**(limit - 2)
+    assert cli.parse_rational(f"0.001e{limit + 1}") == 10 ** (limit - 2)
+    assert cli.parse_rational(f"-100e-{limit + 1}") == Fraction(-1, 10 ** (limit - 1))
+
+
+def test_without_a_digit_limit_any_mu_exponent_is_read():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert cli.parse_rational(f"1e{limit + 10}") == 10 ** (limit + 10)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # Fraction() reads all of these; an integer argument would refuse each
@@ -919,6 +953,42 @@ def test_only_the_lorentz_model_imports_numpy():
             if any(name.partition(".")[0] == "numpy" for name in names):
                 importers.add(module)
     assert importers == {"so_model"}
+
+
+# the functions of math whose value is an int for int arguments; every other
+# name of math (log, sqrt, exp, pi, inf, isfinite, ...) is a float or reads one
+_INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def _float_uses(tree) -> list[str]:
+    """The floating point a module names: float literals, `float`, and the
+    float-valued names of math, as an attribute or imported."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            out.append(repr(node.value))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            out.append("float")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr not in _INTEGER_MATH):
+            out.append(f"math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            out += [f"math.{a.name}" for a in node.names if a.name not in _INTEGER_MATH]
+    return out
+
+
+def test_the_float_rule_on_a_snippet():
+    snippet = ("import math\nfrom math import factorial, log as ln, perm\n"
+               "def f(x: float) -> int:\n    return math.gcd(2, 4) + math.sqrt(x) + 1e-3 + 2\n")
+    assert sorted(_float_uses(ast.parse(snippet))) == ["0.001", "float", "math.log", "math.sqrt"]
+
+
+def test_floats_stay_in_the_lorentz_model_and_the_cli():
+    """Exact stays exact: only the Lorentz model and the CLI's tolerance and
+    residual handling touch floating point.  Growth orders are exact degrees,
+    not a log-log slope."""
+    users = {module for module, tree in _src_trees().items() if _float_uses(tree)}
+    assert users == {"so_model", "cli"}
 
 
 def test_no_src_module_imports_dataclasses():

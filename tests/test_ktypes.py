@@ -113,6 +113,27 @@ def test_labels_are_the_lattice_box(fam):
     assert triv.coords == (0,) * rank and weyl_dim(fam, triv) == 1
 
 
+@pytest.mark.parametrize("fam", LATTICE_FAMILIES, ids=str)
+def test_labels_test_each_box_point_once(fam, monkeypatch):
+    # a label admitted by LatticeSpec.error is built without the second test
+    # that KTypeLabel(...) would run
+    tested = []
+    error = ktypes.LatticeSpec.error
+
+    def counting_error(spec, c):
+        tested.append(c)
+        return error(spec, c)
+
+    monkeypatch.setattr(ktypes.LatticeSpec, "error", counting_error)
+    rank = 1 if fam.variant == "SO" else 2
+    lo = -4 if fam == so(2) else 0
+    listed = labels(fam, 4)
+    assert tested == list(product(range(lo, 5), repeat=rank))
+    tested.clear()
+    assert [label_from_weight(fam, highest_weight(lab)) for lab in listed] == listed
+    assert tested == [lab.coords for lab in listed]
+
+
 def _random_label(rng, fam, top):
     if fam.variant == "SO":
         return label(fam, rng.randint(-top if fam.n == 2 else 0, top))

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from rankone import groups, scalars
 from rankone.cli import main
-from rankone.groups import SpectralParam, exceptional_mu, f4, rho_H, so, sp, su
+from rankone.groups import GroupFamily, SpectralParam, exceptional_mu, f4, rho_H, so, sp, su
 from rankone.ktypes import KTypeLabel, label, weyl_dim
-from rankone.scalars import (NU_ROWS, VANISHING_ROWS, NotOmegaRelatedError, _two_r,
-                             _sp_factorial_part, growth_closed_form, growth_order_estimate,
+from rankone.scalars import (GROWTH_ORDERS, NU_ROWS, VANISHING_ROWS, NotOmegaRelatedError, _two_r,
+                             _sp_factorial_part, growth_closed_form, growth_order,
                              growth_order_stated, growth_product, growth_step_ratio,
                              nu_scalar, t_root, t_scalar, vanishing_table_check)
 from rankone.spherical import lambda_scalar, omega_h_expand
@@ -322,12 +323,56 @@ def test_growth_product_so_unsupported():
 
 
 def test_growth_orders():
-    assert growth_order_estimate(su(3), 1) == 2 * 3 + 1 == growth_order_stated(su(3), 1)
-    assert growth_order_estimate(sp(2), 0) == 2 * 2 - 1 == growth_order_stated(sp(2), 0)
-    assert growth_order_estimate(f4(), 0) == 5 == growth_order_stated(f4(), 0)
-    assert growth_order_estimate(su(2), 3) == growth_order_stated(su(2), 3)
-    assert growth_order_estimate(sp(3), 2) == growth_order_stated(sp(3), 2)
-    assert growth_order_estimate(f4(), 3) == growth_order_stated(f4(), 3)
+    assert growth_order(su(3), 1) == 2 * 3 + 1 == growth_order_stated(su(3), 1)
+    assert growth_order(sp(2), 0) == 2 * 2 - 1 == growth_order_stated(sp(2), 0)
+    assert growth_order(f4(), 0) == 5 == growth_order_stated(f4(), 0)
+    assert growth_order(su(2), 3) == growth_order_stated(su(2), 3)
+    assert growth_order(sp(3), 2) == growth_order_stated(sp(3), 2)
+    assert growth_order(f4(), 3) == growth_order_stated(f4(), 3)
+
+
+# SU n = 2..8, Sp n = 2..6 and F4, each at ell = 0..5
+GROWTH_GRID = ([(su(n), ell) for n in range(2, 9) for ell in range(6)]
+               + [(sp(n), ell) for n in range(2, 7) for ell in range(6)]
+               + [(f4(), ell) for ell in range(6)])
+
+
+def test_growth_order_is_the_stated_row_on_a_grid():
+    assert len(GROWTH_GRID) == 78
+    for fam, ell in GROWTH_GRID:
+        assert growth_order(fam, ell) == growth_order_stated(fam, ell), (fam, ell)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(sorted(GROWTH_ORDERS)), st.integers(2, 50), st.integers(0, 20))
+def test_growth_order_is_the_stated_row_at_large_n_and_ell(variant, n, ell):
+    fam = f4() if variant == "F4" else GroupFamily(variant, n)
+    assert growth_order(fam, ell) == growth_order_stated(fam, ell)
+
+
+def _growth_order_failures(capsys) -> tuple[int, set[str]]:
+    code = main(["verify", "scalars", "--depth", "3"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    return code, {c["instance"] for c in checks if c["id"] == "growth-order" and c["status"] == "fail"}
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("variant", sorted(GROWTH_ORDERS))
+def test_a_moved_growth_order_row_fails_its_families(capsys, monkeypatch, variant, shift):
+    # the degree never reads GROWTH_ORDERS, so it catches a wrong stated row
+    a, b, c = GROWTH_ORDERS[variant]
+    monkeypatch.setitem(GROWTH_ORDERS, variant, (a, b, c + shift))
+    verified = {"SU": {str(su(2)), str(su(3))}, "Sp": {str(sp(2)), str(sp(3))}, "F4": {str(f4())}}
+    assert _growth_order_failures(capsys) == (1, verified[variant])
+
+
+def test_a_growth_above_the_degree_bound_fails_its_check(capsys, monkeypatch):
+    # 2**m is no polynomial: no difference row vanishes, the degree raises
+    # AssertionError and the sweep reports the check as failed
+    monkeypatch.setattr(scalars, "growth_closed_form", lambda fam, ell, steps, fixed: Q(2) ** steps)
+    with pytest.raises(AssertionError, match="degree above 16"):
+        growth_order(su(3), 1)
+    assert _growth_order_failures(capsys) == (1, {str(su(2)), str(su(3)), str(f4())})
 
 
 def _t_ratio(fam, ell, v, y):
@@ -432,7 +477,7 @@ def test_growth_refuses_negative_ell_and_steps():
         with pytest.raises(ValueError, match="nonnegative"):
             growth_closed_form(fam, 0, -1, 1)
         with pytest.raises(ValueError, match="nonnegative"):
-            growth_order_estimate(fam, -1)
+            growth_order(fam, -1)
         with pytest.raises(ValueError, match="nonnegative"):
             growth_product(fam, -1, 3)
 
