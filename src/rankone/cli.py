@@ -52,8 +52,6 @@ def _fmt(value):
         return value
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, ktypes.KTypeLabel):
-        return str(value)
     if type(value) in (list, tuple):
         # exact types: a record (a NamedTuple) renders through str below;
         # an already rendered list is copied in C
@@ -432,7 +430,7 @@ def verify_tensor(rep: Report, depth: int, tolerance: float, seed: int):
 def verify_spherical(rep: Report, depth: int, tolerance: float, seed: int):
     for fam in _tensor_families():
         row = functools.partial(spherical.omega_h_expand, fam)
-        dim = functools.cache(functools.partial(ktypes.weyl_dim, fam))
+        dim = functools.partial(ktypes.weyl_dim, fam)
         labs = ktypes.labels(fam, depth)
         rep.check_each("omega-recurrence-identity", str(fam), labs,
                        lambda lab: spherical.verify_omega_identity(fam, lab, row(lab)))

@@ -138,12 +138,10 @@ def _gamma_numerators(sd: StructuralData, t):
     return sd.m_alpha + 2 + t, sd.m_alpha + 2 * sd.m_2alpha + t
 
 
-def _exceptional_t(sd: StructuralData, variant: str, ell: int) -> int:
-    """2 mu_ell(H) = -2 rho(H) - 2 (c ell + d), an integer since 2 rho(H) = m_alpha + 2 m_2alpha is.
-
-    The structural data is passed in so that a list builds it once.
-    """
-    c, d = FAMILY_SPECS[variant].shift
+def _exceptional_t(family: GroupFamily, ell: int) -> int:
+    """2 mu_ell(H) = -2 rho(H) - 2 (c ell + d), an integer since 2 rho(H) = m_alpha + 2 m_2alpha is."""
+    sd = structural_data(family)
+    c, d = FAMILY_SPECS[family.variant].shift
     return -(sd.m_alpha + 2 * sd.m_2alpha) - 2 * (c * ell + d)
 
 
@@ -154,7 +152,7 @@ def exceptional_mu(family: GroupFamily, ell: int) -> SpectralParam:
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    return SpectralParam(Fraction(_exceptional_t(structural_data(family), family.variant, ell), 2))
+    return SpectralParam(Fraction(_exceptional_t(family, ell), 2))
 
 
 def exceptional_doubled(family: GroupFamily, count: int) -> list[int]:
@@ -165,7 +163,7 @@ def exceptional_doubled(family: GroupFamily, count: int) -> list[int]:
     if count < 1:
         raise ValueError("count must be positive")
     step = 2 * FAMILY_SPECS[family.variant].shift[0]
-    first = _exceptional_t(structural_data(family), family.variant, 0)
+    first = _exceptional_t(family, 0)
     return list(range(first, first - step * count, -step))
 
 

@@ -19,13 +19,14 @@ through `dominant_rep`.  It convolves with p in one pass over the pairs
 (nu, beta) of a dominant weight of V_lam and a weight of p
 (`_product_character`), counting the product's weights per Weyl orbit with
 `orbit_size` (|W| over the stabiliser), which its dimension checks read too.
-The closed form shifts lam by each weight of p and keeps
-the dominant ones with its own sparse chamber test, which compares only the
-coordinates each weight of p moves.  The oracle's state lives in
-memos that grow only with the distinct weights a process touches: the
-Freudenthal tables of `_dominant_multiplicities`, and the dominant
-representatives, orbit sizes and dominant children that each RootSystem
-keeps; nothing on the Racah-Speiser route reads any of them.
+The closed form shifts lam by each weight of p and keeps the dominant ones by
+`RootSystem.wall_gap`, the chamber walls that Racah-Speiser reads too, which
+compares only the coordinates each weight of p moves; the oracle reads
+neither.  The oracle's state lives in memos that grow only with the distinct
+weights a process touches: the Freudenthal tables of
+`_dominant_multiplicities`, and the cached dominant representatives, orbit
+sizes and dominant children of `RootSystem`; nothing on the Racah-Speiser
+route reads any of them.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import NamedTuple, Optional
 
 from .groups import GroupFamily, UnsupportedFamilyError, structural_data
 from .ktypes import KTypeLabel, highest_weight, label_from_weight, weyl_dim
-from .weyl import Root, RootSystem, Weight2, k_root_system, pair, shift, w_add, w_dot
+from .weyl import Root, Weight2, k_root_system, pair, shift, w_add, w_dot
 
 
 class AlgorithmViolation(RuntimeError):
@@ -244,33 +245,6 @@ def dimension_sum_check(dec: Decomposition) -> bool:
     return total == structural_data(dec.family).dim_p * weyl_dim(dec.family, dec.source)
 
 
-def _stays_dominant(rs: RootSystem, lam: Weight2, beta: Root) -> bool:
-    """rs.is_dominant(lam + beta) for a dominant lam and a sparse shift beta.
-
-    lam already meets every chamber inequality, so only those that beta moves
-    can fail: each moved coordinate against its neighbours, D's second-last
-    against |last|, B's and CC's last against 0, and CC's Sp(1) coordinate
-    against 0.  Costs O(|beta|) and builds no dense weight.
-    """
-    rank, kind = rs.rank, rs.kind
-    last = rank - 1
-    moved = {i: lam[i] + d for i, d in beta}
-    for i, x in moved.items():
-        if i > last:  # CC's Sp(1) coordinate stays at or above 0, A's central one is free
-            if kind == "CC" and x < 0:
-                return False
-            continue
-        if i and moved.get(i - 1, lam[i - 1]) < (abs(x) if kind == "D" and i == last else x):
-            return False
-        if i < last:
-            lower = moved.get(i + 1, lam[i + 1])
-            if x < (abs(lower) if kind == "D" and i + 1 == last else lower):
-                return False
-        elif kind in ("B", "CC") and x < 0:
-            return False
-    return True
-
-
 def expected_summand_labels(family: GroupFamily, lab: KTypeLabel) -> set[Weight2]:
     """Stated closed-form decomposition of Y (x) p*, as a set of doubled highest weights.
 
@@ -305,7 +279,7 @@ def expected_summand_labels(family: GroupFamily, lab: KTypeLabel) -> set[Weight2
     else:
         lam = highest_weight(lab)
         for beta in _p_weights(family.variant, family.n):
-            if _stays_dominant(rs, lam, beta):
+            if rs.wall_gap(lam, {i: lam[i] + d for i, d in beta}) >= 0:
                 out.add(shift(lam, beta, 1))
     return out
 

@@ -18,22 +18,24 @@ support that the families use.
 
 The two routes of `tensor` read different kernels here.  Racah-Speiser reads
 only `to_dominant_chamber`, which takes the base lam + 2 rho and one weight of
-p as a sparse shift and compares the moved coordinates with their neighbours,
-O(1) per weight of p, and is not memoised.  The Freudenthal oracle reads the
-positive roots, stored sparsely as ((index, coefficient), ...) with int
-coefficients and enumerated only on first access, which only the oracle makes,
-with their squared lengths in `root_norms`; and it asks for the same dominant
-representatives, orbit sizes and dominant weights below a highest weight many
-times, so each RootSystem memoises `dominant_rep`, `orbit_size` and the
-dominant children that the walk of `dominant_weights_below` expands, in dicts
-of its own, which grow only with the distinct weights a process asks about.
+p as a sparse shift, O(1) per weight of p, and is not memoised; it and the
+closed form of `tensor` read the chamber walls from `wall_gap`, which compares
+only the coordinates a shift moves.  The Freudenthal oracle reads neither.  It
+reads the positive roots, stored sparsely as ((index, coefficient), ...) with
+int coefficients and enumerated only on first access, which only the oracle
+makes, with their squared lengths in `root_norms`; and it asks for the same
+dominant representatives, orbit sizes and dominant weights below a highest
+weight many times, so `dominant_rep`, `orbit_size`, the dominant children
+that the walk of `dominant_weights_below` expands, and `weyl_dim` are
+`functools.cache` methods, which grow only with the distinct weights a
+process asks about.
 w_add and w_dot run through `map`, which stops at the shorter argument, so
 they check the lengths first.
 """
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations
 from math import factorial, prod
 from operator import add, ge, mul
@@ -84,8 +86,11 @@ class RootSystem:
     The positive roots are e_i - e_j (i < j < rank), plus e_i + e_j for B, D
     and CC, e_i for B, and 2 e_i (i <= rank, the last one the Sp(1) root) for CC.
 
-    A plain class holding its memos: the factories below build each system
-    once, so it compares and hashes by identity.
+    A plain class that compares and hashes by identity.  Its memos are the
+    `functools.cache` methods, keyed by (system, weight); the factories below
+    build each system once and keep it alive, so the caches keep nothing alive
+    that the factories do not.  They key weights by value, and Fraction(2) == 2,
+    so a caller passing Fractions would share entries with the int weights.
     """
 
     def __init__(self, kind: str, rank: int, dim: int, two_rho: Weight2):
@@ -93,12 +98,6 @@ class RootSystem:
         self.rank = rank  # number of permuted coordinates
         self.dim = dim  # total coordinate length
         self.two_rho = two_rho
-        # the memos of dominant_rep, orbit_size and the dominant_weights_below
-        # walk.  They key weights by value, and Fraction(2) == 2, so a caller
-        # passing Fractions would share entries with the int weights.
-        self._reps: dict[Weight2, Weight2] = {}
-        self._orbit_sizes: dict[Weight2, int] = {}
-        self._children: dict[Weight2, list[Weight2]] = {}
 
     @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
@@ -136,6 +135,35 @@ class RootSystem:
                 return False
         return all(map(ge, head, head[1:]))
 
+    def wall_gap(self, base: Weight2, moved: dict[int, int]) -> int:
+        """The least distance, capped at 1, from each coordinate of `moved`
+        ({index: value}, replacing those of base) to the wall it meets: its
+        neighbours, D's second-last against |last|, B's and CC's last against
+        0, and CC's Sp(1) coordinate against 0.  A dominant base stays dominant
+        iff the gap is at least 0.  O(|moved|) comparisons, no dense weight.
+        """
+        rank, kind = self.rank, self.kind
+        last = rank - 1
+        at = moved.get
+        gap = 1
+        for i, x in moved.items():  # `if d < gap`, not min(): this runs once per weight of p
+            if i > last:  # CC's Sp(1) coordinate stays above 0, A's central one is free
+                if kind == "CC" and x < gap:
+                    gap = x
+                continue
+            if i:  # the coordinate above, which D compares with |last|
+                d = at(i - 1, base[i - 1]) - (abs(x) if kind == "D" and i == last else x)
+                if d < gap:
+                    gap = d
+            if i < last:  # the coordinate below
+                lower = at(i + 1, base[i + 1])
+                d = x - (abs(lower) if kind == "D" and i + 1 == last else lower)
+                if d < gap:
+                    gap = d
+            elif kind in ("B", "CC") and x < gap:  # the last stays above 0
+                gap = x
+        return gap
+
     # -- Racah-Speiser kernel -------------------------------------------------
 
     def to_dominant_chamber(self, base: Weight2, beta: Root):
@@ -146,50 +174,31 @@ class RootSystem:
         are then at least 2 apart, B's last is at least 1 and D's second-last
         at least 2 above |last|.  Every weight of p moves a coordinate by at
         most 2 and two neighbours apart by at most 2, so a moved coordinate can
-        only land on its neighbour (a wall: B and CC compare the last coordinate
-        and the Sp(1) coordinate with 0, D its second-last with |last|) or, for
-        B, pass 0, which the reflection in e_rank undoes with sign -1.  Each
-        beta costs O(|beta|) comparisons and no dense weight: returns (moves,
-        sign) with base + moves (sparse, like a root) the representative, or
-        (None, 0) on a wall.  A coordinate that would pass its neighbour breaks
-        the precondition and raises AssertionError.
+        only land on a wall (`wall_gap` 0) or, for B, pass 0, which the
+        reflection in e_rank undoes with sign -1.  Each beta costs O(|beta|)
+        comparisons and no dense weight: returns (moves, sign) with base +
+        moves (sparse, like a root) the representative, or (None, 0) on a
+        wall.  A coordinate that would pass its neighbour breaks the
+        precondition and raises AssertionError.
         """
-        rank, kind = self.rank, self.kind
-        last = rank - 1
+        last = self.rank - 1
         moved = {i: base[i] + d for i, d in beta}
         sign = 1
-        if kind == "B" and moved.get(last, 0) < 0:  # the reflection in e_rank
+        if self.kind == "B" and moved.get(last, 0) < 0:  # the reflection in e_rank
             moved[last] = -moved[last]
             sign = -1
-        at = moved.get
-        gap = 1  # the least distance from a moved coordinate's upper side to its lower one
-        for i, x in moved.items():
-            if i > last:  # CC's Sp(1) coordinate stays above 0, A's central one is free
-                if kind == "CC":
-                    gap = min(gap, x)
-                continue
-            if i:  # the coordinate above, which D compares with |last|
-                upper = at(i - 1, base[i - 1])
-                gap = min(gap, upper - (abs(x) if kind == "D" and i == last else x))
-            if i < last:  # the coordinate below
-                lower = at(i + 1, base[i + 1])
-                gap = min(gap, x - (abs(lower) if kind == "D" and i + 1 == last else lower))
-            elif kind in ("B", "CC"):  # the last stays above 0
-                gap = min(gap, x)
+        gap = self.wall_gap(base, moved)
         if gap < 0:
             raise AssertionError("regular orbit representative must be strictly dominant")
         if gap == 0:
             return None, 0
         return tuple((i, x - base[i]) for i, x in moved.items()), sign
 
-    def dominant_rep(self, w: Weight2) -> Weight2:
-        """The dominant element of the Weyl orbit of w (no sign tracking), memoised."""
-        rep = self._reps.get(w)
-        if rep is None:
-            rep = self._reps[w] = self._dominant_rep(w)
-        return rep
+    # -- oracle kernels, memoised -------------------------------------------
 
-    def _dominant_rep(self, w: Weight2) -> Weight2:
+    @cache
+    def dominant_rep(self, w: Weight2) -> Weight2:
+        """The dominant element of the Weyl orbit of w (no sign tracking)."""
         head, tail = w[: self.rank], w[self.rank:]
         if self.kind == "A":
             return tuple(sorted(head, reverse=True)) + tail
@@ -200,15 +209,9 @@ class RootSystem:
             out[-1] = -out[-1]
         return tuple(out) + tail
 
+    @cache
     def orbit_size(self, w: Weight2) -> int:
-        """The size of the Weyl orbit of w, memoised."""
-        size = self._orbit_sizes.get(w)
-        if size is None:
-            size = self._orbit_sizes[w] = self._orbit_size(w)
-        return size
-
-    def _orbit_size(self, w: Weight2) -> int:
-        """|W| over the order of the stabiliser of w.
+        """The size of the Weyl orbit of w: |W| over the order of the stabiliser.
 
         Among signed permutations the stabiliser permutes equal |w_i| and flips
         the signs of zero coordinates.  D keeps only the even sign changes, which
@@ -243,21 +246,18 @@ class RootSystem:
         weight first reached it; the memo holds the edges of the walk, not a
         set per weight, which would grow with the square of its depth.
         """
-        children = self._children
+        children = self._dominant_children
         seen = {mu}
         stack = [mu]
         while stack:
-            top = stack.pop()
-            below = children.get(top)
-            if below is None:
-                below = children[top] = self._dominant_children(top)
-            for nu in below:
+            for nu in children(stack.pop()):
                 if nu not in seen:
                     seen.add(nu)
                     stack.append(nu)
         return seen
 
-    def _dominant_children(self, mu: Weight2) -> list[Weight2]:
+    @cache
+    def _dominant_children(self, mu: Weight2) -> tuple[Weight2, ...]:
         """The dominant mu - alpha over the positive roots alpha.  Dominant
         nu <= mu have |nu| <= |mu|, since |mu|^2 - |nu|^2 = <mu - nu, mu + nu>;
         each child is checked for it, so every dominant weight below a highest
@@ -270,10 +270,11 @@ class RootSystem:
                 if w_dot(nu, nu) > norm:
                     raise AssertionError("dominant weights below lam must lie in the ||lam|| ball")
                 out.append(nu)
-        return out
+        return tuple(out)
 
     # -- Weyl dimension formula ---------------------------------------------
 
+    @cache
     def weyl_dim(self, lam: Weight2) -> int:
         """Dimension of the K-type with doubled highest weight lam = 2 lambda.
 
@@ -282,7 +283,9 @@ class RootSystem:
         the factor 1 and is skipped, as is every root that meets no coordinate
         of supp(lam).  What is left are the roots e_i +- e_j with i in the
         support (each pair met once), e_i (B) and 2 e_i (CC) on the support,
-        and the Sp(1) root 2 e_rank (CC): O(rank |supp(lam)|) factors.
+        and the Sp(1) root 2 e_rank (CC): O(rank |supp(lam)|) factors.  A
+        ValueError is raised afresh on every call, since a cache stores only
+        returned values.
         """
         if not self.is_dominant(lam):
             raise ValueError(f"doubled weight {lam} is not dominant")

@@ -853,6 +853,33 @@ def test_family_chains_do_not_creep_back():
     assert sum(counts.values()) <= 26
 
 
+KIND_LITERALS = {"A", "B", "D", "CC"}
+
+
+def _kind_comparisons(tree) -> list[int]:
+    """Lines of the Compare nodes with a root-system kind literal, or a tuple,
+    list or set display holding one, on either side."""
+    def is_literal(node):
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(e, ast.Constant) and e.value in KIND_LITERALS for e in elts)
+
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(map(is_literal, [node.left, *node.comparators]))]
+
+
+def test_only_weyl_compares_root_system_kinds():
+    """The chamber walls of each kind are stated once, in `weyl.RootSystem`:
+    no other module of src/rankone compares against "A", "B", "D" or "CC"."""
+    users = {module: lines for module, tree in _src_trees().items()
+             if (lines := _kind_comparisons(tree))}
+    assert set(users) == {"weyl"}, users
+
+
+def test_the_kind_rule_counts_each_comparison_form():
+    tree = ast.parse('kind == "CC"\nkind in ("B", "CC")\n"D" != k\nk == "SO"\nk in {"A"}\n')
+    assert _kind_comparisons(tree) == [1, 2, 3, 5]
+
+
 # The parameters of src/rankone that carry a default, each used with more than
 # one value; a parameter every caller passes the same value to is a constant.
 DEFAULTED_PARAMETERS = {

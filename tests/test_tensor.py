@@ -253,8 +253,7 @@ def test_racah_speiser_reads_no_oracle_kernel(monkeypatch):
     def refuse_roots(rs):
         raise AssertionError(f"oracle roots read on {rs.kind}{rs.rank}")
 
-    for name in ("dominant_rep", "_dominant_rep", "orbit_size", "_orbit_size",
-                 "dominant_weights_below", "_dominant_children"):
+    for name in ("dominant_rep", "orbit_size", "dominant_weights_below", "_dominant_children"):
         monkeypatch.setattr(weyl.RootSystem, name, refuse)
     # a property takes precedence over a value cached on the instance
     for name in ("positive_roots", "root_norms"):
@@ -297,7 +296,8 @@ def test_closed_form_chamber_test_matches_is_dominant(data):
     odd = data.draw(st.sampled_from([0, 1]))
     lam = rs.dominant_rep(tuple(2 * x + odd for x in w))
     for beta in tensor._p_weights(variant, n):
-        assert tensor._stays_dominant(rs, lam, beta) == rs.is_dominant(shift(lam, beta, 1)), \
+        moved = {i: lam[i] + d for i, d in beta}
+        assert (rs.wall_gap(lam, moved) >= 0) == rs.is_dominant(shift(lam, beta, 1)), \
             (rs.kind, lam, beta)
 
 
@@ -331,13 +331,17 @@ def test_racah_speiser_makes_no_dense_weight_operation_per_beta(monkeypatch):
 
 
 def test_the_oracle_never_calls_the_racah_speiser_kernel(monkeypatch):
+    # nor the chamber walls that Racah-Speiser and the closed form read
     def refuse(rs, base, beta):
         raise AssertionError(f"Racah-Speiser kernel called on {base}")
 
-    monkeypatch.setattr(weyl.RootSystem, "to_dominant_chamber", refuse)
     for fam in ORACLE_FAMILIES:
         for lab in labels(fam, 2):
-            assert character_oracle(fam, lab).weights() == expected_summand_labels(fam, lab), lab
+            expected = expected_summand_labels(fam, lab)
+            with monkeypatch.context() as m:
+                m.setattr(weyl.RootSystem, "to_dominant_chamber", refuse)
+                m.setattr(weyl.RootSystem, "wall_gap", refuse)
+                assert character_oracle(fam, lab).weights() == expected, lab
 
 
 @pytest.mark.parametrize("fam", [so(4), so(5), so(6), su(2), su(3), sp(2), f4()])

@@ -225,29 +225,32 @@ def test_weight_kernels_refuse_different_lengths(kernel):
             kernel(a, b)
 
 
+def _clear_root_system_caches():
+    for cached in (k_root_system, *weyl.KINDS.values(), tensor._dominant_multiplicities,
+                   weyl.RootSystem.dominant_rep, weyl.RootSystem._dominant_children):
+        cached.cache_clear()
+
+
 def test_the_chamber_kernel_runs_once_per_distinct_weight(capsys, monkeypatch):
     """A ratchet on the dominant_rep memo: over one `verify tensor --depth 3`
-    from cold caches, the uncached kernel runs exactly once per distinct
-    (root system, weight) that the oracle asks about."""
-    for cached in (k_root_system, *weyl.KINDS.values(), tensor._dominant_multiplicities):
-        cached.cache_clear()
-    asked, computed = [], []
-    public, kernel = weyl.RootSystem.dominant_rep, weyl.RootSystem._dominant_rep
+    from cold caches, the cache misses once per distinct (root system,
+    weight) that the oracle asks about, keeps every entry it computed, and
+    answers the repeated questions from memory."""
+    _clear_root_system_caches()
+    asked = []
+    public = weyl.RootSystem.dominant_rep
 
     def counted_public(rs, w):
         asked.append((id(rs), w))
         return public(rs, w)
 
-    def counted_kernel(rs, w):
-        computed.append((id(rs), w))
-        return kernel(rs, w)
-
     monkeypatch.setattr(weyl.RootSystem, "dominant_rep", counted_public)
-    monkeypatch.setattr(weyl.RootSystem, "_dominant_rep", counted_kernel)
     assert main(["verify", "tensor", "--depth", "3"]) == 0
     capsys.readouterr()
-    assert computed
-    assert len(computed) == len(set(computed)) == len(set(asked))
+    info = public.cache_info()
+    assert asked
+    assert info.misses == info.currsize == len(set(asked))
+    assert info.hits == len(asked) - len(set(asked)) > 0
 
 
 def test_the_dominant_walk_expands_each_weight_once(capsys, monkeypatch):
@@ -255,25 +258,32 @@ def test_the_dominant_walk_expands_each_weight_once(capsys, monkeypatch):
     --depth 3` from cold caches, the walk expands each distinct (root system,
     dominant weight) exactly once, though every Freudenthal table reads the
     dominant weights below its highest weight."""
-    for cached in (k_root_system, *weyl.KINDS.values(), tensor._dominant_multiplicities):
-        cached.cache_clear()
-    asked, expanded = [], []
-    public, kernel = weyl.RootSystem.dominant_weights_below, weyl.RootSystem._dominant_children
+    _clear_root_system_caches()
+    asked = []
+    public = weyl.RootSystem.dominant_weights_below
 
     def counted_public(rs, mu):
         asked.append((id(rs), mu))
         return public(rs, mu)
 
-    def counted_kernel(rs, mu):
-        expanded.append((id(rs), mu))
-        return kernel(rs, mu)
-
     monkeypatch.setattr(weyl.RootSystem, "dominant_weights_below", counted_public)
-    monkeypatch.setattr(weyl.RootSystem, "_dominant_children", counted_kernel)
     assert main(["verify", "tensor", "--depth", "3"]) == 0
     capsys.readouterr()
+    info = weyl.RootSystem._dominant_children.cache_info()
     assert len(asked) == len(set(asked))  # one table per (root system, highest weight)
-    assert len(expanded) == len(set(expanded)) > len(asked)
+    assert info.misses == info.currsize > len(asked)
+    assert info.hits > 0
+
+
+def test_weyl_dim_caches_only_what_it_returns():
+    """A ValueError is raised afresh on every call: a refused weight is not cached."""
+    rs = type_b(2)
+    before = weyl.RootSystem.weyl_dim.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not dominant"):
+            rs.weyl_dim((2, 4))
+    assert weyl.RootSystem.weyl_dim.cache_info().currsize == before
+    assert rs.weyl_dim((4, 2)) == rs.weyl_dim((4, 2)) == 35
 
 
 def test_the_oracle_convolution_asks_one_dominant_rep_per_pair(monkeypatch):
@@ -301,7 +311,7 @@ def test_the_oracle_convolution_asks_one_dominant_rep_per_pair(monkeypatch):
 
 def test_the_dominant_walk_needs_no_recursion():
     # B1's dominant weights below 2200 e_1 (doubled) are a chain of 1101, deeper
-    # than the default recursion limit; a fresh B1 keeps the memo out of the cache
+    # than the default recursion limit; a fresh B1 shares no cached walk with type_b(1)
     rs = weyl.RootSystem("B", 1, 1, (1,))
     assert rs.dominant_weights_below((2200,)) == {(x,) for x in range(0, 2201, 2)}
 
