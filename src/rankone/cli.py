@@ -539,9 +539,6 @@ def cmd_verify(suite: str, depth: int, tolerance: float, seed: int) -> Report:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the report to this file instead of stdout")
-    p.add_argument("--seed", type=_seed, default=0, help="sampling seed (so-model)")
-    p.add_argument("--tolerance", type=_tolerance, default=1e-5,
-                   help="numerical tolerance (so-model)")
 
 
 def _args_structure(p: argparse.ArgumentParser) -> None:
@@ -569,6 +566,9 @@ def _args_scalars(p: argparse.ArgumentParser) -> None:
 
 def _args_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("suite", choices=("all",) + tuple(SUITES))
+    p.add_argument("--seed", type=_seed, default=0, help="sampling seed (so-model)")
+    p.add_argument("--tolerance", type=_tolerance, default=1e-5,
+                   help="numerical tolerance (so-model)")
     p.add_argument("--depth", type=_ascii_int, default=6)
 
 

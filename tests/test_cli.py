@@ -1,7 +1,9 @@
 import argparse
 import ast
+import contextlib
 import functools
 import importlib
+import io
 import itertools
 import json
 import os
@@ -493,7 +495,7 @@ def test_structural_data_is_built_once_per_family(capsys):
     ["verify", "so-model", "--tolerance", "inf"],
     ["verify", "so-model", "--tolerance", "-1"],
     ["verify", "so-model", "--tolerance", "abc"],
-    ["structure", "SO", "5", "--seed", "-1"],
+    ["verify", "so-model", "--seed", "-1"],
 ])
 def test_bad_seed_or_tolerance_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -505,8 +507,94 @@ def test_bad_seed_or_tolerance_exits_2(capsys, argv):
 
 
 def test_zero_tolerance_and_seed_are_accepted(capsys):
-    code, out = run(capsys, ["structure", "SO", "5", "--seed", "0", "--tolerance", "0"])
-    assert code == 0 and json.loads(out)["status"] == "pass"
+    # accepted and read: the float residuals are above 0, so exactly the two
+    # checks against the tolerance fail, with exit 1 rather than a usage error
+    code, out = run(capsys, ["verify", "so-model", "--depth", "1", "--seed", "0",
+                             "--tolerance", "0"])
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "fail"
+    assert (report["inputs"]["seed"], report["inputs"]["tolerance"]) == (0, 0.0)
+    assert {c["id"] for c in report["checks"] if c["status"] == "fail"} == {
+        "intertwining-residual", "exceptional-coefficient-vanishing"}
+
+
+@pytest.mark.parametrize("command", [["structure", "SO", "5"], ["exceptional", "F4"],
+                                     ["socle", "SU", "3"], ["tensor", "SO", "5", "Y1"],
+                                     ["scalars", "SO", "5", "Y1", "Y2"]])
+@pytest.mark.parametrize("option", [["--seed", "0"], ["--tolerance", "0"]])
+def test_seed_and_tolerance_belong_to_verify_alone(capsys, command, option):
+    # no other subcommand reads them, so none accepts them
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *option])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
+# The argv grammar of the CLI fuzz test below: each command with families, n
+# around its cap, labels and options, mostly well formed so that most lines
+# reach the command, and otherwise not.  At the cap itself only tensor and
+# exceptional answer fast enough for a fuzz test (socle Sp at its cap takes over
+# a second, scalars at its cap holds a lattice of length 10^6).
+_FUZZ_SUITES = ["all", "groups", "tensor", "spherical", "scalars", "so-model", "nope"]
+_FUZZ_LABELS = {"tensor": 1, "scalars": 2}
+_FUZZ_OPTIONS = {
+    "--seed": ["0", "7", "-1", "x"],
+    "--tolerance": ["1e-5", "0", "nan", "-1"],
+    "--mu": ["0", "-5/2", "1/3", "1e10000000", "x"],
+    "--format": ["json", "csv", "xml"],
+    "--count": ["1", "5", "0", "z", str(cli.MAX_COUNT + 1)],
+    "--ell": ["0", "2", "-1", str(cli.MAX_ELL + 1)],
+    "--depth": ["1", "2", "0", str(cli.MAX_DEPTH + 1)],
+}
+_FUZZ_OWN_OPTIONS = {"structure": ["--format"], "exceptional": ["--format", "--count"],
+                     "socle": ["--format", "--ell"], "tensor": ["--format"],
+                     "scalars": ["--format", "--mu"],
+                     "verify": ["--format", "--seed", "--tolerance", "--depth"]}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(_FUZZ_SUITES)))
+    else:
+        variant = draw(st.sampled_from(["SO", "SU", "Sp", "F4", "G2"]))
+        cap = cli.MAX_N.get(command)
+        ns = [str(n) for n in range(2, 10)] + ["0", "-1", "x"]
+        if cap is not None:
+            ns += [str(cap + 1)] + ([str(cap)] if command in ("tensor", "exceptional") else [])
+        argv += [variant] + ([] if variant == "F4" else [draw(st.sampled_from(ns))])
+        size = 1 if variant == "SO" else 2
+        well_formed = st.lists(st.integers(0, 3), min_size=size, max_size=size).map(
+            lambda c: sorted(c, reverse=True))
+        coords = well_formed | st.lists(st.integers(-1, 4), max_size=3)
+        letter = st.sampled_from(["V" if variant in ("Sp", "F4") else "Y", "", "Q"])
+        count = draw(st.sampled_from([_FUZZ_LABELS.get(command, 0)] * 3 + [1, 3]))
+        argv += [draw(letter) + ",".join(map(str, draw(coords))) for _ in range(count)]
+    options = draw(st.lists(st.sampled_from(_FUZZ_OWN_OPTIONS[command]), max_size=2, unique=True))
+    if draw(st.sampled_from([False, False, False, True])):  # any option, often another command's
+        options.append(draw(st.sampled_from(sorted(_FUZZ_OPTIONS))))
+    for option in options:
+        argv += [option, draw(st.sampled_from(_FUZZ_OPTIONS[option]))]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_fuzz_argv())
+def test_the_cli_answers_any_command_line_with_a_report_or_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert time.perf_counter() - start < 2, argv
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
 
 
 @pytest.mark.parametrize("mu", [["--mu", "1e40000"], ["--mu=1e-40000"]])
