@@ -75,11 +75,11 @@ LATTICE_SPECS = {
 
 
 class Lattice(NamedTuple):
-    """A lattice row, the zeros its rank puts between head and tail, and each c[i]'s
-    (weight position, divisor)."""
+    """A lattice row, the number of zeros its rank puts between head and tail, and
+    each c[i]'s (weight position, divisor)."""
 
     spec: LatticeSpec
-    pad: Weight2
+    zeros: int
     readback: tuple[tuple[int, int], ...]
 
 
@@ -88,7 +88,7 @@ def lattice(family: GroupFamily) -> Lattice:
     """The lattice of a family: its own row (SO(2,1)) or its variant's, resolved once."""
     spec = LATTICE_SPECS.get(str(family)) or LATTICE_SPECS[family.variant]
     forms = spec.head + spec.tail
-    return Lattice(spec, (0,) * (k_root_system(family.variant, family.n).dim - len(forms)),
+    return Lattice(spec, k_root_system(family.variant, family.n).dim - len(forms),
                    tuple((pos, forms[pos][i]) for i, pos in enumerate(spec.readback)))
 
 
@@ -122,9 +122,9 @@ def label(family: GroupFamily, *coords: int) -> KTypeLabel:
 
 
 def _weight(lat: Lattice, c: tuple[int, ...]) -> Weight2:
-    """The doubled weight of a lattice's forms at coordinates c: head, pad, tail."""
+    """The doubled weight of a lattice's forms at coordinates c: head, zeros, tail."""
     x, y = c[0], c[-1]
-    return (tuple([a * x + b * y for a, b in lat.spec.head]) + lat.pad
+    return (tuple([a * x + b * y for a, b in lat.spec.head]) + (0,) * lat.zeros
             + tuple([a * x + b * y for a, b in lat.spec.tail]))
 
 
@@ -219,7 +219,7 @@ def norm_form(family: GroupFamily) -> tuple[int, int, int, int, int, int]:
     for the label c with (x, y) = (c[0], c[-1]).
 
     Each head and tail form (a, b) puts a x + b y + r beside its entry r of
-    4 rho_c, and each entry of the pad puts r alone.
+    4 rho_c, and each zero between them puts r alone.
     """
     spec = lattice(family).spec
     rho4 = [2 * r for r in k_root_system(family.variant, family.n).two_rho]

@@ -9,12 +9,13 @@ Every weight the library builds has coordinates in (1/2)Z, so there is one
 weight format, the doubled weight `Weight2`: the int tuple 2w.  `ktypes`,
 `tensor` and every RootSystem method take and return doubled weights; only a
 report halves them for display.  The Weyl groups are all signed-permutation
-groups, so each root system is stated by its kind and rank alone: 2 rho has a
-closed form per kind, orbit sizes are |W| over the stabiliser rather than
-counted, and the Weyl dimension multiplies only the factors of the roots
-e_i +- e_j, e_i, 2 e_i that meet the support of the weight (Fulton-Harris,
-Representation Theory, Lecture 24), O(rank) for the weights of bounded
-support that the families use.
+groups, so each root system is stated by its kind and rank alone: its
+coordinate length follows from them, 2 rho has a closed form per kind, built
+only when read, orbit sizes are |W| over the stabiliser rather than counted,
+and the Weyl dimension multiplies only the factors of the roots e_i +- e_j,
+e_i, 2 e_i that meet the support of the weight (Fulton-Harris, Representation
+Theory, Lecture 24), O(rank) for the weights of bounded support that the
+families use.
 
 The two routes of `tensor` read different kernels here.  Racah-Speiser reads
 only `to_dominant_chamber`, which takes the base lam + 2 rho and one weight of
@@ -73,7 +74,7 @@ def shift(w, alpha: Root, k: int):
 
 
 class RootSystem:
-    """The root system of K, stated by its kind, rank and 2 rho, with the
+    """The root system of K, stated by its kind and rank, with the
     signed-permutation Weyl action.
 
     kind selects the chamber combinatorics and the positive roots:
@@ -93,11 +94,20 @@ class RootSystem:
     so a caller passing Fractions would share entries with the int weights.
     """
 
-    def __init__(self, kind: str, rank: int, dim: int, two_rho: Weight2):
+    def __init__(self, kind: str, rank: int):
         self.kind = kind
         self.rank = rank  # number of permuted coordinates
-        self.dim = dim  # total coordinate length
-        self.two_rho = two_rho
+        self.dim = rank + (kind in ("A", "CC"))  # with A's central or CC's Sp(1) coordinate
+
+    @cached_property
+    def two_rho(self) -> Weight2:
+        """2 rho, the sum of the positive roots, built on first access.  On the
+        permuted coordinate i (counted from 0) e_i - e_j gives rank - 1 - 2i,
+        e_i + e_j adds rank - 1, e_i adds 1 and 2 e_i adds 2; A's central
+        coordinate is 0 and CC's Sp(1) coordinate 2."""
+        rank = self.rank
+        top = rank - 1 + {"A": 0, "B": rank, "D": rank - 1, "CC": rank + 1}[self.kind]
+        return tuple(range(top, top - 2 * rank, -2)) + {"A": (0,), "CC": (2,)}.get(self.kind, ())
 
     @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
@@ -319,34 +329,30 @@ class RootSystem:
         return d
 
 
-# 2 rho, the sum of the positive roots, per kind (coordinate i counted from 0):
-# e_i - e_j gives rank - 1 - 2i, e_i + e_j adds rank - 1, e_i adds 1 and 2 e_i adds 2.
-
-
 @lru_cache(maxsize=None)
 def type_b(m: int) -> RootSystem:
     """B_m: 2 rho = (2m - 1, ..., 3, 1)."""
-    return RootSystem("B", m, m, tuple(range(2 * m - 1, 0, -2)))
+    return RootSystem("B", m)
 
 
 @lru_cache(maxsize=None)
 def type_d(m: int) -> RootSystem:
     """D_m: 2 rho = (2m - 2, ..., 2, 0)."""
-    return RootSystem("D", m, m, tuple(range(2 * m - 2, -1, -2)))
+    return RootSystem("D", m)
 
 
 @lru_cache(maxsize=None)
 def type_a_u(n: int) -> RootSystem:
     """U(n): type A_{n-1} on e_1..e_n with the inert central coordinate e_{n+1};
     2 rho = (n - 1, n - 3, ..., 1 - n, 0)."""
-    return RootSystem("A", n, n + 1, tuple(range(n - 1, -n, -2)) + (0,))
+    return RootSystem("A", n)
 
 
 @lru_cache(maxsize=None)
 def type_c_c1(n: int) -> RootSystem:
     """Sp(n) x Sp(1): type C_n on e_1..e_n, type C_1 on e_{n+1};
     2 rho = (2n, ..., 4, 2, 2)."""
-    return RootSystem("CC", n, n + 1, tuple(range(2 * n, 0, -2)) + (2,))
+    return RootSystem("CC", n)
 
 
 KINDS = {"B": type_b, "D": type_d, "A": type_a_u, "CC": type_c_c1}

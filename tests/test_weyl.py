@@ -8,6 +8,7 @@ weight and states 2 rho in closed form.  The library takes doubled-integer
 weights 2w; `double` and `halve` below convert the references.
 """
 import random
+import tracemalloc
 from fractions import Fraction as Q
 from math import factorial, prod
 
@@ -312,7 +313,7 @@ def test_the_oracle_convolution_asks_one_dominant_rep_per_pair(monkeypatch):
 def test_the_dominant_walk_needs_no_recursion():
     # B1's dominant weights below 2200 e_1 (doubled) are a chain of 1101, deeper
     # than the default recursion limit; a fresh B1 shares no cached walk with type_b(1)
-    rs = weyl.RootSystem("B", 1, 1, (1,))
+    rs = weyl.RootSystem("B", 1)
     assert rs.dominant_weights_below((2200,)) == {(x,) for x in range(0, 2201, 2)}
 
 
@@ -427,3 +428,23 @@ def test_large_rank_queries_never_enumerate_the_roots(capsys, monkeypatch, argv)
     monkeypatch.setattr(weyl.RootSystem, "positive_roots", property(refuse))
     assert main(argv) == 0
     capsys.readouterr()
+
+
+def test_a_scalars_query_at_the_n_cap_builds_nothing_of_length_n(capsys, monkeypatch):
+    # K's coordinate length comes from its kind and rank, 2 rho is built only
+    # when read and the lattice holds the count of its zeros, not the zeros: a
+    # dense weight of length 10^6 alone would take 8 MB
+    def refuse(rs):
+        raise AssertionError(f"built 2 rho of {rs.kind}{rs.rank}")
+
+    monkeypatch.setattr(weyl.RootSystem, "two_rho", property(refuse))
+    for cached in (ktypes.lattice, k_root_system, *weyl.KINDS.values()):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main(["scalars", "Sp", "1000000", "V1,1", "V2,1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 4 * 2 ** 20
