@@ -139,10 +139,9 @@ def _gamma_numerators(sd: StructuralData, t):
 
 
 def _exceptional_t(family: GroupFamily, ell: int) -> int:
-    """2 mu_ell(H) = -2 rho(H) - 2 (c ell + d), an integer since 2 rho(H) = m_alpha + 2 m_2alpha is."""
-    sd = structural_data(family)
+    """2 mu_ell(H) = -2 rho(H) - 2 (c ell + d), an integer since `two_rho_H` is."""
     c, d = FAMILY_SPECS[family.variant].shift
-    return -(sd.m_alpha + 2 * sd.m_2alpha) - 2 * (c * ell + d)
+    return -two_rho_H(family) - 2 * (c * ell + d)
 
 
 def exceptional_mu(family: GroupFamily, ell: int) -> SpectralParam:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import SpectralParam, rho_H, so
+from .groups import SpectralParam, exceptional_mu, rho_H, so
 from .ktypes import label, weyl_dim
 from .poly import Poly, binomial_row, peval, pmul, trim
 from .scalars import t_scalar
@@ -283,6 +283,7 @@ def iwasawa_roundtrip_error(n: int, seed: int) -> float:
 
 STEP_H = 1e-4  # central-difference step along each boost X_j
 NUM_POINTS = 50  # sphere points each gradient identity is sampled at
+TOLERANCE = 1e-5  # budget of the intertwining residuals and the vanishing coefficient
 
 
 @lru_cache(maxsize=None)
@@ -378,7 +379,7 @@ def verify_intertwining(n: int, k: int, mu: SpectralParam, seed: int) -> Intertw
     The omega-weighted sum of derivatives of the delta Poisson transform along
     an orthonormal basis of p must reproduce the exact rational scalar
     combination of the two neighbouring zonal functions.  Returns the max
-    deviations; judging them against a tolerance is the caller's part.  The
+    deviations; judging them against TOLERANCE is the caller's part.  The
     report fits the zonal coefficients only when `coefficients` is read.
     """
     if n < 3:
@@ -408,8 +409,8 @@ def _fit_zonal(n: int, degrees, points: np.ndarray, values: np.ndarray) -> dict:
 
 
 def exceptional_vanishing_residual(n: int, ell: int, seed: int) -> float:
-    """|fitted Z_{ell+1} component| of the combined gradient at mu = -rho - ell,
-    as `verify_intertwining` fits it.
+    """|fitted Z_{ell+1} component| of the combined gradient at the exceptional
+    parameter mu_ell = `groups.exceptional_mu`, as `verify_intertwining` fits it.
 
     At the exceptional parameter the exact scalar coupling Y_ell into Y_{ell+1}
     vanishes, so the numerically projected component must vanish too; this is
@@ -417,7 +418,7 @@ def exceptional_vanishing_residual(n: int, ell: int, seed: int) -> float:
     socle's minimal type.
     """
     fam = so(n)
-    mu = SpectralParam(-rho_H(fam) - ell)
+    mu = exceptional_mu(fam, ell)
     v, y = label(fam, ell), label(fam, ell + 1)
     if t_scalar(fam, v, y, mu, lambda_scalar(fam, v, y)) != 0:
         raise AssertionError(f"T(Y_{ell}, Y_{ell + 1}) must vanish at mu(H) = {mu.mu_H}")

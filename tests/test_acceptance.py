@@ -177,7 +177,8 @@ def test_criterion_10_so_model_numerics():
             for k in range(9):
                 assert so_model.zonal_l2_norm(n, k) \
                     == Q(1, weyl_dim(so(n), label(so(n), k)))
-        assert (so_model.SAMPLES, so_model.STEP_H, so_model.NUM_POINTS) == (100, 1e-4, 50)
+        assert ((so_model.SAMPLES, so_model.STEP_H, so_model.NUM_POINTS, so_model.TOLERANCE)
+                == (100, 1e-4, 50, 1e-5))
         for n in (3, 4, 5):
             assert so_model.iwasawa_roundtrip_error(n, 0) <= 1e-9
         worst = 0.0

@@ -496,6 +496,7 @@ def test_structural_data_is_built_once_per_family(capsys):
     ["verify", "so-model", "--tolerance", "-1"],
     ["verify", "so-model", "--tolerance", "abc"],
     ["verify", "so-model", "--seed", "-1"],
+    ["verify", "so-model", "--tolerance", "0"],
 ])
 def test_bad_seed_or_tolerance_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -503,14 +504,17 @@ def test_bad_seed_or_tolerance_exits_2(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "seed must be" in err or "tolerance must be" in err
+    if argv[2] == "--tolerance":  # no tolerance is read: the budget is so_model.TOLERANCE
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
+    else:
+        assert "seed must be" in err
 
 
-def test_zero_tolerance_and_seed_are_accepted(capsys):
-    # accepted and read: the float residuals are above 0, so exactly the two
-    # checks against the tolerance fail, with exit 1 rather than a usage error
-    code, out = run(capsys, ["verify", "so-model", "--depth", "1", "--seed", "0",
-                             "--tolerance", "0"])
+def test_zero_tolerance_and_seed_are_accepted(capsys, monkeypatch):
+    # a zero budget and seed are read: the float residuals are above 0, so exactly
+    # the two checks against the budget fail, with exit 1 rather than a usage error
+    monkeypatch.setattr(so_model, "TOLERANCE", 0)
+    code, out = run(capsys, ["verify", "so-model", "--depth", "1", "--seed", "0"])
     report = json.loads(out)
     assert code == 1 and report["status"] == "fail"
     assert (report["inputs"]["seed"], report["inputs"]["tolerance"]) == (0, 0.0)
@@ -523,7 +527,8 @@ def test_zero_tolerance_and_seed_are_accepted(capsys):
                                      ["scalars", "SO", "5", "Y1", "Y2"]])
 @pytest.mark.parametrize("option", [["--seed", "0"], ["--tolerance", "0"]])
 def test_seed_and_tolerance_belong_to_verify_alone(capsys, command, option):
-    # no other subcommand reads them, so none accepts them
+    # no other subcommand reads the seed, and no subcommand reads a tolerance
+    # (verify's refusal is a case of test_bad_seed_or_tolerance_exits_2)
     with pytest.raises(SystemExit) as exc:
         main([*command, *option])
     assert exc.value.code == 2
@@ -534,9 +539,9 @@ def test_seed_and_tolerance_belong_to_verify_alone(capsys, command, option):
 
 # The argv grammar of the CLI fuzz test below: each command with families, n
 # around its cap, labels and options, mostly well formed so that most lines
-# reach the command, and otherwise not.  At the cap itself only tensor and
-# exceptional answer fast enough for a fuzz test (socle Sp at its cap takes over
-# a second, scalars at its cap holds a lattice of length 10^6).
+# reach the command, and otherwise not.  At the cap itself only tensor,
+# exceptional and scalars answer fast enough for a fuzz test (socle Sp at its cap
+# takes over a second).  --tolerance is an option of no command.
 _FUZZ_SUITES = ["all", "groups", "tensor", "spherical", "scalars", "so-model", "nope"]
 _FUZZ_LABELS = {"tensor": 1, "scalars": 2}
 _FUZZ_OPTIONS = {
@@ -551,7 +556,7 @@ _FUZZ_OPTIONS = {
 _FUZZ_OWN_OPTIONS = {"structure": ["--format"], "exceptional": ["--format", "--count"],
                      "socle": ["--format", "--ell"], "tensor": ["--format"],
                      "scalars": ["--format", "--mu"],
-                     "verify": ["--format", "--seed", "--tolerance", "--depth"]}
+                     "verify": ["--format", "--seed", "--depth"]}
 
 
 @st.composite
@@ -565,7 +570,7 @@ def _fuzz_argv(draw):
         cap = cli.MAX_N.get(command)
         ns = [str(n) for n in range(2, 10)] + ["0", "-1", "x"]
         if cap is not None:
-            ns += [str(cap + 1)] + ([str(cap)] if command in ("tensor", "exceptional") else [])
+            ns += [str(cap + 1)] + ([str(cap)] if command != "socle" else [])
         argv += [variant] + ([] if variant == "F4" else [draw(st.sampled_from(ns))])
         size = 1 if variant == "SO" else 2
         well_formed = st.lists(st.integers(0, 3), min_size=size, max_size=size).map(
@@ -771,6 +776,28 @@ def test_verify_so_model_reports_a_matrix_outside_the_chart(capsys, monkeypatch)
     assert report["results"]["checks_total"] == len(report["checks"]) == 13
     assert failed_checks(out) == [("iwasawa-roundtrip", f"n={n} err=inf") for n in (3, 4, 5)] + [
         ("intertwining-residual", "max=inf"), ("exceptional-coefficient-vanishing", "max=inf")]
+
+
+def test_verify_so_model_reports_a_nonvanishing_exceptional_scalar(capsys, monkeypatch):
+    # T(Y_ell, Y_ell+1) off by 1/10^6 breaks the vanishing invariant that
+    # so_model.exceptional_vanishing_residual asserts: a failed check, not a traceback
+    real = so_model.t_scalar
+    monkeypatch.setattr(so_model, "t_scalar",
+                        lambda *args: real(*args) + Fraction(1, 10 ** 6))
+    code, out = run(capsys, ["verify", "so-model", "--depth", "2"])
+    assert code == 1
+    assert failed_checks(out) == [("exceptional-coefficient-vanishing", "max=inf")]
+
+
+def test_verify_so_model_reads_the_exceptional_parameters_from_groups(capsys, monkeypatch):
+    # a shifted closed form moves mu_ell off the zeros of T, and the Lorentz
+    # model, which states no mu_ell of its own, fails exactly the vanishing check
+    spec = groups.FAMILY_SPECS["SO"]
+    monkeypatch.setitem(groups.FAMILY_SPECS, "SO", spec._replace(shift=(1, 1)))
+    code, out = run(capsys, ["verify", "so-model", "--depth", "2"])
+    assert code == 1
+    assert [check_id for check_id, _ in failed_checks(out)] == [
+        "exceptional-coefficient-vanishing"]
 
 
 # Report.check_each is the one place that folds the cases of a check and holds
@@ -1015,7 +1042,7 @@ def test_defaulted_parameters_do_not_creep_back():
 # through Exception or BaseException, or bare): the CLI's input parsers, the
 # report's rendering guard and the Lorentz model's refusal.
 VALUE_ERROR_CATCHERS = {
-    "cli.parse_family", "cli.parse_label", "cli._seed", "cli._tolerance", "cli.parse_rational",
+    "cli.parse_family", "cli.parse_label", "cli._seed", "cli.parse_rational",
     "cli.Report.result", "cli._or_inf",
 }
 
@@ -1052,7 +1079,8 @@ def test_value_error_catchers_do_not_creep_back():
     """A ratchet on admission by exception: a K-type label is admitted by
     `ktypes.LatticeSpec.error`, a test on coordinates, so `ktypes` and
     `spherical` no longer build a `KTypeLabel` inside a try to find out.  Only
-    the functions of VALUE_ERROR_CATCHERS catch ValueError."""
+    the functions of VALUE_ERROR_CATCHERS catch ValueError; dropping the
+    `--tolerance` option took `cli._tolerance` out, from 7 to 6."""
     found = set().union(*(_value_error_catchers(tree, module)
                           for module, tree in _src_trees().items()))
     assert found == VALUE_ERROR_CATCHERS
@@ -1099,8 +1127,8 @@ def test_the_float_rule_on_a_snippet():
 
 
 def test_floats_stay_in_the_lorentz_model_and_the_cli():
-    """Exact stays exact: only the Lorentz model and the CLI's tolerance and
-    residual handling touch floating point.  Growth orders are exact degrees,
+    """Exact stays exact: only the Lorentz model and the CLI's residual
+    handling touch floating point.  Growth orders are exact degrees,
     not a log-log slope."""
     users = {module for module, tree in _src_trees().items() if _float_uses(tree)}
     assert users == {"so_model", "cli"}
